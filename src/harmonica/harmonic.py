@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SymbolicCoefficients
+from .errors import BidegreeOutOfRange, SymbolicCoefficients
 from .forms import Form, basis_multiindices
 from .linalg import right_kernel, rref, subspace_intersection
 from .hermitian import hodge_star
@@ -32,7 +32,6 @@ __all__ = [
     "ConditionResult",
     "forms_to_rows",
     "rows_to_forms",
-    "span_of_forms",
 ]
 
 
@@ -202,11 +201,6 @@ def rows_to_forms(rows, monomials, n: int):
     ]
 
 
-def span_of_forms(forms, monomials, n: int):
-    """Echelon representatives of the span of the given forms."""
-    return rows_to_forms(rref(forms_to_rows(forms, monomials)), monomials, n)
-
-
 def _condition_kernel(kind, p: int, q: int, spec: ManifoldSpec):
     monomials = basis_multiindices(spec.n, p, q)
     units = [Form.monomial(spec.n, m.hol, m.anti) for m in monomials]
@@ -280,19 +274,23 @@ def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec)
 def harmonic_space(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> SubspaceBasis:
     """Echelon basis of the invariant harmonic space for the given Laplacian,
     computed from the condition system and cross-checked against the
-    Laplacian-matrix nullspace."""
-    return _harmonic_space_cached(kind, p, q, spec)
+    Laplacian-matrix nullspace.  Each call returns new Form objects, so a
+    caller may change them without affecting later calls."""
+    kernel = _harmonic_kernel(kind, p, q, spec)
+    monomials = basis_multiindices(spec.n, p, q)
+    return SubspaceBasis(p, q, kind.value, rows_to_forms(kernel, monomials, spec.n))
 
 
 @lru_cache(maxsize=None)
-def _harmonic_space_cached(kind, p, q, spec) -> SubspaceBasis:
+def _harmonic_kernel(kind, p, q, spec) -> tuple:
+    """The cross-checked echelon rows of the harmonic space, as tuples."""
     if spec.has_symbolic_structure():
         raise SymbolicCoefficients(
             f"spec {spec.name!r} has symbolic structure coefficients; "
             "harmonic_space needs Q(i) constants (use is_harmonic instead)"
         )
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
-        raise ValueError(f"bidegree ({p},{q}) out of range for n={spec.n}")
+        raise BidegreeOutOfRange(f"bidegree ({p},{q}) out of range for n={spec.n}")
     kernel, monomials = _condition_kernel(kind, p, q, spec)
     cross = _laplacian_nullspace(kind, p, q, spec)
     if kernel != cross:
@@ -300,7 +298,7 @@ def _harmonic_space_cached(kind, p, q, spec) -> SubspaceBasis:
             f"condition kernel and Laplacian nullspace disagree for "
             f"{kind.value} at ({p},{q}) on {spec.name!r}"
         )
-    return SubspaceBasis(p, q, kind.value, rows_to_forms(kernel, monomials, spec.n))
+    return tuple(tuple(row) for row in kernel)
 
 
 def is_harmonic(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> MembershipCertificate:

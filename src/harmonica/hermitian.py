@@ -215,9 +215,24 @@ def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
     return PrimitiveComponents(k, parts)
 
 
-@lru_cache(maxsize=None)
 def primitive_basis(spec: ManifoldSpec, p: int, q: int) -> list[Form]:
-    """Echelon basis of the primitive (p,q) monomial combinations P^{p,q}."""
+    """Echelon basis of the primitive (p,q) monomial combinations P^{p,q}.
+    Each call returns new Form objects, so a caller may change them without
+    affecting later calls."""
+    kernel = _primitive_kernel(spec, p, q)
+    monomials = basis_multiindices(spec.n, p, q)
+    return [
+        Form(
+            spec.n,
+            {m: Coefficient({(): x}) for m, x in zip(monomials, vec) if not x.is_zero()},
+        )
+        for vec in kernel
+    ]
+
+
+@lru_cache(maxsize=None)
+def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> tuple:
+    """The echelon rows of P^{p,q} over the (p,q) monomials, as tuples."""
     if p + q > spec.n:
         raise DegreeTooHigh(f"primitive forms need p+q <= n = {spec.n}")
     monomials = basis_multiindices(spec.n, p, q)
@@ -231,13 +246,4 @@ def primitive_basis(spec: ManifoldSpec, p: int, q: int) -> list[Form]:
     rows = []
     for oi in out_idx:
         rows.append([img.coefficient(oi).constant_value() for img in images])
-    kernel = right_kernel(rows, len(monomials))
-    basis = []
-    for vec in kernel:
-        basis.append(
-            Form(
-                spec.n,
-                {m: Coefficient({(): x}) for m, x in zip(monomials, vec) if not x.is_zero()},
-            )
-        )
-    return basis
+    return tuple(tuple(row) for row in right_kernel(rows, len(monomials)))

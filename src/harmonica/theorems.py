@@ -26,7 +26,16 @@ from .hermitian import (
     lefschetz_L,
     primitive_basis,
 )
-from .linalg import in_span, is_direct_sum, rref, subspace_equal, subspace_intersection, subspace_sum
+from .linalg import (
+    first_outside,
+    in_span,
+    is_direct_sum,
+    is_subspace,
+    rref,
+    subspace_equal,
+    subspace_intersection,
+    subspace_sum,
+)
 from .report import NOT_APPLICABLE, REFUTED, VERIFIED, CheckItem, VerificationReport
 from .structure import ManifoldSpec, exterior_d
 
@@ -88,12 +97,9 @@ def _omega_power_rows(spec, power):
 
 
 def _first_outside(big_rows, small_rows, spec, p, q):
-    """First echelon generator of span(big) not lying in span(small)."""
-    for row in big_rows:
-        if not in_span(row, small_rows):
-            return _forms([row], spec, p, q)[0]
-    return None
-
+    """First echelon generator of span(big) not lying in span(small), or None."""
+    i = first_outside(big_rows, small_rows)
+    return None if i is None else _forms([big_rows[i]], spec, p, q)[0]
 
 
 def _basis_strings(rows, spec, p, q):
@@ -189,10 +195,10 @@ def verify_edge_decomps(spec: ManifoldSpec) -> VerificationReport:
     for kind in (HarmonicKind.BC, HarmonicKind.A):
         for p in range(n + 1):
             prim = _primitive_rows(spec, p, 0)
-            ok = all(in_span(r, prim) for r in spaces[(kind, p, 0)])
+            ok = is_subspace(spaces[(kind, p, 0)], prim)
             items.append(CheckItem(f"H^({p},0)_{kind.value} is primitive", ok))
             prim = _primitive_rows(spec, 0, p)
-            ok = all(in_span(r, prim) for r in spaces[(kind, 0, p)])
+            ok = is_subspace(spaces[(kind, 0, p)], prim)
             items.append(CheckItem(f"H^(0,{p})_{kind.value} is primitive", ok))
     pairs = [(HarmonicKind.BC, HarmonicKind.A), (HarmonicKind.A, HarmonicKind.BC)]
     for src, dst in pairs:
@@ -257,12 +263,10 @@ def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
             "BC cap P = (delbar cap P) cap (del cap P)",
             subspace_equal(bc, subspace_intersection(de, db)),
         ),
-        CheckItem(
-            "delbar cap P <= A cap P", all(in_span(r, ae) for r in db)
-        ),
-        CheckItem("BC cap P <= delbar cap P", all(in_span(r, db) for r in bc)),
-        CheckItem("BC cap P <= del cap P", all(in_span(r, de) for r in bc)),
-        CheckItem("BC cap P <= A cap P", all(in_span(r, ae) for r in bc)),
+        CheckItem("delbar cap P <= A cap P", is_subspace(db, ae)),
+        CheckItem("BC cap P <= delbar cap P", is_subspace(bc, db)),
+        CheckItem("BC cap P <= del cap P", is_subspace(bc, de)),
+        CheckItem("BC cap P <= A cap P", is_subspace(bc, ae)),
     ]
     if p + q == spec.n:
         items.append(
@@ -279,12 +283,10 @@ def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
         for b in _FIVE_KINDS:
             if a is b:
                 continue
-            contained = all(in_span(r, prim[b]) for r in prim[a])
-            lattice[f"{a.value} <= {b.value}"] = contained
-            if not contained and len(witnesses) < 4:
-                w = _first_outside(prim[a], prim[b], spec, p, q)
-                if w is not None and w not in witnesses:
-                    witnesses.append(w)
+            w = _first_outside(prim[a], prim[b], spec, p, q)
+            lattice[f"{a.value} <= {b.value}"] = w is None
+            if w is not None and len(witnesses) < 4 and w not in witnesses:
+                witnesses.append(w)
     return VerificationReport(
         f"relations-{p}-{q}",
         VERIFIED if all(i.ok for i in items) else REFUTED,
@@ -368,7 +370,7 @@ def verify_bc21_gap(spec: ManifoldSpec) -> VerificationReport:
     prim_part = _harmonic_primitive_rows(spec, HarmonicKind.BC, 2, 1)
     lifted = _L_image_rows(_harmonic_rows(spec, HarmonicKind.BC, 1, 0), spec, 1, 0, 1)
     rhs = subspace_sum(prim_part, lifted)
-    included = all(in_span(r, harmonic) for r in rhs)
+    included = is_subspace(rhs, harmonic)
     direct = is_direct_sum([prim_part, lifted])
     equal = included and len(rhs) == len(harmonic)
     items = [
@@ -452,24 +454,23 @@ def check_aeppli_L_noninclusion(spec: ManifoldSpec) -> VerificationReport:
         )
     lifted = _L_image_rows(_harmonic_rows(spec, HarmonicKind.A, 1, 0), spec, 1, 0, 1)
     target = _harmonic_rows(spec, HarmonicKind.A, 2, 1)
-    holds = all(in_span(r, target) for r in lifted)
+    w = _first_outside(lifted, target, spec, 2, 1)
+    holds = w is None
     witnesses = []
     items = [CheckItem("L(H^{1,0}_a) <= H^{2,1}_a", holds)]
     if not holds:
-        w = _first_outside(lifted, target, spec, 2, 1)
-        if w is not None:
-            cert = is_harmonic(HarmonicKind.A, w, spec)
-            witnesses.append(w)
-            items.append(
-                CheckItem(
-                    "witness re-check: not Aeppli harmonic",
-                    not cert.verdict,
-                    witness=w,
-                    residual=None
-                    if cert.first_failing() is None
-                    else cert.first_failing().residual,
-                )
+        cert = is_harmonic(HarmonicKind.A, w, spec)
+        witnesses.append(w)
+        items.append(
+            CheckItem(
+                "witness re-check: not Aeppli harmonic",
+                not cert.verdict,
+                witness=w,
+                residual=None
+                if cert.first_failing() is None
+                else cert.first_failing().residual,
             )
+        )
     return VerificationReport(
         "aeppli-L-inclusion",
         VERIFIED if holds else REFUTED,

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from harmonica.cli import main
 from harmonica.forms import parse_form
@@ -88,6 +91,13 @@ class TestHarmonics:
         )
         assert code == 2
 
+    def test_bidegree_out_of_range(self, capsys):
+        code, _, err = run_cli(
+            capsys, "harmonics", "iwasawa_ak", "--laplacian", "bc", "--bidegree", "9,9"
+        )
+        assert code == 3
+        assert "out of range" in err
+
 
 class TestCheckForm:
     def test_member(self, capsys):
@@ -157,6 +167,22 @@ class TestReport:
     def test_symbolic_unsupported(self, capsys):
         code, _, err = run_cli(capsys, "report", "torus6")
         assert code == 3
+
+    # sha256 of the full default (non-ASCII) stdout of `harmonica report <name>`:
+    # the CLI text and the inline JSON report must stay byte-identical.
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("iwasawa_ak", "983d81586508a90100fef979a3fa17151fcefe3958c9267bbf946529f57dc788"),
+            ("flat_kahler6", "3d79dbe8f09eb2f10105be7761a7ad519dae1917730ed597105a587200684bc3"),
+            ("iwasawa_cplx", "34776ce209b77a5657dc6bd4946d78cef9a65dc2bed0ccde84b0b183726a99b3"),
+        ],
+    )
+    def test_golden_bytes(self, capsys, monkeypatch, name, digest):
+        monkeypatch.delenv("HARMONICA_ASCII", raising=False)
+        code, out, _ = run_cli(capsys, "report", name)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestAsciiMode:

@@ -18,6 +18,7 @@ from harmonica.hermitian import (
     fundamental_form,
     hodge_star,
     monomial_inner_square,
+    primitive_basis,
     volume_form,
 )
 from harmonica.linalg import rref, subspace_equal
@@ -214,6 +215,25 @@ class TestHarmonicSpace:
                     [f.conjugate(iwasawa.table) for f in a.basis], monomials2
                 )
                 assert subspace_equal(conjugated, kernel2)
+
+
+class TestCachedResults:
+    def test_callers_cannot_corrupt_cached_bases(self, iwasawa):
+        space = harmonic_space(HarmonicKind.BC, 2, 1, iwasawa)
+        want = [dict(f.terms) for f in space.basis]
+        space.basis[0].terms.clear()
+        space.basis.clear()
+        again = harmonic_space(HarmonicKind.BC, 2, 1, iwasawa)
+        assert again.dim == 2
+        assert [f.terms for f in again.basis] == want
+
+        basis = primitive_basis(iwasawa, 1, 1)
+        want = [dict(f.terms) for f in basis]
+        basis[0].terms[next(iter(basis[0].terms))] = Coefficient.gauss(7)
+        basis.clear()
+        again = primitive_basis(iwasawa, 1, 1)
+        assert len(again) == 8
+        assert [f.terms for f in again] == want
 
 
 class TestMembership:

@@ -1,0 +1,178 @@
+"""Property tests of the exact linear-algebra core against sympy as an oracle.
+
+Matrices are small Q(i) matrices with zero rows, repeated rows, rows that are
+combinations of earlier rows, and entries with large denominators.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from harmonica.linalg import (
+    first_outside,
+    in_span,
+    is_direct_sum,
+    is_subspace,
+    rank,
+    right_kernel,
+    rref,
+    subspace_equal,
+    subspace_intersection,
+    subspace_sum,
+)
+from harmonica.scalars import GaussianRational
+
+sp = pytest.importorskip("sympy")
+
+PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+_ZERO = GaussianRational(0)
+
+small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+large = st.builds(
+    Fraction,
+    st.integers(-(10**18), 10**18),
+    st.sampled_from([1, 7, 10**12 + 39, 2**61 - 1, 3**40]),
+)
+entries = st.one_of(
+    st.just(_ZERO),
+    st.just(_ZERO),
+    st.builds(GaussianRational, small, small),
+    st.builds(GaussianRational, small),
+    st.builds(GaussianRational, large, large),
+)
+
+
+def _rows(ncols):
+    return st.lists(entries, min_size=ncols, max_size=ncols)
+
+
+@st.composite
+def matrices(draw, ncols):
+    """Up to six rows: fresh, zero, repeated, or a combination of two earlier rows."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kinds = ["fresh", "fresh", "zero", "repeat", "combine"] if rows else ["fresh", "zero"]
+        how = draw(st.sampled_from(kinds))
+        if how == "zero":
+            rows.append([_ZERO] * ncols)
+        elif how == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif how == "combine":
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c1, c2 = draw(entries), draw(entries)
+            rows.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        else:
+            rows.append(draw(_rows(ncols)))
+    return rows
+
+
+widths = st.integers(1, 5)
+
+
+@st.composite
+def one_matrix(draw):
+    n = draw(widths)
+    return n, draw(matrices(n))
+
+
+@st.composite
+def two_matrices(draw):
+    n = draw(widths)
+    return n, draw(matrices(n)), draw(matrices(n))
+
+
+def _to_sympy(x):
+    return sp.Rational(x.re.numerator, x.re.denominator) + sp.I * sp.Rational(
+        x.im.numerator, x.im.denominator
+    )
+
+
+def _from_sympy(e):
+    re, im = sp.expand(e).as_real_imag()
+    return GaussianRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _matrix(rows, n):
+    return sp.Matrix(len(rows), n, [_to_sympy(x) for r in rows for x in r])
+
+
+def _oracle_rref(rows, n):
+    if not rows:
+        return []
+    reduced, pivots = _matrix(rows, n).rref(simplify=True)
+    return [[_from_sympy(reduced[i, j]) for j in range(n)] for i in range(len(pivots))]
+
+
+def _oracle_rank(rows, n):
+    return len(_oracle_rref(rows, n))
+
+
+def _oracle_intersection(a, b, n):
+    """RREF of span(a) ∩ span(b) from the kernel of the matrix [a^T | -b^T]."""
+    if not a or not b:
+        return []
+    system = _matrix(a, n).T.row_join(-_matrix(b, n).T)
+    vectors = [
+        [sum((_to_sympy(x) * k[i] for i, x in enumerate(col)), sp.Integer(0))
+         for col in zip(*a)]
+        for k in system.nullspace(simplify=True)
+    ]
+    if not vectors:
+        return []
+    rows = [[_from_sympy(e) for e in v] for v in vectors]
+    return _oracle_rref(rows, n)
+
+
+@PROPERTY
+@given(one_matrix())
+def test_rref_matches_sympy(case):
+    n, rows = case
+    reduced = rref(rows)
+    assert reduced == _oracle_rref(rows, n)
+    assert rank(rows) == len(reduced)
+
+
+@PROPERTY
+@given(one_matrix())
+def test_right_kernel_annihilates_rows(case):
+    n, rows = case
+    kernel = right_kernel(rows, n)
+    assert len(kernel) == n - _oracle_rank(rows, n)
+    assert rref(kernel) == kernel
+    for x in kernel:
+        for r in rows:
+            assert sum((a * b for a, b in zip(r, x)), _ZERO).is_zero()
+
+
+@PROPERTY
+@given(two_matrices())
+def test_sum_and_intersection_match_sympy(case):
+    n, a, b = case
+    ra, rb, rs = _oracle_rank(a, n), _oracle_rank(b, n), _oracle_rank(a + b, n)
+    total = subspace_sum(a, b)
+    meet = subspace_intersection(a, b)
+    assert len(total) == rs
+    assert len(meet) == ra + rb - rs
+    assert total == _oracle_rref(a + b, n)
+    assert meet == _oracle_intersection(a, b, n)
+    assert is_subspace(meet, a) and is_subspace(meet, b)
+    assert is_direct_sum([a, b]) == (ra + rb == rs)
+    assert subspace_equal(subspace_sum(b, a), a + b)
+
+
+@PROPERTY
+@given(two_matrices())
+def test_containment_matches_rank_criterion(case):
+    n, rows, basis = case
+    base_rank = _oracle_rank(basis, n)
+    inside = [_oracle_rank(basis + [r], n) == base_rank for r in rows]
+    assert [in_span(r, basis) for r in rows] == inside
+    assert is_subspace(rows, basis) == all(inside)
+    assert is_subspace(rows, basis) == (_oracle_rank(basis + rows, n) == base_rank)
+    expected = next((i for i, ok in enumerate(inside) if not ok), None)
+    assert first_outside(rows, basis) == expected
