@@ -8,6 +8,7 @@ and user-supplied structure equations.
 
 from .errors import (
     BidegreeOutOfRange,
+    CrossCheckFailed,
     DegreeTooHigh,
     DepthExceeded,
     DimensionMismatch,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 ok/verified/member, 1 refuted/failed/non-member, 2 parse or
-validation errors in the input, 3 unsupported request (symbolic
-coefficients, wrong dimension, bidegree out of range, and similar).
+Exit codes: 0 ok/verified/member, 1 refuted/failed/non-member or a failed
+internal cross-check, 2 parse or validation errors in the input, 3
+unsupported request (symbolic coefficients, wrong dimension, bidegree out of
+range, and similar).
 Output is deterministic given the spec bytes and the command line; printed
 forms always use the `phi[...]` syntax and re-parse bit-exactly.
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from .errors import (
     BidegreeOutOfRange,
+    CrossCheckFailed,
     DegreeTooHigh,
     DepthExceeded,
     DimensionMismatch,
@@ -339,6 +341,9 @@ def main(argv=None) -> int:
     except _UNSUPPORTED_ERRORS as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except CrossCheckFailed as exc:
+        print(f"cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_REFUTED
     except (*_PARSE_ERRORS, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -55,3 +55,8 @@ class ValidationError(HarmonicaError):
 
 class UnknownSpec(HarmonicaError):
     """No catalog entry with that name."""
+
+
+class CrossCheckFailed(HarmonicaError):
+    """A condition kernel and its Laplacian nullspace disagree, or a
+    Laplacian image leaves its block; an internal consistency failure."""

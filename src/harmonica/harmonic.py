@@ -1,4 +1,4 @@
-"""Invariant harmonic spaces: adjoints, Laplacians, kernels, certificates.
+"""Invariant harmonic spaces: Laplacians, kernels, certificates.
 
 On a compact manifold the Laplacian kernels are cut out by first-order
 condition systems (e.g. Delta_BC a = 0 iff del a = 0, delbar a = 0,
@@ -12,14 +12,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import BidegreeOutOfRange, SymbolicCoefficients
+from .errors import BidegreeOutOfRange, CrossCheckFailed, SymbolicCoefficients
 from .forms import Form, basis_multiindices
-from .linalg import right_kernel, rref, subspace_intersection
-from .hermitian import hodge_star
-from .scalars import Coefficient, GaussianRational
-from .structure import ManifoldSpec, OperatorKind, differential_component, exterior_d
+from .hermitian import (
+    adjoint,
+    apply_word,
+    block_rows,
+    forms_to_rows,
+    operator_columns,
+    rows_to_forms,
+)
+from .linalg import right_kernel
+from .structure import ManifoldSpec
 
 __all__ = [
     "HarmonicKind",
@@ -53,93 +58,51 @@ class HarmonicKind(enum.Enum):
             ) from None
 
 
-def adjoint(kind: OperatorKind, form: Form, spec: ManifoldSpec) -> Form:
-    """Formal adjoint: -* k' *, where k' is the conjugate-paired operator
-    (d* = -*d*, del* = -*delbar*, mu* = -*mubar*, and symmetrically)."""
-    paired = kind.conjugate
-    return -hodge_star(
-        differential_component(hodge_star(form, spec), paired, spec), spec
-    )
+# Each Laplacian is the sum of its words, each condition system the list of
+# its words (as in apply_word); both the block-matrix path and the Form path
+# read these tables.  "bc2"/"a2" are the conjugated systems from the other
+# order of del and delbar, only exposed for symmetry checks.
+LAPLACIAN_WORDS = {
+    "d": (("d", "d*"), ("d*", "d")),
+    "del": (("del", "del*"), ("del*", "del")),
+    "delbar": (("delbar", "delbar*"), ("delbar*", "delbar")),
+    "bc": (
+        ("del", "delbar", "delbar*", "del*"),
+        ("delbar*", "del*", "del", "delbar"),
+        ("del*", "delbar", "delbar*", "del"),
+        ("delbar*", "del", "del*", "delbar"),
+        ("del*", "del"),
+        ("delbar*", "delbar"),
+    ),
+    "a": (
+        ("del", "delbar", "delbar*", "del*"),
+        ("delbar*", "del*", "del", "delbar"),
+        ("del", "delbar*", "delbar", "del*"),
+        ("delbar", "del*", "del", "delbar*"),
+        ("del", "del*"),
+        ("delbar", "delbar*"),
+    ),
+}
 
-
-def _ops(spec: ManifoldSpec):
-    d = lambda f: exterior_d(f, spec)
-    de = lambda f: differential_component(f, OperatorKind.DEL, spec)
-    db = lambda f: differential_component(f, OperatorKind.DELBAR, spec)
-    ds = lambda f: adjoint(OperatorKind.D, f, spec)
-    des = lambda f: adjoint(OperatorKind.DEL, f, spec)
-    dbs = lambda f: adjoint(OperatorKind.DELBAR, f, spec)
-    return d, de, db, ds, des, dbs
+CONDITION_WORDS = {
+    "d": (("d",), ("d", "*")),
+    "del": (("del",), ("delbar", "*")),
+    "delbar": (("delbar",), ("del", "*")),
+    "bc": (("del",), ("delbar",), ("del", "delbar", "*")),
+    "a": (("del", "*"), ("delbar", "*"), ("del", "delbar")),
+    "bc2": (("del",), ("delbar",), ("delbar", "del", "*")),
+    "a2": (("del", "*"), ("delbar", "*"), ("delbar", "del")),
+}
 
 
 def laplacian_apply(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> Form:
     """Exact evaluation of the requested Laplacian."""
-    d, de, db, ds, des, dbs = _ops(spec)
-    if kind is HarmonicKind.D:
-        return d(ds(form)) + ds(d(form))
-    form.require_bidegree()
-    if kind is HarmonicKind.DEL:
-        return de(des(form)) + des(de(form))
-    if kind is HarmonicKind.DELBAR:
-        return db(dbs(form)) + dbs(db(form))
-    if kind is HarmonicKind.BC:
-        return (
-            de(db(dbs(des(form))))
-            + dbs(des(de(db(form))))
-            + des(db(dbs(de(form))))
-            + dbs(de(des(db(form))))
-            + des(de(form))
-            + dbs(db(form))
-        )
-    if kind is HarmonicKind.A:
-        return (
-            de(db(dbs(des(form))))
-            + dbs(des(de(db(form))))
-            + de(dbs(db(des(form))))
-            + db(des(de(dbs(form))))
-            + de(des(form))
-            + db(dbs(form))
-        )
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _conditions(kind, spec: ManifoldSpec):
-    """Operator conditions characterizing ker Delta_kind on compact manifolds.
-
-    Keys 'bc2'/'a2' are the conjugated variants from the alternative ordering
-    of del and delbar; they are only exposed for symmetry checks.
-    """
-    key = kind.value if isinstance(kind, HarmonicKind) else str(kind)
-    de = lambda f: differential_component(f, OperatorKind.DEL, spec)
-    db = lambda f: differential_component(f, OperatorKind.DELBAR, spec)
-    d = lambda f: exterior_d(f, spec)
-    star = lambda f: hodge_star(f, spec)
-    systems = {
-        "d": [("d a", d), ("d * a", lambda f: d(star(f)))],
-        "del": [("del a", de), ("delbar * a", lambda f: db(star(f)))],
-        "delbar": [("delbar a", db), ("del * a", lambda f: de(star(f)))],
-        "bc": [
-            ("del a", de),
-            ("delbar a", db),
-            ("del delbar * a", lambda f: de(db(star(f)))),
-        ],
-        "a": [
-            ("del * a", lambda f: de(star(f))),
-            ("delbar * a", lambda f: db(star(f))),
-            ("del delbar a", lambda f: de(db(f))),
-        ],
-        "bc2": [
-            ("del a", de),
-            ("delbar a", db),
-            ("delbar del * a", lambda f: db(de(star(f)))),
-        ],
-        "a2": [
-            ("del * a", lambda f: de(star(f))),
-            ("delbar * a", lambda f: db(star(f))),
-            ("delbar del a", lambda f: db(de(f))),
-        ],
-    }
-    return systems[key]
+    if kind is not HarmonicKind.D:
+        form.require_bidegree()
+    out = Form.zero(spec.n)
+    for word in LAPLACIAN_WORDS[kind.value]:
+        out = out + apply_word(word, form, spec)
+    return out
 
 
 @dataclass
@@ -180,95 +143,30 @@ class MembershipCertificate:
         return None
 
 
-def forms_to_rows(forms, monomials):
-    """Coordinate rows of constant-coefficient forms over a monomial basis."""
-    rows = []
-    for f in forms:
-        row = []
-        for m in monomials:
-            value = f.coefficient(m).constant_value()
-            if value is None:
-                raise SymbolicCoefficients("expected constant coefficients")
-            row.append(value)
-        rows.append(row)
-    return rows
-
-
-def rows_to_forms(rows, monomials, n: int):
-    return [
-        Form(n, {m: Coefficient({(): x}) for m, x in zip(monomials, row) if not x.is_zero()})
-        for row in rows
-    ]
-
-
-def _condition_kernel(kind, p: int, q: int, spec: ManifoldSpec):
+def _condition_kernel(key: str, p: int, q: int, spec: ManifoldSpec):
+    """Kernel of the stacked condition blocks, and the (p,q) monomials."""
     monomials = basis_multiindices(spec.n, p, q)
-    units = [Form.monomial(spec.n, m.hol, m.anti) for m in monomials]
-    rows = []
-    for _, op in _conditions(kind, spec):
-        images = [op(u) for u in units]
-        out_idx = sorted(
-            {idx for img in images for idx in img.terms},
-            key=lambda i: (i.p, i.hol, i.anti),
-        )
-        for oi in out_idx:
-            row = []
-            for img in images:
-                value = img.coefficient(oi).constant_value()
-                if value is None:
-                    raise SymbolicCoefficients(
-                        "kernel computation requires constant structure "
-                        "coefficients; use is_harmonic for symbolic specs"
-                    )
-                row.append(value)
-            rows.append(row)
+    rows = [
+        row
+        for word in CONDITION_WORDS[key]
+        for row in block_rows(operator_columns([word], p, q, spec))
+    ]
     return right_kernel(rows, len(monomials)), monomials
 
 
 def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec):
-    """Nullspace of the assembled Laplacian matrix, as (p,q)-coordinate rows."""
-    n = spec.n
-    pq_monomials = basis_multiindices(n, p, q)
-    if kind is HarmonicKind.D:
-        k = p + q
-        monomials = [
-            m
-            for pp in range(k + 1)
-            if pp <= n and (k - pp) <= n
-            for m in basis_multiindices(n, pp, k - pp)
-        ]
-    else:
-        monomials = pq_monomials
-    units = [Form.monomial(n, m.hol, m.anti) for m in monomials]
-    images = [laplacian_apply(kind, u, spec) for u in units]
-    index_of = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for m in monomials:
-        row = []
-        for img in images:
-            value = img.coefficient(m).constant_value()
-            if value is None:
-                raise SymbolicCoefficients("expected constant coefficients")
-            row.append(value)
-        rows.append(row)
-    for img in images:
-        stray = [idx for idx in img.terms if idx not in index_of]
-        if stray:
-            raise AssertionError(f"Laplacian image leaves the expected space: {stray}")
-    kernel = right_kernel(rows, len(monomials))
-    if kind is not HarmonicKind.D:
-        return kernel
-    # restrict ker Delta_d to vectors supported on the (p,q) block
-    zero = GaussianRational(0)
-    one = GaussianRational(1)
-    block = []
-    for m in pq_monomials:
-        v = [zero] * len(monomials)
-        v[index_of[m]] = one
-        block.append(v)
-    restricted = subspace_intersection(kernel, block)
-    cols = [index_of[m] for m in pq_monomials]
-    return rref([[v[c] for c in cols] for v in restricted])
+    """Nullspace of the assembled Laplacian on the (p,q) monomials.  For the
+    d-Laplacian, which mixes the bidegrees of one total degree, this is
+    ker Delta_d restricted to forms supported on the (p,q) block."""
+    columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
+    mixed = kind is HarmonicKind.D
+    stray = [m for c in columns for m in c if m.degree != p + q or (m.p != p and not mixed)]
+    if stray:
+        raise CrossCheckFailed(
+            f"Laplacian image leaves the expected space for {kind.value} "
+            f"at ({p},{q}) on {spec.name!r}: {stray}"
+        )
+    return right_kernel(block_rows(columns), len(columns))
 
 
 def harmonic_space(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> SubspaceBasis:
@@ -276,12 +174,11 @@ def harmonic_space(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> Su
     computed from the condition system and cross-checked against the
     Laplacian-matrix nullspace.  Each call returns new Form objects, so a
     caller may change them without affecting later calls."""
-    kernel = _harmonic_kernel(kind, p, q, spec)
+    kernel = spec.cached(("harmonic", kind, p, q), _harmonic_kernel, kind, p, q, spec)
     monomials = basis_multiindices(spec.n, p, q)
     return SubspaceBasis(p, q, kind.value, rows_to_forms(kernel, monomials, spec.n))
 
 
-@lru_cache(maxsize=None)
 def _harmonic_kernel(kind, p, q, spec) -> tuple:
     """The cross-checked echelon rows of the harmonic space, as tuples."""
     if spec.has_symbolic_structure():
@@ -291,10 +188,9 @@ def _harmonic_kernel(kind, p, q, spec) -> tuple:
         )
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         raise BidegreeOutOfRange(f"bidegree ({p},{q}) out of range for n={spec.n}")
-    kernel, monomials = _condition_kernel(kind, p, q, spec)
-    cross = _laplacian_nullspace(kind, p, q, spec)
-    if kernel != cross:
-        raise AssertionError(
+    kernel, _ = _condition_kernel(kind.value, p, q, spec)
+    if kernel != _laplacian_nullspace(kind, p, q, spec):
+        raise CrossCheckFailed(
             f"condition kernel and Laplacian nullspace disagree for "
             f"{kind.value} at ({p},{q}) on {spec.name!r}"
         )
@@ -304,7 +200,7 @@ def _harmonic_kernel(kind, p, q, spec) -> tuple:
 def is_harmonic(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> MembershipCertificate:
     """Exact membership certificate; works for symbolic coefficients too."""
     conditions = []
-    for label, op in _conditions(kind, spec):
-        residual = op(form)
-        conditions.append(ConditionResult(label, residual, residual.is_zero()))
+    for word in CONDITION_WORDS[kind.value]:
+        residual = apply_word(word, form, spec)
+        conditions.append(ConditionResult(" ".join(word) + " a", residual, residual.is_zero()))
     return MembershipCertificate(form, kind.value, conditions)

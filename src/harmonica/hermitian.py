@@ -1,4 +1,4 @@
-"""Metric layer: Hodge star, J on forms, Lefschetz operators, primitivity.
+"""Metric layer: star, J, Lefschetz operators, primitivity, adjoints, operator blocks.
 
 The metric is diagonal in the coframe: omega = i sum_a c_a phi^{a,abar} with
 <phi^a, phi^a> = 1/c_a, vol = omega^n / n!.  The star operator is the
@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import DegreeTooHigh, NotPrimitive
+from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
 from .forms import Form, MultiIndex, basis_multiindices
 from .linalg import right_kernel
 from .scalars import Coefficient, Fraction, GaussianRational
-from .structure import ManifoldSpec, fundamental_form
+from .structure import ManifoldSpec, OperatorKind, differential_component, fundamental_form
 
 __all__ = [
     "fundamental_form",
     "volume_form",
     "monomial_inner_square",
     "hodge_star",
+    "adjoint",
+    "apply_word",
     "j_on_forms",
     "lefschetz_L",
     "lefschetz_lambda",
@@ -33,7 +34,14 @@ __all__ = [
     "PrimitiveComponents",
     "primitive_decompose",
     "primitive_basis",
+    "forms_to_rows",
+    "rows_to_forms",
+    "operator_columns",
+    "block_rows",
 ]
+
+_ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
 
 
 def volume_form(spec: ManifoldSpec) -> Form:
@@ -55,21 +63,14 @@ def monomial_inner_square(idx: MultiIndex, spec: ManifoldSpec) -> Fraction:
     return w
 
 
-@lru_cache(maxsize=None)
-def _star_table(n: int, omega_coeffs: tuple) -> dict:
+def _star_table(spec: ManifoldSpec) -> dict:
     """Star of every basis monomial, derived from the defining relation.
 
     For m = phi^{I,Jbar}, the only monomial pairing nontrivially against *m
     is phi^{J,Ibar}, so *m = t * phi^{Jc,Icbar} with t fixed by
     phi^{J,Ibar} wedge *m = <phi^{J,Ibar}, conj m> vol.
     """
-    spec = ManifoldSpec(
-        name="_metric",
-        n=n,
-        generators=[f"phi{a}" for a in range(1, n + 1)],
-        d_gen={},
-        omega_coeffs=omega_coeffs,
-    )
+    n = spec.n
     vol = volume_form(spec)
     top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     vol_coeff = vol.coefficient(top).constant_value()
@@ -93,7 +94,7 @@ def _star_table(n: int, omega_coeffs: tuple) -> dict:
 
 def hodge_star(form: Form, spec: ManifoldSpec) -> Form:
     """C-linear Hodge star; maps (p,q) to (n-q,n-p)."""
-    table = _star_table(spec.n, spec.omega_coeffs)
+    table = spec.cached(("star",), _star_table, spec)
     out = Form.zero(spec.n)
     for idx, coeff in form.terms.items():
         target, t = table[idx]
@@ -130,6 +131,33 @@ def lefschetz_lambda(form: Form, spec: ManifoldSpec) -> Form:
         )
         out = out + piece * ((-1) ** k)
     return out
+
+
+def adjoint(kind: OperatorKind, form: Form, spec: ManifoldSpec) -> Form:
+    """Formal adjoint: -* k' *, where k' is the conjugate-paired operator
+    (d* = -*d*, del* = -*delbar*, mu* = -*mubar*, and symmetrically)."""
+    paired = kind.conjugate
+    return -hodge_star(
+        differential_component(hodge_star(form, spec), paired, spec), spec
+    )
+
+
+def apply_word(word: tuple, form: Form, spec: ManifoldSpec) -> Form:
+    """An operator word applied to a Form, rightmost operator first.
+
+    The names are "d", "mu", "del", "delbar", "mubar", each with an adjoint
+    named by a trailing "*" (as in "del*"), the star "*" and "Lambda", so
+    ("del", "delbar", "*") is del delbar *."""
+    for op in reversed(word):
+        if op == "*":
+            form = hodge_star(form, spec)
+        elif op == "Lambda":
+            form = lefschetz_lambda(form, spec)
+        elif op.endswith("*"):
+            form = adjoint(OperatorKind(op[:-1]), form, spec)
+        else:
+            form = differential_component(form, OperatorKind(op), spec)
+    return form
 
 
 def is_primitive(form: Form, spec: ManifoldSpec) -> bool:
@@ -219,31 +247,88 @@ def primitive_basis(spec: ManifoldSpec, p: int, q: int) -> list[Form]:
     """Echelon basis of the primitive (p,q) monomial combinations P^{p,q}.
     Each call returns new Form objects, so a caller may change them without
     affecting later calls."""
-    kernel = _primitive_kernel(spec, p, q)
-    monomials = basis_multiindices(spec.n, p, q)
-    return [
-        Form(
-            spec.n,
-            {m: Coefficient({(): x}) for m, x in zip(monomials, vec) if not x.is_zero()},
-        )
-        for vec in kernel
-    ]
+    kernel = spec.cached(("primitive", p, q), _primitive_kernel, spec, p, q)
+    return rows_to_forms(kernel, basis_multiindices(spec.n, p, q), spec.n)
 
 
-@lru_cache(maxsize=None)
 def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> tuple:
-    """The echelon rows of P^{p,q} over the (p,q) monomials, as tuples."""
+    """The echelon rows of P^{p,q} = ker Lambda over the (p,q) monomials."""
     if p + q > spec.n:
         raise DegreeTooHigh(f"primitive forms need p+q <= n = {spec.n}")
-    monomials = basis_multiindices(spec.n, p, q)
-    images = [
-        lefschetz_lambda(Form.monomial(spec.n, m.hol, m.anti), spec) for m in monomials
-    ]
-    out_idx = sorted(
-        {idx for img in images for idx in img.terms},
-        key=lambda i: (i.p, i.hol, i.anti),
-    )
+    columns = operator_columns([("Lambda",)], p, q, spec)
+    return tuple(tuple(row) for row in right_kernel(block_rows(columns), len(columns)))
+
+
+# Operator matrices.  Every operator-to-coordinates step goes through
+# operator_columns, and forms_to_rows/rows_to_forms are the one
+# Form <-> coordinates pair.
+
+
+def forms_to_rows(forms, monomials):
+    """Coordinate rows of constant-coefficient forms over a monomial basis."""
     rows = []
-    for oi in out_idx:
-        rows.append([img.coefficient(oi).constant_value() for img in images])
-    return tuple(tuple(row) for row in right_kernel(rows, len(monomials)))
+    for f in forms:
+        row = []
+        for m in monomials:
+            value = f.coefficient(m).constant_value()
+            if value is None:
+                raise SymbolicCoefficients("expected constant coefficients")
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
+def rows_to_forms(rows, monomials, n: int):
+    return [
+        Form(n, {m: Coefficient({(): x}) for m, x in zip(monomials, row) if not x.is_zero()})
+        for row in rows
+    ]
+
+
+def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:
+    """Images of the unit (p,q) monomials, in basis order, under the sum of
+    the operator words (as in apply_word), as sparse columns {output
+    monomial: nonzero Q(i) value}.  Words are composed column by column from
+    the image of each unit monomial under each single operator, computed once
+    per spec and cached on it."""
+    return [
+        _combine((_ONE, _apply(word, {m: _ONE}, spec)) for word in words)
+        for m in basis_multiindices(spec.n, p, q)
+    ]
+
+
+def block_rows(columns: list[dict]) -> list[list]:
+    """The rows of the matrix with these columns, one per output monomial hit."""
+    hit = dict.fromkeys(m for column in columns for m in column)
+    return [[column.get(m, _ZERO) for column in columns] for m in hit]
+
+
+def _combine(terms) -> dict:
+    """The sum of c * column over the (c, column) terms, with zeros dropped."""
+    out: dict = {}
+    for c, column in terms:
+        for m, x in column.items():
+            out[m] = out[m] + c * x if m in out else c * x
+    return {m: x for m, x in out.items() if not x.is_zero()}
+
+
+def _apply(word: tuple, column: dict, spec: ManifoldSpec) -> dict:
+    """A sparse column mapped through the word, rightmost operator first."""
+    for op in reversed(word):
+        column = _combine(
+            (c, spec.cached(("image", op, m), _image, op, m, spec)) for m, c in column.items()
+        )
+    return column
+
+
+def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
+    """The image of one unit monomial under one operator, as a sparse column."""
+    if op.endswith("*") and op != "*":  # the adjoint -* k' *, k' the conjugate-paired operator
+        return _apply(("*", OperatorKind(op[:-1]).conjugate.value, "*"), {idx: -_ONE}, spec)
+    if op in ("mu", "del", "delbar", "mubar"):  # one bidegree part of the d image
+        shift = OperatorKind(op).shift
+        d = _apply(("d",), {idx: _ONE}, spec)
+        return {m: x for m, x in d.items() if (m.p - idx.p, m.q - idx.q) == shift}
+    form = apply_word((op,), Form.monomial(spec.n, idx.hol, idx.anti), spec)
+    monomials = list(form.terms)
+    return dict(zip(monomials, forms_to_rows([form], monomials)[0]))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import ValidationError
 from .forms import Form, MultiIndex, basis_multiindices
@@ -59,19 +60,23 @@ class OperatorKind(enum.Enum):
         }[self]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ManifoldSpec:
     """Structure equations and metric data; immutable after construction.
 
-    Identity-hashable so that per-spec operator caches can key on it.
+    Identity-hashable.  Each spec owns the cache of everything derived from
+    it (operator images, kernels, the star table), so a derived spec from
+    `dataclasses.replace` or `with_omega` starts empty and a spec's cache is
+    freed with it.
     """
 
     name: str
     n: int
-    generators: list
-    d_gen: dict  # generator index (1-based) -> 2-form value of d
+    generators: tuple
+    d_gen: Mapping  # generator index (1-based) -> 2-form value of d; read-only
     omega_coeffs: tuple
     table: DerivationTable = field(default_factory=DerivationTable)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -80,23 +85,31 @@ class ManifoldSpec:
             raise ValidationError(f"need exactly {self.n} generator names")
         if len(self.omega_coeffs) != self.n:
             raise ValidationError(f"need exactly {self.n} omega coefficients")
-        self.omega_coeffs = tuple(Fraction(c) for c in self.omega_coeffs)
-        for c in self.omega_coeffs:
+        omega_coeffs = tuple(Fraction(c) for c in self.omega_coeffs)
+        for c in omega_coeffs:
             if c <= 0:
                 raise ValidationError(f"omega coefficients must be positive, got {c}")
+        d_gen = dict(self.d_gen)
         for a in range(1, self.n + 1):
-            form = self.d_gen.get(a)
-            if form is None:
-                self.d_gen[a] = Form.zero(self.n)
-                continue
+            form = d_gen.setdefault(a, Form.zero(self.n))
             if form.n != self.n:
                 raise ValidationError(f"d(gen {a}) lives in the wrong ambient algebra")
             # degree of d_gen values is checked by check_integrability_relations,
             # so broken inputs stay loadable and explorable
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "d_gen", MappingProxyType(d_gen))
+        object.__setattr__(self, "omega_coeffs", omega_coeffs)
+        object.__setattr__(self, "_cache", {})
+
+    def cached(self, key: tuple, build, *args):
+        """build(*args), computed once per key for the life of this spec."""
+        if key not in self._cache:
+            self._cache[key] = build(*args)
+        return self._cache[key]
 
     def d_generator(self, index: int, bar: bool) -> Form:
         if bar:
-            return _d_generator_bar(self, index)
+            return self.cached(("d_bar", index), self.d_gen[index].conjugate, self.table)
         return self.d_gen[index]
 
     def has_symbolic_structure(self) -> bool:
@@ -104,11 +117,6 @@ class ManifoldSpec:
 
     def with_omega(self, coeffs) -> "ManifoldSpec":
         return replace(self, omega_coeffs=tuple(Fraction(c) for c in coeffs))
-
-
-@lru_cache(maxsize=None)
-def _d_generator_bar(spec: ManifoldSpec, index: int) -> Form:
-    return spec.d_gen[index].conjugate(spec.table)
 
 
 def _d_coefficient(coeff: Coefficient, spec: ManifoldSpec) -> Form:
@@ -122,7 +130,6 @@ def _d_coefficient(coeff: Coefficient, spec: ManifoldSpec) -> Form:
     return out
 
 
-@lru_cache(maxsize=None)
 def _d_monomial(idx: MultiIndex, spec: ManifoldSpec) -> Form:
     factors = [(a, False) for a in idx.hol] + [(a, True) for a in idx.anti]
     out = Form.zero(spec.n)
@@ -152,7 +159,7 @@ def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
         dc = _d_coefficient(coeff, spec)
         if not dc.is_zero():
             out = out + dc.wedge(Form.monomial(spec.n, idx.hol, idx.anti))
-        dm = _d_monomial(idx, spec)
+        dm = spec.cached(("d", idx), _d_monomial, idx, spec)
         if not dm.is_zero():
             out = out + dm * coeff
     return out

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from harmonica import harmonic
 from harmonica.cli import main
 from harmonica.forms import parse_form
+from harmonica.library import catalog_document
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +99,39 @@ class TestHarmonics:
         )
         assert code == 3
         assert "out of range" in err
+
+
+class TestCrossCheckFailure:
+    """A disagreement inside the harmonic-space cross-check is exit 1 with
+    one stderr line, not a traceback."""
+
+    def _run(self, capsys, tmp_path):
+        # a spec file, so the computation starts from an empty cache
+        path = tmp_path / "iwasawa_ak.json"
+        path.write_text(catalog_document("iwasawa_ak"), encoding="utf-8")
+        return run_cli(capsys, "harmonics", str(path), "--laplacian", "bc", "--bidegree", "2,1")
+
+    def test_wrong_laplacian_kernel(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harmonic, "_laplacian_nullspace", lambda kind, p, q, spec: [])
+        code, out, err = self._run(capsys, tmp_path)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "cross-check failed: condition kernel and Laplacian nullspace disagree "
+            "for bc at (2,1) on 'iwasawa_ak'\n"
+        )
+
+    # del leaves the degree; mu del* keeps the degree but moves (2,1) to (3,0)
+    @pytest.mark.parametrize("word", [("del",), ("mu", "del*")])
+    def test_laplacian_image_leaves_block(self, capsys, tmp_path, monkeypatch, word):
+        monkeypatch.setitem(harmonic.LAPLACIAN_WORDS, "bc", (word,))
+        code, _, err = self._run(capsys, tmp_path)
+        assert code == 1
+        assert err.startswith(
+            "cross-check failed: Laplacian image leaves the expected space "
+            "for bc at (2,1) on 'iwasawa_ak': "
+        )
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestCheckForm:

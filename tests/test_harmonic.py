@@ -2,10 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harmonica import catalog
 from harmonica.errors import SymbolicCoefficients
 from harmonica.forms import Form, basis_multiindices, parse_form
 from harmonica.harmonic import (
+    CONDITION_WORDS,
+    LAPLACIAN_WORDS,
     HarmonicKind,
     _condition_kernel,
     adjoint,
@@ -18,6 +23,7 @@ from harmonica.hermitian import (
     fundamental_form,
     hodge_star,
     monomial_inner_square,
+    operator_columns,
     primitive_basis,
     volume_form,
 )
@@ -215,6 +221,85 @@ class TestHarmonicSpace:
                     [f.conjugate(iwasawa.table) for f in a.basis], monomials2
                 )
                 assert subspace_equal(conjugated, kernel2)
+
+
+BLOCK_SPECS = ("iwasawa_ak", "flat_kahler6", "iwasawa_cplx")
+_ZERO = GaussianRational(0)
+
+
+def assert_block_matches_forms(columns, images):
+    """The sparse block columns are exactly the coordinates of the Form images."""
+    assert len(columns) == len(images)
+    targets = sorted({m for c in columns for m in c} | {m for f in images for m in f.terms})
+    dense = [[c.get(m, _ZERO) for m in targets] for c in columns]
+    assert dense == forms_to_rows(images, targets)
+    assert all(not x.is_zero() for c in columns for x in c.values())
+
+
+def units(p, q):
+    return [mono(3, m.hol, m.anti) for m in basis_multiindices(3, p, q)]
+
+
+class TestOperatorBlocks:
+    """The block-matrix path against the Form-level reference operators."""
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_laplacian_blocks_match_form_laplacian(self, name):
+        spec = catalog(name)
+        for kind in HarmonicKind:
+            for p in range(4):
+                for q in range(4):
+                    columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
+                    images = [laplacian_apply(kind, u, spec) for u in units(p, q)]
+                    assert_block_matches_forms(columns, images)
+
+    @pytest.mark.parametrize("name", BLOCK_SPECS)
+    def test_condition_blocks_match_is_harmonic_residuals(self, name):
+        spec = catalog(name)
+        for kind in HarmonicKind:
+            words = CONDITION_WORDS[kind.value]
+            for p in range(4):
+                for q in range(4):
+                    certs = [is_harmonic(kind, u, spec) for u in units(p, q)]
+                    for i, word in enumerate(words):
+                        assert certs[0].conditions[i].label == " ".join(word) + " a"
+                        columns = operator_columns([word], p, q, spec)
+                        assert_block_matches_forms(
+                            columns, [c.conditions[i].residual for c in certs]
+                        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(BLOCK_SPECS),
+        kind=st.sampled_from(list(HarmonicKind)),
+        p=st.integers(0, 3),
+        q=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_blocks_are_linear(self, name, kind, p, q, data):
+        # the Form-level Laplacian of a constant-coefficient (p,q)-form is
+        # the combination of the block columns with the form's coordinates
+        spec = catalog(name)
+        monomials = basis_multiindices(3, p, q)
+        small = st.integers(-3, 3)
+        coeffs = data.draw(
+            st.lists(
+                st.builds(G, small, small),
+                min_size=len(monomials),
+                max_size=len(monomials),
+            )
+        )
+        form = Form.zero(3)
+        for m, c in zip(monomials, coeffs):
+            form = form + mono(3, m.hol, m.anti, c)
+        combined = {}
+        columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
+        for c, column in zip(coeffs, columns):
+            for m, x in column.items():
+                combined[m] = combined.get(m, _ZERO) + c * x
+        image = laplacian_apply(kind, form, spec)
+        targets = sorted(set(combined) | set(image.terms))
+        assert forms_to_rows([image], targets)[0] == [combined.get(m, _ZERO) for m in targets]
 
 
 class TestCachedResults:

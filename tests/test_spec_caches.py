@@ -1,0 +1,85 @@
+"""A ManifoldSpec is immutable and owns every cache derived from it."""
+
+import ast
+import dataclasses
+import gc
+import weakref
+from pathlib import Path
+
+import pytest
+
+import harmonica
+from harmonica.forms import Form
+from harmonica.harmonic import HarmonicKind, harmonic_space
+from harmonica.hermitian import primitive_basis
+from harmonica.library import catalog_document, load_spec
+from harmonica.structure import ManifoldSpec
+
+
+class TestImmutableSpec:
+    def test_fields_cannot_be_assigned(self):
+        # a private copy of the catalog spec, so a failure here cannot
+        # corrupt the spec other tests share
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.n = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.omega_coeffs = (1, 1, 2)
+        with pytest.raises(TypeError):
+            spec.d_gen[1] = Form.zero(3)
+        assert spec.n == 3 and spec.omega_coeffs == (1, 1, 1)
+        assert not spec.d_gen[1].is_zero()
+
+    def test_constructor_copies_its_inputs(self):
+        d_gen = {}
+        generators = ["a", "b"]
+        spec = ManifoldSpec(
+            name="flat4", n=2, generators=generators, d_gen=d_gen, omega_coeffs=(1, 1)
+        )
+        assert d_gen == {}
+        assert spec.generators == ("a", "b")
+        assert spec.d_gen[1].is_zero() and spec.d_gen[2].is_zero()
+        generators.append("c")
+        assert spec.generators == ("a", "b")
+
+
+class TestSpecOwnsCaches:
+    def test_derived_spec_is_freed(self, iwasawa):
+        spec = iwasawa.with_omega((2, 1, 1))
+        harmonic_space(HarmonicKind.BC, 1, 1, spec)
+        primitive_basis(spec, 1, 1)
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None
+
+    def test_derived_specs_start_with_an_empty_cache(self, iwasawa):
+        before = primitive_basis(iwasawa, 1, 1)
+        assert iwasawa._cache
+        renamed = dataclasses.replace(iwasawa, name="renamed")
+        rescaled = iwasawa.with_omega((1, 1, 2))
+        for derived in (renamed, rescaled):
+            assert derived._cache == {}
+        assert primitive_basis(renamed, 1, 1) == before
+        assert primitive_basis(rescaled, 1, 1) != before
+
+
+def test_no_function_caches_in_the_package():
+    """Per-spec state lives on the spec: no module may memoize with
+    functools.lru_cache or functools.cache."""
+    banned = {"lru_cache", "cache"}
+    offenders = []
+    for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                names = {node.attr}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names & banned]
+    assert offenders == []
