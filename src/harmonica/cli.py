@@ -39,6 +39,7 @@ from .harmonic import HarmonicKind, harmonic_space, is_harmonic
 from .hermitian import is_primitive, primitive_decompose
 from .library import CATALOG_NAMES, catalog, load_spec_path
 from .report import REFUTED, VERIFIED
+from .scalars import parse_int
 from .structure import check_almost_kahler, check_integrability_relations
 from .theorems import all_statements, verify_relations
 
@@ -81,10 +82,6 @@ def _pretty(text: str, ascii_mode: bool) -> str:
     return text
 
 
-def _ascii_mode(args) -> bool:
-    return bool(args.ascii) or os.environ.get("HARMONICA_ASCII") == "1"
-
-
 def _resolve_spec(ref: str):
     if ref in CATALOG_NAMES:
         return catalog(ref)
@@ -100,23 +97,23 @@ def _parse_bidegree(text: str) -> tuple:
     m = re.match(r"^\s*(\d+)\s*,\s*(\d+)\s*$", text)
     if not m:
         raise ParseError(f"--bidegree expects 'p,q', got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    return parse_int(m.group(1)), parse_int(m.group(2))
 
 
-def _gate_validation(spec, args, out) -> int | None:
-    """Refuse to compute on structurally invalid specs unless --force."""
+def _gate_validation(spec, args, out) -> bool:
+    """True if the spec may be computed on: it validates, or --force is given.
+    Otherwise prints the first failure."""
     report = check_integrability_relations(spec)
-    if report.status != VERIFIED:
-        if not getattr(args, "force", False):
-            failure = report.first_failure()
-            out(f"spec {spec.name!r} fails validation: {failure.name}")
-            if failure.witness is not None:
-                out(f"  witness: {format_form(failure.witness)}")
-            if failure.residual is not None:
-                out(f"  residual: {format_form(failure.residual)}")
-            out("use --force to compute on an invalid spec")
-            return EXIT_REFUTED
-    return None
+    if report.status == VERIFIED or args.force:
+        return True
+    failure = report.first_failure()
+    out(f"spec {spec.name!r} fails validation: {failure.name}")
+    if failure.witness is not None:
+        out(f"  witness: {format_form(failure.witness)}")
+    if failure.residual is not None:
+        out(f"  residual: {format_form(failure.residual)}")
+    out("use --force to compute on an invalid spec")
+    return False
 
 
 def _render_report(report, ascii_mode, out) -> None:
@@ -138,89 +135,57 @@ def _render_report(report, ascii_mode, out) -> None:
         out(_pretty(f"  note: {report.notes}", ascii_mode))
 
 
-def cmd_validate(args, out) -> int:
-    spec = _resolve_spec(args.spec)
-    ascii_mode = _ascii_mode(args)
+def cmd_validate(args, spec, out) -> int:
     integ = check_integrability_relations(spec)
     ak = check_almost_kahler(spec)
     out(f"spec: {spec.name}  (n = {spec.n})")
-    _render_report(integ, ascii_mode, out)
-    out(_pretty(f"almost Kahler: {'yes' if ak.data['almost_kahler'] else 'no'}", ascii_mode))
-    out(_pretty(f"integrable: {'yes' if ak.data['integrable'] else 'no'}", ascii_mode))
+    _render_report(integ, args.ascii, out)
+    out(_pretty(f"almost Kahler: {'yes' if ak.data['almost_kahler'] else 'no'}", args.ascii))
+    out(_pretty(f"integrable: {'yes' if ak.data['integrable'] else 'no'}", args.ascii))
     ok = integ.status == VERIFIED and all(c > 0 for c in spec.omega_coeffs)
     return EXIT_OK if ok else EXIT_REFUTED
 
 
-def cmd_harmonics(args, out) -> int:
-    spec = _resolve_spec(args.spec)
-    gate = _gate_validation(spec, args, out)
-    if gate is not None:
-        return gate
-    ascii_mode = _ascii_mode(args)
+def cmd_harmonics(args, spec, out) -> int:
     kind = HarmonicKind.from_str(args.laplacian)
     p, q = _parse_bidegree(args.bidegree)
     space = harmonic_space(kind, p, q, spec)
-    out(
-        _pretty(
-            f"H^({p},{q})_{kind.value} on {spec.name}: dimension {space.dim}",
-            ascii_mode,
-        )
-    )
+    out(_pretty(f"H^({p},{q})_{kind.value} on {spec.name}: dimension {space.dim}", args.ascii))
     for f in space.basis:
         out(f"  {format_form(f)}")
     return EXIT_OK
 
 
-def cmd_primitive(args, out) -> int:
-    spec = _resolve_spec(args.spec)
-    gate = _gate_validation(spec, args, out)
-    if gate is not None:
-        return gate
-    ascii_mode = _ascii_mode(args)
+def cmd_primitive(args, spec, out) -> int:
     form = parse_form(args.form, spec.n)
     decomp = primitive_decompose(form, spec)
-    out(_pretty(f"primitive decomposition of a degree-{decomp.k} form:", ascii_mode))
+    out(_pretty(f"primitive decomposition of a degree-{decomp.k} form:", args.ascii))
     if not decomp.parts:
         out("  0")
     for r, beta in decomp.parts:
-        prim = is_primitive(beta, spec)
-        out(
-            _pretty(
-                f"  r={r}: (1/{math.factorial(r)}) L^{r} beta, "
-                f"beta primitive: {'yes' if prim else 'NO'}",
-                ascii_mode,
-            )
-        )
+        prim = "yes" if is_primitive(beta, spec) else "NO"
+        line = f"  r={r}: (1/{math.factorial(r)}) L^{r} beta, beta primitive: {prim}"
+        out(_pretty(line, args.ascii))
         out(f"       beta = {format_form(beta)}")
     ok = decomp.reassemble(spec) == form
     out(f"reassembly identity: {'ok' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_REFUTED
 
 
-def cmd_relations(args, out) -> int:
-    spec = _resolve_spec(args.spec)
-    gate = _gate_validation(spec, args, out)
-    if gate is not None:
-        return gate
-    ascii_mode = _ascii_mode(args)
+def cmd_relations(args, spec, out) -> int:
     p, q = _parse_bidegree(args.bidegree)
     report = verify_relations(spec, p, q)
-    _render_report(report, ascii_mode, out)
+    _render_report(report, args.ascii, out)
     return EXIT_OK if report.status == VERIFIED else EXIT_REFUTED
 
 
-def cmd_check_form(args, out) -> int:
-    spec = _resolve_spec(args.spec)
-    gate = _gate_validation(spec, args, out)
-    if gate is not None:
-        return gate
-    ascii_mode = _ascii_mode(args)
+def cmd_check_form(args, spec, out) -> int:
     kind = HarmonicKind.from_str(args.laplacian)
     form = parse_form(args.form, spec.n)
     cert = is_harmonic(kind, form, spec)
     for cond in cert.conditions:
         status = "= 0" if cond.ok else "!= 0"
-        out(_pretty(f"  {cond.label} {status}", ascii_mode))
+        out(_pretty(f"  {cond.label} {status}", args.ascii))
         if not cond.ok:
             out(f"    residual: {format_form(cond.residual)}")
     out("member" if cert.verdict else "non-member")
@@ -238,29 +203,24 @@ def _dimension_tables(spec):
     return tables
 
 
-def cmd_report(args, out) -> int:
-    spec = _resolve_spec(args.spec)
-    gate = _gate_validation(spec, args, out)
-    if gate is not None:
-        return gate
+def cmd_report(args, spec, out) -> int:
     if spec.has_symbolic_structure():
         raise SymbolicCoefficients(
             f"spec {spec.name!r} has symbolic structure coefficients; "
             "the full report needs Q(i) constants (try check-form)"
         )
-    ascii_mode = _ascii_mode(args)
     tables = _dimension_tables(spec)
     out(f"harmonic dimension tables for {spec.name} (n = {spec.n})")
     header = "      " + "".join(f"q={q:<5d}" for q in range(spec.n + 1))
     for kind in HarmonicKind:
-        out(_pretty(f"h^(p,q)_{kind.value}:", ascii_mode))
+        out(_pretty(f"h^(p,q)_{kind.value}:", args.ascii))
         out(header)
         for p in range(spec.n + 1):
             row = "".join(f"{tables[kind.value][f'{p},{q}']:<6d}" for q in range(spec.n + 1))
             out(f"  p={p} {row}")
     reports = all_statements(spec)
     for report in reports:
-        _render_report(report, ascii_mode, out)
+        _render_report(report, args.ascii, out)
     document = {
         "schema_version": 1,
         "spec": spec.name,
@@ -335,16 +295,20 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.ascii = args.ascii or os.environ.get("HARMONICA_ASCII") == "1"
     out = print
     try:
-        return _COMMANDS[args.command](args, out)
+        spec = _resolve_spec(args.spec)
+        if args.command != "validate" and not _gate_validation(spec, args, out):
+            return EXIT_REFUTED
+        return _COMMANDS[args.command](args, spec, out)
     except _UNSUPPORTED_ERRORS as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except CrossCheckFailed as exc:
         print(f"cross-check failed: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    except (*_PARSE_ERRORS, ValueError) as exc:
+    except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re as _re
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from .errors import NotHomogeneous, ParseError
@@ -17,10 +18,11 @@ from .scalars import (
     Coefficient,
     DerivationTable,
     GaussianRational,
+    parse_int,
     parse_rational,
 )
 
-__all__ = ["MultiIndex", "Form", "basis_multiindices", "parse_form", "format_form"]
+__all__ = ["MultiIndex", "Form", "ReadOnlyForm", "basis_multiindices", "parse_form", "format_form"]
 
 
 class MultiIndex(NamedTuple):
@@ -237,6 +239,20 @@ class Form:
         return format_form(self)
 
 
+class ReadOnlyForm(Form):
+    """A copy of a Form whose terms can be neither changed nor reassigned,
+    for a Form that a spec or a cache shares with its callers."""
+
+    __slots__ = ()
+
+    def __init__(self, form: Form):
+        object.__setattr__(self, "n", form.n)
+        object.__setattr__(self, "terms", MappingProxyType(dict(form.terms)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: this Form is read-only")
+
+
 # ---------------------------------------------------------------------------
 # text syntax: `phi[1,3;2]` is phi^{13,2bar}; coefficients `(re,im)`, rational
 # literals, or symbol factors with optional ^power, joined by `*`; terms are
@@ -257,7 +273,7 @@ def _parse_int_list(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    return tuple(parse_int(x) for x in text.split(","))
 
 
 def parse_form(text: str, n: int) -> Form:
@@ -320,7 +336,7 @@ def parse_form(text: str, n: int) -> Form:
             name = m.group("sym")
             if name == "phi":
                 raise ParseError("phi must be followed by [hol;anti]")
-            factor = Coefficient.symbol(name) ** int(m.group("pow") or 1)
+            factor = Coefficient.symbol(name) ** parse_int(m.group("pow") or "1")
         coeff = factor if coeff is None else coeff * factor
     flush()
     return total

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import BidegreeOutOfRange, CrossCheckFailed, SymbolicCoefficients
+from .errors import BidegreeOutOfRange, CrossCheckFailed, ParseError, SymbolicCoefficients
 from .forms import Form, basis_multiindices
 from .hermitian import (
     adjoint,
@@ -52,7 +52,7 @@ class HarmonicKind(enum.Enum):
         try:
             return cls(text.lower())
         except ValueError:
-            raise ValueError(
+            raise ParseError(
                 f"unknown laplacian kind {text!r}; expected one of "
                 + ", ".join(k.value for k in cls)
             ) from None

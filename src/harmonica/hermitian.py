@@ -17,7 +17,13 @@ from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
 from .forms import Form, MultiIndex, basis_multiindices
 from .linalg import right_kernel
 from .scalars import Coefficient, Fraction, GaussianRational
-from .structure import ManifoldSpec, OperatorKind, differential_component, fundamental_form
+from .structure import (
+    ManifoldSpec,
+    OperatorKind,
+    d_by_shift,
+    differential_component,
+    fundamental_form,
+)
 
 __all__ = [
     "fundamental_form",
@@ -325,10 +331,9 @@ def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     """The image of one unit monomial under one operator, as a sparse column."""
     if op.endswith("*") and op != "*":  # the adjoint -* k' *, k' the conjugate-paired operator
         return _apply(("*", OperatorKind(op[:-1]).conjugate.value, "*"), {idx: -_ONE}, spec)
-    if op in ("mu", "del", "delbar", "mubar"):  # one bidegree part of the d image
-        shift = OperatorKind(op).shift
-        d = _apply(("d",), {idx: _ONE}, spec)
-        return {m: x for m, x in d.items() if (m.p - idx.p, m.q - idx.q) == shift}
-    form = apply_word((op,), Form.monomial(spec.n, idx.hol, idx.anti), spec)
+    if op in ("mu", "del", "delbar", "mubar"):  # one part of the split d image
+        form = d_by_shift(idx, spec).get(OperatorKind(op).shift, Form.zero(spec.n))
+    else:
+        form = apply_word((op,), Form.monomial(spec.n, idx.hol, idx.anti), spec)
     monomials = list(form.terms)
     return dict(zip(monomials, forms_to_rows([form], monomials)[0]))

@@ -150,7 +150,7 @@ def load_spec_path(path) -> ManifoldSpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return load_spec(text)
 

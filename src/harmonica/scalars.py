@@ -18,6 +18,7 @@ from .errors import DepthExceeded, ParseError, UndeclaredConjugate
 
 __all__ = [
     "Fraction",
+    "parse_int",
     "parse_rational",
     "format_rational",
     "GaussianRational",
@@ -29,13 +30,21 @@ __all__ = [
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
+def parse_int(text) -> int:
+    """int(text), with a ParseError where int() refuses it (as for 5000 digits)."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal of the form "p" or "p/q"."""
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = parse_int(m.group(1))
+    den = parse_int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
     return Fraction(num, den)
@@ -114,9 +123,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
@@ -165,7 +171,7 @@ class Direction:
         m = _re.match(r"^V(b?)([1-9]\d*)$", label)
         if not m:
             raise ParseError(f"not a direction label: {label!r}")
-        return cls(int(m.group(2)), m.group(1) == "b")
+        return cls(parse_int(m.group(2)), m.group(1) == "b")
 
     def __eq__(self, other):
         return (
@@ -458,7 +464,7 @@ class Coefficient:
             raise ParseError("coefficient document needs 're'/'im' or 'terms'")
         terms: dict = {}
         for t in doc["terms"]:
-            mono = tuple(sorted((str(s), int(e)) for s, e in t["syms"]))
+            mono = tuple(sorted((str(s), parse_int(e)) for s, e in t["syms"]))
             c = GaussianRational.from_json(t["c"])
             terms[mono] = terms.get(mono, GaussianRational(0)) + c
         return cls(terms)

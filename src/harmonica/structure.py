@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ValidationError
-from .forms import Form, MultiIndex, basis_multiindices
+from .forms import Form, MultiIndex, ReadOnlyForm, basis_multiindices
 from .report import REFUTED, VERIFIED, CheckItem, VerificationReport
 from .scalars import Coefficient, DerivationTable, Direction, Fraction, GaussianRational
 
@@ -24,6 +24,7 @@ __all__ = [
     "ManifoldSpec",
     "exterior_d",
     "differential_component",
+    "d_by_shift",
     "check_integrability_relations",
     "check_almost_kahler",
     "all_basis_monomials",
@@ -96,6 +97,7 @@ class ManifoldSpec:
                 raise ValidationError(f"d(gen {a}) lives in the wrong ambient algebra")
             # degree of d_gen values is checked by check_integrability_relations,
             # so broken inputs stay loadable and explorable
+        d_gen = {a: ReadOnlyForm(form) for a, form in d_gen.items()}
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "d_gen", MappingProxyType(d_gen))
         object.__setattr__(self, "omega_coeffs", omega_coeffs)
@@ -109,7 +111,7 @@ class ManifoldSpec:
 
     def d_generator(self, index: int, bar: bool) -> Form:
         if bar:
-            return self.cached(("d_bar", index), self.d_gen[index].conjugate, self.table)
+            return self.d_gen[index].conjugate(self.table)
         return self.d_gen[index]
 
     def has_symbolic_structure(self) -> bool:
@@ -122,6 +124,8 @@ class ManifoldSpec:
 def _d_coefficient(coeff: Coefficient, spec: ManifoldSpec) -> Form:
     """d of a function: sum of frame derivatives against the dual coframe."""
     out = Form.zero(spec.n)
+    if coeff.is_constant():
+        return out
     for a in range(1, spec.n + 1):
         for bar in (False, True):
             dc = coeff.derive(Direction(a, bar), spec.table)
@@ -186,53 +190,60 @@ def all_basis_monomials(n: int) -> list[MultiIndex]:
     return out
 
 
-def _operator_identities(spec: ManifoldSpec):
-    """The d^2 = 0 relations among the four components of d."""
-    mu = lambda f: differential_component(f, OperatorKind.MU, spec)
-    de = lambda f: differential_component(f, OperatorKind.DEL, spec)
-    db = lambda f: differential_component(f, OperatorKind.DELBAR, spec)
-    mb = lambda f: differential_component(f, OperatorKind.MUBAR, spec)
-    return [
-        ("d^2", lambda f: exterior_d(exterior_d(f, spec), spec)),
-        ("mu^2", lambda f: mu(mu(f))),
-        ("mu del + del mu", lambda f: mu(de(f)) + de(mu(f))),
-        ("del^2 + mu delbar + delbar mu", lambda f: de(de(f)) + mu(db(f)) + db(mu(f))),
-        (
-            "del delbar + delbar del + mu mubar + mubar mu",
-            lambda f: de(db(f)) + db(de(f)) + mu(mb(f)) + mb(mu(f)),
-        ),
-        ("delbar^2 + mubar del + del mubar", lambda f: db(db(f)) + mb(de(f)) + de(mb(f))),
-        ("mubar delbar + delbar mubar", lambda f: mb(db(f)) + db(mb(f))),
-        ("mubar^2", lambda f: mb(mb(f))),
-    ]
+def d_by_shift(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
+    """d of the unit monomial idx as its nonzero homogeneous parts, keyed by
+    bidegree shift; the one split of d by bidegree, cached on the spec."""
+    return spec.cached(("d_parts", idx), _split_d, idx, spec)
+
+
+def _split_d(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
+    parts = spec.cached(("d", idx), _d_monomial, idx, spec).homogeneous_parts().items()
+    return MappingProxyType({(p - idx.p, q - idx.q): ReadOnlyForm(f) for (p, q), f in parts})
+
+
+_COMPONENT_SHIFTS = {kind.shift for kind in OperatorKind if kind.shift}
+# The component identities are the bidegree parts of d^2 = 0, by total shift.
+_IDENTITIES = (
+    ("mu^2", (4, -2)),
+    ("mu del + del mu", (3, -1)),
+    ("del^2 + mu delbar + delbar mu", (2, 0)),
+    ("del delbar + delbar del + mu mubar + mubar mu", (1, 1)),
+    ("delbar^2 + mubar del + del mubar", (0, 2)),
+    ("mubar delbar + delbar mubar", (-1, 3)),
+    ("mubar^2", (-2, 4)),
+)
+
+
+def _d_squared_parts(idx: MultiIndex, spec: ManifoldSpec):
+    """(name, value on the unit monomial idx) for d^2 and each identity.
+    d of each part of d(idx) is computed once; d^2 is their sum, and the
+    identity at total shift S sums the (p,q) + S parts of d(part) over the
+    parts at a component shift b with S - b also one."""
+    seconds = [(b, exterior_d(part, spec)) for b, part in d_by_shift(idx, spec).items()]
+    yield "d^2", sum((second for _, second in seconds), Form.zero(spec.n))
+    for name, (sp, sq) in _IDENTITIES:
+        pieces = (
+            second.bidegree_project(idx.p + sp, idx.q + sq)
+            for (bp, bq), second in seconds
+            if {(bp, bq), (sp - bp, sq - bq)} <= _COMPONENT_SHIFTS
+        )
+        yield name, sum(pieces, Form.zero(spec.n))
 
 
 def check_integrability_relations(spec: ManifoldSpec) -> VerificationReport:
-    """Evaluate d^2 and the seven component identities on every basis monomial."""
-    monomials = all_basis_monomials(spec.n)
-    items = []
-    bad = [
-        a
-        for a in range(1, spec.n + 1)
-        if not spec.d_gen[a].is_zero() and spec.d_gen[a].degree() != 2
-    ]
-    items.append(
-        CheckItem(
-            "d(generators) are 2-forms",
-            not bad,
-            witness=None if not bad else spec.d_gen[bad[0]],
-        )
-    )
-    for name, op in _operator_identities(spec):
-        ok = True
-        witness = residual = None
-        for idx in monomials:
-            m = Form.monomial(spec.n, idx.hol, idx.anti)
-            value = op(m)
-            if not value.is_zero():
-                ok, witness, residual = False, m, value
-                break
-        items.append(CheckItem(name, ok, witness=witness, residual=residual))
+    """Evaluate d^2 and the seven component identities on every basis
+    monomial; a failing item names the first monomial it fails on."""
+    bad = [a for a in range(1, spec.n + 1) if spec.d_gen[a] and spec.d_gen[a].degree() != 2]
+    witness = spec.d_gen[bad[0]] if bad else None
+    items = [CheckItem("d(generators) are 2-forms", not bad, witness=witness)]
+    failures: dict = {}  # name -> (witness, residual)
+    for idx in all_basis_monomials(spec.n):
+        for name, value in _d_squared_parts(idx, spec):
+            if name not in failures and not value.is_zero():
+                failures[name] = (Form.monomial(spec.n, idx.hol, idx.anti), value)
+    for name in ("d^2", *(name for name, _ in _IDENTITIES)):
+        witness, residual = failures.get(name, (None, None))
+        items.append(CheckItem(name, name not in failures, witness=witness, residual=residual))
     status = VERIFIED if all(i.ok for i in items) else REFUTED
     return VerificationReport(f"integrability:{spec.name}", status, items=items)
 
@@ -248,14 +259,11 @@ def fundamental_form(spec: ManifoldSpec) -> Form:
 
 
 def is_integrable(spec: ManifoldSpec) -> bool:
-    """True when mu and mubar vanish on every basis monomial."""
-    for idx in all_basis_monomials(spec.n):
-        m = Form.monomial(spec.n, idx.hol, idx.anti)
-        if not differential_component(m, OperatorKind.MU, spec).is_zero():
-            return False
-        if not differential_component(m, OperatorKind.MUBAR, spec).is_zero():
-            return False
-    return True
+    """True when mu and mubar vanish on every basis monomial: no split of d
+    has a part at their shifts."""
+    shifts = (OperatorKind.MU.shift, OperatorKind.MUBAR.shift)
+    splits = (d_by_shift(idx, spec) for idx in all_basis_monomials(spec.n))
+    return not any(b in shifts for split in splits for b in split)
 
 
 def check_almost_kahler(spec: ManifoldSpec) -> VerificationReport:

@@ -9,6 +9,7 @@ from harmonica import harmonic
 from harmonica.cli import main
 from harmonica.forms import parse_form
 from harmonica.library import catalog_document
+from harmonica.structure import check_integrability_relations
 
 
 def run_cli(capsys, *argv):
@@ -262,3 +263,86 @@ class TestValidationGate:
             "harmonics", str(path), "--laplacian", "d", "--bidegree", "0,1", "--force",
         )
         assert code == 0
+
+
+class TestOneGate:
+    COMMANDS = [
+        ("harmonics", "--laplacian", "d", "--bidegree", "0,1"),
+        ("primitive", "--form", "phi[1;]"),
+        ("relations", "--bidegree", "0,0"),
+        ("check-form", "--form", "phi[1;]", "--laplacian", "d"),
+        ("report",),
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_refusal_is_the_same_for_every_command(self, capsys, tmp_path, argv):
+        path = tmp_path / "broken.json"
+        path.write_text(BROKEN_DOC)
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1 and err == ""
+        assert out == (
+            "spec 'broken' fails validation: d(generators) are 2-forms\n"
+            "  witness: (1,0)*phi[;1]\n"
+            "use --force to compute on an invalid spec\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [("validate",), *COMMANDS], ids=lambda argv: argv[0]
+    )
+    def test_validation_runs_once(self, capsys, monkeypatch, argv):
+        from harmonica import cli
+
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.name)
+            return check_integrability_relations(spec)
+
+        monkeypatch.setattr(cli, "check_integrability_relations", counted)
+        run_cli(capsys, argv[0], "iwasawa_cplx", *argv[1:])
+        assert calls == ["iwasawa_cplx"]
+
+
+class TestUserInputErrors:
+    def test_unknown_laplacian_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "harmonics", "iwasawa_ak", "--laplacian", "zz", "--bidegree", "1,1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: unknown laplacian kind 'zz'; expected one of d, del, delbar, bc, a\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-form", "iwasawa_ak", "--form", "phi[1 2;]", "--laplacian", "d"),
+            ("check-form", "iwasawa_ak", "--form", "phi[1;]*x^" + "1" * 5000, "--laplacian", "d"),
+            ("primitive", "iwasawa_ak", "--form", "(" + "1" * 5000 + ",0)*phi[1;]"),
+            ("harmonics", "iwasawa_ak", "--laplacian", "bc", "--bidegree", "1" * 5000 + ",1"),
+        ],
+        ids=["index-list", "long-power", "long-literal", "long-bidegree"],
+    )
+    def test_text_int_refuses_is_a_parse_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_spec_file_errors_are_parse_errors(self, capsys, tmp_path):
+        bad_bytes = tmp_path / "bad_bytes.json"
+        bad_bytes.write_bytes(b'{"name": "\xff"}')
+        doc = json.loads(catalog_document("torus6"))
+        doc["d"]["phi1"][0]["coeff"]["terms"][0]["syms"][0][1] = "x"
+        bad_power = tmp_path / "bad_power.json"
+        bad_power.write_text(json.dumps(doc))
+        for path in (bad_bytes, bad_power):
+            code, _, err = run_cli(capsys, "validate", str(path))
+            assert code == 2 and err.startswith("error: ")
+
+    def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch):
+        from harmonica import cli
+
+        def broken(*args):
+            raise ValueError("internal inconsistency")
+
+        monkeypatch.setattr(cli, "harmonic_space", broken)
+        with pytest.raises(ValueError, match="internal inconsistency"):
+            main(["harmonics", "iwasawa_ak", "--laplacian", "bc", "--bidegree", "1,1"])

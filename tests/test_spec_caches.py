@@ -43,6 +43,48 @@ class TestImmutableSpec:
         assert spec.generators == ("a", "b")
 
 
+class TestReadOnlyStructureEquations:
+    """The Forms in d_gen are the spec's own read-only copies, so its cached
+    results cannot go stale behind it."""
+
+    def test_terms_cannot_be_changed(self):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        for a in (1, 2, 3):
+            form = spec.d_gen[a]
+            with pytest.raises(AttributeError):
+                form.terms.clear()
+            with pytest.raises(TypeError):
+                form.terms[next(iter(form.terms), None)] = None
+            with pytest.raises(AttributeError):
+                form.terms = {}
+            with pytest.raises(AttributeError):
+                form.n = 4
+        with pytest.raises(AttributeError):
+            spec.d_generator(1, False).terms.clear()
+        conjugate = spec.d_generator(1, True)  # a new Form on every call
+        conjugate.terms.clear()
+        assert spec.d_generator(1, True) == spec.d_gen[1].conjugate(spec.table) != conjugate
+
+    def test_constructor_copies_the_forms(self):
+        value = Form.monomial(1, (), (1,))
+        spec = ManifoldSpec(name="s", n=1, generators=["a"], d_gen={1: value}, omega_coeffs=(1,))
+        value.terms.clear()
+        assert spec.d_gen[1] == Form.monomial(1, (), (1,))
+
+    def test_no_stale_dimension(self):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        assert harmonic_space(HarmonicKind.DELBAR, 1, 0, spec).dim == 1
+        for a in (1, 2):
+            with pytest.raises(AttributeError):
+                spec.d_gen[a].terms.clear()
+        assert harmonic_space(HarmonicKind.DELBAR, 1, 0, spec).dim == 1
+        # the structure those clears would have asked for has another answer
+        cleared = dataclasses.replace(
+            spec, d_gen={**spec.d_gen, 1: Form.zero(3), 2: Form.zero(3)}
+        )
+        assert harmonic_space(HarmonicKind.DELBAR, 1, 0, cleared).dim == 3
+
+
 class TestSpecOwnsCaches:
     def test_derived_spec_is_freed(self, iwasawa):
         spec = iwasawa.with_omega((2, 1, 1))

@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from harmonica.errors import ValidationError
 from harmonica.forms import Form
 from harmonica.hermitian import fundamental_form
-from harmonica.report import REFUTED, VERIFIED
+from harmonica.report import REFUTED, VERIFIED, CheckItem, VerificationReport
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import (
     ManifoldSpec,
@@ -15,6 +19,7 @@ from harmonica.structure import (
     check_integrability_relations,
     differential_component,
     exterior_d,
+    is_integrable,
 )
 
 from conftest import rand_form_any
@@ -172,3 +177,117 @@ class TestChecks:
     def test_d_omega_zero_on_ak_specs(self, iwasawa, torus, flat):
         for spec in (iwasawa, torus, flat):
             assert exterior_d(fundamental_form(spec), spec).is_zero()
+
+
+# The d^2 = 0 relations written out as compositions of the Form-level
+# components: the definition that check_integrability_relations (which reads
+# them as the bidegree parts of one d^2 per monomial) and is_integrable must
+# reproduce exactly, witness and residual included.
+
+
+def reference_identities(spec):
+    mu = lambda f: differential_component(f, OperatorKind.MU, spec)  # noqa: E731
+    de = lambda f: differential_component(f, OperatorKind.DEL, spec)  # noqa: E731
+    db = lambda f: differential_component(f, OperatorKind.DELBAR, spec)  # noqa: E731
+    mb = lambda f: differential_component(f, OperatorKind.MUBAR, spec)  # noqa: E731
+    return [
+        ("d^2", lambda f: exterior_d(exterior_d(f, spec), spec)),
+        ("mu^2", lambda f: mu(mu(f))),
+        ("mu del + del mu", lambda f: mu(de(f)) + de(mu(f))),
+        ("del^2 + mu delbar + delbar mu", lambda f: de(de(f)) + mu(db(f)) + db(mu(f))),
+        (
+            "del delbar + delbar del + mu mubar + mubar mu",
+            lambda f: de(db(f)) + db(de(f)) + mu(mb(f)) + mb(mu(f)),
+        ),
+        ("delbar^2 + mubar del + del mubar", lambda f: db(db(f)) + mb(de(f)) + de(mb(f))),
+        ("mubar delbar + delbar mubar", lambda f: mb(db(f)) + db(mb(f))),
+        ("mubar^2", lambda f: mb(mb(f))),
+    ]
+
+
+def reference_report(spec):
+    bad = [
+        a for a in range(1, spec.n + 1) if not spec.d_gen[a].is_zero() and spec.d_gen[a].degree() != 2
+    ]
+    items = [
+        CheckItem("d(generators) are 2-forms", not bad, witness=spec.d_gen[bad[0]] if bad else None)
+    ]
+    for name, op in reference_identities(spec):
+        ok, witness, residual = True, None, None
+        for idx in all_basis_monomials(spec.n):
+            m = mono(spec.n, idx.hol, idx.anti)
+            value = op(m)
+            if not value.is_zero():
+                ok, witness, residual = False, m, value
+                break
+        items.append(CheckItem(name, ok, witness=witness, residual=residual))
+    status = VERIFIED if all(i.ok for i in items) else REFUTED
+    return VerificationReport(f"integrability:{spec.name}", status, items=items)
+
+
+def reference_is_integrable(spec):
+    return all(
+        differential_component(mono(spec.n, idx.hol, idx.anti), kind, spec).is_zero()
+        for idx in all_basis_monomials(spec.n)
+        for kind in (OperatorKind.MU, OperatorKind.MUBAR)
+    )
+
+
+def assert_matches_reference(spec):
+    assert check_integrability_relations(spec).to_dict() == reference_report(spec).to_dict()
+    assert is_integrable(spec) == reference_is_integrable(spec)
+
+
+TORUS_SYMBOLS = ("g3", "g3c", "g33", "g33c", "g3b3")
+small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+gauss = st.builds(G, small, small).filter(lambda g: not g.is_zero())
+
+
+@st.composite
+def coefficients(draw):
+    """A nonzero Q(i) constant, or one times a torus6 symbol."""
+    c = Coefficient.coerce(draw(gauss))
+    symbol = draw(st.one_of(st.none(), st.sampled_from(TORUS_SYMBOLS)))
+    return c if symbol is None else c * Coefficient.symbol(symbol)
+
+
+@st.composite
+def random_specs(draw, table):
+    """n <= 3, mostly 3; each d(generator) has up to four terms of degree 1
+    to 3."""
+    n = draw(st.sampled_from([3, 3, 2, 1]))
+    d_gen = {}
+    for a in range(1, n + 1):
+        form = Form.zero(n)
+        for _ in range(draw(st.integers(0, 4))):
+            degree = draw(st.integers(1, min(3, 2 * n)))
+            p = draw(st.integers(max(0, degree - n), min(degree, n)))
+            hol = draw(st.sampled_from(list(itertools.combinations(range(1, n + 1), p))))
+            anti = draw(
+                st.sampled_from(list(itertools.combinations(range(1, n + 1), degree - p)))
+            )
+            form = form + mono(n, hol, anti, draw(coefficients()))
+        d_gen[a] = form
+    return ManifoldSpec(
+        name="random",
+        n=n,
+        generators=[f"phi{a}" for a in range(1, n + 1)],
+        d_gen=d_gen,
+        omega_coeffs=(1,) * n,
+        table=table,
+    )
+
+
+class TestIntegrabilityOracle:
+    def test_named_specs(self, iwasawa, torus, flat, cplx):
+        mutated = dict(iwasawa.d_gen)
+        mutated[1] = mutated[1] + mono(3, (1, 3), (), G(Fraction(1, 4)))
+        mutated_spec = dataclasses.replace(iwasawa, name="mutated", d_gen=mutated)
+        for spec in (iwasawa, torus, flat, cplx, broken_n1_spec(), mutated_spec):
+            assert_matches_reference(spec)
+        assert check_integrability_relations(mutated_spec).status == REFUTED
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_specs(self, torus, data):
+        assert_matches_reference(data.draw(random_specs(torus.table)))
