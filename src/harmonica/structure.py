@@ -218,15 +218,13 @@ def _d_squared_parts(idx: MultiIndex, spec: ManifoldSpec):
     """(name, value on the unit monomial idx) for d^2 and each identity.
     d of each part of d(idx) is computed once; d^2 is their sum, and the
     identity at total shift S sums the (p,q) + S parts of d(part) over the
-    parts at a component shift b with S - b also one."""
+    parts at a component shift b (what lands there came through a second
+    component shift S - b, as every term of d moves p and q by -1 at least)."""
     seconds = [(b, exterior_d(part, spec)) for b, part in d_by_shift(idx, spec).items()]
     yield "d^2", sum((second for _, second in seconds), Form.zero(spec.n))
+    components = [second for b, second in seconds if b in _COMPONENT_SHIFTS]
     for name, (sp, sq) in _IDENTITIES:
-        pieces = (
-            second.bidegree_project(idx.p + sp, idx.q + sq)
-            for (bp, bq), second in seconds
-            if {(bp, bq), (sp - bp, sq - bq)} <= _COMPONENT_SHIFTS
-        )
+        pieces = (second.bidegree_project(idx.p + sp, idx.q + sq) for second in components)
         yield name, sum(pieces, Form.zero(spec.n))
 
 

@@ -186,10 +186,10 @@ class TestChecks:
 
 
 def reference_identities(spec):
-    mu = lambda f: differential_component(f, OperatorKind.MU, spec)  # noqa: E731
-    de = lambda f: differential_component(f, OperatorKind.DEL, spec)  # noqa: E731
-    db = lambda f: differential_component(f, OperatorKind.DELBAR, spec)  # noqa: E731
-    mb = lambda f: differential_component(f, OperatorKind.MUBAR, spec)  # noqa: E731
+    mu = lambda f: differential_component(f, OperatorKind.MU, spec)
+    de = lambda f: differential_component(f, OperatorKind.DEL, spec)
+    db = lambda f: differential_component(f, OperatorKind.DELBAR, spec)
+    mb = lambda f: differential_component(f, OperatorKind.MUBAR, spec)
     return [
         ("d^2", lambda f: exterior_d(exterior_d(f, spec), spec)),
         ("mu^2", lambda f: mu(mu(f))),
