@@ -12,6 +12,7 @@ from .errors import (
     DegreeTooHigh,
     DepthExceeded,
     DimensionMismatch,
+    ExponentTooLarge,
     HarmonicaError,
     NotAlmostKahler,
     NotHomogeneous,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok/verified/member, 1 refuted/failed/non-member or a failed
 internal cross-check, 2 parse or validation errors in the input, 3
-unsupported request (symbolic coefficients, wrong dimension, bidegree out of
+unsupported request (symbolic coefficients, wrong dimension, n above
+library.MAX_N, an exponent above scalars.MAX_EXPONENT, bidegree out of
 range, and similar).
 Output is deterministic given the spec bytes and the command line; printed
 forms always use the `phi[...]` syntax and re-parse bit-exactly.
@@ -24,6 +25,7 @@ from .errors import (
     DegreeTooHigh,
     DepthExceeded,
     DimensionMismatch,
+    ExponentTooLarge,
     NotAlmostKahler,
     NotHomogeneous,
     NotPrimitive,
@@ -58,6 +60,7 @@ _UNSUPPORTED_ERRORS = (
     NotHomogeneous,
     NotPrimitive,
     DepthExceeded,
+    ExponentTooLarge,
 )
 
 _PRETTY = [

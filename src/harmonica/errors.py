@@ -41,6 +41,10 @@ class DimensionMismatch(HarmonicaError):
     """The statement is specific to another (half-)dimension."""
 
 
+class ExponentTooLarge(HarmonicaError):
+    """A power above scalars.MAX_EXPONENT, refused before any multiplication."""
+
+
 class ParseError(HarmonicaError):
     """Malformed input text (form expression or spec document)."""
 

@@ -22,8 +22,9 @@ from .hermitian import (
     forms_to_rows,
     operator_columns,
     rows_to_forms,
+    subspace_forms,
 )
-from .linalg import right_kernel
+from .linalg import Subspace, right_kernel, span
 from .structure import ManifoldSpec
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "adjoint",
     "laplacian_apply",
     "harmonic_space",
+    "harmonic_subspace",
     "is_harmonic",
     "SubspaceBasis",
     "MembershipCertificate",
@@ -174,13 +176,16 @@ def harmonic_space(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> Su
     computed from the condition system and cross-checked against the
     Laplacian-matrix nullspace.  Each call returns new Form objects, so a
     caller may change them without affecting later calls."""
-    kernel = spec.cached(("harmonic", kind, p, q), _harmonic_kernel, kind, p, q, spec)
-    monomials = basis_multiindices(spec.n, p, q)
-    return SubspaceBasis(p, q, kind.value, rows_to_forms(kernel, monomials, spec.n))
+    space = harmonic_subspace(kind, p, q, spec)
+    return SubspaceBasis(p, q, kind.value, subspace_forms(space, p, q, spec))
 
 
-def _harmonic_kernel(kind, p, q, spec) -> tuple:
-    """The cross-checked echelon rows of the harmonic space, as tuples."""
+def harmonic_subspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> Subspace:
+    """The cross-checked invariant harmonic space, computed once per spec."""
+    return spec.cached(("harmonic", kind, p, q), _harmonic_kernel, kind, p, q, spec)
+
+
+def _harmonic_kernel(kind, p, q, spec) -> Subspace:
     if spec.has_symbolic_structure():
         raise SymbolicCoefficients(
             f"spec {spec.name!r} has symbolic structure coefficients; "
@@ -194,7 +199,7 @@ def _harmonic_kernel(kind, p, q, spec) -> tuple:
             f"condition kernel and Laplacian nullspace disagree for "
             f"{kind.value} at ({p},{q}) on {spec.name!r}"
         )
-    return tuple(tuple(row) for row in kernel)
+    return span(kernel)
 
 
 def is_harmonic(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> MembershipCertificate:

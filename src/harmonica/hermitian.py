@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
 from .forms import Form, MultiIndex, basis_multiindices
-from .linalg import right_kernel
+from .linalg import Subspace, kernel, span
 from .scalars import Coefficient, Fraction, GaussianRational
 from .structure import (
     ManifoldSpec,
@@ -40,6 +40,10 @@ __all__ = [
     "PrimitiveComponents",
     "primitive_decompose",
     "primitive_basis",
+    "primitive_subspace",
+    "lefschetz_image",
+    "subspace_forms",
+    "form_subspace",
     "forms_to_rows",
     "rows_to_forms",
     "operator_columns",
@@ -152,11 +156,13 @@ def apply_word(word: tuple, form: Form, spec: ManifoldSpec) -> Form:
     """An operator word applied to a Form, rightmost operator first.
 
     The names are "d", "mu", "del", "delbar", "mubar", each with an adjoint
-    named by a trailing "*" (as in "del*"), the star "*" and "Lambda", so
-    ("del", "delbar", "*") is del delbar *."""
+    named by a trailing "*" (as in "del*"), the star "*", "L" and "Lambda",
+    so ("del", "delbar", "*") is del delbar *."""
     for op in reversed(word):
         if op == "*":
             form = hodge_star(form, spec)
+        elif op == "L":
+            form = lefschetz_L(form, spec)
         elif op == "Lambda":
             form = lefschetz_lambda(form, spec)
         elif op.endswith("*"):
@@ -253,21 +259,42 @@ def primitive_basis(spec: ManifoldSpec, p: int, q: int) -> list[Form]:
     """Echelon basis of the primitive (p,q) monomial combinations P^{p,q}.
     Each call returns new Form objects, so a caller may change them without
     affecting later calls."""
-    kernel = spec.cached(("primitive", p, q), _primitive_kernel, spec, p, q)
-    return rows_to_forms(kernel, basis_multiindices(spec.n, p, q), spec.n)
+    return subspace_forms(primitive_subspace(spec, p, q), p, q, spec)
 
 
-def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> tuple:
-    """The echelon rows of P^{p,q} = ker Lambda over the (p,q) monomials."""
+def primitive_subspace(spec: ManifoldSpec, p: int, q: int) -> Subspace:
+    """P^{p,q} = ker Lambda over the (p,q) monomials, computed once per spec."""
+    return spec.cached(("primitive", p, q), _primitive_kernel, spec, p, q)
+
+
+def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> Subspace:
     if p + q > spec.n:
         raise DegreeTooHigh(f"primitive forms need p+q <= n = {spec.n}")
     columns = operator_columns([("Lambda",)], p, q, spec)
-    return tuple(tuple(row) for row in right_kernel(block_rows(columns), len(columns)))
+    return kernel(block_rows(columns), len(columns))
 
 
-# Operator matrices.  Every operator-to-coordinates step goes through
-# operator_columns, and forms_to_rows/rows_to_forms are the one
-# Form <-> coordinates pair.
+def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec) -> Subspace:
+    """L^r of a space of (p,q)-forms, as a space of (p+r,q+r)-forms."""
+    columns = operator_columns([("L",) * r], p, q, spec)
+    targets = basis_multiindices(spec.n, p + r, q + r)
+    images = [_combine(zip(v, columns)) for v in space.vectors()]
+    return span([[image.get(m, _ZERO) for m in targets] for image in images])
+
+
+# Operator matrices and coordinates.  Every operator-to-coordinates step goes
+# through operator_columns; subspace_forms and form_subspace are the one
+# Subspace <-> Form pair, over forms_to_rows/rows_to_forms.
+
+
+def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
+    """New Forms for the basis of a space of (p,q)-forms."""
+    return rows_to_forms(space.vectors(), basis_multiindices(spec.n, p, q), spec.n)
+
+
+def form_subspace(forms, p: int, q: int, spec: ManifoldSpec) -> Subspace:
+    """The span of constant-coefficient (p,q)-forms."""
+    return span(forms_to_rows(forms, basis_multiindices(spec.n, p, q)))
 
 
 def forms_to_rows(forms, monomials):

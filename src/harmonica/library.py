@@ -11,7 +11,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, SchemaError, UnknownSpec, ValidationError
+from .errors import DimensionMismatch, ParseError, SchemaError, UnknownSpec, ValidationError
 from .forms import Form
 from .scalars import (
     Coefficient,
@@ -28,6 +28,8 @@ CATALOG_NAMES = ("torus6", "iwasawa_ak", "iwasawa_cplx", "flat_kahler6")
 
 _REQUIRED_FIELDS = {"name", "n", "generators", "d", "omega", "symbols", "conjugates", "derivations"}
 _OPTIONAL_FIELDS = {"depth_limit", "auto_fresh"}
+# The largest n a spec may have; the engine walks all 4^n basis monomials.
+MAX_N = 6
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -51,6 +53,8 @@ def load_spec(document) -> ManifoldSpec:
     _expect(isinstance(document["name"], str), "'name' must be a string")
     _expect(isinstance(document["n"], int), "'n' must be an integer")
     n = document["n"]
+    if n > MAX_N:
+        raise DimensionMismatch(f"n = {n} exceeds the supported maximum n = {MAX_N}")
     generators = document["generators"]
     _expect(
         isinstance(generators, list) and all(isinstance(g, str) for g in generators),

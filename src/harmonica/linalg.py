@@ -1,22 +1,22 @@
-"""Exact linear algebra over Q(i): reduced row echelon form, kernels, subspaces.
+"""Exact linear algebra over Q(i): one canonical subspace value, and list functions over it.
 
-Vectors at the public boundary are plain lists of GaussianRational.  Reduced
-echelon form with leading coefficient 1 is a unique normal form, so subspace
-equality is literal comparison of echelon bases.
+A `Subspace` holds the reduced row echelon basis of a subspace over the
+Gaussian integers, each row scaled so that its pivot entry is a positive
+integer and the gcd of all its integer parts is 1.  That form is unique, so
+`==` is literal comparison; rows are tuples, so a cached value cannot be
+changed.  Containment, sum, intersection and the direct-sum test read the
+integer rows; `vectors()` gives the Q(i) rows with pivots 1, for output.  The
+list functions (`rref`, `right_kernel`, `subspace_intersection`, ...) take and
+return lists of GaussianRational and convert at that boundary.
 
-Inside, each row is converted once to Gaussian integers over the common
-denominator of its entries, kept as a pair of int lists (real parts,
-imaginary parts).  Elimination is fraction-free: a row r with entry f in the
-pivot column of a pivot row with pivot entry p becomes p*r - f*pivot, and is
-then divided by the gcd of all its integer parts, so no rational number is
-formed while eliminating.  Rows are scaled to pivot 1 and turned back into
-GaussianRational only when a result leaves this module.  Scaling a row does
-not change its span, and the reduced echelon form is unique, so the rows
-returned are exactly those a rational elimination gives.
+Elimination is fraction-free: a row r with entry f in the pivot column of a
+pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
+the gcd of all its integer parts, so no rational number is formed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -98,21 +98,7 @@ def _echelon(rows: list, reduced: bool = False) -> list:
     return out
 
 
-def _to_rationals(echelon: list) -> list[Vector]:
-    """Echelon rows over Z[i] as Q(i) rows with pivot entries 1."""
-    out = []
-    for col, (re, im) in echelon:
-        pr, pi = re[col], im[col]
-        norm = pr * pr + pi * pi
-        out.append([
-            GaussianRational(Fraction(x * pr + y * pi, norm), Fraction(y * pr - x * pi, norm))
-            if x or y else _ZERO
-            for x, y in zip(re, im)
-        ])
-    return out
-
-
-def _reduces_to_zero(row: tuple, echelon: list) -> bool:
+def _reduces_to_zero(row: tuple, echelon) -> bool:
     """Whether the row lies in the span of the echelon rows."""
     for col, pivot in echelon:
         if row[0][col] or row[1][col]:
@@ -120,45 +106,114 @@ def _reduces_to_zero(row: tuple, echelon: list) -> bool:
     return _is_zero(row)
 
 
-def rref(rows: list[Vector]) -> list[Vector]:
-    """Reduced row echelon form; returns the nonzero rows, pivots normalized to 1."""
-    return _to_rationals(_echelon([_to_int(r) for r in rows], reduced=True))
+def _first_outside(rows, echelon) -> int | None:
+    """Index of the first Gaussian-integer row not in the span of the echelon rows."""
+    return next((i for i, row in enumerate(rows) if not _reduces_to_zero(row, echelon)), None)
 
 
-def rank(rows: list[Vector]) -> int:
-    return len(_echelon([_to_int(r) for r in rows]))
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of Q(i)^m in its canonical form: (pivot column, (re, im))
+    rows of the reduced echelon basis over Z[i], each with a positive integer
+    pivot entry and integer content 1.  Build it with `span` or `kernel`."""
+
+    rows: tuple = ()
+
+    @classmethod
+    def _of(cls, rows) -> "Subspace":
+        """The value spanned by Gaussian-integer rows."""
+        out = []
+        for col, (re, im) in _echelon(rows, reduced=True):
+            pr, pi = re[col], im[col]  # times the conjugate of the pivot, then content 1
+            re, im = _divide_content(
+                [x * pr + y * pi for x, y in zip(re, im)],
+                [y * pr - x * pi for x, y in zip(re, im)],
+            )
+            out.append((col, (tuple(re), tuple(im))))
+        return cls(tuple(out))
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def vectors(self) -> list[Vector]:
+        """The basis as Q(i) rows with pivot entries 1, zero entries shared."""
+        out = []
+        for col, (re, im) in self.rows:
+            den = re[col]
+            out.append([
+                GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else _ZERO
+                for x, y in zip(re, im)
+            ])
+        return out
+
+    def first_outside(self, other: "Subspace") -> int | None:
+        """Index of the first basis row not in `other`, or None if all are."""
+        return _first_outside([row for _, row in self.rows], other.rows)
+
+    def __le__(self, other: "Subspace") -> bool:
+        return self.first_outside(other) is None
+
+    def __add__(self, other: "Subspace") -> "Subspace":
+        return Subspace._of([row for _, row in self.rows + other.rows])
+
+    def __and__(self, other: "Subspace") -> "Subspace":
+        """The intersection, by the Zassenhaus algorithm: in an echelon form
+        of the rows (a_i | a_i) and (b_j | 0), the rows whose left half is zero
+        have right halves spanning the intersection."""
+        if not self.rows or not other.rows:
+            return Subspace()
+        ncols = len(self.rows[0][1][0])
+        zeros = (0,) * ncols
+        stacked = [(re + re, im + im) for _, (re, im) in self.rows]
+        stacked += [(re + zeros, im + zeros) for _, (re, im) in other.rows]
+        return Subspace._of(
+            [(re[ncols:], im[ncols:]) for col, (re, im) in _echelon(stacked) if col >= ncols]
+        )
+
+    @staticmethod
+    def is_direct_sum(parts) -> bool:
+        """Whether the sum of the spaces is direct: their dimensions add up."""
+        return sum(parts, Subspace()).dim == sum(p.dim for p in parts)
 
 
-def right_kernel(rows: list[Vector], ncols: int) -> list[Vector]:
-    """Echelon basis of {x : A x = 0} for the matrix with the given rows."""
+def span(rows: list[Vector]) -> Subspace:
+    """The span of Q(i) rows."""
+    return Subspace._of([_to_int(r) for r in rows])
+
+
+def kernel(rows: list[Vector], ncols: int) -> Subspace:
+    """{x : A x = 0} for the matrix with the given rows: each free column f
+    of rref(A) gives the vector e_f minus the pivot rows' entries in column f."""
     reduced = rref(rows)
-    pivots = []
-    for r in reduced:
-        for j, x in enumerate(r):
-            if not x.is_zero():
-                pivots.append(j)
-                break
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
+    pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in reduced]
     basis = []
-    for fc in free_cols:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [_ZERO] * ncols
         v[fc] = _ONE
         for r, pc in zip(reduced, pivots):
             v[pc] = -r[fc]
         basis.append(v)
-    return rref(basis)
+    return span(basis)
+
+
+def rref(rows: list[Vector]) -> list[Vector]:
+    """Reduced row echelon form; returns the nonzero rows, pivots normalized to 1."""
+    return span(rows).vectors()
+
+
+def rank(rows: list[Vector]) -> int:
+    return span(rows).dim
+
+
+def right_kernel(rows: list[Vector], ncols: int) -> list[Vector]:
+    """Echelon basis of {x : A x = 0} for the matrix with the given rows."""
+    return kernel(rows, ncols).vectors()
 
 
 def first_outside(rows: list[Vector], basis: list[Vector]) -> int | None:
-    """Index of the first row not in span(basis), or None if all of them are.
-
-    The basis is echelonized once and each row is reduced against it."""
-    echelon = _echelon([_to_int(r) for r in basis])
-    for i, row in enumerate(rows):
-        if not _reduces_to_zero(_to_int(row), echelon):
-            return i
-    return None
+    """Index of the first row not in span(basis), or None if all of them are."""
+    return _first_outside(map(_to_int, rows), span(basis).rows)
 
 
 def is_subspace(rows: list[Vector], basis: list[Vector]) -> bool:
@@ -171,33 +226,18 @@ def in_span(vector: Vector, basis: list[Vector]) -> bool:
 
 
 def subspace_equal(a: list[Vector], b: list[Vector]) -> bool:
-    return rref(a) == rref(b)
+    return span(a) == span(b)
 
 
 def subspace_sum(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    return rref(list(a) + list(b))
+    return (span(a) + span(b)).vectors()
 
 
 def subspace_intersection(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    """Echelon basis of span(a) ∩ span(b), by the Zassenhaus algorithm.
-
-    In an echelon form of the rows (a_i | a_i) and (b_j | 0), the rows whose
-    left half is zero have right halves spanning the intersection."""
-    if not a or not b:
-        return []
-    ncols = len(a[0])
-    zeros = [0] * ncols
-    stacked = [(re + re, im + im) for re, im in map(_to_int, a)]
-    stacked += [(re + zeros, im + zeros) for re, im in map(_to_int, b)]
-    meet = [(re[ncols:], im[ncols:]) for col, (re, im) in _echelon(stacked) if col >= ncols]
-    return _to_rationals(_echelon(meet, reduced=True))
+    """Echelon basis of span(a) ∩ span(b)."""
+    return (span(a) & span(b)).vectors()
 
 
 def is_direct_sum(parts: list[list[Vector]]) -> bool:
     """True when the spans meet pairwise in 0 and ranks add up."""
-    total = []
-    dim_sum = 0
-    for p in parts:
-        dim_sum += rank(p)
-        total.extend(p)
-    return rank(total) == dim_sum
+    return Subspace.is_direct_sum([span(p) for p in parts])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .errors import DepthExceeded, ParseError, UndeclaredConjugate
+from .errors import DepthExceeded, ExponentTooLarge, ParseError, UndeclaredConjugate
 
 __all__ = [
     "Fraction",
@@ -25,7 +25,12 @@ __all__ = [
     "Direction",
     "DerivationTable",
     "Coefficient",
+    "MAX_EXPONENT",
 ]
+
+# The largest power Coefficient.__pow__ (and so a `sym^k` factor in form
+# text) computes; shipped specs and inputs use 3 at most.
+MAX_EXPONENT = 64
 
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -390,6 +395,8 @@ class Coefficient:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined for Coefficient")
+        if k > MAX_EXPONENT:
+            raise ExponentTooLarge(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
         out = Coefficient.one()
         for _ in range(k):
             out = out * self

@@ -1,8 +1,9 @@
 """Executable subspace identities: decomposition and inclusion statements.
 
-Each verifier computes exact echelon bases on the invariant complex and
-reports verified / refuted / not-applicable with witness forms wherever an
-inclusion is strict or a claim fails.  Statement ids are stable.
+Each verifier compares canonical subspace values (`linalg.Subspace`) of the
+invariant complex and reports verified / refuted / not-applicable with
+witness forms wherever an inclusion is strict or a claim fails.  Statement
+ids are stable.
 """
 
 from __future__ import annotations
@@ -12,30 +13,18 @@ from .errors import (
     DimensionMismatch,
     NotAlmostKahler,
 )
-from .forms import Form, basis_multiindices
-from .harmonic import (
-    HarmonicKind,
-    forms_to_rows,
-    harmonic_space,
-    is_harmonic,
-    rows_to_forms,
-)
+from .forms import Form, format_form
+from .harmonic import HarmonicKind, harmonic_subspace, is_harmonic
 from .hermitian import (
+    form_subspace,
     fundamental_form,
     is_primitive,
+    lefschetz_image,
     lefschetz_L,
-    primitive_basis,
+    primitive_subspace,
+    subspace_forms,
 )
-from .linalg import (
-    first_outside,
-    in_span,
-    is_direct_sum,
-    is_subspace,
-    rref,
-    subspace_equal,
-    subspace_intersection,
-    subspace_sum,
-)
+from .linalg import Subspace
 from .report import NOT_APPLICABLE, REFUTED, VERIFIED, CheckItem, VerificationReport
 from .structure import ManifoldSpec, exterior_d
 
@@ -52,60 +41,40 @@ __all__ = [
 ]
 
 
-def _require_almost_kahler(spec: ManifoldSpec) -> None:
-    if not exterior_d(fundamental_form(spec), spec).is_zero():
-        raise NotAlmostKahler(f"spec {spec.name!r} is not almost Kahler (d omega != 0)")
-
-
-def _rows(forms, spec, p, q):
-    return forms_to_rows(forms, basis_multiindices(spec.n, p, q))
-
-
-def _forms(rows, spec, p, q):
-    return rows_to_forms(rows, basis_multiindices(spec.n, p, q), spec.n)
-
-
-def _harmonic_rows(spec, kind, p, q):
-    return _rows(harmonic_space(kind, p, q, spec).basis, spec, p, q)
-
-
-def _primitive_rows(spec, p, q):
-    return _rows(primitive_basis(spec, p, q), spec, p, q)
-
-
-def _harmonic_primitive_rows(spec, kind, p, q):
-    return subspace_intersection(
-        _harmonic_rows(spec, kind, p, q), _primitive_rows(spec, p, q)
+def _is_almost_kahler(spec: ManifoldSpec) -> bool:
+    """d omega = 0, computed once per spec."""
+    return spec.cached(
+        ("almost-kahler",), lambda: exterior_d(fundamental_form(spec), spec).is_zero()
     )
 
 
-def _L_image_rows(rows, spec, p, q, power=1):
-    forms = _forms(rows, spec, p, q)
-    out = []
-    for f in forms:
-        for _ in range(power):
-            f = lefschetz_L(f, spec)
-        out.append(f)
-    return rref(_rows(out, spec, p + power, q + power))
+def _require_almost_kahler(spec: ManifoldSpec) -> None:
+    if not _is_almost_kahler(spec):
+        raise NotAlmostKahler(f"spec {spec.name!r} is not almost Kahler (d omega != 0)")
 
 
-def _omega_power_rows(spec, power):
-    f = Form.scalar(spec.n, 1)
-    for _ in range(power):
-        f = lefschetz_L(f, spec)
-    return rref(_rows([f], spec, power, power))
+def _harmonic_primitive(spec, kind, p, q) -> Subspace:
+    """H^{p,q}_kind cap P^{p,q}, computed once per spec."""
+    return spec.cached(
+        ("harmonic-primitive", kind, p, q),
+        lambda: harmonic_subspace(kind, p, q, spec) & primitive_subspace(spec, p, q),
+    )
 
 
-def _first_outside(big_rows, small_rows, spec, p, q):
-    """First echelon generator of span(big) not lying in span(small), or None."""
-    i = first_outside(big_rows, small_rows)
-    return None if i is None else _forms([big_rows[i]], spec, p, q)[0]
+def _omega_power(spec, r) -> Subspace:
+    """C omega^r, the L^r-image of the constants."""
+    return lefschetz_image(form_subspace([Form.scalar(spec.n, 1)], 0, 0, spec), 0, 0, r, spec)
 
 
-def _basis_strings(rows, spec, p, q):
-    from .forms import format_form
+def _outside(big, small, spec, p, q) -> list:
+    """The first echelon generator of big not lying in small, as a one-Form
+    list, or [] when big <= small."""
+    i = big.first_outside(small)
+    return [] if i is None else subspace_forms(big, p, q, spec)[i : i + 1]
 
-    return [format_form(f) for f in _forms(rows, spec, p, q)]
+
+def _basis_strings(space, spec, p, q):
+    return [format_form(f) for f in subspace_forms(space, p, q, spec)]
 
 
 def verify_decomp_11(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationReport:
@@ -113,28 +82,23 @@ def verify_decomp_11(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationRepo
     if kind not in (HarmonicKind.BC, HarmonicKind.A):
         raise ValueError("decomposition stated for BC and A only")
     _require_almost_kahler(spec)
-    harmonic = _harmonic_rows(spec, kind, 1, 1)
-    omega_rows = _omega_power_rows(spec, 1)
-    prim_part = _harmonic_primitive_rows(spec, kind, 1, 1)
-    direct = is_direct_sum([omega_rows, prim_part])
-    equal = subspace_equal(subspace_sum(omega_rows, prim_part), harmonic)
+    harmonic = harmonic_subspace(kind, 1, 1, spec)
+    omega = _omega_power(spec, 1)
+    prim_part = _harmonic_primitive(spec, kind, 1, 1)
+    equal = omega + prim_part == harmonic
     items = [
-        CheckItem("omega is harmonic", in_span(omega_rows[0], harmonic)),
-        CheckItem("sum is direct", direct),
+        CheckItem("omega is harmonic", omega <= harmonic),
+        CheckItem("sum is direct", Subspace.is_direct_sum([omega, prim_part])),
         CheckItem("sum equals the harmonic space", equal),
     ]
-    witnesses = []
-    if not equal:
-        w = _first_outside(harmonic, subspace_sum(omega_rows, prim_part), spec, 1, 1)
-        if w is not None:
-            witnesses.append(w)
+    witnesses = [] if equal else _outside(harmonic, omega + prim_part, spec, 1, 1)
     return VerificationReport(
         f"decomp-{kind.value}-11",
         VERIFIED if all(i.ok for i in items) else REFUTED,
         items=items,
         data={
-            "dim_harmonic": len(harmonic),
-            "dim_primitive_part": len(prim_part),
+            "dim_harmonic": harmonic.dim,
+            "dim_primitive_part": prim_part.dim,
         },
         witnesses=witnesses,
     )
@@ -150,32 +114,25 @@ def verify_decomp_n1n1(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationRe
     if n < 2:
         raise DimensionMismatch("needs n >= 2")
     other = HarmonicKind.A if kind is HarmonicKind.BC else HarmonicKind.BC
-    harmonic = _harmonic_rows(spec, kind, n - 1, n - 1)
-    omega_rows = _omega_power_rows(spec, n - 1)
-    lifted = _L_image_rows(_harmonic_primitive_rows(spec, other, 1, 1), spec, 1, 1, n - 2)
-    direct = is_direct_sum([omega_rows, lifted])
-    equal = subspace_equal(subspace_sum(omega_rows, lifted), harmonic)
+    harmonic = harmonic_subspace(kind, n - 1, n - 1, spec)
+    omega = _omega_power(spec, n - 1)
+    lifted = lefschetz_image(_harmonic_primitive(spec, other, 1, 1), 1, 1, n - 2, spec)
+    equal = omega + lifted == harmonic
     items = [
-        CheckItem("omega^(n-1) is harmonic", in_span(omega_rows[0], harmonic)),
-        CheckItem("sum is direct", direct),
+        CheckItem("omega^(n-1) is harmonic", omega <= harmonic),
+        CheckItem("sum is direct", Subspace.is_direct_sum([omega, lifted])),
         CheckItem("sum equals the harmonic space", equal),
     ]
-    witnesses = []
-    if not equal:
-        w = _first_outside(
-            harmonic, subspace_sum(omega_rows, lifted), spec, n - 1, n - 1
-        )
-        if w is not None:
-            witnesses.append(w)
+    witnesses = [] if equal else _outside(harmonic, omega + lifted, spec, n - 1, n - 1)
     return VerificationReport(
         f"decomp-{kind.value}-n1n1",
         VERIFIED if all(i.ok for i in items) else REFUTED,
         items=items,
         data={
-            "dim_harmonic": len(harmonic),
-            "dim_lifted_part": len(lifted),
+            "dim_harmonic": harmonic.dim,
+            "dim_lifted_part": lifted.dim,
             "lhs_basis": _basis_strings(harmonic, spec, n - 1, n - 1),
-            "rhs_basis": _basis_strings(subspace_sum(omega_rows, lifted), spec, n - 1, n - 1),
+            "rhs_basis": _basis_strings(omega + lifted, spec, n - 1, n - 1),
         },
         witnesses=witnesses,
     )
@@ -186,51 +143,26 @@ def verify_edge_decomps(spec: ManifoldSpec) -> VerificationReport:
     images fill the (n,n-p)/(n-q,n) spaces of the dual Laplacian, and the
     (n,0)/(0,n) Bott-Chern and Aeppli spaces agree."""
     n = spec.n
+    bc, a = HarmonicKind.BC, HarmonicKind.A
     items = []
-    spaces = {}
-    for kind in (HarmonicKind.BC, HarmonicKind.A):
+    for kind in (bc, a):
         for p in range(n + 1):
-            spaces[(kind, p, 0)] = _harmonic_rows(spec, kind, p, 0)
-            spaces[(kind, 0, p)] = _harmonic_rows(spec, kind, 0, p)
-    for kind in (HarmonicKind.BC, HarmonicKind.A):
+            for s, t in ((p, 0), (0, p)):
+                ok = harmonic_subspace(kind, s, t, spec) <= primitive_subspace(spec, s, t)
+                items.append(CheckItem(f"H^({s},{t})_{kind.value} is primitive", ok))
+    for src, dst in ((bc, a), (a, bc)):
         for p in range(n + 1):
-            prim = _primitive_rows(spec, p, 0)
-            ok = is_subspace(spaces[(kind, p, 0)], prim)
-            items.append(CheckItem(f"H^({p},0)_{kind.value} is primitive", ok))
-            prim = _primitive_rows(spec, 0, p)
-            ok = is_subspace(spaces[(kind, 0, p)], prim)
-            items.append(CheckItem(f"H^(0,{p})_{kind.value} is primitive", ok))
-    pairs = [(HarmonicKind.BC, HarmonicKind.A), (HarmonicKind.A, HarmonicKind.BC)]
-    for src, dst in pairs:
-        for p in range(n + 1):
-            lifted = _L_image_rows(spaces[(src, p, 0)], spec, p, 0, n - p)
-            target = _harmonic_rows(spec, dst, n, n - p)
-            items.append(
-                CheckItem(
-                    f"L^({n - p})(H^({p},0)_{src.value}) = H^({n},{n - p})_{dst.value}",
-                    subspace_equal(lifted, target),
+            for (s, t), (u, v) in (((p, 0), (n, n - p)), ((0, p), (n - p, n))):
+                lifted = lefschetz_image(harmonic_subspace(src, s, t, spec), s, t, n - p, spec)
+                items.append(
+                    CheckItem(
+                        f"L^({n - p})(H^({s},{t})_{src.value}) = H^({u},{v})_{dst.value}",
+                        lifted == harmonic_subspace(dst, u, v, spec),
+                    )
                 )
-            )
-            lifted = _L_image_rows(spaces[(src, 0, p)], spec, 0, p, n - p)
-            target = _harmonic_rows(spec, dst, n - p, n)
-            items.append(
-                CheckItem(
-                    f"L^({n - p})(H^(0,{p})_{src.value}) = H^({n - p},{n})_{dst.value}",
-                    subspace_equal(lifted, target),
-                )
-            )
-    items.append(
-        CheckItem(
-            f"H^({n},0)_bc = H^({n},0)_a",
-            subspace_equal(spaces[(HarmonicKind.BC, n, 0)], spaces[(HarmonicKind.A, n, 0)]),
-        )
-    )
-    items.append(
-        CheckItem(
-            f"H^(0,{n})_bc = H^(0,{n})_a",
-            subspace_equal(spaces[(HarmonicKind.BC, 0, n)], spaces[(HarmonicKind.A, 0, n)]),
-        )
-    )
+    for s, t in ((n, 0), (0, n)):
+        equal = harmonic_subspace(bc, s, t, spec) == harmonic_subspace(a, s, t, spec)
+        items.append(CheckItem(f"H^({s},{t})_bc = H^({s},{t})_a", equal))
     return VerificationReport(
         "edge-decomps",
         VERIFIED if all(i.ok for i in items) else REFUTED,
@@ -238,13 +170,7 @@ def verify_edge_decomps(spec: ManifoldSpec) -> VerificationReport:
     )
 
 
-_FIVE_KINDS = (
-    HarmonicKind.D,
-    HarmonicKind.DEL,
-    HarmonicKind.DELBAR,
-    HarmonicKind.BC,
-    HarmonicKind.A,
-)
+_FIVE_KINDS = tuple(HarmonicKind)
 
 
 def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
@@ -253,7 +179,7 @@ def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
     p+q = n all four coincide.  Also reports the observed inclusion lattice."""
     if p + q > spec.n:
         raise BidegreeOutOfRange(f"need p+q <= n = {spec.n}, got ({p},{q})")
-    prim = {k: _harmonic_primitive_rows(spec, k, p, q) for k in _FIVE_KINDS}
+    prim = {k: _harmonic_primitive(spec, k, p, q) for k in _FIVE_KINDS}
     bc = prim[HarmonicKind.BC]
     de = prim[HarmonicKind.DEL]
     db = prim[HarmonicKind.DELBAR]
@@ -261,20 +187,18 @@ def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
     items = [
         CheckItem(
             "BC cap P = (delbar cap P) cap (del cap P)",
-            subspace_equal(bc, subspace_intersection(de, db)),
+            bc == de & db,
         ),
-        CheckItem("delbar cap P <= A cap P", is_subspace(db, ae)),
-        CheckItem("BC cap P <= delbar cap P", is_subspace(bc, db)),
-        CheckItem("BC cap P <= del cap P", is_subspace(bc, de)),
-        CheckItem("BC cap P <= A cap P", is_subspace(bc, ae)),
+        CheckItem("delbar cap P <= A cap P", db <= ae),
+        CheckItem("BC cap P <= delbar cap P", bc <= db),
+        CheckItem("BC cap P <= del cap P", bc <= de),
+        CheckItem("BC cap P <= A cap P", bc <= ae),
     ]
     if p + q == spec.n:
         items.append(
             CheckItem(
                 "all four primitive spaces equal (p+q = n)",
-                subspace_equal(bc, de)
-                and subspace_equal(bc, db)
-                and subspace_equal(bc, ae),
+                bc == de == db == ae,
             )
         )
     lattice = {}
@@ -283,16 +207,16 @@ def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
         for b in _FIVE_KINDS:
             if a is b:
                 continue
-            w = _first_outside(prim[a], prim[b], spec, p, q)
-            lattice[f"{a.value} <= {b.value}"] = w is None
-            if w is not None and len(witnesses) < 4 and w not in witnesses:
-                witnesses.append(w)
+            outside = _outside(prim[a], prim[b], spec, p, q)
+            lattice[f"{a.value} <= {b.value}"] = not outside
+            if outside and len(witnesses) < 4 and outside[0] not in witnesses:
+                witnesses += outside
     return VerificationReport(
         f"relations-{p}-{q}",
         VERIFIED if all(i.ok for i in items) else REFUTED,
         items=items,
         data={
-            "dims": {k.value: len(prim[k]) for k in _FIVE_KINDS},
+            "dims": {k.value: prim[k].dim for k in _FIVE_KINDS},
             "bases": {k.value: _basis_strings(prim[k], spec, p, q) for k in _FIVE_KINDS},
             "inclusions": lattice,
         },
@@ -366,41 +290,40 @@ def verify_bc21_gap(spec: ManifoldSpec) -> VerificationReport:
     if spec.n != 3:
         raise DimensionMismatch("the (2,1) gap statement lives at n = 3")
     _require_almost_kahler(spec)
-    harmonic = _harmonic_rows(spec, HarmonicKind.BC, 2, 1)
-    prim_part = _harmonic_primitive_rows(spec, HarmonicKind.BC, 2, 1)
-    lifted = _L_image_rows(_harmonic_rows(spec, HarmonicKind.BC, 1, 0), spec, 1, 0, 1)
-    rhs = subspace_sum(prim_part, lifted)
-    included = is_subspace(rhs, harmonic)
-    direct = is_direct_sum([prim_part, lifted])
-    equal = included and len(rhs) == len(harmonic)
+    harmonic = harmonic_subspace(HarmonicKind.BC, 2, 1, spec)
+    prim_part = _harmonic_primitive(spec, HarmonicKind.BC, 2, 1)
+    lifted = lefschetz_image(harmonic_subspace(HarmonicKind.BC, 1, 0, spec), 1, 0, 1, spec)
+    rhs = prim_part + lifted
+    included = rhs <= harmonic
+    equal = included and rhs.dim == harmonic.dim
     items = [
-        CheckItem("primitive part (+) L(H^{1,0}_bc) is direct", direct),
+        CheckItem(
+            "primitive part (+) L(H^{1,0}_bc) is direct",
+            Subspace.is_direct_sum([prim_part, lifted]),
+        ),
         CheckItem("right-hand side included in H^{2,1}_bc", included),
     ]
-    witnesses = []
-    if not equal:
-        w = _first_outside(harmonic, rhs, spec, 2, 1)
-        if w is not None:
-            witnesses.append(w)
-            items.append(
-                CheckItem(
-                    "witness is harmonic but outside the direct sum",
-                    in_span(_rows([w], spec, 2, 1)[0], harmonic)
-                    and not in_span(_rows([w], spec, 2, 1)[0], rhs),
-                    witness=w,
-                    residual=lefschetz_L(w, spec),
-                    note="nonzero L-image shows the witness is not primitive",
-                )
+    witnesses = [] if equal else _outside(harmonic, rhs, spec, 2, 1)
+    for w in witnesses:
+        recheck = form_subspace([w], 2, 1, spec)
+        items.append(
+            CheckItem(
+                "witness is harmonic but outside the direct sum",
+                recheck <= harmonic and not recheck <= rhs,
+                witness=w,
+                residual=lefschetz_L(w, spec),
+                note="nonzero L-image shows the witness is not primitive",
             )
+        )
     return VerificationReport(
         "bc21-gap",
         VERIFIED if all(i.ok for i in items) else REFUTED,
         items=items,
         data={
             "equality": equal,
-            "dim_harmonic": len(harmonic),
-            "dim_primitive_part": len(prim_part),
-            "dim_L_part": len(lifted),
+            "dim_harmonic": harmonic.dim,
+            "dim_primitive_part": prim_part.dim,
+            "dim_L_part": lifted.dim,
             "lhs_basis": _basis_strings(harmonic, spec, 2, 1),
             "rhs_basis": _basis_strings(rhs, spec, 2, 1),
         },
@@ -413,28 +336,26 @@ def verify_lefschetz_d(spec: ManifoldSpec, p: int, q: int) -> VerificationReport
     H^{p,q}_d = (+)_r L^r (H^{p-r,q-r}_d cap P^{p-r,q-r})."""
     _require_almost_kahler(spec)
     n = spec.n
-    harmonic = _harmonic_rows(spec, HarmonicKind.D, p, q)
+    harmonic = harmonic_subspace(HarmonicKind.D, p, q, spec)
     r_min = max(p + q - n, 0)
     summands = []
     dims = {}
     for r in range(r_min, min(p, q) + 1):
-        part = _harmonic_primitive_rows(spec, HarmonicKind.D, p - r, q - r)
-        lifted = _L_image_rows(part, spec, p - r, q - r, r) if r else part
+        part = _harmonic_primitive(spec, HarmonicKind.D, p - r, q - r)
+        lifted = lefschetz_image(part, p - r, q - r, r, spec)
         summands.append(lifted)
-        dims[f"r={r}"] = len(lifted)
-    total = []
-    for s in summands:
-        total = subspace_sum(total, s)
+        dims[f"r={r}"] = lifted.dim
+    total = sum(summands, Subspace())
     items = [
-        CheckItem("sum is direct", is_direct_sum(summands)),
-        CheckItem("sum equals H^{p,q}_d", subspace_equal(total, harmonic)),
+        CheckItem("sum is direct", Subspace.is_direct_sum(summands)),
+        CheckItem("sum equals H^{p,q}_d", total == harmonic),
     ]
     return VerificationReport(
         f"lefschetz-d-{p}-{q}",
         VERIFIED if all(i.ok for i in items) else REFUTED,
         items=items,
         data={
-            "dim_harmonic": len(harmonic),
+            "dim_harmonic": harmonic.dim,
             "summands": dims,
             "lhs_basis": _basis_strings(harmonic, spec, p, q),
             "rhs_basis": _basis_strings(total, spec, p, q),
@@ -448,19 +369,16 @@ def check_aeppli_L_noninclusion(spec: ManifoldSpec) -> VerificationReport:
     a reported status, not an error."""
     if spec.n != 3:
         raise DimensionMismatch("stated at n = 3")
-    if not exterior_d(fundamental_form(spec), spec).is_zero():
+    if not _is_almost_kahler(spec):
         return VerificationReport(
             "aeppli-L-inclusion", NOT_APPLICABLE, notes="spec is not almost Kahler"
         )
-    lifted = _L_image_rows(_harmonic_rows(spec, HarmonicKind.A, 1, 0), spec, 1, 0, 1)
-    target = _harmonic_rows(spec, HarmonicKind.A, 2, 1)
-    w = _first_outside(lifted, target, spec, 2, 1)
-    holds = w is None
-    witnesses = []
+    lifted = lefschetz_image(harmonic_subspace(HarmonicKind.A, 1, 0, spec), 1, 0, 1, spec)
+    witnesses = _outside(lifted, harmonic_subspace(HarmonicKind.A, 2, 1, spec), spec, 2, 1)
+    holds = not witnesses
     items = [CheckItem("L(H^{1,0}_a) <= H^{2,1}_a", holds)]
-    if not holds:
+    for w in witnesses:
         cert = is_harmonic(HarmonicKind.A, w, spec)
-        witnesses.append(w)
         items.append(
             CheckItem(
                 "witness re-check: not Aeppli harmonic",
@@ -495,7 +413,7 @@ def all_statements(spec: ManifoldSpec) -> list:
     attempt("decomp-bc-n1n1", verify_decomp_n1n1, HarmonicKind.BC)
     attempt("decomp-a-n1n1", verify_decomp_n1n1, HarmonicKind.A)
     attempt("edge-decomps", verify_edge_decomps)
-    almost_kahler = exterior_d(fundamental_form(spec), spec).is_zero()
+    almost_kahler = _is_almost_kahler(spec)
     for p in range(spec.n + 1):
         for q in range(spec.n + 1 - p):
             if almost_kahler:

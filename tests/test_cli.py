@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -346,3 +347,52 @@ class TestUserInputErrors:
         monkeypatch.setattr(cli, "harmonic_space", broken)
         with pytest.raises(ValueError, match="internal inconsistency"):
             main(["harmonics", "iwasawa_ak", "--laplacian", "bc", "--bidegree", "1,1"])
+
+
+class TestResourceLimits:
+    """Oversized input is refused with exit 3 before any work is done."""
+
+    def test_large_exponent_is_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "check-form", "iwasawa_ak", "--form", "x^100000000*phi[1;]", "--laplacian", "d"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert err == "unsupported: exponent 100000000 exceeds the limit 64\n"
+
+    def test_largest_exponent_is_accepted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check-form", "iwasawa_ak", "--form", "x^64*phi[1;]", "--laplacian", "d"
+        )
+        assert code in (0, 1) and err == ""
+        assert out.endswith("member\n")
+
+    def test_n_above_limit_is_refused_at_load(self, capsys, tmp_path, monkeypatch):
+        from harmonica import library
+
+        n = 10
+        doc = {
+            "name": "flat20",
+            "n": n,
+            "generators": [f"phi{a}" for a in range(1, n + 1)],
+            "d": {f"phi{a}": [] for a in range(1, n + 1)},
+            "omega": ["1"] * n,
+            "symbols": [],
+            "conjugates": {},
+            "derivations": {},
+        }
+        path = tmp_path / "flat20.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spec was built past the dimension limit")
+
+        monkeypatch.setattr(library, "ManifoldSpec", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "harmonics", str(path), "--laplacian", "d", "--bidegree", "1,0"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert err == "unsupported: n = 10 exceeds the supported maximum n = 6\n"

@@ -3,10 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from harmonica.errors import ParseError, SchemaError, UnknownSpec, ValidationError
+from harmonica.errors import (
+    DimensionMismatch,
+    ParseError,
+    SchemaError,
+    UnknownSpec,
+    ValidationError,
+)
 from harmonica.forms import Form, parse_form
 from harmonica.library import (
     CATALOG_NAMES,
+    MAX_N,
     catalog,
     catalog_document,
     load_spec,
@@ -138,3 +145,18 @@ class TestLoader:
         doc = minimal_doc()
         text = serialize_spec(load_spec(doc))
         assert serialize_spec(load_spec(text)) == text
+
+
+class TestDimensionLimit:
+    @staticmethod
+    def flat(n):
+        gens = [f"phi{a}" for a in range(1, n + 1)]
+        return minimal_doc(n=n, generators=gens, d={g: [] for g in gens}, omega=["1"] * n)
+
+    def test_largest_n_loads(self):
+        assert MAX_N == 6
+        assert load_spec(self.flat(MAX_N)).n == MAX_N
+
+    def test_larger_n_is_refused(self):
+        with pytest.raises(DimensionMismatch, match="n = 7 exceeds the supported maximum n = 6"):
+            load_spec(self.flat(MAX_N + 1))

@@ -1,9 +1,12 @@
-"""Property tests of the exact linear-algebra core against sympy as an oracle.
+"""Property tests of the exact linear-algebra core against sympy as an oracle,
+for the list functions and for the canonical Subspace value.
 
 Matrices are small Q(i) matrices with zero rows, repeated rows, rows that are
 combinations of earlier rows, and entries with large denominators.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harmonica.linalg import (
+    Subspace,
     first_outside,
     in_span,
     is_direct_sum,
@@ -21,6 +25,7 @@ from harmonica.linalg import (
     subspace_equal,
     subspace_intersection,
     subspace_sum,
+    span,
 )
 from harmonica.scalars import GaussianRational
 
@@ -176,3 +181,80 @@ def test_containment_matches_rank_criterion(case):
     assert is_subspace(rows, basis) == (_oracle_rank(basis + rows, n) == base_rank)
     expected = next((i for i, ok in enumerate(inside) if not ok), None)
     assert first_outside(rows, basis) == expected
+
+
+nonzero = entries.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def respanned(draw):
+    """A matrix and another spanning set of its row space: its rows shuffled,
+    each scaled by a nonzero Gaussian rational, with combinations and zero rows
+    added."""
+    n, rows = draw(one_matrix())
+    scales = draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    other = [[c * x for x in r] for r, c in zip(rows, scales)]
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c1, c2 = draw(entries), draw(entries)
+            other.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        else:
+            other.append([_ZERO] * n)
+    return n, rows, draw(st.permutations(other))
+
+
+def _assert_canonical(space):
+    """Reduced echelon over Z[i]: positive integer pivots, each pivot column
+    zero outside its row, and integer content 1 in every row."""
+    pivots = [col for col, _ in space.rows]
+    assert pivots == sorted(set(pivots))
+    for col, (re, im) in space.rows:
+        assert isinstance(re, tuple) and isinstance(im, tuple)
+        assert re[col] > 0 and im[col] == 0
+        assert not any(re[:col]) and not any(im[:col])
+        assert math.gcd(*re, *im) == 1
+        for other_col, (ore, oim) in space.rows:
+            if other_col != col:
+                assert ore[col] == 0 and oim[col] == 0
+
+
+@PROPERTY
+@given(respanned())
+def test_any_spanning_set_gives_an_equal_value(case):
+    n, rows, other = case
+    space = span(rows)
+    _assert_canonical(space)
+    assert span(other) == space
+    assert span(other).rows == space.rows and hash(span(other)) == hash(space)
+    assert space.vectors() == _oracle_rref(rows, n)
+    assert space.dim == _oracle_rank(rows, n)
+
+
+@PROPERTY
+@given(two_matrices())
+def test_subspace_operations_match_sympy(case):
+    n, a, b = case
+    sa, sb = span(a), span(b)
+    for value in (sa + sb, sa & sb):
+        _assert_canonical(value)
+    assert (sa + sb).vectors() == _oracle_rref(a + b, n)
+    assert (sa & sb).vectors() == _oracle_intersection(a, b, n)
+    base_rank = _oracle_rank(b, n)
+    inside = [_oracle_rank(b + [r], n) == base_rank for r in _oracle_rref(a, n)]
+    assert (sa <= sb) == all(inside)
+    assert sa.first_outside(sb) == next((i for i, ok in enumerate(inside) if not ok), None)
+    ra, rs = _oracle_rank(a, n), _oracle_rank(a + b, n)
+    assert Subspace.is_direct_sum([sa, sb]) == (ra + base_rank == rs)
+    assert sum([sa, sb], Subspace()) == sa + sb == sb + sa
+
+
+def test_value_is_immutable():
+    space = span([[GaussianRational(1), GaussianRational(0, 2)]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        space.rows = ()
+    with pytest.raises(TypeError):
+        space.rows[0][1][0][0] = 5
+    vectors = space.vectors()
+    vectors[0][0] = _ZERO
+    assert space.vectors()[0][0] == GaussianRational(1)

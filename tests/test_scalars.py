@@ -1,8 +1,12 @@
-import pytest
+import time
 from fractions import Fraction
 
-from harmonica.errors import DepthExceeded, ParseError, UndeclaredConjugate
+import pytest
+
+from harmonica.errors import DepthExceeded, ExponentTooLarge, ParseError, UndeclaredConjugate
+from harmonica.forms import parse_form
 from harmonica.scalars import (
+    MAX_EXPONENT,
     Coefficient,
     DerivationTable,
     Direction,
@@ -151,3 +155,22 @@ class TestDerivationTable:
         lhs = (g3 + C(0, 2) * g3c).derive(d, table)
         rhs = g3.derive(d, table) + C(0, 2) * g3c.derive(d, table)
         assert lhs == rhs
+
+
+class TestExponentLimit:
+    def test_power_above_limit_is_refused_fast(self):
+        x = Coefficient.symbol("x")
+        start = time.perf_counter()
+        with pytest.raises(ExponentTooLarge):
+            x ** 100_000_000
+        with pytest.raises(ExponentTooLarge):
+            parse_form("x^100000000*phi[1;]", 3)
+        assert time.perf_counter() - start < 0.5
+
+    def test_power_at_limit(self):
+        assert MAX_EXPONENT == 64
+        x = Coefficient.symbol("x")
+        assert x ** MAX_EXPONENT == x ** 32 * x ** 32
+        assert parse_form("x^64*phi[1;]", 3) == parse_form("x^32*x^32*phi[1;]", 3)
+        with pytest.raises(ExponentTooLarge):
+            x ** (MAX_EXPONENT + 1)

@@ -125,3 +125,40 @@ def test_no_function_caches_in_the_package():
                 continue
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in names & banned]
     assert offenders == []
+
+
+def test_theorems_works_on_subspace_values():
+    """The statements compare canonical Subspace values: theorems.py imports
+    (or reaches through a module) no list-level linalg function and no
+    rows <-> Forms conversion; Subspace methods are what it uses."""
+    banned = {
+        "rref",
+        "rank",
+        "right_kernel",
+        "first_outside",
+        "is_subspace",
+        "in_span",
+        "subspace_equal",
+        "subspace_sum",
+        "subspace_intersection",
+        "is_direct_sum",
+        "rows_to_forms",
+        "forms_to_rows",
+    }
+    path = Path(harmonica.__file__).parent / "theorems.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("linalg", "harmonic", "hermitian")
+        ):
+            names = {node.attr}
+        else:
+            continue
+        offenders += [f"theorems.py:{node.lineno}: {name}" for name in names & banned]
+    assert offenders == []
