@@ -22,6 +22,7 @@ from .structure import (
     OperatorKind,
     d_by_shift,
     differential_component,
+    exterior_d,
     fundamental_form,
 )
 
@@ -74,7 +75,7 @@ def monomial_inner_square(idx: MultiIndex, spec: ManifoldSpec) -> Fraction:
 
 
 def _star_table(spec: ManifoldSpec) -> dict:
-    """Star of every basis monomial, derived from the defining relation.
+    """Star of every basis monomial as a sparse column, from the defining relation.
 
     For m = phi^{I,Jbar}, the only monomial pairing nontrivially against *m
     is phi^{J,Ibar}, so *m = t * phi^{Jc,Icbar} with t fixed by
@@ -98,18 +99,13 @@ def _star_table(spec: ManifoldSpec) -> dict:
                 )
                 wedge_sign = pairing.coefficient(top).constant_value()
                 t = GaussianRational(conj_sign * weight) * vol_coeff / wedge_sign
-                table[idx] = (MultiIndex(hol_c, anti_c), t)
+                table[idx] = {MultiIndex(hol_c, anti_c): t}
     return table
 
 
 def hodge_star(form: Form, spec: ManifoldSpec) -> Form:
     """C-linear Hodge star; maps (p,q) to (n-q,n-p)."""
-    table = spec.cached(("star",), _star_table, spec)
-    out = Form.zero(spec.n)
-    for idx, coeff in form.terms.items():
-        target, t = table[idx]
-        out = out + Form(spec.n, {target: coeff * t})
-    return out
+    return _map_form("*", form, spec)
 
 
 def j_on_forms(form: Form) -> Form:
@@ -121,26 +117,13 @@ def j_on_forms(form: Form) -> Form:
 
 
 def lefschetz_L(form: Form, spec: ManifoldSpec) -> Form:
-    return fundamental_form(spec).wedge(form)
+    return _map_form("L", form, spec)
 
 
 def lefschetz_lambda(form: Form, spec: ManifoldSpec) -> Form:
-    """The dual Lefschetz operator, the formal adjoint of L.
-
-    Computed as star^(-1) L star = (-1)^k * L * on degree-k forms; the
-    literal -*L* only matches on odd degrees, and the adjoint normalization
-    is the one with Lambda omega = n and the usual sl(2) commutators.
-    """
-    out = Form.zero(form.n)
-    parts: dict = {}
-    for idx, c in form.terms.items():
-        parts.setdefault(idx.degree, {})[idx] = c
-    for k, terms in parts.items():
-        piece = hodge_star(
-            lefschetz_L(hodge_star(Form(form.n, terms), spec), spec), spec
-        )
-        out = out + piece * ((-1) ** k)
-    return out
+    """The dual Lefschetz operator, the formal adjoint of L, normalized so
+    that Lambda omega = n with the usual sl(2) commutators."""
+    return _map_form("Lambda", form, spec)
 
 
 def adjoint(kind: OperatorKind, form: Form, spec: ManifoldSpec) -> Form:
@@ -282,9 +265,10 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
     return span([[image.get(m, _ZERO) for m in targets] for image in images])
 
 
-# Operator matrices and coordinates.  Every operator-to-coordinates step goes
-# through operator_columns; subspace_forms and form_subspace are the one
-# Subspace <-> Form pair, over forms_to_rows/rows_to_forms.
+# Operator matrices and coordinates.  _image maps each unit monomial through
+# each single operator once per spec; operator_columns composes block columns
+# and _map_form applies star, L and Lambda to Forms from those images.
+# subspace_forms and form_subspace are the one Subspace <-> Form pair.
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -354,13 +338,27 @@ def _apply(word: tuple, column: dict, spec: ManifoldSpec) -> dict:
     return column
 
 
+def _map_form(op: str, form: Form, spec: ManifoldSpec) -> Form:
+    """A Form through star, L or Lambda from the images of its monomials;
+    exact for symbolic coefficients, as all three are linear over functions."""
+    if form.n != spec.n:
+        raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
+    return Form(spec.n, _apply((op,), form.terms, spec))
+
+
 def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     """The image of one unit monomial under one operator, as a sparse column."""
-    if op.endswith("*") and op != "*":  # the adjoint -* k' *, k' the conjugate-paired operator
+    if op == "*":
+        return spec.cached(("star",), _star_table, spec)[idx]
+    if op == "Lambda":  # star^(-1) L star = (-1)^k * L * on degree k; -*L* only for odd k
+        return _apply(("*", "L", "*"), {idx: GaussianRational((-1) ** idx.degree)}, spec)
+    if op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
         return _apply(("*", OperatorKind(op[:-1]).conjugate.value, "*"), {idx: -_ONE}, spec)
-    if op in ("mu", "del", "delbar", "mubar"):  # one part of the split d image
+    if op == "L":
+        form = fundamental_form(spec).wedge(Form.monomial(spec.n, idx.hol, idx.anti))
+    elif op == "d":
+        form = exterior_d(Form.monomial(spec.n, idx.hol, idx.anti), spec)
+    else:  # one part of the split d image
         form = d_by_shift(idx, spec).get(OperatorKind(op).shift, Form.zero(spec.n))
-    else:
-        form = apply_word((op,), Form.monomial(spec.n, idx.hol, idx.anti), spec)
     monomials = list(form.terms)
     return dict(zip(monomials, forms_to_rows([form], monomials)[0]))

@@ -68,10 +68,14 @@ def load_spec(document) -> ManifoldSpec:
     _expect(isinstance(document["symbols"], list), "'symbols' must be a list")
     _expect(isinstance(document["conjugates"], dict), "'conjugates' must be an object")
     _expect(isinstance(document["derivations"], dict), "'derivations' must be an object")
-    table = DerivationTable(
-        depth_limit=document.get("depth_limit", 3),
-        auto_fresh=document.get("auto_fresh", True),
+    depth_limit = document.get("depth_limit", 3)
+    auto_fresh = document.get("auto_fresh", True)
+    _expect(
+        isinstance(depth_limit, int) and not isinstance(depth_limit, bool) and depth_limit >= 1,
+        "'depth_limit' must be an integer >= 1",
     )
+    _expect(isinstance(auto_fresh, bool), "'auto_fresh' must be true or false")
+    table = DerivationTable(depth_limit=depth_limit, auto_fresh=auto_fresh)
     for s in document["symbols"]:
         _expect(isinstance(s, str), "symbol names must be strings")
         try:

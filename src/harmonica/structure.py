@@ -121,13 +121,15 @@ class ManifoldSpec:
         return replace(self, omega_coeffs=tuple(Fraction(c) for c in coeffs))
 
 
-def _d_coefficient(coeff: Coefficient, spec: ManifoldSpec) -> Form:
-    """d of a function: sum of frame derivatives against the dual coframe."""
+def _d_coefficient(coeff: Coefficient, shift: tuple | None, spec: ManifoldSpec) -> Form:
+    """d of a function, or its part at a bidegree shift: frame derivatives
+    against the dual coframe, along V_a for (1,0), Vbar_a for (0,1)."""
     out = Form.zero(spec.n)
-    if coeff.is_constant():
+    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(shift, ())
+    if coeff.is_constant() or not bars:
         return out
     for a in range(1, spec.n + 1):
-        for bar in (False, True):
+        for bar in bars:
             dc = coeff.derive(Direction(a, bar), spec.table)
             if not dc.is_zero():
                 out = out + Form.monomial(spec.n, () if bar else (a,), (a,) if bar else (), dc)
@@ -158,26 +160,25 @@ def _d_monomial(idx: MultiIndex, spec: ManifoldSpec) -> Form:
 
 def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
     """Exterior differential via the Leibniz rule on each monomial term."""
-    out = Form.zero(spec.n)
-    for idx, coeff in form.terms.items():
-        dc = _d_coefficient(coeff, spec)
-        if not dc.is_zero():
-            out = out + dc.wedge(Form.monomial(spec.n, idx.hol, idx.anti))
-        dm = spec.cached(("d", idx), _d_monomial, idx, spec)
-        if not dm.is_zero():
-            out = out + dm * coeff
-    return out
+    return differential_component(form, OperatorKind.D, spec)
 
 
 def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -> Form:
-    """One of mu, del, delbar, mubar (or d itself), by bidegree projection."""
-    if kind is OperatorKind.D:
-        return exterior_d(form, spec)
-    dp, dq = kind.shift
+    """d, or its mu, del, delbar or mubar part, term by term: on c * phi^I,
+    the part of dc at the kind's shift wedged with phi^I, plus c times the
+    cached d(phi^I) or its part at that shift from d_by_shift."""
+    shift = kind.shift
     out = Form.zero(spec.n)
-    for (p, q), part in form.homogeneous_parts().items():
-        if 0 <= p + dp <= spec.n and 0 <= q + dq <= spec.n:
-            out = out + exterior_d(part, spec).bidegree_project(p + dp, q + dq)
+    for idx, coeff in form.terms.items():
+        dc = _d_coefficient(coeff, shift, spec)
+        if not dc.is_zero():
+            out = out + dc.wedge(Form.monomial(spec.n, idx.hol, idx.anti))
+        if shift is None:
+            dm = spec.cached(("d", idx), _d_monomial, idx, spec)
+        else:
+            dm = d_by_shift(idx, spec).get(shift, Form.zero(spec.n))
+        if not dm.is_zero():
+            out = out + dm * coeff
     return out
 
 

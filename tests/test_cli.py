@@ -338,6 +338,28 @@ class TestUserInputErrors:
             code, _, err = run_cli(capsys, "validate", str(path))
             assert code == 2 and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("depth_limit", "x"),
+            ("depth_limit", 0),
+            ("depth_limit", True),
+            ("depth_limit", 2.0),
+            ("auto_fresh", "no"),
+            ("auto_fresh", 0),
+        ],
+    )
+    def test_malformed_derivation_settings_exit_2(self, capsys, tmp_path, field, value):
+        doc = json.loads(catalog_document("torus6"))
+        doc[field] = value
+        path = tmp_path / "bad_setting.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "check-form", str(path), "--form", "q*phi[2;1]", "--laplacian", "bc"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
     def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch):
         from harmonica import cli
 

@@ -222,6 +222,30 @@ class TestHarmonicSpace:
                 )
                 assert subspace_equal(conjugated, kernel2)
 
+    @pytest.mark.parametrize("name", ["iwasawa_ak", "flat_kahler6", "iwasawa_cplx"])
+    def test_conjugation_property(self, name):
+        # conj H^{p,q}_del = H^{q,p}_delbar and conj H^{p,q}_d = H^{q,p}_d;
+        # BC and A are not conjugation-symmetric when mu != 0, so their
+        # conjugates are the conjugated systems bc2 and a2 at (q,p)
+        spec = catalog(name)
+
+        def conjugated(kind, p, q):
+            basis = [f.conjugate(spec.table) for f in harmonic_space(kind, p, q, spec).basis]
+            return forms_to_rows(basis, basis_multiindices(3, q, p))
+
+        def space(kind, p, q):
+            basis = harmonic_space(kind, p, q, spec).basis
+            return forms_to_rows(basis, basis_multiindices(3, p, q))
+
+        for p in range(4):
+            for q in range(4):
+                k = HarmonicKind
+                assert subspace_equal(conjugated(k.DEL, p, q), space(k.DELBAR, q, p)), (p, q)
+                assert subspace_equal(conjugated(k.D, p, q), space(k.D, q, p)), (p, q)
+                bc2, _ = _condition_kernel("bc2", q, p, spec)
+                assert subspace_equal(conjugated(k.BC, p, q), bc2), (p, q)
+                a2, _ = _condition_kernel("a2", q, p, spec)
+                assert subspace_equal(conjugated(k.A, p, q), a2), (p, q)
 
 BLOCK_SPECS = ("iwasawa_ak", "flat_kahler6", "iwasawa_cplx")
 _ZERO = GaussianRational(0)

@@ -333,3 +333,41 @@ class TestSymbolicMetricLayer:
         scaled = primitive_decompose(f * g3, torus)
         assert [(r, beta * g3) for r, beta in plain.parts] == scaled.parts
         assert scaled.reassemble(torus) == f * g3
+
+
+def hermitian_inner(a, b, spec):
+    """<a, b> for constant forms: distinct monomials are orthogonal."""
+    total = GaussianRational(0)
+    for idx, ca in a.terms.items():
+        cb = b.coefficient(idx).constant_value()
+        total = total + ca.constant_value() * cb.conjugate() * monomial_inner_square(idx, spec)
+    return total
+
+
+class TestLambdaIsTheAdjointOfL:
+    @pytest.mark.parametrize("omega", [None, (2, 3, 5)], ids=["iwasawa_ak", "omega-2-3-5"])
+    def test_adjoint_on_every_degree(self, iwasawa, rng, omega):
+        spec = iwasawa if omega is None else iwasawa.with_omega(omega)
+        for k in range(0, 5):
+            for _ in range(6):
+                a = rand_form_degree(3, k, rng)
+                b = rand_form_degree(3, k + 2, rng)
+                assert hermitian_inner(lefschetz_L(a, spec), b, spec) == hermitian_inner(
+                    a, lefschetz_lambda(b, spec), spec
+                )
+
+    @pytest.mark.parametrize("omega", [None, (2, 3, 5)], ids=["iwasawa_ak", "omega-2-3-5"])
+    def test_commutator(self, iwasawa, rng, omega):
+        spec = iwasawa if omega is None else iwasawa.with_omega(omega)
+        for k in range(0, 7):
+            for _ in range(4):
+                a = rand_form_degree(3, k, rng)
+                la = lefschetz_L(lefschetz_lambda(a, spec), spec)
+                al = lefschetz_lambda(lefschetz_L(a, spec), spec)
+                assert la - al == a * (k - 3)
+
+    def test_other_ambient_is_refused(self, iwasawa):
+        form = mono(2, (1,), (2,))
+        for op in (hodge_star, lefschetz_L, lefschetz_lambda):
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                op(form, iwasawa)

@@ -146,6 +146,21 @@ class TestLoader:
         text = serialize_spec(load_spec(doc))
         assert serialize_spec(load_spec(text)) == text
 
+    @pytest.mark.parametrize("depth_limit, auto_fresh", [(1, False), (7, True)])
+    def test_derivation_settings_load_and_round_trip(self, depth_limit, auto_fresh):
+        doc = minimal_doc(depth_limit=depth_limit, auto_fresh=auto_fresh)
+        spec = load_spec(doc)
+        assert (spec.table.depth_limit, spec.table.auto_fresh) == (depth_limit, auto_fresh)
+        assert json.loads(serialize_spec(spec)) == doc
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("depth_limit", "x"), ("depth_limit", 0), ("depth_limit", False), ("auto_fresh", "no")],
+    )
+    def test_malformed_derivation_settings(self, field, value):
+        with pytest.raises(SchemaError, match=field):
+            load_spec(minimal_doc(**{field: value}))
+
 
 class TestDimensionLimit:
     @staticmethod

@@ -10,7 +10,7 @@ from harmonica.errors import ValidationError
 from harmonica.forms import Form
 from harmonica.hermitian import fundamental_form
 from harmonica.report import REFUTED, VERIFIED, CheckItem, VerificationReport
-from harmonica.scalars import Coefficient, GaussianRational
+from harmonica.scalars import Coefficient, Direction, GaussianRational
 from harmonica.structure import (
     ManifoldSpec,
     OperatorKind,
@@ -291,3 +291,112 @@ class TestIntegrabilityOracle:
     @given(data=st.data())
     def test_random_specs(self, torus, data):
         assert_matches_reference(data.draw(random_specs(torus.table)))
+
+
+# An independent d: the Leibniz rule written out from the structure equations
+# alone (spec.d_gen, conjugation, Coefficient.derive and wedge), with none of
+# the engine's caches or splits.  The components are its bidegree
+# projections, term by term.
+
+
+def leibniz_d(form, spec):
+    n = spec.n
+    out = Form.zero(n)
+    for idx, coeff in form.terms.items():
+        factors = [(a, False) for a in idx.hol] + [(a, True) for a in idx.anti]
+        coframe = [mono(n, () if bar else (a,), (a,) if bar else ()) for a, bar in factors]
+        dc = Form.zero(n)
+        for a in range(1, n + 1):
+            for bar in (False, True):
+                derivative = coeff.derive(Direction(a, bar), spec.table)
+                dc = dc + mono(n, () if bar else (a,), (a,) if bar else (), derivative)
+        unit = Form.scalar(n, 1)
+        for factor in coframe:
+            unit = unit.wedge(factor)
+        out = out + dc.wedge(unit)
+        for j, (a, bar) in enumerate(factors):
+            d_factor = spec.d_gen[a].conjugate(spec.table) if bar else spec.d_gen[a]
+            piece = Form.scalar(n, coeff)
+            for k, factor in enumerate(coframe):
+                piece = piece.wedge(d_factor if k == j else factor)
+            out = out + piece * (-1) ** j
+    return out
+
+
+def leibniz_component(form, kind, spec):
+    out = Form.zero(spec.n)
+    for idx, coeff in form.terms.items():
+        value = leibniz_d(Form(spec.n, {idx: coeff}), spec)
+        if kind.shift is not None:
+            dp, dq = kind.shift
+            value = value.bidegree_project(idx.p + dp, idx.q + dq)
+        out = out + value
+    return out
+
+
+def assert_matches_leibniz(form, spec):
+    assert exterior_d(form, spec) == leibniz_d(form, spec)
+    for kind in OperatorKind:
+        assert differential_component(form, kind, spec) == leibniz_component(form, kind, spec)
+
+
+@st.composite
+def symbolic_forms(draw, n):
+    """Up to five terms of any bidegree, with Q(i) or Q(i)·torus6-symbol
+    coefficients."""
+    form = Form.zero(n)
+    for _ in range(draw(st.integers(1, 5))):
+        idx = draw(st.sampled_from(all_basis_monomials(n)))
+        form = form + mono(n, idx.hol, idx.anti, draw(coefficients()))
+    return form
+
+
+class TestLeibnizOracle:
+    def test_iwasawa_constant_forms(self, iwasawa, rng):
+        for idx in all_basis_monomials(3):
+            assert_matches_leibniz(mono(3, idx.hol, idx.anti), iwasawa)
+        for _ in range(40):
+            assert_matches_leibniz(rand_form_any(3, rng, density=0.25), iwasawa)
+
+    def test_torus6_symbolic_forms(self, torus):
+        g3, g33c = Coefficient.symbol("g3"), Coefficient.symbol("g33c")
+        for idx in all_basis_monomials(3):
+            assert_matches_leibniz(mono(3, idx.hol, idx.anti, g3 * g33c + G(1, 2)), torus)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_torus6_random_forms(self, torus, data):
+        assert_matches_leibniz(data.draw(symbolic_forms(3)), torus)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_specs(self, torus, data):
+        spec = data.draw(random_specs(torus.table))
+        assert_matches_leibniz(data.draw(symbolic_forms(spec.n)), spec)
+
+    def test_components_derive_only_along_their_directions(self, torus, monkeypatch):
+        """del differentiates coefficients along V_1..V_n only, delbar along
+        their conjugates, mu and mubar along none."""
+        seen = []
+        derive = Coefficient.derive
+
+        def recording(self, direction, table):
+            seen.append(direction)
+            return derive(self, direction, table)
+
+        monkeypatch.setattr(Coefficient, "derive", recording)
+        g3, g33 = Coefficient.symbol("g3"), Coefficient.symbol("g33")
+        form = mono(3, (2,), (1,), g3) + mono(3, (1, 3), (), g33)
+        hol = {Direction(a, False) for a in (1, 2, 3)}
+        anti = {Direction(a, True) for a in (1, 2, 3)}
+        expected = {
+            OperatorKind.D: hol | anti,
+            OperatorKind.MU: set(),
+            OperatorKind.DEL: hol,
+            OperatorKind.DELBAR: anti,
+            OperatorKind.MUBAR: set(),
+        }
+        for kind, directions in expected.items():
+            seen.clear()
+            differential_component(form, kind, torus)
+            assert set(seen) == directions, kind
