@@ -61,16 +61,18 @@ def volume_form(spec: ManifoldSpec) -> Form:
     out = Form.scalar(spec.n, 1)
     for _ in range(spec.n):
         out = out.wedge(omega)
-    return out / Fraction(math.factorial(spec.n))
+    return out / math.factorial(spec.n)
 
 
 def monomial_inner_square(idx: MultiIndex, spec: ManifoldSpec) -> Fraction:
     """<phi^{I,J}, phi^{I,J}>; distinct monomials are orthogonal."""
-    w = Fraction(1)
-    for i in idx.hol:
-        w /= spec.omega_coeffs[i - 1]
-    for j in idx.anti:
-        w /= spec.omega_coeffs[j - 1]
+    return _inner_square(idx, spec).re
+
+
+def _inner_square(idx: MultiIndex, spec: ManifoldSpec) -> GaussianRational:
+    w = _ONE
+    for a in idx.hol + idx.anti:
+        w = w / GaussianRational(spec.omega_coeffs[a - 1])
     return w
 
 
@@ -91,14 +93,14 @@ def _star_table(spec: ManifoldSpec) -> dict:
         for q in range(n + 1):
             for idx in basis_multiindices(n, p, q):
                 conj_sign = (-1) ** (p * q)
-                weight = monomial_inner_square(idx, spec)
+                weight = _inner_square(idx, spec)
                 hol_c = tuple(a for a in full if a not in idx.anti)
                 anti_c = tuple(a for a in full if a not in idx.hol)
                 pairing = Form.monomial(n, idx.anti, idx.hol).wedge(
                     Form.monomial(n, hol_c, anti_c)
                 )
                 wedge_sign = pairing.coefficient(top).constant_value()
-                t = GaussianRational(conj_sign * weight) * vol_coeff / wedge_sign
+                t = weight * conj_sign * vol_coeff / wedge_sign
                 table[idx] = {MultiIndex(hol_c, anti_c): t}
     return table
 
@@ -174,11 +176,10 @@ def weil_star_primitive(beta: Form, r: int, spec: ManifoldSpec) -> Form:
     if r < 0 or r + k > spec.n:
         raise ValueError(f"need 0 <= r <= n-k, got r={r}, k={k}, n={spec.n}")
     sign = (-1) ** (k * (k + 1) // 2)
-    factor = Fraction(math.factorial(r), math.factorial(spec.n - k - r))
     out = j_on_forms(beta)
     for _ in range(spec.n - k - r):
         out = lefschetz_L(out, spec)
-    return out * (Fraction(sign) * factor)
+    return out * (GaussianRational(sign * math.factorial(r)) / math.factorial(spec.n - k - r))
 
 
 @dataclass
@@ -194,7 +195,7 @@ class PrimitiveComponents:
             piece = beta
             for _ in range(r):
                 piece = lefschetz_L(piece, spec)
-            out = out + piece / Fraction(math.factorial(r))
+            out = out + piece / math.factorial(r)
         return out
 
 
@@ -222,7 +223,7 @@ def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
             lam_r = remaining
             for _ in range(r):
                 lam_r = lefschetz_lambda(lam_r, spec)
-            denom = Fraction(1)
+            denom = 1
             for j in range(1, r + 1):
                 denom *= n - s - j + 1
             beta = lam_r / denom
@@ -231,7 +232,7 @@ def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
             piece = beta
             for _ in range(r):
                 piece = lefschetz_L(piece, spec)
-            remaining = remaining - piece / Fraction(math.factorial(r))
+            remaining = remaining - piece / math.factorial(r)
     if not remaining.is_zero():
         raise AssertionError("primitive decomposition did not close")
     parts.sort(key=lambda rb: rb[0])

@@ -51,8 +51,8 @@ def load_spec(document) -> ManifoldSpec:
     _expect(not missing, f"missing fields: {sorted(missing)}")
     _expect(not extra, f"unknown fields: {sorted(extra)}")
     _expect(isinstance(document["name"], str), "'name' must be a string")
-    _expect(isinstance(document["n"], int), "'n' must be an integer")
     n = document["n"]
+    _expect(isinstance(n, int) and not isinstance(n, bool), "'n' must be an integer")
     if n > MAX_N:
         raise DimensionMismatch(f"n = {n} exceeds the supported maximum n = {MAX_N}")
     generators = document["generators"]

@@ -17,7 +17,6 @@ the gcd of all its integer parts, so no rational number is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .scalars import GaussianRational
@@ -30,9 +29,9 @@ _ONE = GaussianRational(1)
 
 def _to_int(row: Vector) -> tuple:
     """A Q(i) row as (re, im) Gaussian-integer parts over its common denominator."""
-    den = lcm(*(d for x in row for d in (x.re.denominator, x.im.denominator)))
-    re = [x.re.numerator * (den // x.re.denominator) for x in row]
-    im = [x.im.numerator * (den // x.im.denominator) for x in row]
+    den = lcm(*(x.den for x in row))
+    re = [x.re_num * (den // x.den) for x in row]
+    im = [x.im_num * (den // x.den) for x in row]
     return _divide_content(re, im)
 
 
@@ -142,7 +141,7 @@ class Subspace:
         for col, (re, im) in self.rows:
             den = re[col]
             out.append([
-                GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else _ZERO
+                GaussianRational.from_ints(x, y, den) if x or y else _ZERO
                 for x, y in zip(re, im)
             ])
         return out

@@ -1,7 +1,10 @@
 """Exact scalars: Gaussian rationals and polynomials in formal function symbols.
 
 Every quantity in the engine is either an element of Q(i) or a polynomial in
-declared function symbols with Q(i) coefficients.  Symbols carry a conjugation
+declared function symbols with Q(i) coefficients.  An element of Q(i) is a
+`GaussianRational`: three ints (re + im*i)/den in a unique reduced form, so
+arithmetic is integer operations and one gcd per result; `Fraction` is only
+the exchange type at the text boundary.  Symbols carry a conjugation
 pairing and a derivation table mapping (symbol, frame direction) to another
 coefficient, so that the exterior differential can act on non-constant
 structure equations without ever leaving exact arithmetic.
@@ -12,6 +15,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping
 
 from .errors import DepthExceeded, ExponentTooLarge, ParseError, UndeclaredConjugate
@@ -59,14 +63,57 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class GaussianRational:
-    """An element of Q(i), kept in reduced form by ``fractions.Fraction``."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _from_ints(re_num: int, im_num: int, den: int = 1) -> "GaussianRational":
+    """The normal form of (re_num + im_num*i) / den for ints with den > 0;
+    the reduced constructor of every arithmetic result (no `__init__`)."""
+    if den != 1:
+        g = gcd(re_num, im_num, den)
+        if g != 1:
+            re_num //= g
+            im_num //= g
+            den //= g
+    x = _new(GaussianRational)
+    x.re_num = re_num
+    x.im_num = im_num
+    x.den = den
+    return x
+
+
+class GaussianRational:
+    """An element of Q(i) as three ints: (re_num + im_num*i) / den.
+
+    The form is normal: den > 0 and gcd(re_num, im_num, den) == 1, so equal
+    values have equal fields and `==` compares them literally.  Arithmetic
+    works on the ints alone, with one gcd per result; `Fraction` appears only
+    at the boundary (the constructor's arguments, `.re`/`.im`, text and
+    `hash`, which equals hash((re, im)) of the two rational parts).  The
+    fields are read-only by convention: values are shared by caches.
+    """
+
+    __slots__ = ("re_num", "im_num", "den")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if not isinstance(re, (int, Fraction)) or not isinstance(im, (int, Fraction)):
+            raise TypeError(f"GaussianRational takes ints and Fractions, not {re!r}, {im!r}")
+        # two fractions in lowest terms over the lcm of their denominators are
+        # in normal form: a prime of den divides at most one scaled numerator
+        den = lcm(re.denominator, im.denominator)
+        self.re_num = re.numerator * (den // re.denominator)
+        self.im_num = im.numerator * (den // im.denominator)
+        self.den = den
+
+    from_ints = staticmethod(_from_ints)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     @classmethod
     def i(cls) -> "GaussianRational":
@@ -80,60 +127,74 @@ class GaussianRational:
     def coerce(cls, value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
+        if type(value) is int:
+            return _from_ints(value, 0, 1)
         if isinstance(value, (int, Fraction)):
             return cls(value)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
     def __add__(self, other):
-        other = self.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            other = self.coerce(other)
+        d, f = self.den, other.den
+        if d == f:
+            return _from_ints(self.re_num + other.re_num, self.im_num + other.im_num, d)
+        return _from_ints(
+            self.re_num * f + other.re_num * d, self.im_num * f + other.im_num * d, d * f
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -self.coerce(other)
 
     def __rsub__(self, other):
         return self.coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _from_ints(-self.re_num, -self.im_num, self.den)
 
     def __mul__(self, other):
-        other = self.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussianRational):
+            other = self.coerce(other)
+        a, b, c, e = self.re_num, self.im_num, other.re_num, other.im_num
+        return _from_ints(a * c - b * e, a * e + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        """(a + bi)/d divided by (c + ei)/f is f(a + bi)(c - ei) / (d(c^2 + e^2))."""
+        if not isinstance(other, GaussianRational):
+            other = self.coerce(other)
+        a, b, c, e, f = self.re_num, self.im_num, other.re_num, other.im_num, other.den
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _from_ints((a * c + b * e) * f, (b * c - a * e) * f, self.den * norm)
 
     def __rtruediv__(self, other):
         return self.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _from_ints(self.re_num, -self.im_num, self.den)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re_num and not self.im_num
 
     def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return (
+                self.re_num == other.re_num
+                and self.im_num == other.im_num
+                and self.den == other.den
+            )
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (
+                not self.im_num
+                and self.re_num == other.numerator
+                and self.den == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -153,6 +214,9 @@ class GaussianRational:
     @classmethod
     def from_json(cls, doc: Mapping) -> "GaussianRational":
         return cls(parse_rational(doc["re"]), parse_rational(doc["im"]))
+
+
+_ZERO = GaussianRational(0)
 
 
 class Direction:
@@ -357,7 +421,7 @@ class Coefficient:
         other = self.coerce(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, GaussianRational(0)) + c
+            terms[m] = terms.get(m, _ZERO) + c
         return Coefficient(terms)
 
     __radd__ = __add__
@@ -377,7 +441,7 @@ class Coefficient:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, GaussianRational(0)) + c1 * c2
+                terms[m] = terms.get(m, _ZERO) + c1 * c2
         return Coefficient(terms)
 
     __rmul__ = __mul__
@@ -406,7 +470,7 @@ class Coefficient:
         terms: dict = {}
         for m, c in self._terms.items():
             mc = tuple(sorted((table.conjugate_symbol(s), e) for s, e in m))
-            terms[mc] = terms.get(mc, GaussianRational(0)) + c.conjugate()
+            terms[mc] = terms.get(mc, _ZERO) + c.conjugate()
         return Coefficient(terms)
 
     def derive(self, direction: Direction, table: DerivationTable) -> "Coefficient":
@@ -473,5 +537,5 @@ class Coefficient:
         for t in doc["terms"]:
             mono = tuple(sorted((str(s), parse_int(e)) for s, e in t["syms"]))
             c = GaussianRational.from_json(t["c"])
-            terms[mono] = terms.get(mono, GaussianRational(0)) + c
+            terms[mono] = terms.get(mono, _ZERO) + c
         return cls(terms)

@@ -167,6 +167,8 @@ def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -
     """d, or its mu, del, delbar or mubar part, term by term: on c * phi^I,
     the part of dc at the kind's shift wedged with phi^I, plus c times the
     cached d(phi^I) or its part at that shift from d_by_shift."""
+    if form.n != spec.n:
+        raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
     shift = kind.shift
     out = Form.zero(spec.n)
     for idx, coeff in form.terms.items():

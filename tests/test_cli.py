@@ -360,6 +360,17 @@ class TestUserInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
+    def test_boolean_n_exits_2(self, capsys, tmp_path):
+        doc = {
+            "name": "line", "n": True, "generators": ["phi1"], "d": {}, "omega": ["1"],
+            "symbols": [], "conjugates": {}, "derivations": {},
+        }
+        path = tmp_path / "bool_n.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: 'n' must be an integer\n"
+
     def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch):
         from harmonica import cli
 

@@ -1,10 +1,18 @@
+import fractions
+import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonica.errors import DepthExceeded, ExponentTooLarge, ParseError, UndeclaredConjugate
-from harmonica.forms import parse_form
+from harmonica.forms import basis_multiindices, parse_form
+from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS, HarmonicKind, is_harmonic
+from harmonica.hermitian import is_primitive, operator_columns, primitive_decompose
+from harmonica.library import catalog_document, load_spec
 from harmonica.scalars import (
     MAX_EXPONENT,
     Coefficient,
@@ -174,3 +182,150 @@ class TestExponentLimit:
         assert parse_form("x^64*phi[1;]", 3) == parse_form("x^32*x^32*phi[1;]", 3)
         with pytest.raises(ExponentTooLarge):
             x ** (MAX_EXPONENT + 1)
+
+
+# A test-local reference for Q(i): (re, im) pairs of Fractions.
+rationals = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+)
+pairs = st.tuples(rationals, rationals).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def assert_is(value, ref):
+    """`value` is the reference pair, in the normal form: den > 0, content
+    1, and the fields are the ones the reference determines."""
+    assert (value.re, value.im) == ref
+    den = lcm(ref[0].denominator, ref[1].denominator)
+    assert (value.re_num, value.im_num, value.den) == (ref[0] * den, ref[1] * den, den)
+    assert value.den > 0 and gcd(value.re_num, value.im_num, value.den) == 1
+
+
+class TestAgainstFractionPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs, pairs)
+    def test_arithmetic(self, x, y):
+        a, b = GaussianRational(*x), GaussianRational(*y)
+        assert_is(a, x)
+        assert_is(a + b, (x[0] + y[0], x[1] + y[1]))
+        assert_is(a - b, (x[0] - y[0], x[1] - y[1]))
+        assert_is(a * b, ref_mul(x, y))
+        assert_is(-a, (-x[0], -x[1]))
+        assert_is(a.conjugate(), (x[0], -x[1]))
+        assert a.is_zero() == (x == (0, 0)) == (not a)
+        if y == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        else:
+            assert_is(a / b, ref_div(x, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, rationals)
+    def test_mixed_with_rationals(self, x, r):
+        a, r = GaussianRational(*x), Fraction(r)
+        plain = r if r.denominator > 1 else r.numerator
+        assert_is(a + plain, (x[0] + r, x[1]))
+        assert_is(plain + a, (x[0] + r, x[1]))
+        assert_is(a - plain, (x[0] - r, x[1]))
+        assert_is(plain - a, (r - x[0], -x[1]))
+        assert_is(plain * a, (x[0] * r, x[1] * r))
+        if r:
+            assert_is(a / plain, (x[0] / r, x[1] / r))
+        if x != (0, 0):
+            assert_is(plain / a, ref_div((r, Fraction(0)), x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, pairs)
+    def test_equality_hash_and_text(self, x, y):
+        a, b = GaussianRational(*x), GaussianRational(*y)
+        assert (a == b) == (x == y)
+        assert hash(a) == hash(x)
+        assert (a == x[0]) == (x[1] == 0)
+        if x[0].denominator == 1:
+            assert (a == x[0].numerator) == (x[1] == 0)
+        assert str(a) == f"({x[0]},{x[1]})"
+        assert repr(a) == f"GaussianRational({x[0]}, {x[1]})"
+        doc = a.to_json()
+        assert doc == {"re": str(x[0]), "im": str(x[1])}
+        assert_is(GaussianRational.from_json(doc), x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9), st.integers(1, 10**9))
+    def test_from_ints(self, re, im, den):
+        assert_is(GaussianRational.from_ints(re, im, den), (Fraction(re, den), Fraction(im, den)))
+
+    def test_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            G(1, 1) / 0
+        with pytest.raises(ZeroDivisionError):
+            1 / G(0)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", 1j, None, 1.0])
+    def test_constructor_refuses_floats_and_text(self, bad):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(1, bad)
+        with pytest.raises(TypeError):
+            G(1) + bad
+
+
+def _symbolic_forms(count):
+    """Homogeneous torus6 forms of degree 1..3 with constant and symbolic
+    Gaussian-rational coefficients."""
+    rng = random.Random(20261018)
+    symbols = (None, "g3", "g3c", "g33")
+    forms = []
+    for k in range(count):
+        p = rng.randint(0, 2)
+        q = rng.randint(max(0, 1 - p), 3 - p)
+        terms = []
+        monomials = basis_multiindices(3, p, q)
+        for idx in rng.sample(monomials, min(2, len(monomials))):
+            c = f"({rng.randint(-5, 5)}/{rng.randint(1, 4)},{rng.randint(-5, 5)}/{rng.randint(1, 4)})"
+            sym = symbols[rng.randrange(len(symbols))]
+            factors = [c] if sym is None else [c, sym]
+            hol = ",".join(map(str, idx.hol))
+            anti = ",".join(map(str, idx.anti))
+            terms.append("*".join(factors + [f"phi[{hol};{anti}]"]))
+        forms.append(parse_form(" + ".join(terms), 3))
+    return forms
+
+
+def test_no_fraction_on_the_arithmetic_path(monkeypatch):
+    """Operator matrices on iwasawa_ak and symbolic certificates on torus6,
+    from freshly loaded specs with cold caches, construct no Fraction."""
+    iwasawa = load_spec(catalog_document("iwasawa_ak"))
+    torus = load_spec(catalog_document("torus6"))
+    forms = _symbolic_forms(10)
+    words = list(LAPLACIAN_WORDS.values())
+    words += [(word,) for system in CONDITION_WORDS.values() for word in system]
+    made = []
+    original = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    for p in range(4):
+        for q in range(4):
+            for word_sum in words:
+                operator_columns(word_sum, p, q, iwasawa)
+    for form in forms:
+        for kind in HarmonicKind:
+            is_harmonic(kind, form, torus)
+        is_primitive(form, torus)
+        primitive_decompose(form, torus).reassemble(torus)
+    monkeypatch.undo()
+    assert made == []

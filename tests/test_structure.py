@@ -109,6 +109,14 @@ class TestComponents:
                     total = total + differential_component(f, kind, spec)
                 assert total == exterior_d(f, spec)
 
+    def test_other_ambient_is_refused(self, iwasawa):
+        smaller = mono(2, (1,))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            exterior_d(smaller, iwasawa)
+        for kind in OperatorKind:
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                differential_component(smaller, kind, iwasawa)
+
     def test_conjugation_intertwines_components(self, iwasawa, torus):
         pairs = [
             (OperatorKind.D, OperatorKind.D),
