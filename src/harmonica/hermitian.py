@@ -4,8 +4,10 @@ The metric is diagonal in the coframe: omega = i sum_a c_a phi^{a,abar} with
 <phi^a, phi^a> = 1/c_a, vol = omega^n / n!.  The star operator is the
 C-linear extension of the real Hodge star, characterized by
 alpha wedge *(conj beta) = <alpha, beta> vol; on a diagonal metric it maps
-monomials to complementary monomials, so it is computed exactly, term by
-term, from that defining relation.
+monomials to complementary monomials.  The star and L images of a unit
+monomial are closed forms of that relation and of omega wedge, computed by
+sign arithmetic on the index tuples when an operator column or a Form first
+asks for them, and cached on the spec.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
-from .forms import Form, MultiIndex, basis_multiindices
+from .forms import Form, MultiIndex, _sort_with_sign, basis_multiindices
 from .linalg import Subspace, kernel, span
 from .scalars import Coefficient, Fraction, GaussianRational
 from .structure import (
@@ -56,12 +58,9 @@ _ONE = GaussianRational(1)
 
 
 def volume_form(spec: ManifoldSpec) -> Form:
-    """vol = omega^n / n!."""
-    omega = fundamental_form(spec)
-    out = Form.scalar(spec.n, 1)
-    for _ in range(spec.n):
-        out = out.wedge(omega)
-    return out / math.factorial(spec.n)
+    """vol = omega^n / n!, a multiple of the top monomial."""
+    full = tuple(range(1, spec.n + 1))
+    return Form.monomial(spec.n, full, full, _volume_top(spec))
 
 
 def monomial_inner_square(idx: MultiIndex, spec: ManifoldSpec) -> Fraction:
@@ -74,35 +73,6 @@ def _inner_square(idx: MultiIndex, spec: ManifoldSpec) -> GaussianRational:
     for a in idx.hol + idx.anti:
         w = w / GaussianRational(spec.omega_coeffs[a - 1])
     return w
-
-
-def _star_table(spec: ManifoldSpec) -> dict:
-    """Star of every basis monomial as a sparse column, from the defining relation.
-
-    For m = phi^{I,Jbar}, the only monomial pairing nontrivially against *m
-    is phi^{J,Ibar}, so *m = t * phi^{Jc,Icbar} with t fixed by
-    phi^{J,Ibar} wedge *m = <phi^{J,Ibar}, conj m> vol.
-    """
-    n = spec.n
-    vol = volume_form(spec)
-    top = MultiIndex(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    vol_coeff = vol.coefficient(top).constant_value()
-    table = {}
-    full = tuple(range(1, n + 1))
-    for p in range(n + 1):
-        for q in range(n + 1):
-            for idx in basis_multiindices(n, p, q):
-                conj_sign = (-1) ** (p * q)
-                weight = _inner_square(idx, spec)
-                hol_c = tuple(a for a in full if a not in idx.anti)
-                anti_c = tuple(a for a in full if a not in idx.hol)
-                pairing = Form.monomial(n, idx.anti, idx.hol).wedge(
-                    Form.monomial(n, hol_c, anti_c)
-                )
-                wedge_sign = pairing.coefficient(top).constant_value()
-                t = weight * conj_sign * vol_coeff / wedge_sign
-                table[idx] = {MultiIndex(hol_c, anti_c): t}
-    return table
 
 
 def hodge_star(form: Form, spec: ManifoldSpec) -> Form:
@@ -267,8 +237,10 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 
 
 # Operator matrices and coordinates.  _image maps each unit monomial through
-# each single operator once per spec; operator_columns composes block columns
-# and _map_form applies star, L and Lambda to Forms from those images.
+# each single operator once per spec, on first use (star and L in closed
+# form, Lambda and the adjoints composed from them); operator_columns
+# composes block columns and _map_form applies star, L and Lambda to Forms
+# from those images.
 # subspace_forms and form_subspace are the one Subspace <-> Form pair.
 
 
@@ -350,16 +322,62 @@ def _map_form(op: str, form: Form, spec: ManifoldSpec) -> Form:
 def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     """The image of one unit monomial under one operator, as a sparse column."""
     if op == "*":
-        return spec.cached(("star",), _star_table, spec)[idx]
+        return _star_image(idx, spec)
+    if op == "L":
+        return _lefschetz_image(idx, spec)
     if op == "Lambda":  # star^(-1) L star = (-1)^k * L * on degree k; -*L* only for odd k
         return _apply(("*", "L", "*"), {idx: GaussianRational((-1) ** idx.degree)}, spec)
     if op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
         return _apply(("*", OperatorKind(op[:-1]).conjugate.value, "*"), {idx: -_ONE}, spec)
-    if op == "L":
-        form = fundamental_form(spec).wedge(Form.monomial(spec.n, idx.hol, idx.anti))
-    elif op == "d":
+    if op == "d":
         form = exterior_d(Form.monomial(spec.n, idx.hol, idx.anti), spec)
     else:  # one part of the split d image
         form = d_by_shift(idx, spec).get(OperatorKind(op).shift, Form.zero(spec.n))
     monomials = list(form.terms)
     return dict(zip(monomials, forms_to_rows([form], monomials)[0]))
+
+
+def _wedge_monomials(first: MultiIndex, second: MultiIndex) -> tuple:
+    """phi^first wedge phi^second as (monomial, sign) for disjoint index sets,
+    with the signs of Form.wedge: the sorting signs of the merged hol and anti
+    indices, and (-1)^(len(a1) * len(h2)) for moving the second factor's hol
+    block past the first factor's anti block."""
+    hol, s1 = _sort_with_sign(first.hol + second.hol)
+    anti, s2 = _sort_with_sign(first.anti + second.anti)
+    return MultiIndex(hol, anti), s1 * s2 * (-1) ** (len(first.anti) * len(second.hol))
+
+
+def _star_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:
+    """*m = t * phi^{Jc,Icbar} for m = phi^{I,Jbar}: the only monomial pairing
+    nontrivially against *m is phi^{J,Ibar}, so t is fixed by the defining
+    relation phi^{J,Ibar} wedge *m = <phi^{J,Ibar}, conj m> vol, where
+    conj m = (-1)^(pq) phi^{J,Ibar} and <phi^{J,Ibar}, phi^{J,Ibar}> = <m, m>."""
+    full = range(1, spec.n + 1)
+    image = MultiIndex(
+        tuple(a for a in full if a not in idx.anti), tuple(a for a in full if a not in idx.hol)
+    )
+    _, wedge_sign = _wedge_monomials(MultiIndex(idx.anti, idx.hol), image)
+    sign = (-1) ** (idx.p * idx.q) * wedge_sign
+    vol_top = spec.cached(("vol_top",), _volume_top, spec)
+    return {image: _inner_square(idx, spec) * vol_top * sign}
+
+
+def _volume_top(spec: ManifoldSpec) -> GaussianRational:
+    """The coefficient of phi^{1..n,1..nbar} in vol = omega^n / n!: the n!
+    orderings of the commuting phi^{a,abar} each give prod_a i c_a, and
+    phi^{11bar} wedge ... wedge phi^{nnbar} = (-1)^(n(n-1)/2) phi^{1..n,1..nbar}."""
+    out = GaussianRational.i_power(spec.n) * (-1) ** (spec.n * (spec.n - 1) // 2)
+    for c in spec.omega_coeffs:
+        out = out * GaussianRational(c)
+    return out
+
+
+def _lefschetz_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:
+    """L m = omega wedge m = sum over a in neither I nor J of
+    i c_a phi^{a,abar} wedge phi^{I,Jbar}."""
+    out = {}
+    for a in range(1, spec.n + 1):
+        if a not in idx.hol and a not in idx.anti:
+            image, sign = _wedge_monomials(MultiIndex((a,), (a,)), idx)
+            out[image] = GaussianRational(0, spec.omega_coeffs[a - 1]) * sign
+    return out

@@ -48,7 +48,10 @@ def parse_int(text) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational literal of the form "p" or "p/q"."""
+    """Parse an exact rational literal of the form "p" or "p/q"; anything but
+    a string (such as a JSON number) is refused."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a rational literal in a string, got {text!r}")
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a rational literal: {text!r}")

@@ -66,7 +66,7 @@ class ManifoldSpec:
     """Structure equations and metric data; immutable after construction.
 
     Identity-hashable.  Each spec owns the cache of everything derived from
-    it (operator images, kernels, the star table), so a derived spec from
+    it (operator images, kernels, the split of d), so a derived spec from
     `dataclasses.replace` or `with_omega` starts empty and a spec's cache is
     freed with it.
     """
@@ -140,7 +140,7 @@ def _d_monomial(idx: MultiIndex, spec: ManifoldSpec) -> Form:
     factors = [(a, False) for a in idx.hol] + [(a, True) for a in idx.anti]
     out = Form.zero(spec.n)
     for k, (a, bar) in enumerate(factors):
-        d_fac = spec.d_generator(a, bar)
+        d_fac = spec.cached(("d_bar", a), _d_bar, a, spec) if bar else spec.d_gen[a]
         if d_fac.is_zero():
             continue
         before = factors[:k]
@@ -156,6 +156,12 @@ def _d_monomial(idx: MultiIndex, spec: ManifoldSpec) -> Form:
             piece = piece.wedge(Form.monomial(spec.n, hol, anti))
         out = out + piece * ((-1) ** k)
     return out
+
+
+def _d_bar(a: int, spec: ManifoldSpec) -> Form:
+    """d of the barred generator a, the conjugate of d(phi^a); read-only, as
+    it is shared by every monomial of the spec."""
+    return ReadOnlyForm(spec.d_gen[a].conjugate(spec.table))
 
 
 def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
@@ -222,8 +228,12 @@ def _d_squared_parts(idx: MultiIndex, spec: ManifoldSpec):
     d of each part of d(idx) is computed once; d^2 is their sum, and the
     identity at total shift S sums the (p,q) + S parts of d(part) over the
     parts at a component shift b (what lands there came through a second
-    component shift S - b, as every term of d moves p and q by -1 at least)."""
-    seconds = [(b, exterior_d(part, spec)) for b, part in d_by_shift(idx, spec).items()]
+    component shift S - b, as every term of d moves p and q by -1 at least).
+    Nothing is yielded when d(idx) = 0: d^2 and every identity are then 0."""
+    split = d_by_shift(idx, spec)
+    if not split:
+        return
+    seconds = [(b, exterior_d(part, spec)) for b, part in split.items()]
     yield "d^2", sum((second for _, second in seconds), Form.zero(spec.n))
     components = [second for b, second in seconds if b in _COMPONENT_SHIFTS]
     for name, (sp, sq) in _IDENTITIES:

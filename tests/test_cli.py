@@ -360,6 +360,23 @@ class TestUserInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("omega", [1]), ("d", {"phi1": [{"coeff": {"re": 1, "im": "0"}, "hol": [], "anti": [1]}]})],
+        ids=["omega-number", "coeff-number"],
+    )
+    def test_json_number_for_a_rational_exits_2(self, capsys, tmp_path, field, value):
+        doc = {
+            "name": "line", "n": 1, "generators": ["phi1"], "d": {}, "omega": ["1"],
+            "symbols": [], "conjugates": {}, "derivations": {},
+        }
+        doc[field] = value
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_boolean_n_exits_2(self, capsys, tmp_path):
         doc = {
             "name": "line", "n": True, "generators": ["phi1"], "d": {}, "omega": ["1"],

@@ -1,7 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from harmonica import hermitian
 from harmonica.errors import DegreeTooHigh, NotPrimitive
 from harmonica.forms import Form, MultiIndex, basis_multiindices
 from harmonica.hermitian import (
@@ -19,7 +22,7 @@ from harmonica.hermitian import (
 )
 from harmonica.linalg import rank
 from harmonica.scalars import GaussianRational
-from harmonica.structure import all_basis_monomials
+from harmonica.structure import ManifoldSpec, all_basis_monomials
 
 from conftest import rand_form_degree, rand_form_pq, rand_gauss
 
@@ -371,3 +374,64 @@ class TestLambdaIsTheAdjointOfL:
         for op in (hodge_star, lefschetz_L, lefschetz_lambda):
             with pytest.raises(ValueError, match="ambient mismatch"):
                 op(form, iwasawa)
+
+
+def reference_volume(spec):
+    """omega^n / n! by Form wedges."""
+    out = Form.scalar(spec.n, 1)
+    for _ in range(spec.n):
+        out = out.wedge(fundamental_form(spec))
+    return out / math.factorial(spec.n)
+
+
+def reference_star_table(spec):
+    """The star of every unit monomial from the defining relation, with Forms:
+    for m = phi^{I,Jbar} the only monomial pairing nontrivially against *m is
+    phi^{J,Ibar}, so *m = t * phi^{Jc,Icbar} with t fixed by
+    phi^{J,Ibar} wedge *m = <phi^{J,Ibar}, conj m> vol."""
+    n = spec.n
+    vol_coeff = top_coefficient(reference_volume(spec))
+    full = tuple(range(1, n + 1))
+    table = {}
+    for idx in all_basis_monomials(n):
+        hol_c = tuple(a for a in full if a not in idx.anti)
+        anti_c = tuple(a for a in full if a not in idx.hol)
+        pairing = mono(n, idx.anti, idx.hol).wedge(mono(n, hol_c, anti_c))
+        weight = G(monomial_inner_square(idx, spec))
+        t = weight * (-1) ** (idx.p * idx.q) * vol_coeff / top_coefficient(pairing)
+        table[idx] = {MultiIndex(hol_c, anti_c): t}
+    return table
+
+
+def closed_form_specs():
+    """Flat specs for n = 1..4 (star and L do not see d), each with omega = 1
+    and three seeded non-unit omegas."""
+    rng = random.Random(5150)
+    for n in (1, 2, 3, 4):
+        base = ManifoldSpec(
+            name=f"flat{2 * n}", n=n, generators=[f"phi{a}" for a in range(1, n + 1)],
+            d_gen={}, omega_coeffs=(1,) * n,
+        )
+        yield base
+        for _ in range(3):
+            yield base.with_omega(
+                [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+            )
+
+
+class TestClosedFormImages:
+    """The star and L images of each unit monomial, built by sign arithmetic
+    on the index tuples, against Form wedges.  Even n is where i^n and
+    (-1)^(n(n-1)/2) differ in sign from n = 3."""
+
+    @pytest.mark.parametrize("spec", list(closed_form_specs()), ids=lambda s: s.name)
+    def test_star_and_L_of_every_monomial(self, spec):
+        assert volume_form(spec) == reference_volume(spec)
+        table = reference_star_table(spec)
+        omega = fundamental_form(spec)
+        for idx in all_basis_monomials(spec.n):
+            assert hermitian._image("*", idx, spec) == table[idx]
+            wedge = omega.wedge(mono(spec.n, idx.hol, idx.anti))
+            want = {m: c.constant_value() for m, c in wedge.terms.items()}
+            assert hermitian._image("L", idx, spec) == want
+

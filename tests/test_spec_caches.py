@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import harmonica
+from harmonica import hermitian
 from harmonica.forms import Form
-from harmonica.harmonic import HarmonicKind, harmonic_space
-from harmonica.hermitian import primitive_basis
+from harmonica.harmonic import HarmonicKind, harmonic_space, harmonic_subspace
+from harmonica.hermitian import operator_columns, primitive_basis
 from harmonica.library import catalog_document, load_spec
-from harmonica.structure import ManifoldSpec
+from harmonica.structure import ManifoldSpec, check_integrability_relations
 
 
 class TestImmutableSpec:
@@ -104,6 +105,60 @@ class TestSpecOwnsCaches:
             assert derived._cache == {}
         assert primitive_basis(renamed, 1, 1) == before
         assert primitive_basis(rescaled, 1, 1) != before
+
+
+class TestImagesOnDemand:
+    """Star and L images of a unit monomial are closed forms, built when a
+    column first asks for them."""
+
+    def test_star_and_L_columns_build_no_form(self, monkeypatch):
+        specs = [load_spec(catalog_document(name)) for name in ("iwasawa_ak", "torus6")]
+        specs.append(specs[0].with_omega((2, 3, 5)))
+        wedges = []
+        original = Form.wedge
+
+        def counting(self, other):
+            wedges.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Form, "wedge", counting)
+        for spec in specs:
+            for p in range(spec.n + 1):
+                for q in range(spec.n + 1):
+                    operator_columns([("*",), ("L",)], p, q, spec)
+        monkeypatch.undo()
+        assert wedges == []
+
+    def test_one_slice_builds_few_star_images(self, monkeypatch):
+        """Each star image takes the weight <m, m> of its monomial once."""
+        spec = ManifoldSpec(
+            name="flat8", n=4, generators=["a", "b", "c", "e"], d_gen={}, omega_coeffs=(1,) * 4
+        )
+        built = []
+        original = hermitian._inner_square
+
+        def counting(idx, spec):
+            built.append(idx)
+            return original(idx, spec)
+
+        monkeypatch.setattr(hermitian, "_inner_square", counting)
+        harmonic_subspace(HarmonicKind.D, 2, 2, spec)
+        monkeypatch.undo()
+        assert 0 < len(built) < 4**spec.n
+
+    def test_barred_structure_equations_are_conjugated_once(self, monkeypatch):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        conjugated = []
+        original = Form.conjugate
+
+        def counting(self, table=None):
+            conjugated.append(self)
+            return original(self, table)
+
+        monkeypatch.setattr(Form, "conjugate", counting)
+        check_integrability_relations(spec)
+        monkeypatch.undo()
+        assert len(conjugated) <= spec.n
 
 
 def test_no_function_caches_in_the_package():
