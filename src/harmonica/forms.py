@@ -58,6 +58,30 @@ def _sort_with_sign(indices: Iterable[int]):
     return tuple(seq), sign
 
 
+def _wedge_monomials(first: MultiIndex, second: MultiIndex) -> tuple:
+    """phi^first wedge phi^second as (monomial, sign), or (None, 0) when the
+    two share an index: the sorting signs of the merged hol and anti indices,
+    and (-1)^(len(a1) * len(h2)) for moving the second factor's hol block past
+    the first factor's anti block.  The one wedge-sign rule of the package."""
+    hol, s1 = _sort_with_sign(first.hol + second.hol)
+    if hol is None:
+        return None, 0
+    anti, s2 = _sort_with_sign(first.anti + second.anti)
+    if anti is None:
+        return None, 0
+    return MultiIndex(hol, anti), s1 * s2 * (-1) ** (len(first.anti) * len(second.hol))
+
+
+def _combine(terms) -> dict:
+    """The sum of c * column over the (c, column) terms, with zeros dropped;
+    a column maps monomials to scalars (GaussianRational or Coefficient)."""
+    out: dict = {}
+    for c, column in terms:
+        for m, x in column.items():
+            out[m] = out[m] + c * x if m in out else c * x
+    return {m: x for m, x in out.items() if not x.is_zero()}
+
+
 def basis_multiindices(n: int, p: int, q: int) -> list[MultiIndex]:
     """All (p,q) monomials in canonical order (lexicographic hol, then anti)."""
     return [
@@ -149,20 +173,13 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         self._check_ambient(other)
         terms: dict = {}
-        for (h1, a1), c1 in self.terms.items():
-            for (h2, a2), c2 in other.terms.items():
-                hol, s1 = _sort_with_sign(h1 + h2)
-                if hol is None:
-                    continue
-                anti, s2 = _sort_with_sign(a1 + a2)
-                if anti is None:
-                    continue
-                # moving other's holomorphic block past self's anti block
-                sign = s1 * s2 * (-1) ** (len(a1) * len(h2))
-                idx = MultiIndex(hol, anti)
-                c = c1 * c2 * sign
-                acc = terms.get(idx)
-                terms[idx] = c if acc is None else acc + c
+        for idx1, c1 in self.terms.items():
+            for idx2, c2 in other.terms.items():
+                idx, sign = _wedge_monomials(idx1, idx2)
+                if sign:
+                    c = c1 * c2 * sign
+                    acc = terms.get(idx)
+                    terms[idx] = c if acc is None else acc + c
         return Form(self.n, terms)
 
     def conjugate(self, table: DerivationTable | None = None) -> "Form":

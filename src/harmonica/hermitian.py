@@ -16,17 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
-from .forms import Form, MultiIndex, _sort_with_sign, basis_multiindices
+from .forms import Form, MultiIndex, _combine, _wedge_monomials, basis_multiindices
 from .linalg import Subspace, kernel, span
 from .scalars import Coefficient, Fraction, GaussianRational
-from .structure import (
-    ManifoldSpec,
-    OperatorKind,
-    d_by_shift,
-    differential_component,
-    exterior_d,
-    fundamental_form,
-)
+from .structure import ManifoldSpec, OperatorKind, differential_component, fundamental_form
 
 __all__ = [
     "fundamental_form",
@@ -146,9 +139,7 @@ def weil_star_primitive(beta: Form, r: int, spec: ManifoldSpec) -> Form:
     if r < 0 or r + k > spec.n:
         raise ValueError(f"need 0 <= r <= n-k, got r={r}, k={k}, n={spec.n}")
     sign = (-1) ** (k * (k + 1) // 2)
-    out = j_on_forms(beta)
-    for _ in range(spec.n - k - r):
-        out = lefschetz_L(out, spec)
+    out = apply_word(("L",) * (spec.n - k - r), j_on_forms(beta), spec)
     return out * (GaussianRational(sign * math.factorial(r)) / math.factorial(spec.n - k - r))
 
 
@@ -162,10 +153,7 @@ class PrimitiveComponents:
     def reassemble(self, spec: ManifoldSpec) -> Form:
         out = Form.zero(spec.n)
         for r, beta in self.parts:
-            piece = beta
-            for _ in range(r):
-                piece = lefschetz_L(piece, spec)
-            out = out + piece / math.factorial(r)
+            out = out + apply_word(("L",) * r, beta, spec) / math.factorial(r)
         return out
 
 
@@ -190,19 +178,14 @@ def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
         if r == 0:
             beta = remaining
         else:
-            lam_r = remaining
-            for _ in range(r):
-                lam_r = lefschetz_lambda(lam_r, spec)
+            lam_r = apply_word(("Lambda",) * r, remaining, spec)
             denom = 1
             for j in range(1, r + 1):
                 denom *= n - s - j + 1
             beta = lam_r / denom
         if not beta.is_zero():
             parts.append((r, beta))
-            piece = beta
-            for _ in range(r):
-                piece = lefschetz_L(piece, spec)
-            remaining = remaining - piece / math.factorial(r)
+            remaining = remaining - apply_word(("L",) * r, beta, spec) / math.factorial(r)
     if not remaining.is_zero():
         raise AssertionError("primitive decomposition did not close")
     parts.sort(key=lambda rb: rb[0])
@@ -238,7 +221,8 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 
 # Operator matrices and coordinates.  _image maps each unit monomial through
 # each single operator once per spec, on first use (star and L in closed
-# form, Lambda and the adjoints composed from them); operator_columns
+# form, Lambda and the adjoints composed from them, d and its parts by
+# differential_component on the unit monomial); operator_columns
 # composes block columns and _map_form applies star, L and Lambda to Forms
 # from those images.
 # subspace_forms and form_subspace are the one Subspace <-> Form pair.
@@ -293,15 +277,6 @@ def block_rows(columns: list[dict]) -> list[list]:
     return [[column.get(m, _ZERO) for column in columns] for m in hit]
 
 
-def _combine(terms) -> dict:
-    """The sum of c * column over the (c, column) terms, with zeros dropped."""
-    out: dict = {}
-    for c, column in terms:
-        for m, x in column.items():
-            out[m] = out[m] + c * x if m in out else c * x
-    return {m: x for m, x in out.items() if not x.is_zero()}
-
-
 def _apply(word: tuple, column: dict, spec: ManifoldSpec) -> dict:
     """A sparse column mapped through the word, rightmost operator first."""
     for op in reversed(word):
@@ -329,22 +304,9 @@ def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
         return _apply(("*", "L", "*"), {idx: GaussianRational((-1) ** idx.degree)}, spec)
     if op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
         return _apply(("*", OperatorKind(op[:-1]).conjugate.value, "*"), {idx: -_ONE}, spec)
-    if op == "d":
-        form = exterior_d(Form.monomial(spec.n, idx.hol, idx.anti), spec)
-    else:  # one part of the split d image
-        form = d_by_shift(idx, spec).get(OperatorKind(op).shift, Form.zero(spec.n))
+    form = differential_component(Form(spec.n, {idx: 1}), OperatorKind(op), spec)
     monomials = list(form.terms)
     return dict(zip(monomials, forms_to_rows([form], monomials)[0]))
-
-
-def _wedge_monomials(first: MultiIndex, second: MultiIndex) -> tuple:
-    """phi^first wedge phi^second as (monomial, sign) for disjoint index sets,
-    with the signs of Form.wedge: the sorting signs of the merged hol and anti
-    indices, and (-1)^(len(a1) * len(h2)) for moving the second factor's hol
-    block past the first factor's anti block."""
-    hol, s1 = _sort_with_sign(first.hol + second.hol)
-    anti, s2 = _sort_with_sign(first.anti + second.anti)
-    return MultiIndex(hol, anti), s1 * s2 * (-1) ** (len(first.anti) * len(second.hol))
 
 
 def _star_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:

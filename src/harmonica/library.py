@@ -119,10 +119,15 @@ def load_spec(document) -> ManifoldSpec:
                 isinstance(term, dict) and {"coeff", "hol", "anti"} <= set(term),
                 f"each d[{gen!r}] term needs coeff/hol/anti",
             )
-            hol = tuple(term["hol"])
-            anti = tuple(term["anti"])
-            for i in list(hol) + list(anti):
-                if not (isinstance(i, int) and 1 <= i <= n):
+            hol, anti = term["hol"], term["anti"]
+            _expect(
+                isinstance(hol, list)
+                and isinstance(anti, list)
+                and all(type(i) is int for i in hol + anti),
+                f"hol and anti of each d[{gen!r}] term must be lists of integers",
+            )
+            for i in hol + anti:
+                if not 1 <= i <= n:
                     raise ValidationError(f"index {i!r} out of range in d[{gen!r}]")
             coeff = Coefficient.from_json(term["coeff"])
             for used in coeff.symbols():

@@ -48,7 +48,7 @@ def _is_zero(row: tuple) -> bool:
     return not any(row[0]) and not any(row[1])
 
 
-def _combine(row: tuple, pivot: tuple, col: int) -> tuple:
+def _eliminate(row: tuple, pivot: tuple, col: int) -> tuple:
     """p*row - f*pivot, zero in column `col`, with its integer content divided
     out; p is the pivot's entry in `col` and f the row's, both first divided
     by their common integer factor."""
@@ -81,14 +81,14 @@ def _echelon(rows: list, reduced: bool = False) -> list:
         rest = []
         for r in rows:
             if r[0][col] or r[1][col]:
-                r = _combine(r, pivot, col)
+                r = _eliminate(r, pivot, col)
                 if _is_zero(r):
                     continue
             rest.append(r)
         rows = rest
         if reduced:
             out = [
-                (c, _combine(r, pivot, col) if r[0][col] or r[1][col] else r)
+                (c, _eliminate(r, pivot, col) if r[0][col] or r[1][col] else r)
                 for c, r in out
             ]
         out.append((col, pivot))
@@ -101,7 +101,7 @@ def _reduces_to_zero(row: tuple, echelon) -> bool:
     """Whether the row lies in the span of the echelon rows."""
     for col, pivot in echelon:
         if row[0][col] or row[1][col]:
-            row = _combine(row, pivot, col)
+            row = _eliminate(row, pivot, col)
     return _is_zero(row)
 
 

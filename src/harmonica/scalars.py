@@ -216,6 +216,8 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "GaussianRational":
+        if not isinstance(doc, Mapping) or not {"re", "im"} <= set(doc):
+            raise ParseError(f"a Gaussian rational needs 're' and 'im': {doc!r}")
         return cls(parse_rational(doc["re"]), parse_rational(doc["im"]))
 
 
@@ -536,9 +538,18 @@ class Coefficient:
             return cls({(): GaussianRational.from_json(doc)})
         if "terms" not in doc:
             raise ParseError("coefficient document needs 're'/'im' or 'terms'")
+        if not isinstance(doc["terms"], list):
+            raise ParseError(f"'terms' must be a list: {doc['terms']!r}")
         terms: dict = {}
         for t in doc["terms"]:
-            mono = tuple(sorted((str(s), parse_int(e)) for s, e in t["syms"]))
+            if not isinstance(t, Mapping) or not {"c", "syms"} <= set(t):
+                raise ParseError(f"a coefficient term needs 'c' and 'syms': {t!r}")
+            pairs = t["syms"]
+            if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in pairs
+            ):
+                raise ParseError(f"'syms' must be a list of [symbol, power] pairs: {pairs!r}")
+            mono = tuple(sorted((str(s), parse_int(e)) for s, e in pairs))
             c = GaussianRational.from_json(t["c"])
             terms[mono] = terms.get(mono, _ZERO) + c
         return cls(terms)

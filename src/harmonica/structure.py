@@ -3,8 +3,11 @@
 A spec fixes invariant structure equations d(phi^a) for a left-invariant
 coframe on a 2n-dimensional Lie group quotient, diagonal fundamental-form
 coefficients, and the symbol tables.  d on barred generators is forced to be
-the conjugate of d on the unbarred ones, and d extends to arbitrary forms by
-the Leibniz rule plus frame derivatives of coefficients.
+the conjugate of d on the unbarred ones.  d of each unit monomial follows by
+the Leibniz rule and is split once by bidegree shift into mu, del, delbar and
+mubar parts, cached on the spec (d_by_shift).  d or one part of a Form is one
+term map over that split, plus frame derivatives of non-constant
+coefficients, with the wedge signs of forms._wedge_monomials.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ValidationError
-from .forms import Form, MultiIndex, ReadOnlyForm, basis_multiindices
+from .forms import Form, MultiIndex, ReadOnlyForm, _combine, _wedge_monomials, basis_multiindices
 from .report import REFUTED, VERIFIED, CheckItem, VerificationReport
-from .scalars import Coefficient, DerivationTable, Direction, Fraction, GaussianRational
+from .scalars import DerivationTable, Direction, Fraction, GaussianRational
 
 __all__ = [
     "OperatorKind",
@@ -121,41 +124,30 @@ class ManifoldSpec:
         return replace(self, omega_coeffs=tuple(Fraction(c) for c in coeffs))
 
 
-def _d_coefficient(coeff: Coefficient, shift: tuple | None, spec: ManifoldSpec) -> Form:
-    """d of a function, or its part at a bidegree shift: frame derivatives
-    against the dual coframe, along V_a for (1,0), Vbar_a for (0,1)."""
-    out = Form.zero(spec.n)
-    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(shift, ())
-    if coeff.is_constant() or not bars:
-        return out
-    for a in range(1, spec.n + 1):
-        for bar in bars:
-            dc = coeff.derive(Direction(a, bar), spec.table)
-            if not dc.is_zero():
-                out = out + Form.monomial(spec.n, () if bar else (a,), (a,) if bar else (), dc)
-    return out
-
-
 def _d_monomial(idx: MultiIndex, spec: ManifoldSpec) -> Form:
-    factors = [(a, False) for a in idx.hol] + [(a, True) for a in idx.anti]
-    out = Form.zero(spec.n)
-    for k, (a, bar) in enumerate(factors):
-        d_fac = spec.cached(("d_bar", a), _d_bar, a, spec) if bar else spec.d_gen[a]
-        if d_fac.is_zero():
-            continue
-        before = factors[:k]
-        after = factors[k + 1 :]
-        piece = d_fac
-        if before:
-            hol = tuple(i for i, b in before if not b)
-            anti = tuple(i for i, b in before if b)
-            piece = Form.monomial(spec.n, hol, anti).wedge(piece)
-        if after:
-            hol = tuple(i for i, b in after if not b)
-            anti = tuple(i for i, b in after if b)
-            piece = piece.wedge(Form.monomial(spec.n, hol, anti))
-        out = out + piece * ((-1) ** k)
-    return out
+    """d of the unit monomial phi^idx by the Leibniz rule: the sum over its
+    factors f_k, hol then anti, of (-1)^k f_1..f_(k-1) wedge d(f_k) wedge
+    f_(k+1)..; the rest of the package reads it through d_by_shift."""
+
+    def columns():
+        for k in range(idx.degree):
+            if k < idx.p:
+                d_fac = spec.d_gen[idx.hol[k]]
+            else:
+                a = idx.anti[k - idx.p]
+                d_fac = spec.cached(("d_bar", a), _d_bar, a, spec)
+            if d_fac.is_zero():
+                continue
+            before = MultiIndex(idx.hol[:k], idx.anti[: max(k - idx.p, 0)])
+            after = MultiIndex(idx.hol[k + 1 :], idx.anti[max(k + 1 - idx.p, 0) :])
+            for middle, c in d_fac.terms.items():
+                image, s1 = _wedge_monomials(before, middle)
+                if s1:
+                    image, s2 = _wedge_monomials(image, after)
+                    if s2:
+                        yield c, {image: (-1) ** k * s1 * s2}
+
+    return Form(spec.n, _combine(columns()))
 
 
 def _d_bar(a: int, spec: ManifoldSpec) -> Form:
@@ -170,24 +162,32 @@ def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
 
 
 def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -> Form:
-    """d, or its mu, del, delbar or mubar part, term by term: on c * phi^I,
-    the part of dc at the kind's shift wedged with phi^I, plus c times the
-    cached d(phi^I) or its part at that shift from d_by_shift."""
+    """d, or its mu, del, delbar or mubar part, as one term map: c * phi^I
+    gives c times the part of d(phi^I) at the kind's shift (every part for
+    d), read from d_by_shift, plus, for each frame direction of the kind
+    (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and mubar),
+    the derivative of c along it times phi^a or phi^abar wedge phi^I, taken
+    only where that wedge is not 0."""
     if form.n != spec.n:
         raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
     shift = kind.shift
-    out = Form.zero(spec.n)
-    for idx, coeff in form.terms.items():
-        dc = _d_coefficient(coeff, shift, spec)
-        if not dc.is_zero():
-            out = out + dc.wedge(Form.monomial(spec.n, idx.hol, idx.anti))
-        if shift is None:
-            dm = spec.cached(("d", idx), _d_monomial, idx, spec)
-        else:
-            dm = d_by_shift(idx, spec).get(shift, Form.zero(spec.n))
-        if not dm.is_zero():
-            out = out + dm * coeff
-    return out
+    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(shift, ())
+
+    def columns():
+        for idx, coeff in form.terms.items():
+            for b, part in d_by_shift(idx, spec).items():
+                if shift is None or b == shift:
+                    yield coeff, part.terms
+            if coeff.is_constant():
+                continue
+            for a in range(1, spec.n + 1):
+                for bar in bars:
+                    factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
+                    image, sign = _wedge_monomials(factor, idx)
+                    if sign:
+                        yield coeff.derive(Direction(a, bar), spec.table), {image: sign}
+
+    return Form(spec.n, _combine(columns()))
 
 
 def all_basis_monomials(n: int) -> list[MultiIndex]:
@@ -206,7 +206,9 @@ def d_by_shift(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
 
 
 def _split_d(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
-    parts = spec.cached(("d", idx), _d_monomial, idx, spec).homogeneous_parts().items()
+    """d of the unit monomial idx from _d_monomial, cut into its read-only
+    homogeneous parts; it is not kept whole anywhere else."""
+    parts = _d_monomial(idx, spec).homogeneous_parts().items()
     return MappingProxyType({(p - idx.p, q - idx.q): ReadOnlyForm(f) for (p, q), f in parts})
 
 

@@ -222,6 +222,56 @@ class TestReport:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+class TestSymbolicGolden:
+    """sha256 of the full default stdout of `check-form` and `primitive` on
+    symbolic torus6 forms: the symbolic d, star and Lefschetz path of a Form
+    must stay byte-identical.  Every check-form here is a non-member (exit 1)."""
+
+    FORMS = (
+        "g3*phi[2;1] + phi[1;3]",
+        "(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1]",
+        "g3*g3c*phi[1;1] + (0,1)*g33*phi[2;3] - phi[3;2]",
+    )
+    CHECK_FORM = {
+        (0, "d"): "060cbea98a9f47329f4ef285c4131015b4e8ac26d93fbcc287c866d9f8bcad5f",
+        (0, "del"): "b7b5b8357f65adc7f25e9840b263104b38d29053b2fb327983622b268d5d150c",
+        (0, "delbar"): "c9f33419c9b9827502175f2a0733d1e25b727d6bac3213edd57a86acba3aefcf",
+        (0, "bc"): "0cefd770b4c097629e235b9feed56ff31405bc54573d26fbe7e0e06d23792760",
+        (0, "a"): "50626cf0c1c023d887f4d2b02ed3a3c8a76773aae3dba73000a4ba53f89b7ab5",
+        (1, "d"): "fa9917775a66c581e78c94608e1acf616b77e906b5301563a3f6a97506e81b5d",
+        (1, "del"): "e9aee099f002ecf02ea24692549fef542adaeb085ef9b5711c3265898b71454d",
+        (1, "delbar"): "1f0b5db3b700c9b7de8374405e58814687fcf27616db8f85d2b38ca7886f362a",
+        (1, "bc"): "582e53f238b271d3f598a67577f90f1e92fabc56a11b2a1d120777f85a736ed5",
+        (1, "a"): "9c2ee1b7b941f819a783df52092ec493c0be7fe2f8b7311bac7189d8a42bd80e",
+        (2, "d"): "3232b57c8729921e227e0fef772e26f3689733b5c0ea8b7553941438c9a874af",
+        (2, "del"): "09e2dab9586bc1f728541d9249ca731ee1788540c16348e698a13006670d9499",
+        (2, "delbar"): "d935445154fe4eb11e8d4bca9bc405125a055666c454e30589b9a5f13d97ec80",
+        (2, "bc"): "645ef61b9a750eb8b017893f2cda5c406de3a96ac4cace68726c00add9b4c762",
+        (2, "a"): "22dd98bc55f723f55bc518cd3b7c7d4325b66fbf1d3604176123dae97ac15092",
+    }
+    PRIMITIVE = {
+        "g3*phi[1;1] + (0,1)*g33*phi[2;2] + phi[1;2]":
+            "99852f0bb470d0ea98782f15d42b9782daa6fbf4a27306f8d4936993b3724e2d",
+        "g3c*phi[1,2;1,2] + g3*phi[1,3;2,3] - (2,0)*phi[2,3;2,3]":
+            "4844ef2a46e7a039df3e18d5cd43fe2e06ea0da1fb6e3c30e8fb3f6e47c35229",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHECK_FORM), ids=str)
+    def test_check_form(self, capsys, monkeypatch, case):
+        monkeypatch.delenv("HARMONICA_ASCII", raising=False)
+        form, kind = self.FORMS[case[0]], case[1]
+        code, out, _ = run_cli(capsys, "check-form", "torus6", "--form", form, "--laplacian", kind)
+        assert code == 1
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.CHECK_FORM[case]
+
+    @pytest.mark.parametrize("form", sorted(PRIMITIVE))
+    def test_primitive(self, capsys, monkeypatch, form):
+        monkeypatch.delenv("HARMONICA_ASCII", raising=False)
+        code, out, _ = run_cli(capsys, "primitive", "torus6", "--form", form)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PRIMITIVE[form]
+
+
 class TestAsciiMode:
     def test_flag_and_env_agree(self, capsys, monkeypatch):
         _, flagged, _ = run_cli(capsys, "validate", "iwasawa_ak", "--ascii")
@@ -387,6 +437,50 @@ class TestUserInputErrors:
         code, out, err = run_cli(capsys, "validate", str(path))
         assert code == 2 and out == ""
         assert err == "error: 'n' must be an integer\n"
+
+    @pytest.mark.parametrize(
+        "coeff, derivation",
+        [
+            ({"re": "1"}, None),
+            (None, {"re": "1"}),
+            ({"terms": [{"c": {"re": "1", "im": "0"}}]}, None),
+            ({"terms": [{"syms": [["g", 1]]}]}, None),
+            ({"terms": 5}, None),
+            ({"terms": [{"c": {"re": "1", "im": "0"}, "syms": [["g"]]}]}, None),
+            (None, {"terms": [{"c": "1", "syms": []}]}),
+        ],
+        ids=["re-only", "derivation-re-only", "no-syms", "no-c", "terms-number",
+             "short-pair", "c-string"],
+    )
+    def test_malformed_coefficient_exits_2(self, capsys, tmp_path, coeff, derivation):
+        doc = {
+            "name": "line", "n": 1, "generators": ["phi1"], "d": {}, "omega": ["1"],
+            "symbols": ["g", "gc"], "conjugates": {"g": "gc", "gc": "g"}, "derivations": {},
+        }
+        if coeff is not None:
+            doc["d"] = {"phi1": [{"coeff": coeff, "hol": [1], "anti": [1]}]}
+        if derivation is not None:
+            doc["derivations"] = {"g": {"V1": derivation}}
+        path = tmp_path / "coeff.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("hol", [1, [True], [1.0]], ids=["number", "boolean", "float"])
+    def test_malformed_term_index_exits_2(self, capsys, tmp_path, hol):
+        """An index must be a JSON integer: true would load as 1 and print as
+        phi[True;1], which does not re-parse."""
+        doc = {
+            "name": "line", "n": 1, "generators": ["phi1"], "omega": ["1"],
+            "d": {"phi1": [{"coeff": {"re": "1", "im": "0"}, "hol": hol, "anti": [1]}]},
+            "symbols": [], "conjugates": {}, "derivations": {},
+        }
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: hol and anti of each d['phi1'] term must be lists of integers\n"
 
     def test_internal_value_error_is_not_a_user_error(self, capsys, monkeypatch):
         from harmonica import cli

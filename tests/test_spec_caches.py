@@ -10,11 +10,16 @@ import pytest
 
 import harmonica
 from harmonica import hermitian
-from harmonica.forms import Form
+from harmonica.forms import Form, parse_form
 from harmonica.harmonic import HarmonicKind, harmonic_space, harmonic_subspace
 from harmonica.hermitian import operator_columns, primitive_basis
 from harmonica.library import catalog_document, load_spec
-from harmonica.structure import ManifoldSpec, check_integrability_relations
+from harmonica.structure import (
+    ManifoldSpec,
+    OperatorKind,
+    check_integrability_relations,
+    differential_component,
+)
 
 
 class TestImmutableSpec:
@@ -161,6 +166,38 @@ class TestImagesOnDemand:
         assert len(conjugated) <= spec.n
 
 
+class TestOneSplitOfD:
+    """d of a Form is one term map over the cached split of d of each unit
+    monomial; the split is the one cache of d per monomial."""
+
+    def test_components_build_no_intermediate_form(self, monkeypatch):
+        spec = load_spec(catalog_document("torus6"))
+        form = parse_form("(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] + g3*g3c*phi[1;1]", 3)
+        calls = []
+        wedge, add = Form.wedge, Form.__add__
+
+        def counting_wedge(self, other):
+            calls.append("wedge")
+            return wedge(self, other)
+
+        def counting_add(self, other):
+            calls.append("add")
+            return add(self, other)
+
+        monkeypatch.setattr(Form, "wedge", counting_wedge)
+        monkeypatch.setattr(Form, "__add__", counting_add)
+        images = {kind: differential_component(form, kind, spec) for kind in OperatorKind}
+        monkeypatch.undo()
+        assert calls == []
+        assert images[OperatorKind.DEL] and images[OperatorKind.DELBAR]
+
+    def test_the_split_is_the_one_cache_of_d(self):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        check_integrability_relations(spec)
+        assert any(key[0] == "d_parts" for key in spec._cache)
+        assert not [key for key in spec._cache if key[0] == "d"]
+
+
 def test_no_function_caches_in_the_package():
     """Per-spec state lives on the spec: no module may memoize with
     functools.lru_cache or functools.cache."""
@@ -179,6 +216,28 @@ def test_no_function_caches_in_the_package():
             else:
                 continue
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in names & banned]
+    assert offenders == []
+
+
+def test_one_wedge_sign_rule():
+    """forms.py alone knows the monomial wedge rule and the sparse column
+    accumulator: no other module references _sort_with_sign or defines
+    _wedge_monomials or _combine."""
+    offenders = []
+    for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
+        if path.name == "forms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & {"_sort_with_sign"}
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                names = {name} & {"_sort_with_sign"}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {node.name} & {"_wedge_monomials", "_combine"}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names]
     assert offenders == []
 
 
