@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .forms import format_form, parse_form
-from .harmonic import HarmonicKind, harmonic_space, is_harmonic
+from .harmonic import HarmonicKind, harmonic_space, harmonic_subspace, is_harmonic
 from .hermitian import is_primitive, primitive_decompose
 from .library import CATALOG_NAMES, catalog, load_spec_path
 from .report import REFUTED, VERIFIED
@@ -201,7 +201,7 @@ def _dimension_tables(spec):
         table = {}
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
-                table[f"{p},{q}"] = harmonic_space(kind, p, q, spec).dim
+                table[f"{p},{q}"] = harmonic_subspace(kind, p, q, spec).dim
         tables[kind.value] = table
     return tables
 

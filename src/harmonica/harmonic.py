@@ -24,7 +24,7 @@ from .hermitian import (
     rows_to_forms,
     subspace_forms,
 )
-from .linalg import Subspace, right_kernel, span
+from .linalg import Subspace, kernel, sparse_kernel, sparse_rows
 from .structure import ManifoldSpec
 
 __all__ = [
@@ -146,14 +146,15 @@ class MembershipCertificate:
 
 
 def _condition_kernel(key: str, p: int, q: int, spec: ManifoldSpec):
-    """Kernel of the stacked condition blocks, and the (p,q) monomials."""
-    monomials = basis_multiindices(spec.n, p, q)
-    rows = [
-        row
-        for word in CONDITION_WORDS[key]
-        for row in block_rows(operator_columns([word], p, q, spec))
-    ]
-    return right_kernel(rows, len(monomials)), monomials
+    """Kernel of the stacked condition blocks as Q(i) rows, and the (p,q) monomials."""
+    return _condition_subspace(key, p, q, spec).vectors(), basis_multiindices(spec.n, p, q)
+
+
+def _condition_subspace(key: str, p: int, q: int, spec: ManifoldSpec) -> Subspace:
+    """Kernel of the stacked condition blocks, from their sparse rows."""
+    blocks = [operator_columns([word], p, q, spec) for word in CONDITION_WORDS[key]]
+    rows = [row for columns in blocks for row in sparse_rows(columns)]
+    return sparse_kernel(rows, len(blocks[0]))
 
 
 def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec):
@@ -168,7 +169,7 @@ def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec)
             f"Laplacian image leaves the expected space for {kind.value} "
             f"at ({p},{q}) on {spec.name!r}: {stray}"
         )
-    return right_kernel(block_rows(columns), len(columns))
+    return kernel(block_rows(columns), len(columns))
 
 
 def harmonic_space(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> SubspaceBasis:
@@ -193,13 +194,13 @@ def _harmonic_kernel(kind, p, q, spec) -> Subspace:
         )
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         raise BidegreeOutOfRange(f"bidegree ({p},{q}) out of range for n={spec.n}")
-    kernel, _ = _condition_kernel(kind.value, p, q, spec)
-    if kernel != _laplacian_nullspace(kind, p, q, spec):
+    space = _condition_subspace(kind.value, p, q, spec)
+    if space != _laplacian_nullspace(kind, p, q, spec):
         raise CrossCheckFailed(
             f"condition kernel and Laplacian nullspace disagree for "
             f"{kind.value} at ({p},{q}) on {spec.name!r}"
         )
-    return span(kernel)
+    return space
 
 
 def is_harmonic(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> MembershipCertificate:

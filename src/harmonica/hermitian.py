@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
-from .forms import Form, MultiIndex, _combine, _wedge_monomials, basis_multiindices
-from .linalg import Subspace, kernel, span
+from .forms import Form, MultiIndex, _add, _combine, _wedge_monomials, basis_multiindices
+from .linalg import Subspace, sparse_kernel, sparse_rows, span
 from .scalars import Coefficient, Fraction, GaussianRational
 from .structure import ManifoldSpec, OperatorKind, differential_component, fundamental_form
 
@@ -208,7 +208,7 @@ def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> Subspace:
     if p + q > spec.n:
         raise DegreeTooHigh(f"primitive forms need p+q <= n = {spec.n}")
     columns = operator_columns([("Lambda",)], p, q, spec)
-    return kernel(block_rows(columns), len(columns))
+    return sparse_kernel(sparse_rows(columns), len(columns))
 
 
 def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec) -> Subspace:
@@ -219,12 +219,16 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
     return span([[image.get(m, _ZERO) for m in targets] for image in images])
 
 
-# Operator matrices and coordinates.  _image maps each unit monomial through
-# each single operator once per spec, on first use (star and L in closed
-# form, Lambda and the adjoints composed from them, d and its parts by
-# differential_component on the unit monomial); operator_columns
-# composes block columns and _map_form applies star, L and Lambda to Forms
-# from those images.
+# Operator matrices and coordinates.  _word_image is the one memoised image
+# of a unit monomial under an operator word, cached on the spec per (word,
+# monomial).  A single operator's image comes from _image: star and L in
+# closed form, Lambda and the adjoints through the star and L or paired-d
+# images, d and its parts by differential_component on the unit monomial.
+# A longer word's image is the sum of c times the image of word[:-1] over
+# the terms c m' of its rightmost operator's image, so words that share a
+# prefix share its images, and the first operator's image is used as it is.
+# operator_columns adds these images per block column without scaling, and
+# _map_form applies star, L and Lambda to Forms from them.
 # subspace_forms and form_subspace are the one Subspace <-> Form pair.
 
 
@@ -262,13 +266,22 @@ def rows_to_forms(rows, monomials, n: int):
 def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:
     """Images of the unit (p,q) monomials, in basis order, under the sum of
     the operator words (as in apply_word), as sparse columns {output
-    monomial: nonzero Q(i) value}.  Words are composed column by column from
-    the image of each unit monomial under each single operator, computed once
-    per spec and cached on it."""
-    return [
-        _combine((_ONE, _apply(word, {m: _ONE}, spec)) for word in words)
-        for m in basis_multiindices(spec.n, p, q)
-    ]
+    monomial: nonzero Q(i) value}.  Each column is a new dict built from the
+    cached image of its monomial under each word, so a caller may change it."""
+    monomials = basis_multiindices(spec.n, p, q)
+    if len(words) == 1:
+        return [_column(words[0], m, spec) for m in monomials]
+    return [_add(_column(word, m, spec) for word in words) for m in monomials]
+
+
+def _column(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
+    """The image of one unit monomial under the word, as a new dict.  A word
+    of two or more operators is composed from the cached images of its parts
+    but is not cached itself: the kernels built from a block are cached, so
+    the whole word's image would be kept for nothing but memory."""
+    if len(word) < 2:
+        return dict(_word_image(word, idx, spec))
+    return _compose(word, idx, spec)
 
 
 def block_rows(columns: list[dict]) -> list[list]:
@@ -277,13 +290,24 @@ def block_rows(columns: list[dict]) -> list[list]:
     return [[column.get(m, _ZERO) for column in columns] for m in hit]
 
 
-def _apply(word: tuple, column: dict, spec: ManifoldSpec) -> dict:
-    """A sparse column mapped through the word, rightmost operator first."""
-    for op in reversed(word):
-        column = _combine(
-            (c, spec.cached(("image", op, m), _image, op, m, spec)) for m, c in column.items()
-        )
-    return column
+def _word_image(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
+    """The image of one unit monomial under an operator word, rightmost
+    operator first, as a sparse column; cached on the spec and shared, so
+    read-only."""
+    return spec.cached(("image", word, idx), _compose, word, idx, spec)
+
+
+def _compose(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
+    """The image of one unit monomial under the word, from the cached images
+    of its rightmost operator and of the rest of the word."""
+    if not word:
+        return {idx: _ONE}
+    if len(word) == 1:
+        return _image(word[0], idx, spec)
+    head = word[:-1]
+    return _combine(
+        (c, _word_image(head, m, spec)) for m, c in _word_image(word[-1:], idx, spec).items()
+    )
 
 
 def _map_form(op: str, form: Form, spec: ManifoldSpec) -> Form:
@@ -291,7 +315,15 @@ def _map_form(op: str, form: Form, spec: ManifoldSpec) -> Form:
     exact for symbolic coefficients, as all three are linear over functions."""
     if form.n != spec.n:
         raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
-    return Form(spec.n, _apply((op,), form.terms, spec))
+    return Form(spec.n, _through((op,), form.terms, spec))
+
+
+def _through(ops: tuple, column: dict, spec: ManifoldSpec) -> dict:
+    """A sparse column mapped through single operators, rightmost first,
+    from the cached image of each monomial; the result is not cached."""
+    for op in reversed(ops):
+        column = _combine((c, _word_image((op,), m, spec)) for m, c in column.items())
+    return column
 
 
 def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
@@ -301,12 +333,18 @@ def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     if op == "L":
         return _lefschetz_image(idx, spec)
     if op == "Lambda":  # star^(-1) L star = (-1)^k * L * on degree k; -*L* only for odd k
-        return _apply(("*", "L", "*"), {idx: GaussianRational((-1) ** idx.degree)}, spec)
+        star = _word_image(("*",), idx, spec)
+        return _through(("*", "L"), _negated(star) if idx.degree % 2 else star, spec)
     if op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
-        return _apply(("*", OperatorKind(op[:-1]).conjugate.value, "*"), {idx: -_ONE}, spec)
+        paired = OperatorKind(op[:-1]).conjugate.value
+        return _through(("*", paired), _negated(_word_image(("*",), idx, spec)), spec)
     form = differential_component(Form(spec.n, {idx: 1}), OperatorKind(op), spec)
     monomials = list(form.terms)
     return dict(zip(monomials, forms_to_rows([form], monomials)[0]))
+
+
+def _negated(column: dict) -> dict:
+    return {m: -x for m, x in column.items()}
 
 
 def _star_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:

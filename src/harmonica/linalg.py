@@ -12,6 +12,16 @@ return lists of GaussianRational and convert at that boundary.
 Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
 the gcd of all its integer parts, so no rational number is formed.
+
+Operator matrices are sparse and fall apart into small blocks.
+`sparse_kernel` takes sparse rows, splits the columns into the connected
+components of the row-column incidence graph, and eliminates each component
+alone on its own columns; the canonical form is unique, so the embedded
+pieces are the same value the dense route gives.  The harmonic condition
+kernels and the primitive kernels take this route.  `kernel` stays dense,
+through `rref` over the whole matrix: the Laplacian cross-check uses it, so
+a fault in the component split shows as a disagreement between two
+independent eliminations instead of agreeing with itself.
 """
 
 from __future__ import annotations
@@ -194,6 +204,97 @@ def kernel(rows: list[Vector], ncols: int) -> Subspace:
             v[pc] = -r[fc]
         basis.append(v)
     return span(basis)
+
+
+def sparse_rows(columns: list[dict]) -> list[dict]:
+    """The rows {column index: value} of the matrix with these sparse columns
+    {row key: value}, one row per key hit."""
+    rows: dict = {}
+    for j, column in enumerate(columns):
+        for key, x in column.items():
+            rows.setdefault(key, {})[j] = x
+    return list(rows.values())
+
+
+def sparse_kernel(rows, ncols: int) -> Subspace:
+    """{x : A x = 0} for the matrix with these sparse Q(i) rows {column
+    index: value}, one connected component of columns at a time.
+
+    Each row is scaled to Gaussian integers, which keeps the kernel.  A
+    component's rows are brought to canonical reduced form, with positive
+    integer pivots p_r; each of its free columns f gives the kernel vector
+    L e_f - sum_r (L / p_r) row_r[f] e_{pc_r}, L the lcm of the pivots, and
+    those vectors are brought to canonical form on the component's columns.
+    A column that no row touches is a component of its own and gives e_j.
+    Components have disjoint columns, so the embedded rows together are the
+    canonical kernel."""
+    parent = list(range(ncols))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    int_rows = []
+    for row in rows:
+        entries = [(j, x) for j, x in row.items() if x.re_num or x.im_num]
+        if not entries:
+            continue
+        int_rows.append(_sparse_to_int(entries))
+        root = find(entries[0][0])
+        for j, _ in entries[1:]:
+            other = find(j)
+            if other != root:
+                parent[other] = root
+    components: dict = {}
+    for row in int_rows:
+        components.setdefault(find(row[0][0]), []).append(row)
+    columns: dict = {}
+    for j in range(ncols):
+        columns.setdefault(find(j), []).append(j)
+    out = []
+    for root, cols in columns.items():
+        local = {j: k for k, j in enumerate(cols)}
+        zeros = [0] * len(cols)
+        dense = []
+        for row in components.get(root, ()):
+            re, im = zeros[:], zeros[:]
+            for j, a, b in row:
+                re[local[j]] = a
+                im[local[j]] = b
+            dense.append(_divide_content(re, im))
+        for col, (re, im) in _local_kernel(Subspace._of(dense).rows, len(cols)).rows:
+            gre, gim = [0] * ncols, [0] * ncols
+            for k, j in enumerate(cols):
+                gre[j], gim[j] = re[k], im[k]
+            out.append((cols[col], (tuple(gre), tuple(gim))))
+    out.sort(key=lambda r: r[0])
+    return Subspace(tuple(out))
+
+
+def _sparse_to_int(entries: list) -> list:
+    """(column, re, im) Gaussian-integer parts of nonzero (column, Q(i) value)
+    entries over their common denominator."""
+    den = lcm(*(x.den for _, x in entries))
+    return [(j, x.re_num * (den // x.den), x.im_num * (den // x.den)) for j, x in entries]
+
+
+def _local_kernel(echelon: tuple, size: int) -> Subspace:
+    """The kernel of canonical rows over `size` columns, from their free columns."""
+    pivots = {col for col, _ in echelon}
+    scale = lcm(*(re[col] for col, (re, _) in echelon))
+    basis = []
+    for f in range(size):
+        if f in pivots:
+            continue
+        re, im = [0] * size, [0] * size
+        re[f] = scale
+        for col, (pre, pim) in echelon:
+            if pre[f] or pim[f]:
+                s = scale // pre[col]
+                re[col], im[col] = -s * pre[f], -s * pim[f]
+        basis.append((re, im))
+    return Subspace._of(basis)
 
 
 def rref(rows: list[Vector]) -> list[Vector]:

@@ -441,7 +441,15 @@ class Coefficient:
         return Coefficient({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
+        """A product by a Q(i) constant (a number or a constant Coefficient)
+        scales the term map; any other runs the polynomial product."""
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self._scaled(GaussianRational.coerce(other))
         other = self.coerce(other)
+        if len(other._terms) == 1 and () in other._terms:
+            return self._scaled(other._terms[()])
+        if len(self._terms) == 1 and () in self._terms:
+            return other._scaled(self._terms[()])
         terms: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -450,6 +458,20 @@ class Coefficient:
         return Coefficient(terms)
 
     __rmul__ = __mul__
+
+    def _scaled(self, x: GaussianRational) -> "Coefficient":
+        """x times self; a product of nonzero Q(i) values is nonzero, so only
+        x = 0 can drop terms, and x = 1 or -1 needs no product."""
+        if x.is_zero():
+            return Coefficient()
+        out = _new(Coefficient)
+        if x.den == 1 and not x.im_num and x.re_num == 1:
+            out._terms = dict(self._terms)
+        elif x.den == 1 and not x.im_num and x.re_num == -1:
+            out._terms = {m: -c for m, c in self._terms.items()}
+        else:
+            out._terms = {m: c * x for m, c in self._terms.items()}
+        return out
 
     def __truediv__(self, other):
         """Division by a nonzero Q(i) scalar only; symbols are not inverted."""

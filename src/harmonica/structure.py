@@ -45,23 +45,27 @@ class OperatorKind(enum.Enum):
 
     @property
     def shift(self) -> tuple | None:
-        return {
-            OperatorKind.D: None,
-            OperatorKind.MU: (2, -1),
-            OperatorKind.DEL: (1, 0),
-            OperatorKind.DELBAR: (0, 1),
-            OperatorKind.MUBAR: (-1, 2),
-        }[self]
+        return _SHIFTS[self]
 
     @property
     def conjugate(self) -> "OperatorKind":
-        return {
-            OperatorKind.D: OperatorKind.D,
-            OperatorKind.MU: OperatorKind.MUBAR,
-            OperatorKind.DEL: OperatorKind.DELBAR,
-            OperatorKind.DELBAR: OperatorKind.DEL,
-            OperatorKind.MUBAR: OperatorKind.MU,
-        }[self]
+        return _CONJUGATES[self]
+
+
+_SHIFTS = {
+    OperatorKind.D: None,
+    OperatorKind.MU: (2, -1),
+    OperatorKind.DEL: (1, 0),
+    OperatorKind.DELBAR: (0, 1),
+    OperatorKind.MUBAR: (-1, 2),
+}
+_CONJUGATES = {
+    OperatorKind.D: OperatorKind.D,
+    OperatorKind.MU: OperatorKind.MUBAR,
+    OperatorKind.DEL: OperatorKind.DELBAR,
+    OperatorKind.DELBAR: OperatorKind.DEL,
+    OperatorKind.MUBAR: OperatorKind.MU,
+}
 
 
 @dataclass(eq=False, frozen=True)

@@ -222,6 +222,66 @@ class TestReport:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _flat_document(n):
+    generators = [f"phi{a}" for a in range(1, n + 1)]
+    return {
+        "name": f"flat{2 * n}",
+        "n": n,
+        "generators": generators,
+        "d": {g: [] for g in generators},
+        "omega": ["1"] * n,
+        "symbols": [],
+        "conjugates": {},
+        "derivations": {},
+        "depth_limit": 3,
+        "auto_fresh": True,
+    }
+
+
+def _times_torus_document(name, k):
+    """The catalog spec times a flat 2k-torus: k more generators with d = 0
+    and omega coefficient 1."""
+    doc = json.loads(catalog_document(name))
+    for a in range(doc["n"] + 1, doc["n"] + k + 1):
+        doc["generators"].append(f"phi{a}")
+        doc["d"][f"phi{a}"] = []
+        doc["omega"].append("1")
+    doc["n"] += k
+    doc["name"] = f"{name}_x_T{2 * k}"
+    return doc
+
+
+class TestGoldenAboveN3:
+    """sha256 of the full default stdout of `harmonica report` on two n = 5
+    specs, each written to a file first, so the report starts cold."""
+
+    @pytest.mark.parametrize(
+        "document, size, digest",
+        [
+            (
+                _flat_document(5),
+                277482,
+                "6b20c7fda21e03e27889fa1f4823308f32770f07c744a51c2640107fda61a9fe",
+            ),
+            (
+                _times_torus_document("iwasawa_ak", 2),
+                195926,
+                "57e51005c1584ff5d85548fec03e53738ef7f0b4289c4f86697aa8d4ccbb9c10",
+            ),
+        ],
+        ids=["flat10", "iwasawa_ak_x_T4"],
+    )
+    def test_report_bytes(self, capsys, monkeypatch, tmp_path, document, size, digest):
+        monkeypatch.delenv("HARMONICA_ASCII", raising=False)
+        path = tmp_path / f"{document['name']}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "report", str(path))
+        assert code == 0
+        data = out.encode("utf-8")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestSymbolicGolden:
     """sha256 of the full default stdout of `check-form` and `primitive` on
     symbolic torus6 forms: the symbolic d, star and Lefschetz path of a Form

@@ -7,6 +7,7 @@ combinations of earlier rows, and entries with large denominators.
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,12 @@ from harmonica.linalg import (
     in_span,
     is_direct_sum,
     is_subspace,
+    kernel,
     rank,
     right_kernel,
     rref,
+    sparse_kernel,
+    sparse_rows,
     subspace_equal,
     subspace_intersection,
     subspace_sum,
@@ -258,3 +262,52 @@ def test_value_is_immutable():
     vectors = space.vectors()
     vectors[0][0] = _ZERO
     assert space.vectors()[0][0] == GaussianRational(1)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 12 columns, split at random into blocks under a random
+    permutation; each block gets its own sparse rows (some zero, some
+    repeated), some blocks get none, so their columns stay untouched."""
+    n = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n]) if a < b]
+    rows = []
+    for block in blocks:
+        for _ in range(draw(st.integers(0, 4))):
+            how = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat"]))
+            if how == "repeat" and rows:
+                rows.append(dict(draw(st.sampled_from(rows))))
+            elif how == "zero":
+                rows.append({j: _ZERO for j in draw(st.lists(st.sampled_from(block)))})
+            else:
+                cols = draw(st.lists(st.sampled_from(block), min_size=1, unique=True))
+                rows.append({j: draw(entries) for j in cols})
+    return n, draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_sparse_kernel_equals_dense_kernel(case):
+    n, rows = case
+    dense = [[row.get(j, _ZERO) for j in range(n)] for row in rows]
+    space = sparse_kernel(rows, n)
+    _assert_canonical(space)
+    assert space == kernel(dense, n)
+    assert all(len(re) == n for _, (re, _) in space.rows)
+
+
+def test_sparse_kernel_of_no_rows_is_everything():
+    identity = [[GaussianRational(int(i == j)) for j in range(3)] for i in range(3)]
+    assert sparse_kernel([], 3) == span(identity)
+    assert sparse_kernel([], 0) == Subspace()
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_sparse_rows_transpose_columns(case):
+    n, rows = case
+    columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
+    as_sets = lambda rows: Counter(frozenset(r.items()) for r in rows)
+    assert as_sets(sparse_rows(columns)) == as_sets(r for r in rows if r)

@@ -111,6 +111,54 @@ class TestCoefficient:
         assert not (C(1) + Coefficient.symbol("s")).is_zero()
 
 
+small_gauss = st.builds(
+    lambda a, b, c, d: GaussianRational(Fraction(a, b), Fraction(c, d)),
+    st.integers(-4, 4),
+    st.integers(1, 3),
+    st.integers(-4, 4),
+    st.integers(1, 3),
+)
+coefficients = st.dictionaries(
+    st.sampled_from([(), (("s", 1),), (("s", 2), ("t", 1)), (("t", 3),)]), small_gauss, max_size=4
+).map(Coefficient)
+constants = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+    small_gauss,
+    small_gauss.map(lambda x: Coefficient({(): x})),
+)
+
+
+class TestConstantProducts:
+    """A Coefficient times a Q(i) constant scales its term map."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=coefficients, x=constants)
+    def test_equals_the_general_product(self, a, x):
+        # a * (x + u) and a * u with a symbol u are general polynomial products
+        u = Coefficient.symbol("u")
+        general = a * (u + x) - a * u
+        assert a * x == general
+        assert Coefficient.coerce(x) * a == general
+        assert (a * x).is_zero() == (a.is_zero() or Coefficient.coerce(x).is_zero())
+
+    def test_no_monomial_products(self, monkeypatch):
+        from harmonica import scalars
+
+        calls = []
+        original = scalars._mono_mul
+        monkeypatch.setattr(
+            scalars, "_mono_mul", lambda a, b: calls.append((a, b)) or original(a, b)
+        )
+        a = Coefficient({(): G(1, 2), (("s", 1),): G(-3), (("s", 1), ("t", 2)): G(0, 1)})
+        for x in (1, -1, 0, 7, Fraction(2, 3), G(0, 1), C(5, -2), Coefficient.one()):
+            a * x
+            Coefficient.coerce(x) * a
+        monkeypatch.undo()
+        assert calls == []
+        assert a * G(0) == Coefficient.zero()
+
+
 class TestDerivationTable:
     def test_declared_zero_directions(self, table):
         g3 = Coefficient.symbol("g3")

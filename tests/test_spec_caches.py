@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import harmonica
-from harmonica import hermitian
+from harmonica import harmonic, hermitian, linalg
 from harmonica.forms import Form, parse_form
-from harmonica.harmonic import HarmonicKind, harmonic_space, harmonic_subspace
-from harmonica.hermitian import operator_columns, primitive_basis
+from harmonica.harmonic import LAPLACIAN_WORDS, HarmonicKind, harmonic_space, harmonic_subspace
+from harmonica.hermitian import operator_columns, primitive_basis, primitive_subspace
 from harmonica.library import catalog_document, load_spec
+from harmonica.scalars import GaussianRational
 from harmonica.structure import (
     ManifoldSpec,
     OperatorKind,
@@ -164,6 +165,70 @@ class TestImagesOnDemand:
         check_integrability_relations(spec)
         monkeypatch.undo()
         assert len(conjugated) <= spec.n
+
+
+class TestSparseKernels:
+    """Condition and primitive kernels are eliminated from sparse rows, and
+    operator blocks are sums of memoised word images."""
+
+    def test_condition_and_primitive_kernels_build_no_dense_row(self, monkeypatch):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        dense = ((hermitian, "block_rows"), (harmonic, "block_rows"), (linalg, "_to_int"))
+        for module, name in dense:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for p in range(spec.n + 1):
+            for q in range(spec.n + 1):
+                for key in harmonic.CONDITION_WORDS:
+                    harmonic._condition_kernel(key, p, q, spec)
+                if p + q <= spec.n:
+                    primitive_subspace(spec, p, q)
+        monkeypatch.undo()
+        assert calls == []
+
+    def test_laplacian_block_multiplies_nothing_by_one(self, monkeypatch):
+        """Once the images of the words' parts are built, composing the
+        Laplacian blocks multiplies no Q(i) value by 1: a first operator's
+        image is used as it is and the words are added without scaling."""
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        bidegrees = [(p, q) for p in range(4) for q in range(4)]
+        blocks = [(words, p, q) for words in LAPLACIAN_WORDS.values() for p, q in bidegrees]
+        for block in blocks:
+            operator_columns(*block, spec)
+        one = GaussianRational(1)
+        products = []
+        original = GaussianRational.__mul__
+
+        def counting(self, other):
+            products.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(GaussianRational, "__mul__", counting)
+        monkeypatch.setattr(GaussianRational, "__rmul__", counting)
+        for block in blocks:
+            operator_columns(*block, spec)
+        monkeypatch.undo()
+        assert products
+        assert [pair for pair in products if one in pair] == []
+
+    @pytest.mark.parametrize("words", [[("*",)], [("del", "delbar", "*")], LAPLACIAN_WORDS["bc"]])
+    def test_returned_columns_do_not_alias_the_cache(self, words):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        bidegrees = [(p, q) for p in range(4) for q in range(4)]
+        before = [operator_columns(words, p, q, spec) for p, q in bidegrees]
+        assert any(any(block) for block in before)
+        for p, q in bidegrees:
+            for column in operator_columns(words, p, q, spec):
+                column.clear()
+        assert [operator_columns(words, p, q, spec) for p, q in bidegrees] == before
 
 
 class TestOneSplitOfD:
