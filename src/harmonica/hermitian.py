@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
 from .forms import Form, MultiIndex, _add, _combine, _wedge_monomials, basis_multiindices
-from .linalg import Subspace, sparse_kernel, sparse_rows, span
+from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
 from .scalars import Coefficient, Fraction, GaussianRational
 from .structure import ManifoldSpec, OperatorKind, differential_component, fundamental_form
 
@@ -214,9 +214,10 @@ def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> Subspace:
 def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec) -> Subspace:
     """L^r of a space of (p,q)-forms, as a space of (p+r,q+r)-forms."""
     columns = operator_columns([("L",) * r], p, q, spec)
-    targets = basis_multiindices(spec.n, p + r, q + r)
-    images = [_combine(zip(v, columns)) for v in space.vectors()]
-    return span([[image.get(m, _ZERO) for m in targets] for image in images])
+    targets = {m: k for k, m in enumerate(basis_multiindices(spec.n, p + r, q + r))}
+    images = (_combine((x, columns[j]) for j, x in row) for row in space.sparse_vectors())
+    rows = [{targets[m]: x for m, x in image.items()} for image in images]
+    return sparse_span(rows, len(targets))
 
 
 # Operator matrices and coordinates.  _word_image is the one memoised image
@@ -233,8 +234,12 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
-    """New Forms for the basis of a space of (p,q)-forms."""
-    return rows_to_forms(space.vectors(), basis_multiindices(spec.n, p, q), spec.n)
+    """New Forms for the basis of a space of (p,q)-forms, from its sparse rows."""
+    monomials = basis_multiindices(spec.n, p, q)
+    return [
+        Form(spec.n, {monomials[j]: Coefficient({(): x}) for j, x in row})
+        for row in space.sparse_vectors()
+    ]
 
 
 def form_subspace(forms, p: int, q: int, spec: ManifoldSpec) -> Subspace:

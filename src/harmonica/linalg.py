@@ -1,32 +1,41 @@
-"""Exact linear algebra over Q(i): one canonical subspace value, and list functions over it.
+"""Exact linear algebra over Q(i): one sparse canonical subspace value, and list functions over it.
 
-A `Subspace` holds the reduced row echelon basis of a subspace over the
-Gaussian integers, each row scaled so that its pivot entry is a positive
-integer and the gcd of all its integer parts is 1.  That form is unique, so
-`==` is literal comparison; rows are tuples, so a cached value cannot be
-changed.  Containment, sum, intersection and the direct-sum test read the
-integer rows; `vectors()` gives the Q(i) rows with pivots 1, for output.  The
-list functions (`rref`, `right_kernel`, `subspace_intersection`, ...) take and
-return lists of GaussianRational and convert at that boundary.
+A `Subspace` of Q(i)^m holds the reduced row echelon basis over the Gaussian
+integers as sparse rows (pivot column, ((column, re, im), ...)), the nonzero
+entries in column order, each row scaled so that its pivot entry is a
+positive integer and the gcd of all its integer parts is 1, with the column
+count m beside them.  That form is unique, so `==` is literal comparison of
+the rows (m is not compared: `span([])` cannot know it); rows are tuples, so
+a cached value cannot be changed.  `vectors()` gives the Q(i) rows with
+pivots 1, for output, and `rows` a dense integer view of the basis.  The
+list functions (`rref`, `right_kernel`, `subspace_intersection`, ...) take
+and return lists of GaussianRational and convert at that boundary.
+
+Every value is built by one constructor, `Subspace._of`, from sparse
+Gaussian-integer rows: `span`, `+`, `&`, `sparse_kernel` and `kernel` all go
+through it.  Operator matrices are sparse and fall apart into small blocks,
+so `_of` splits the columns into the connected components of the row-column
+incidence graph (union-find) and eliminates each component alone, densely
+on its own columns; the canonical form is unique, so the merged rows are the
+value one elimination of the whole matrix would give.  Membership needs no
+elimination: v lies in the space exactly when v = sum_c (v[c]/p_c) row_c
+over the pivot columns c that v touches, p_c the pivot entries.
 
 Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
 the gcd of all its integer parts, so no rational number is formed.
 
-Operator matrices are sparse and fall apart into small blocks.
-`sparse_kernel` takes sparse rows, splits the columns into the connected
-components of the row-column incidence graph, and eliminates each component
-alone on its own columns; the canonical form is unique, so the embedded
-pieces are the same value the dense route gives.  The harmonic condition
-kernels and the primitive kernels take this route.  `kernel` stays dense,
-through `rref` over the whole matrix: the Laplacian cross-check uses it, so
-a fault in the component split shows as a disagreement between two
-independent eliminations instead of agreeing with itself.
+`sparse_kernel` reads the kernel from the canonical rows of a sparse matrix,
+`kernel` from `rref` of a dense one.  The Laplacian cross-check compares the
+two on different matrices (the condition stack and the Laplacian), so a
+fault in reading a kernel shows as a disagreement; the component split they
+share is checked against sympy in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 
 from .scalars import GaussianRational
@@ -37,12 +46,17 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 
 
-def _to_int(row: Vector) -> tuple:
-    """A Q(i) row as (re, im) Gaussian-integer parts over its common denominator."""
-    den = lcm(*(x.den for x in row))
-    re = [x.re_num * (den // x.den) for x in row]
-    im = [x.im_num * (den // x.den) for x in row]
-    return _divide_content(re, im)
+def _to_int(row: Vector) -> list:
+    """A dense Q(i) row as sparse (column, re, im) Gaussian-integer entries
+    over its common denominator."""
+    return _sparse_to_int([(j, x) for j, x in enumerate(row) if x.re_num or x.im_num])
+
+
+def _sparse_to_int(entries: list) -> list:
+    """(column, re, im) Gaussian-integer parts of nonzero (column, Q(i) value)
+    entries over their common denominator."""
+    den = lcm(*(x.den for _, x in entries))
+    return [(j, x.re_num * (den // x.den), x.im_num * (den // x.den)) for j, x in entries]
 
 
 def _divide_content(re: list, im: list) -> tuple:
@@ -72,10 +86,10 @@ def _eliminate(row: tuple, pivot: tuple, col: int) -> tuple:
     return _divide_content(re, im)
 
 
-def _echelon(rows: list, reduced: bool = False) -> list:
-    """Row echelon form of Gaussian-integer rows, as (pivot column, row)
-    pairs in increasing pivot order; zero rows are dropped.  With `reduced`,
-    every pivot column is zero outside its pivot row."""
+def _echelon(rows: list) -> list:
+    """Reduced row echelon form of dense Gaussian-integer (re, im) rows, as
+    (pivot column, row) pairs in increasing pivot order, every pivot column
+    zero outside its pivot row; zero rows are dropped."""
     rows = [r for r in rows if not _is_zero(r)]
     out: list = []
     if not rows:
@@ -96,88 +110,163 @@ def _echelon(rows: list, reduced: bool = False) -> list:
                     continue
             rest.append(r)
         rows = rest
-        if reduced:
-            out = [
-                (c, _eliminate(r, pivot, col) if r[0][col] or r[1][col] else r)
-                for c, r in out
-            ]
+        out = [(c, _eliminate(r, pivot, col) if r[0][col] or r[1][col] else r) for c, r in out]
         out.append((col, pivot))
         if not rows:
             break
     return out
 
 
-def _reduces_to_zero(row: tuple, echelon) -> bool:
-    """Whether the row lies in the span of the echelon rows."""
-    for col, pivot in echelon:
-        if row[0][col] or row[1][col]:
-            row = _eliminate(row, pivot, col)
-    return _is_zero(row)
-
-
-def _first_outside(rows, echelon) -> int | None:
-    """Index of the first Gaussian-integer row not in the span of the echelon rows."""
-    return next((i for i, row in enumerate(rows) if not _reduces_to_zero(row, echelon)), None)
+def _normalized(entries: list) -> tuple:
+    """(pivot column, entries) of a nonzero sparse row in column order, times
+    the conjugate of its first entry and divided by its integer content."""
+    _, pr, pi = entries[0]
+    out = [(j, a * pr + b * pi, b * pr - a * pi) for j, a, b in entries]
+    g = gcd(*(x for _, a, b in out for x in (a, b)))
+    if g > 1:
+        out = [(j, a // g, b // g) for j, a, b in out]
+    return entries[0][0], tuple(out)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q(i)^m in its canonical form: (pivot column, (re, im))
-    rows of the reduced echelon basis over Z[i], each with a positive integer
-    pivot entry and integer content 1.  Build it with `span` or `kernel`."""
+    """A subspace of Q(i)^ncols in its canonical form: sparse (pivot column,
+    ((column, re, im), ...)) rows of the reduced echelon basis over Z[i],
+    each with a positive integer pivot entry and integer content 1.  Build
+    it with `span`, `sparse_span`, `kernel` or `sparse_kernel`."""
 
-    rows: tuple = ()
+    sparse: tuple = ()
+    ncols: int = field(default=0, compare=False)
 
     @classmethod
-    def _of(cls, rows) -> "Subspace":
-        """The value spanned by Gaussian-integer rows."""
+    def _of(cls, rows, ncols: int) -> "Subspace":
+        """The value spanned by sparse Gaussian-integer rows [(column, re,
+        im), ...] of nonzero entries, one connected component of columns at a
+        time: a component of one row is only normalized, a larger one is
+        eliminated densely on its own columns."""
+        rows = [row for row in rows if row]
+        parent: dict = {}
+
+        def find(j):
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            return j
+
+        for row in rows:
+            for j, _, _ in row:
+                parent.setdefault(j, j)
+            root = find(row[0][0])
+            for j, _, _ in row[1:]:
+                other = find(j)
+                if other != root:
+                    parent[other] = root
+        components: dict = {}
+        for row in rows:
+            components.setdefault(find(row[0][0]), []).append(row)
         out = []
-        for col, (re, im) in _echelon(rows, reduced=True):
-            pr, pi = re[col], im[col]  # times the conjugate of the pivot, then content 1
-            re, im = _divide_content(
-                [x * pr + y * pi for x, y in zip(re, im)],
-                [y * pr - x * pi for x, y in zip(re, im)],
-            )
+        for group in components.values():
+            if len(group) == 1:
+                out.append(_normalized(sorted(group[0])))
+                continue
+            cols = sorted({j for row in group for j, _, _ in row})
+            local = {j: k for k, j in enumerate(cols)}
+            dense = []
+            for row in group:
+                re, im = [0] * len(cols), [0] * len(cols)
+                for j, a, b in row:
+                    re[local[j]], im[local[j]] = a, b
+                dense.append((re, im))
+            for _, (re, im) in _echelon(dense):
+                out.append(_normalized([(j, a, b) for j, a, b in zip(cols, re, im) if a or b]))
+        out.sort()
+        return cls(tuple(out), ncols)
+
+    @property
+    def rows(self) -> tuple:
+        """A dense view of the basis: (pivot column, (re, im)) rows over the
+        ncols columns."""
+        out = []
+        for col, entries in self.sparse:
+            re, im = [0] * self.ncols, [0] * self.ncols
+            for j, a, b in entries:
+                re[j], im[j] = a, b
             out.append((col, (tuple(re), tuple(im))))
-        return cls(tuple(out))
+        return tuple(out)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.sparse)
+
+    def sparse_vectors(self) -> list[list]:
+        """The basis as sparse Q(i) rows [(column, value), ...], pivot entries 1."""
+        return [
+            [(j, GaussianRational.from_ints(a, b, entries[0][1])) for j, a, b in entries]
+            for _, entries in self.sparse
+        ]
 
     def vectors(self) -> list[Vector]:
-        """The basis as Q(i) rows with pivot entries 1, zero entries shared."""
+        """The basis as dense Q(i) rows with pivot entries 1, zero entries shared."""
         out = []
-        for col, (re, im) in self.rows:
-            den = re[col]
-            out.append([
-                GaussianRational.from_ints(x, y, den) if x or y else _ZERO
-                for x, y in zip(re, im)
-            ])
+        for row in self.sparse_vectors():
+            v = [_ZERO] * self.ncols
+            for j, x in row:
+                v[j] = x
+            out.append(v)
         return out
+
+    @cached_property
+    def _by_pivot(self) -> dict:
+        return dict(self.sparse)
+
+    def _contains(self, entries) -> bool:
+        """Whether a sparse Gaussian-integer row v, in column order, lies in
+        the space: exactly when v = sum_c (v[c]/p_c) row_c over the pivot
+        columns c it touches, checked here times L, the lcm of their pivot
+        entries p_c.  A row whose first column is no pivot is outside."""
+        if not entries:
+            return True
+        by_pivot = self._by_pivot
+        if entries[0][0] not in by_pivot:
+            return False
+        touched = [(a, b, by_pivot[j]) for j, a, b in entries if j in by_pivot]
+        scale = lcm(*(row[0][1] for _, _, row in touched))
+        residual = {j: (scale * a, scale * b) for j, a, b in entries}
+        for a, b, row in touched:
+            s = scale // row[0][1]
+            fa, fb = s * a, s * b
+            for j, x, y in row:
+                ra, rb = residual.get(j, (0, 0))
+                residual[j] = (ra - fa * x + fb * y, rb - fa * y - fb * x)
+        return not any(a or b for a, b in residual.values())
 
     def first_outside(self, other: "Subspace") -> int | None:
         """Index of the first basis row not in `other`, or None if all are."""
-        return _first_outside([row for _, row in self.rows], other.rows)
+        return next(
+            (i for i, (_, entries) in enumerate(self.sparse) if not other._contains(entries)),
+            None,
+        )
 
     def __le__(self, other: "Subspace") -> bool:
         return self.first_outside(other) is None
 
     def __add__(self, other: "Subspace") -> "Subspace":
-        return Subspace._of([row for _, row in self.rows + other.rows])
+        rows = [entries for _, entries in self.sparse + other.sparse]
+        return Subspace._of(rows, max(self.ncols, other.ncols))
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """The intersection, by the Zassenhaus algorithm: in an echelon form
-        of the rows (a_i | a_i) and (b_j | 0), the rows whose left half is zero
-        have right halves spanning the intersection."""
-        if not self.rows or not other.rows:
-            return Subspace()
-        ncols = len(self.rows[0][1][0])
-        zeros = (0,) * ncols
-        stacked = [(re + re, im + im) for _, (re, im) in self.rows]
-        stacked += [(re + zeros, im + zeros) for _, (re, im) in other.rows]
-        return Subspace._of(
-            [(re[ncols:], im[ncols:]) for col, (re, im) in _echelon(stacked) if col >= ncols]
+        """The intersection, by the Zassenhaus algorithm: the rows (a_i | a_i)
+        and (b_j | 0) span a space whose canonical rows with pivot in the
+        right half are zero on the left, and their right halves are the
+        canonical rows of the intersection."""
+        m = max(self.ncols, other.ncols)
+        if not self.sparse or not other.sparse:
+            return Subspace((), m)
+        stacked = [e + tuple((j + m, a, b) for j, a, b in e) for _, e in self.sparse]
+        stacked += [e for _, e in other.sparse]
+        meet = Subspace._of(stacked, 2 * m).sparse
+        return Subspace(
+            tuple((col - m, tuple((j - m, a, b) for j, a, b in e)) for col, e in meet if col >= m),
+            m,
         )
 
     @staticmethod
@@ -187,23 +276,31 @@ class Subspace:
 
 
 def span(rows: list[Vector]) -> Subspace:
-    """The span of Q(i) rows."""
-    return Subspace._of([_to_int(r) for r in rows])
+    """The span of dense Q(i) rows."""
+    return Subspace._of([_to_int(r) for r in rows], len(rows[0]) if rows else 0)
+
+
+def sparse_span(rows, ncols: int) -> Subspace:
+    """The span of sparse Q(i) rows {column index: value} over ncols columns."""
+    return Subspace._of(
+        [_sparse_to_int([(j, x) for j, x in row.items() if x.re_num or x.im_num]) for row in rows],
+        ncols,
+    )
 
 
 def kernel(rows: list[Vector], ncols: int) -> Subspace:
-    """{x : A x = 0} for the matrix with the given rows: each free column f
-    of rref(A) gives the vector e_f minus the pivot rows' entries in column f."""
+    """{x : A x = 0} for the matrix with the given dense rows: each free
+    column f of rref(A) gives the vector e_f minus the pivot rows' entries
+    in column f."""
     reduced = rref(rows)
     pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in reduced]
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
+        v = {fc: _ONE}
         for r, pc in zip(reduced, pivots):
             v[pc] = -r[fc]
         basis.append(v)
-    return span(basis)
+    return sparse_span(basis, ncols)
 
 
 def sparse_rows(columns: list[dict]) -> list[dict]:
@@ -218,83 +315,28 @@ def sparse_rows(columns: list[dict]) -> list[dict]:
 
 def sparse_kernel(rows, ncols: int) -> Subspace:
     """{x : A x = 0} for the matrix with these sparse Q(i) rows {column
-    index: value}, one connected component of columns at a time.
-
-    Each row is scaled to Gaussian integers, which keeps the kernel.  A
-    component's rows are brought to canonical reduced form, with positive
-    integer pivots p_r; each of its free columns f gives the kernel vector
-    L e_f - sum_r (L / p_r) row_r[f] e_{pc_r}, L the lcm of the pivots, and
-    those vectors are brought to canonical form on the component's columns.
-    A column that no row touches is a component of its own and gives e_j.
-    Components have disjoint columns, so the embedded rows together are the
-    canonical kernel."""
-    parent = list(range(ncols))
-
-    def find(j):
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        return j
-
-    int_rows = []
-    for row in rows:
-        entries = [(j, x) for j, x in row.items() if x.re_num or x.im_num]
-        if not entries:
-            continue
-        int_rows.append(_sparse_to_int(entries))
-        root = find(entries[0][0])
-        for j, _ in entries[1:]:
-            other = find(j)
-            if other != root:
-                parent[other] = root
-    components: dict = {}
-    for row in int_rows:
-        components.setdefault(find(row[0][0]), []).append(row)
-    columns: dict = {}
-    for j in range(ncols):
-        columns.setdefault(find(j), []).append(j)
-    out = []
-    for root, cols in columns.items():
-        local = {j: k for k, j in enumerate(cols)}
-        zeros = [0] * len(cols)
-        dense = []
-        for row in components.get(root, ()):
-            re, im = zeros[:], zeros[:]
-            for j, a, b in row:
-                re[local[j]] = a
-                im[local[j]] = b
-            dense.append(_divide_content(re, im))
-        for col, (re, im) in _local_kernel(Subspace._of(dense).rows, len(cols)).rows:
-            gre, gim = [0] * ncols, [0] * ncols
-            for k, j in enumerate(cols):
-                gre[j], gim[j] = re[k], im[k]
-            out.append((cols[col], (tuple(gre), tuple(gim))))
-    out.sort(key=lambda r: r[0])
-    return Subspace(tuple(out))
-
-
-def _sparse_to_int(entries: list) -> list:
-    """(column, re, im) Gaussian-integer parts of nonzero (column, Q(i) value)
-    entries over their common denominator."""
-    den = lcm(*(x.den for _, x in entries))
-    return [(j, x.re_num * (den // x.den), x.im_num * (den // x.den)) for j, x in entries]
-
-
-def _local_kernel(echelon: tuple, size: int) -> Subspace:
-    """The kernel of canonical rows over `size` columns, from their free columns."""
-    pivots = {col for col, _ in echelon}
-    scale = lcm(*(re[col] for col, (re, _) in echelon))
+    index: value}, read from the canonical rows of its row space: each free
+    column f gives L e_f - sum_r (L / p_r) row_r[f] e_{pc_r} over the rows r
+    with row_r[f] != 0, with pivot column pc_r and pivot entry p_r, L the
+    lcm of those p_r.  A column that no row touches gives e_f."""
+    space = sparse_span(rows, ncols)
+    hits: dict = {}
+    for col, entries in space.sparse:
+        p = entries[0][1]
+        for j, a, b in entries[1:]:
+            hits.setdefault(j, []).append((col, p, a, b))
+    pivots = space._by_pivot
     basis = []
-    for f in range(size):
+    for f in range(ncols):
         if f in pivots:
             continue
-        re, im = [0] * size, [0] * size
-        re[f] = scale
-        for col, (pre, pim) in echelon:
-            if pre[f] or pim[f]:
-                s = scale // pre[col]
-                re[col], im[col] = -s * pre[f], -s * pim[f]
-        basis.append((re, im))
-    return Subspace._of(basis)
+        terms = hits.get(f, ())
+        scale = lcm(*(p for _, p, _, _ in terms))
+        vector = [(f, scale, 0)]
+        for col, p, a, b in terms:
+            vector.append((col, -(scale // p) * a, -(scale // p) * b))
+        basis.append(vector)
+    return Subspace._of(basis, ncols)
 
 
 def rref(rows: list[Vector]) -> list[Vector]:
@@ -313,7 +355,8 @@ def right_kernel(rows: list[Vector], ncols: int) -> list[Vector]:
 
 def first_outside(rows: list[Vector], basis: list[Vector]) -> int | None:
     """Index of the first row not in span(basis), or None if all of them are."""
-    return _first_outside(map(_to_int, rows), span(basis).rows)
+    space = span(basis)
+    return next((i for i, row in enumerate(rows) if not space._contains(_to_int(row))), None)
 
 
 def is_subspace(rows: list[Vector], basis: list[Vector]) -> bool:

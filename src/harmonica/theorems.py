@@ -70,7 +70,9 @@ def _outside(big, small, spec, p, q) -> list:
     """The first echelon generator of big not lying in small, as a one-Form
     list, or [] when big <= small."""
     i = big.first_outside(small)
-    return [] if i is None else subspace_forms(Subspace(big.rows[i : i + 1]), p, q, spec)
+    if i is None:
+        return []
+    return subspace_forms(Subspace(big.sparse[i : i + 1], big.ncols), p, q, spec)
 
 
 def _basis_strings(space, spec, p, q):

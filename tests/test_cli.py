@@ -253,7 +253,8 @@ def _times_torus_document(name, k):
 
 class TestGoldenAboveN3:
     """sha256 of the full default stdout of `harmonica report` on two n = 5
-    specs, each written to a file first, so the report starts cold."""
+    specs and the flat n = 6 spec, each written to a file first, so the
+    report starts cold."""
 
     @pytest.mark.parametrize(
         "document, size, digest",
@@ -268,8 +269,13 @@ class TestGoldenAboveN3:
                 195926,
                 "57e51005c1584ff5d85548fec03e53738ef7f0b4289c4f86697aa8d4ccbb9c10",
             ),
+            (
+                _flat_document(6),
+                974133,
+                "f32155aa133d7fef13c5a718ca8684ecbbd21ccff1536c12c0b19fcac359b0be",
+            ),
         ],
-        ids=["flat10", "iwasawa_ak_x_T4"],
+        ids=["flat10", "iwasawa_ak_x_T4", "flat12"],
     )
     def test_report_bytes(self, capsys, monkeypatch, tmp_path, document, size, digest):
         monkeypatch.delenv("HARMONICA_ASCII", raising=False)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from harmonica.harmonic import (
     adjoint,
     forms_to_rows,
     harmonic_space,
+    harmonic_subspace,
     is_harmonic,
     laplacian_apply,
 )
@@ -27,6 +29,7 @@ from harmonica.hermitian import (
     primitive_basis,
     volume_form,
 )
+from harmonica.library import catalog_document, load_spec
 from harmonica.linalg import rref, subspace_equal
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import OperatorKind, all_basis_monomials, differential_component
@@ -413,3 +416,40 @@ class TestSymbolicLaplacians:
         f = mono(3, (2,), (1,), Coefficient.symbol("g3"))
         with pytest.raises(DepthExceeded):
             laplacian_apply(HarmonicKind.BC, f, shallow)
+
+
+def _times_torus2(name):
+    """The catalog spec times a flat 2-torus: one more generator with d = 0
+    and omega coefficient 1."""
+    doc = json.loads(catalog_document(name))
+    n = doc["n"] + 1
+    doc["generators"].append(f"phi{n}")
+    doc["d"][f"phi{n}"] = []
+    doc["omega"].append("1")
+    doc["n"] = n
+    doc["name"] = f"{name}_x_T2"
+    return load_spec(doc)
+
+
+class TestKunneth:
+    """An independent check above n = 3: the invariant complex of X x T^2 is
+    the tensor product of those of X and of T^2, whose (a,b) parts are one
+    dimensional for a, b in {0, 1}, so every harmonic table of the product is
+    h^{p,q}(X x T^2) = sum over a, b in {0, 1} of h^{p-a,q-b}(X)."""
+
+    @pytest.mark.parametrize("name", ["iwasawa_ak", "iwasawa_cplx", "flat_kahler6"])
+    def test_tables_of_a_product_with_a_torus(self, name):
+        base = load_spec(catalog_document(name))
+        product = _times_torus2(name)
+        n = base.n
+
+        def h(kind, p, q):
+            if 0 <= p <= n and 0 <= q <= n:
+                return harmonic_subspace(kind, p, q, base).dim
+            return 0
+
+        for kind in HarmonicKind:
+            for p in range(n + 2):
+                for q in range(n + 2):
+                    expected = sum(h(kind, p - a, q - b) for a in (0, 1) for b in (0, 1))
+                    assert harmonic_subspace(kind, p, q, product).dim == expected, (kind, p, q)

@@ -26,6 +26,7 @@ from harmonica.linalg import (
     rref,
     sparse_kernel,
     sparse_rows,
+    sparse_span,
     subspace_equal,
     subspace_intersection,
     subspace_sum,
@@ -311,3 +312,100 @@ def test_sparse_rows_transpose_columns(case):
     columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
     as_sets = lambda rows: Counter(frozenset(r.items()) for r in rows)
     assert as_sets(sparse_rows(columns)) == as_sets(r for r in rows if r)
+
+
+# The component split is shared by every constructor, so the sparse values
+# are checked against sympy directly: block-structured sparse matrices, and
+# pairs of them on the same column blocks.
+
+
+def _dense(rows, n):
+    return [[row.get(j, _ZERO) for j in range(n)] for row in rows]
+
+
+small_nonzero = st.builds(GaussianRational, small.filter(bool), small)
+
+
+@st.composite
+def bridged_sparse_matrices(draw):
+    """A `sparse_matrices` draw with one to three bridge rows added when it
+    has three columns or more: each has nonzero entries in three or four
+    columns, so it joins the blocks of those columns, and one or two of
+    those columns get a one-entry row too, a block of one column whose pivot
+    the bridge must be reduced at."""
+    n, rows = draw(sparse_matrices())
+    for _ in range(draw(st.integers(1, 3)) if n >= 3 else 0):
+        cols = sorted(draw(st.permutations(range(n)))[: draw(st.integers(3, 4))])
+        rows.append({j: draw(small_nonzero) for j in cols})
+        for j in draw(st.lists(st.sampled_from(cols), min_size=1, max_size=2, unique=True)):
+            rows.append({j: draw(small_nonzero)})
+    return n, draw(st.permutations(rows))
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two sparse matrices under one column permutation: the rows of one
+    `bridged_sparse_matrices` draw dealt into two, and sums of two rows of
+    the first added to the second, so that the two spaces meet."""
+    n, rows = draw(bridged_sparse_matrices())
+    sides = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    a = [row for row, left in zip(rows, sides) if left]
+    b = [row for row, left in zip(rows, sides) if not left]
+    for _ in range(draw(st.integers(0, 2)) if a else 0):
+        r1, r2 = draw(st.sampled_from(a)), draw(st.sampled_from(a))
+        b.append({j: r1.get(j, _ZERO) + r2.get(j, _ZERO) for j in sorted({*r1, *r2})})
+    return n, a, draw(st.permutations(b))
+
+
+def _assert_view(space, n):
+    _assert_canonical(space)
+    assert all(len(re) == len(im) == n for _, (re, im) in space.rows)
+
+
+@PROPERTY
+@given(bridged_sparse_matrices())
+def test_sparse_span_and_kernel_match_sympy(case):
+    n, rows = case
+    dense = _dense(rows, n)
+    for space in (span(dense), sparse_span(rows, n)):
+        _assert_view(space, n)
+        assert space.vectors() == _oracle_rref(dense, n)
+    null = sparse_kernel(rows, n)
+    _assert_view(null, n)
+    assert null.dim == n - _oracle_rank(dense, n)
+    for x in null.vectors():
+        for r in dense:
+            assert sum((a * b for a, b in zip(r, x)), _ZERO).is_zero()
+
+
+@PROPERTY
+@given(sparse_pairs())
+def test_sparse_subspace_operations_match_sympy(case):
+    n, a, b = case
+    da, db = _dense(a, n), _dense(b, n)
+    sa, sb = sparse_span(a, n), sparse_span(b, n)
+    for value in (sa + sb, sa & sb, sb & sa):
+        _assert_view(value, n)
+    assert (sa + sb).vectors() == _oracle_rref(da + db, n)
+    assert (sa & sb).vectors() == (sb & sa).vectors() == _oracle_intersection(da, db, n)
+    for x, y, dx, dy in ((sa, sb, da, db), (sb, sa, db, da)):
+        base_rank = _oracle_rank(dy, n)
+        inside = [_oracle_rank(dy + [r], n) == base_rank for r in _oracle_rref(dx, n)]
+        assert (x <= y) == all(inside)
+        assert x.first_outside(y) == next((i for i, ok in enumerate(inside) if not ok), None)
+    empty = Subspace()
+    assert sa + empty == empty + sa == sa
+    assert (sa & empty).dim == (empty & sa).dim == 0
+    assert empty <= sa and (sa <= empty) == (sa.dim == 0)
+    assert sum([sa, sb], empty) == sa + sb
+
+
+def test_empty_spaces_are_neutral():
+    rows = [{0: GaussianRational(1), 2: GaussianRational(0, 3)}]
+    space = sparse_span(rows, 4)
+    for empty in (Subspace(), span([]), sparse_span([], 4), sparse_kernel([], 0)):
+        assert empty == Subspace() and hash(empty) == hash(Subspace())
+        assert empty.rows == () and empty.vectors() == []
+        assert space + empty == empty + space == space
+        assert empty.first_outside(space) is None
+    assert sparse_span([{1: _ZERO}], 4) == Subspace()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 
 from harmonica.errors import ValidationError
 from harmonica.forms import Form
+from harmonica import structure
 from harmonica.hermitian import fundamental_form
+from harmonica.library import catalog_document, load_spec
 from harmonica.report import REFUTED, VERIFIED, CheckItem, VerificationReport
 from harmonica.scalars import Coefficient, Direction, GaussianRational
 from harmonica.structure import (
     ManifoldSpec,
+    _d_squared_parts,
     OperatorKind,
     all_basis_monomials,
     check_almost_kahler,
@@ -408,3 +412,75 @@ class TestLeibnizOracle:
             seen.clear()
             differential_component(form, kind, torus)
             assert set(seen) == directions, kind
+
+
+# The integrability gate evaluates only 1 and the phi^a, phi^abar when every
+# d(generator) is a 2-form.  It must report what evaluating every basis
+# monomial through the same d^2 split reports, first witness and residual
+# included.
+
+
+def every_monomial_failures(spec):
+    """name -> (first failing unit monomial, its residual), over all 4^n."""
+    failures = {}
+    for idx in all_basis_monomials(spec.n):
+        for name, value in _d_squared_parts(idx, spec):
+            if name not in failures and not value.is_zero():
+                failures[name] = (mono(spec.n, idx.hol, idx.anti), value)
+    return failures
+
+
+def seeded_spec(rng, table):
+    """n = 2 or 3; each d(generator) has up to four terms, each a 2-form
+    but for one spec in five, with Q(i) or torus6-symbol coefficients."""
+    n = rng.choice([2, 3, 3])
+    other_degrees = rng.random() < 0.2
+    d_gen = {}
+    for a in range(1, n + 1):
+        form = Form.zero(n)
+        for _ in range(rng.randint(0, 4)):
+            degree = rng.choice([1, 2, 3]) if other_degrees else 2
+            p = rng.randint(max(0, degree - n), min(degree, n))
+            hol = tuple(sorted(rng.sample(range(1, n + 1), p)))
+            anti = tuple(sorted(rng.sample(range(1, n + 1), degree - p)))
+            c = Coefficient.coerce(G(Fraction(rng.randint(1, 3)), rng.randint(-2, 2)))
+            if rng.random() < 0.3:
+                c = c * Coefficient.symbol(rng.choice(TORUS_SYMBOLS))
+            form = form + mono(n, hol, anti, c)
+        d_gen[a] = form
+    return ManifoldSpec(
+        name="seeded",
+        n=n,
+        generators=[f"phi{a}" for a in range(1, n + 1)],
+        d_gen=d_gen,
+        omega_coeffs=(1,) * n,
+        table=table,
+    )
+
+
+class TestIntegrabilityGate:
+    def test_generators_decide_as_every_monomial_does(self, torus):
+        seen = set()
+        for seed in range(80):
+            spec = seeded_spec(random.Random(seed), torus.table)
+            report = check_integrability_relations(spec)
+            failures = every_monomial_failures(spec)
+            two_forms = report.items[0].ok
+            for item in report.items[1:]:
+                witness, residual = failures.get(item.name, (None, None))
+                assert item.ok == (item.name not in failures), (seed, item.name)
+                assert (item.witness, item.residual) == (witness, residual), (seed, item.name)
+                seen.add((two_forms, item.ok))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_only_the_generators_are_evaluated(self, monkeypatch):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        calls = []
+
+        def counted(idx, spec):
+            calls.append(idx)
+            return _d_squared_parts(idx, spec)
+
+        monkeypatch.setattr(structure, "_d_squared_parts", counted)
+        assert check_integrability_relations(spec).status == VERIFIED
+        assert 0 < len(calls) <= 2 * spec.n + 1

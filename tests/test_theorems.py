@@ -6,7 +6,8 @@ from harmonica.errors import BidegreeOutOfRange, DimensionMismatch, NotAlmostKah
 from harmonica.forms import Form, basis_multiindices, parse_form
 from harmonica.harmonic import HarmonicKind, forms_to_rows, harmonic_space, is_harmonic
 from harmonica.hermitian import fundamental_form, is_primitive, lefschetz_L
-from harmonica.linalg import in_span, subspace_equal
+from harmonica.library import catalog_document, load_spec
+from harmonica.linalg import Subspace, in_span, subspace_equal
 from harmonica.report import NOT_APPLICABLE, REFUTED, VERIFIED
 from harmonica.structure import ManifoldSpec
 from harmonica.theorems import (
@@ -203,3 +204,29 @@ class TestAllStatements:
         assert all(r.status in (VERIFIED, NOT_APPLICABLE) for r in reports)
         ids = {r.statement for r in reports}
         assert {"decomp-bc-11", "decomp-a-11", "bc21-gap", "edge-decomps"} <= ids
+
+
+class TestSparseStatements:
+    """The statements read the sparse rows of their subspace values and never
+    build the dense `Subspace.rows` view."""
+
+    def test_statements_never_read_the_dense_view(self, monkeypatch):
+        reads = []
+        view = Subspace.rows
+
+        def counted(space):
+            reads.append(space.dim)
+            return view.fget(space)
+
+        monkeypatch.setattr(Subspace, "rows", property(counted))
+        flat8 = ManifoldSpec(
+            name="flat8",
+            n=4,
+            generators=[f"phi{a}" for a in range(1, 5)],
+            d_gen={},
+            omega_coeffs=(1,) * 4,
+        )
+        assert verify_relations(flat8, 1, 1).status == VERIFIED
+        reports = all_statements(load_spec(catalog_document("iwasawa_ak")))
+        assert any(r.witnesses for r in reports)
+        assert reads == []
