@@ -82,15 +82,6 @@ def _combine(terms) -> dict:
     return {m: x for m, x in out.items() if not x.is_zero()}
 
 
-def _add(columns) -> dict:
-    """The sum of sparse columns, with zeros dropped."""
-    out: dict = {}
-    for column in columns:
-        for m, x in column.items():
-            out[m] = out[m] + x if m in out else x
-    return {m: x for m, x in out.items() if not x.is_zero()}
-
-
 def basis_multiindices(n: int, p: int, q: int) -> list[MultiIndex]:
     """All (p,q) monomials in canonical order (lexicographic hol, then anti)."""
     return [

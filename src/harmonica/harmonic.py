@@ -5,7 +5,10 @@ condition systems (e.g. Delta_BC a = 0 iff del a = 0, delbar a = 0,
 del delbar * a = 0).  The engine computes kernels from those systems on the
 invariant complex — where the compactness argument still applies, since all
 operators preserve invariance — and cross-checks every constant-coefficient
-kernel against the nullspace of the assembled Laplacian matrix.
+kernel K against the nullspace of the assembled Laplacian matrix.  That
+nullspace is not read as a kernel: the reduced rows of the Laplacian give
+its rank, and K = ker Delta exactly when those rows annihilate K and
+dim K = m - rank Delta over the m monomials of the block (linalg.is_kernel).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .hermitian import (
     rows_to_forms,
     subspace_forms,
 )
-from .linalg import Subspace, kernel, sparse_kernel, sparse_rows
+from .linalg import Subspace, is_kernel, rref, sparse_kernel, sparse_rows
 from .structure import ManifoldSpec
 
 __all__ = [
@@ -158,9 +161,10 @@ def _condition_subspace(key: str, p: int, q: int, spec: ManifoldSpec) -> Subspac
 
 
 def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec):
-    """Nullspace of the assembled Laplacian on the (p,q) monomials.  For the
-    d-Laplacian, which mixes the bidegrees of one total degree, this is
-    ker Delta_d restricted to forms supported on the (p,q) block."""
+    """The nullspace of the assembled Laplacian on the (p,q) monomials, given
+    by the reduced echelon rows of its matrix.  For the d-Laplacian, which
+    mixes the bidegrees of one total degree, this is ker Delta_d restricted
+    to forms supported on the (p,q) block."""
     columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
     mixed = kind is HarmonicKind.D
     stray = [m for c in columns for m in c if m.degree != p + q or (m.p != p and not mixed)]
@@ -169,7 +173,7 @@ def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec)
             f"Laplacian image leaves the expected space for {kind.value} "
             f"at ({p},{q}) on {spec.name!r}: {stray}"
         )
-    return kernel(block_rows(columns), len(columns))
+    return rref(block_rows(columns))
 
 
 def harmonic_space(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> SubspaceBasis:
@@ -195,7 +199,8 @@ def _harmonic_kernel(kind, p, q, spec) -> Subspace:
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         raise BidegreeOutOfRange(f"bidegree ({p},{q}) out of range for n={spec.n}")
     space = _condition_subspace(kind.value, p, q, spec)
-    if space != _laplacian_nullspace(kind, p, q, spec):
+    monomials = basis_multiindices(spec.n, p, q)
+    if not is_kernel(space, _laplacian_nullspace(kind, p, q, spec), len(monomials)):
         raise CrossCheckFailed(
             f"condition kernel and Laplacian nullspace disagree for "
             f"{kind.value} at ({p},{q}) on {spec.name!r}"

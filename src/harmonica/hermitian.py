@@ -16,10 +16,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
-from .forms import Form, MultiIndex, _add, _combine, _wedge_monomials, basis_multiindices
+from .forms import Form, MultiIndex, _combine, _wedge_monomials, basis_multiindices
 from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
 from .scalars import Coefficient, Fraction, GaussianRational
-from .structure import ManifoldSpec, OperatorKind, differential_component, fundamental_form
+from .structure import (
+    ManifoldSpec,
+    OperatorKind,
+    d_by_shift,
+    differential_component,
+    fundamental_form,
+)
 
 __all__ = [
     "fundamental_form",
@@ -224,13 +230,14 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # of a unit monomial under an operator word, cached on the spec per (word,
 # monomial).  A single operator's image comes from _image: star and L in
 # closed form, Lambda and the adjoints through the star and L or paired-d
-# images, d and its parts by differential_component on the unit monomial.
-# A longer word's image is the sum of c times the image of word[:-1] over
-# the terms c m' of its rightmost operator's image, so words that share a
-# prefix share its images, and the first operator's image is used as it is.
-# operator_columns adds these images per block column without scaling, and
-# _map_form applies star, L and Lambda to Forms from them.
-# subspace_forms and form_subspace are the one Subspace <-> Form pair.
+# images, d and its parts read from the cached split d_by_shift.  A longer
+# word's image is the sum of c times the image of word[:-1] over the terms
+# c m' of its rightmost operator's image, so words that share a prefix share
+# its images, and the first operator's image is used as it is.
+# operator_columns accumulates each column of a sum of words the same way,
+# in one dict, and _map_form applies star, L and Lambda to Forms from the
+# images.  subspace_forms and form_subspace are the one Subspace <-> Form
+# pair.
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -273,20 +280,28 @@ def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:
     the operator words (as in apply_word), as sparse columns {output
     monomial: nonzero Q(i) value}.  Each column is a new dict built from the
     cached image of its monomial under each word, so a caller may change it."""
-    monomials = basis_multiindices(spec.n, p, q)
-    if len(words) == 1:
-        return [_column(words[0], m, spec) for m in monomials]
-    return [_add(_column(word, m, spec) for word in words) for m in monomials]
+    return [_column(words, m, spec) for m in basis_multiindices(spec.n, p, q)]
 
 
-def _column(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
-    """The image of one unit monomial under the word, as a new dict.  A word
-    of two or more operators is composed from the cached images of its parts
-    but is not cached itself: the kernels built from a block are cached, so
-    the whole word's image would be kept for nothing but memory."""
-    if len(word) < 2:
-        return dict(_word_image(word, idx, spec))
-    return _compose(word, idx, spec)
+def _column(words, idx: MultiIndex, spec: ManifoldSpec) -> dict:
+    """The image of one unit monomial under the sum of the words, accumulated
+    in one new dict: a single operator's cached image is added as it is, and
+    a longer word adds c times the cached image of word[:-1] over the terms
+    c m' of its rightmost operator's image.  The whole word is not cached:
+    the kernels built from a block are cached, so the whole word's image
+    would be kept for nothing but memory."""
+    out: dict = {}
+    for word in words:
+        first = _word_image(word[-1:], idx, spec)
+        if len(word) < 2:
+            for m, x in first.items():
+                out[m] = out[m] + x if m in out else x
+            continue
+        head = word[:-1]
+        for m1, c in first.items():
+            for m, x in _word_image(head, m1, spec).items():
+                out[m] = out[m] + c * x if m in out else c * x
+    return {m: x for m, x in out.items() if not x.is_zero()}
 
 
 def block_rows(columns: list[dict]) -> list[list]:
@@ -343,9 +358,16 @@ def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     if op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
         paired = OperatorKind(op[:-1]).conjugate.value
         return _through(("*", paired), _negated(_word_image(("*",), idx, spec)), spec)
-    form = differential_component(Form(spec.n, {idx: 1}), OperatorKind(op), spec)
-    monomials = list(form.terms)
-    return dict(zip(monomials, forms_to_rows([form], monomials)[0]))
+    shift = OperatorKind(op).shift
+    out = {}
+    for b, part in d_by_shift(idx, spec).items():
+        if shift is None or b == shift:
+            for m, c in part.terms.items():
+                value = c.constant_value()
+                if value is None:
+                    raise SymbolicCoefficients("expected constant coefficients")
+                out[m] = value
+    return out
 
 
 def _negated(column: dict) -> dict:

@@ -25,11 +25,13 @@ Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
 the gcd of all its integer parts, so no rational number is formed.
 
-`sparse_kernel` reads the kernel from the canonical rows of a sparse matrix,
-`kernel` from `rref` of a dense one.  The Laplacian cross-check compares the
-two on different matrices (the condition stack and the Laplacian), so a
-fault in reading a kernel shows as a disagreement; the component split they
-share is checked against sympy in the tests.
+`sparse_kernel` reads the kernel from the canonical rows of a sparse matrix;
+`kernel` reads it from `rref` of a dense one and serves `right_kernel` only.
+The Laplacian cross-check reads no second kernel: `is_kernel` decides
+whether a space is the kernel of a matrix from the matrix's reduced rows,
+by rank and annihilation, so the condition kernel and the Laplacian are
+compared on different matrices by different routes; the component split
+they share is checked against sympy in the tests.
 """
 
 from __future__ import annotations
@@ -298,9 +300,32 @@ def kernel(rows: list[Vector], ncols: int) -> Subspace:
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = {fc: _ONE}
         for r, pc in zip(reduced, pivots):
-            v[pc] = -r[fc]
+            if not r[fc].is_zero():
+                v[pc] = -r[fc]
         basis.append(v)
     return sparse_span(basis, ncols)
+
+
+def is_kernel(space: Subspace, reduced: list[Vector], ncols: int) -> bool:
+    """Whether space = {x : A x = 0} for the matrix A with these reduced
+    echelon rows (as from `rref`), decided without the kernel of A: exactly
+    when every row of A annihilates every basis vector of the space (so the
+    space lies in ker A) and dim space = ncols - rank A, rank A being the
+    number of reduced rows."""
+    if space.dim != ncols - len(reduced):
+        return False
+    rows = [{j: (a, b) for j, a, b in _to_int(r)} for r in reduced]
+    for _, entries in space.sparse:
+        for row in rows:
+            re = im = 0
+            for j, a, b in entries:
+                if j in row:
+                    x, y = row[j]
+                    re += x * a - y * b
+                    im += x * b + y * a
+            if re or im:
+                return False
+    return True
 
 
 def sparse_rows(columns: list[dict]) -> list[dict]:

@@ -296,8 +296,12 @@ class DerivationTable:
     entries: dict = field(default_factory=dict)
     depth_limit: int = 3
     auto_fresh: bool = True
+    # (symbol monomial, direction) -> derivative of that unit monomial, filled
+    # by Coefficient.derive and cleared whenever a declaration changes.
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def declare_symbol(self, name: str, conjugate: str | None = None) -> None:
+        self._derived.clear()
         if "[" in name or "]" in name:
             raise ValueError(f"brackets are reserved for derived symbols: {name!r}")
         self.symbols.add(name)
@@ -309,6 +313,7 @@ class DerivationTable:
             self.conjugates[conjugate] = name
 
     def declare_derivative(self, name: str, direction: Direction, value) -> None:
+        self._derived.clear()
         self.entries[(name, direction)] = Coefficient.coerce(value)
 
     def depth(self, symbol: str) -> int:
@@ -357,6 +362,20 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for s, e in b:
         exps[s] = exps.get(s, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def _derive_monomial(m: Monomial, direction: Direction, table: DerivationTable) -> "Coefficient":
+    """The frame derivative of the unit monomial m, by the Leibniz rule."""
+    out = Coefficient.zero()
+    for k, (s, e) in enumerate(m):
+        rest = list(m)
+        if e == 1:
+            del rest[k]
+        else:
+            rest[k] = (s, e - 1)
+        factor = Coefficient({tuple(rest): GaussianRational(e)})
+        out = out + factor * table.derive_symbol(s, direction)
+    return out
 
 
 class Coefficient:
@@ -501,18 +520,17 @@ class Coefficient:
         return Coefficient(terms)
 
     def derive(self, direction: Direction, table: DerivationTable) -> "Coefficient":
-        """Frame derivative, extended to products by the Leibniz rule."""
-        out = Coefficient.zero()
+        """Frame derivative: the sum of c times the derivative of the unit
+        monomial m over the terms c m, each such derivative computed once per
+        table by the Leibniz rule (a failure is raised again on every call)."""
+        terms: dict = {}
         for m, c in self._terms.items():
-            for k, (s, e) in enumerate(m):
-                rest = list(m)
-                if e == 1:
-                    del rest[k]
-                else:
-                    rest[k] = (s, e - 1)
-                factor = Coefficient({tuple(rest): c * e})
-                out = out + factor * table.derive_symbol(s, direction)
-        return out
+            derived = table._derived.get((m, direction))
+            if derived is None:
+                derived = table._derived[(m, direction)] = _derive_monomial(m, direction, table)
+            for m2, x in derived._terms.items():
+                terms[m2] = terms[m2] + c * x if m2 in terms else c * x
+        return Coefficient(terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

@@ -7,7 +7,10 @@ the conjugate of d on the unbarred ones.  d of each unit monomial follows by
 the Leibniz rule and is split once by bidegree shift into mu, del, delbar and
 mubar parts, cached on the spec (d_by_shift).  d or one part of a Form is one
 term map over that split, plus frame derivatives of non-constant
-coefficients, with the wedge signs of forms._wedge_monomials.
+coefficients, with the wedge signs of forms._wedge_monomials.  The frame
+part reads a table per monomial, cached on the spec, of the directions V_a
+and Vbar_a whose phi^a or phi^abar wedges it to a nonzero monomial, with
+that monomial and sign.
 """
 
 from __future__ import annotations
@@ -187,14 +190,25 @@ def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -
                     yield coeff, part.terms
             if coeff.is_constant():
                 continue
-            for a in range(1, spec.n + 1):
-                for bar in bars:
-                    factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
-                    image, sign = _wedge_monomials(factor, idx)
-                    if sign:
-                        yield coeff.derive(Direction(a, bar), spec.table), {image: sign}
+            for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
+                if direction.bar in bars:
+                    yield coeff.derive(direction, spec.table), {image: sign}
 
     return Form(spec.n, _combine(columns()))
+
+
+def _frame(idx: MultiIndex, spec: ManifoldSpec) -> tuple:
+    """(direction V_a or Vbar_a, monomial, sign) with phi^a or phi^abar
+    wedge phi^idx = sign * phi^monomial, for every frame direction where
+    that wedge is not 0; cached on the spec per monomial."""
+    out = []
+    for a in range(1, spec.n + 1):
+        for bar in (False, True):
+            factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
+            image, sign = _wedge_monomials(factor, idx)
+            if sign:
+                out.append((Direction(a, bar), image, sign))
+    return tuple(out)
 
 
 def all_basis_monomials(n: int) -> list[MultiIndex]:

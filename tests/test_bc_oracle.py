@@ -26,7 +26,8 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from harmonica.forms import MultiIndex
-from harmonica.harmonic import HarmonicKind, harmonic_space
+from harmonica.harmonic import LAPLACIAN_WORDS, HarmonicKind, harmonic_space
+from harmonica.hermitian import operator_columns
 from harmonica.library import catalog
 
 # ---------------------------------------------------------------- the algebra
@@ -285,3 +286,108 @@ def test_split_is_equal_at_21_and_strict_at_12(oracle):
     # (dim H, dim primitive part, dim L-part, dim of their sum)
     assert _split(oracle, 2, 1) == (2, 1, 1, 2)
     assert _split(oracle, 1, 2) == (3, 1, 1, 2)
+
+
+# ------------------------------------------- Laplacians, Aeppli and Dolbeault
+# The same oracle, from del and delbar matrices alone.  iwasawa_ak is
+# nilpotent, hence unimodular, so on invariant forms the formal adjoint of an
+# operator M from the (s) to the (t) monomials is its adjoint for the
+# pointwise inner product, W_s^-1 M^H W_t with the diagonal weights W.
+
+
+def _block(oracle, p, q):
+    """The (p,q) monomials, none outside 0 <= p, q <= n."""
+    return oracle.monomials(p, q) if 0 <= p <= oracle.n and 0 <= q <= oracle.n else []
+
+
+def _weights(oracle, p, q):
+    return sp.diag(*[oracle.weight(m) for m in _block(oracle, p, q)])
+
+
+def _component(oracle, name, p, q):
+    """The matrix of del or delbar on the (p,q) monomials, and its target bidegree."""
+    dp, dq = (1, 0) if name == "del" else (0, 1)
+    op = oracle.del_ if name == "del" else oracle.delbar
+    source, target = _block(oracle, p, q), _block(oracle, p + dp, q + dq)
+    return oracle.matrix(lambda f: op(f, p, q), source, target), (p + dp, q + dq)
+
+
+def _operator(oracle, name, p, q):
+    """The matrix of del, delbar or an adjoint on the (p,q) monomials, and its target."""
+    if not name.endswith("*"):
+        return _component(oracle, name, p, q)
+    dp, dq = (1, 0) if name == "del*" else (0, 1)
+    forward, _ = _component(oracle, name[:-1], p - dp, q - dq)
+    adjoint = _weights(oracle, p - dp, q - dq).inv() * forward.H * _weights(oracle, p, q)
+    return adjoint, (p - dp, q - dq)
+
+
+def _laplacian(oracle, kind, p, q):
+    """The sum over the Laplacian's words of the products of their matrices."""
+    total = sp.zeros(len(_block(oracle, p, q)))
+    for word in LAPLACIAN_WORDS[kind]:
+        product, at = sp.eye(len(_block(oracle, p, q))), (p, q)
+        for name in reversed(word):
+            matrix, at = _operator(oracle, name, *at)
+            product = matrix * product
+        assert at == (p, q)
+        total += product
+    return total
+
+
+def _orthogonal_complement_rows(oracle, image, p, q):
+    """Rows cutting out the (p,q)-forms orthogonal to the columns of image."""
+    return image.H * _weights(oracle, p, q)
+
+
+def _sympy_value(x):
+    """A Q(i) value of the engine, or None for 0, as a sympy number."""
+    return 0 if x is None else sp.Rational(x.re) + sp.I * sp.Rational(x.im)
+
+
+def _engine_rows(oracle, kind, p, q):
+    """The engine's echelon basis of a harmonic space, as sympy rows."""
+    monomials = [oracle.multi_index(m) for m in oracle.monomials(p, q)]
+    basis = harmonic_space(kind, p, q, catalog("iwasawa_ak")).basis
+    return sp.Matrix(
+        len(basis),
+        len(monomials),
+        lambda i, j: _sympy_value(basis[i].coefficient(monomials[j]).constant_value()),
+    )
+
+
+@pytest.mark.parametrize("kind", ["a", "bc", "del", "delbar"])
+def test_laplacian_blocks_match_the_oracle(oracle, kind):
+    iw = catalog("iwasawa_ak")
+    for p in range(oracle.n + 1):
+        for q in range(oracle.n + 1):
+            monomials = oracle.monomials(p, q)
+            columns = operator_columns(LAPLACIAN_WORDS[kind], p, q, iw)
+            engine = sp.Matrix(
+                len(monomials),
+                len(monomials),
+                lambda i, j: _sympy_value(columns[j].get(oracle.multi_index(monomials[i]))),
+            )
+            assert (_laplacian(oracle, kind, p, q) - engine).is_zero_matrix, (kind, p, q)
+
+
+def test_aeppli_and_dolbeault_spaces_match_the_oracle(oracle):
+    """H_A = ker del delbar ∩ (im del)^⊥ ∩ (im delbar)^⊥ and
+    H_delbar = ker delbar ∩ (im delbar)^⊥, as spaces."""
+    for p in range(oracle.n + 1):
+        for q in range(oracle.n + 1):
+            delbar, _ = _component(oracle, "delbar", p, q)
+            del_delbar = _component(oracle, "del", p, q + 1)[0] * delbar
+            im_del = _component(oracle, "del", p - 1, q)[0]
+            im_delbar = _component(oracle, "delbar", p, q - 1)[0]
+            aeppli = [
+                del_delbar,
+                _orthogonal_complement_rows(oracle, im_del, p, q),
+                _orthogonal_complement_rows(oracle, im_delbar, p, q),
+            ]
+            dolbeault = [delbar, _orthogonal_complement_rows(oracle, im_delbar, p, q)]
+            for kind, blocks in ((HarmonicKind.A, aeppli), (HarmonicKind.DELBAR, dolbeault)):
+                mine = _echelon(sp.Matrix.vstack(*blocks).nullspace(), len(oracle.monomials(p, q)))
+                engine = _engine_rows(oracle, kind, p, q)
+                assert mine.shape == engine.shape, (kind, p, q)
+                assert (mine - engine).is_zero_matrix, (kind, p, q)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonica import catalog
+from harmonica.cli import main
 from harmonica.errors import SymbolicCoefficients
 from harmonica.forms import Form, basis_multiindices, parse_form
 from harmonica.harmonic import (
@@ -14,6 +15,7 @@ from harmonica.harmonic import (
     LAPLACIAN_WORDS,
     HarmonicKind,
     _condition_kernel,
+    _condition_subspace,
     adjoint,
     forms_to_rows,
     harmonic_space,
@@ -22,6 +24,7 @@ from harmonica.harmonic import (
     laplacian_apply,
 )
 from harmonica.hermitian import (
+    block_rows,
     fundamental_form,
     hodge_star,
     monomial_inner_square,
@@ -30,7 +33,7 @@ from harmonica.hermitian import (
     volume_form,
 )
 from harmonica.library import catalog_document, load_spec
-from harmonica.linalg import rref, subspace_equal
+from harmonica.linalg import kernel, rref, subspace_equal
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import OperatorKind, all_basis_monomials, differential_component
 
@@ -453,3 +456,63 @@ class TestKunneth:
                 for q in range(n + 2):
                     expected = sum(h(kind, p - a, q - b) for a in (0, 1) for b in (0, 1))
                     assert harmonic_subspace(kind, p, q, product).dim == expected, (kind, p, q)
+
+
+# aff(1), the Lie algebra of the affine group of the line, with
+# d phi^1 = phi^{1,1bar}.  It is not unimodular, so -*d* is not the adjoint
+# of d on invariant forms: the assembled Laplacians vanish on every block,
+# while d phi^1 != 0 keeps phi^1 and phi^1bar out of every condition kernel.
+AFF1 = {
+    "name": "aff1",
+    "n": 1,
+    "generators": ["phi1"],
+    "d": {"phi1": [{"coeff": {"re": "1", "im": "0"}, "hol": [1], "anti": [1]}]},
+    "omega": ["1"],
+    "symbols": [],
+    "conjugates": {},
+    "derivations": {},
+}
+
+
+class TestCrossCheckDecision:
+    """The condition kernel K equals ker Delta exactly when rref(Delta)
+    annihilates K and dim K = m - rank Delta; on aff(1) the two truly
+    differ in degree 1."""
+
+    @pytest.mark.parametrize("kind", [k.value for k in HarmonicKind])
+    def test_aff1_disagrees_in_degree_one(self, capsys, tmp_path, kind):
+        path = tmp_path / "aff1.json"
+        path.write_text(json.dumps(AFF1), encoding="utf-8")
+        for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            code = main(["harmonics", str(path), "--laplacian", kind, "--bidegree", f"{p},{q}"])
+            err = capsys.readouterr().err
+            if p + q == 1:
+                assert code == 1
+                assert err == (
+                    "cross-check failed: condition kernel and Laplacian nullspace "
+                    f"disagree for {kind} at ({p},{q}) on 'aff1'\n"
+                )
+            else:
+                assert (code, err) == (0, "")
+
+    def test_aff1_condition_kernel_is_zero_where_laplacian_vanishes(self):
+        spec = load_spec(AFF1)
+        for kind in HarmonicKind:
+            for p, q in ((1, 0), (0, 1)):
+                columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
+                condition = _condition_subspace(kind.value, p, q, spec)
+                assert (condition.dim, kernel(block_rows(columns), 1).dim) == (0, 1)
+
+
+class TestSymbolicDImages:
+    """A block of d or one of its parts reads the cached split of d; on a
+    symbolic spec it is refused where the kind's part has a symbol."""
+
+    @pytest.mark.parametrize("words", [[("d",)], [("delbar",)]])
+    def test_symbolic_d_images_are_refused(self, torus, words):
+        with pytest.raises(SymbolicCoefficients, match="expected constant coefficients"):
+            operator_columns(words, 1, 0, torus)
+
+    @pytest.mark.parametrize("words", [[("del",)], [("mu",)], [("d", "*")]])
+    def test_constant_parts_of_symbolic_d_are_read(self, torus, words):
+        assert len(operator_columns(words, 1, 0, torus)) == 3

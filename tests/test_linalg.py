@@ -19,6 +19,7 @@ from harmonica.linalg import (
     first_outside,
     in_span,
     is_direct_sum,
+    is_kernel,
     is_subspace,
     kernel,
     rank,
@@ -409,3 +410,29 @@ def test_empty_spaces_are_neutral():
         assert space + empty == empty + space == space
         assert empty.first_outside(space) is None
     assert sparse_span([{1: _ZERO}], 4) == Subspace()
+
+
+@PROPERTY
+@given(bridged_sparse_matrices(), st.data())
+def test_rank_and_annihilation_decide_the_kernel(case, data):
+    """is_kernel(K, rref(A), m) holds exactly when K == kernel(A, m), for K
+    the kernel itself and for candidates next to it: the kernel with one
+    basis row dropped, with one entry of a basis row changed, and with one
+    more vector."""
+    n, rows = case
+    dense = _dense(rows, n)
+    null = kernel(dense, n)
+    basis = [dict(row) for row in null.sparse_vectors()]
+    candidates = [basis]
+    if basis:
+        k = data.draw(st.integers(0, len(basis) - 1))
+        changed = dict(basis[k])
+        changed[data.draw(st.integers(0, n - 1))] = data.draw(small_nonzero)
+        candidates += [basis[:k] + basis[k + 1 :], basis[:k] + [changed] + basis[k + 1 :]]
+    if n:
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        candidates.append(basis + [{j: data.draw(small_nonzero) for j in cols}])
+    reduced = rref(dense)
+    for candidate in candidates:
+        space = sparse_span(candidate, n)
+        assert is_kernel(space, reduced, n) == (space == null)

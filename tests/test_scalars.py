@@ -213,6 +213,42 @@ class TestDerivationTable:
         assert lhs == rhs
 
 
+class TestDerivativeMemo:
+    """Coefficient.derive computes the derivative of each unit symbol
+    monomial once per table and direction; a declaration clears that."""
+
+    def test_declared_derivative_replaces_the_remembered_one(self, table):
+        g3, direction = Coefficient.symbol("g3"), Direction(1, False)
+        assert g3.derive(direction, table).is_zero()
+        table.declare_derivative("g3", direction, C(2, 1))
+        assert g3.derive(direction, table) == C(2, 1)
+        table.declare_symbol("h")
+        assert (g3 * g3).derive(direction, table) == C(4, 2) * g3
+
+    def test_repeated_derive_asks_the_table_nothing(self, table, monkeypatch):
+        c = C(1, 2) * Coefficient.symbol("g3") ** 2 * Coefficient.symbol("g3c") + C(3)
+        direction = Direction(3, False)
+        first = c.derive(direction, table)
+        asked = []
+        original = DerivationTable.derive_symbol
+
+        def counting(self, symbol, d):
+            asked.append(symbol)
+            return original(self, symbol, d)
+
+        monkeypatch.setattr(DerivationTable, "derive_symbol", counting)
+        assert c.derive(direction, table) == first
+        assert asked == []
+
+    def test_depth_exceeded_on_every_repeat(self, table):
+        c = Coefficient.symbol("g3")
+        for _ in range(table.depth_limit):
+            c = c.derive(Direction(3, False), table)
+        for _ in range(3):
+            with pytest.raises(DepthExceeded):
+                c.derive(Direction(3, False), table)
+
+
 class TestExponentLimit:
     def test_power_above_limit_is_refused_fast(self):
         x = Coefficient.symbol("x")
