@@ -68,10 +68,28 @@ def monomial_inner_square(idx: MultiIndex, spec: ManifoldSpec) -> Fraction:
 
 
 def _inner_square(idx: MultiIndex, spec: ManifoldSpec) -> GaussianRational:
-    w = _ONE
-    for a in idx.hol + idx.anti:
-        w = w / GaussianRational(spec.omega_coeffs[a - 1])
+    """The product of 1/c_a over the indices of the monomial, from its first
+    factor on."""
+    inverse, _ = _metric_weights(spec)
+    indices = idx.hol + idx.anti
+    if not indices:
+        return _ONE
+    w = inverse[indices[0] - 1]
+    for a in indices[1:]:
+        w = w * inverse[a - 1]
     return w
+
+
+def _metric_weights(spec: ManifoldSpec) -> tuple:
+    """The Q(i) weights (1/c_a, ...) and (i c_a, ...) of the metric, per
+    generator a, built once per spec."""
+    return spec.cached(
+        ("metric-weights",),
+        lambda: (
+            tuple(_ONE / GaussianRational(c) for c in spec.omega_coeffs),
+            tuple(GaussianRational(0, c) for c in spec.omega_coeffs),
+        ),
+    )
 
 
 def hodge_star(form: Form, spec: ManifoldSpec) -> Form:
@@ -229,8 +247,9 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # Operator matrices and coordinates.  _word_image is the one memoised image
 # of a unit monomial under an operator word, cached on the spec per (word,
 # monomial).  A single operator's image comes from _image: star and L in
-# closed form, Lambda and the adjoints through the star and L or paired-d
-# images, d and its parts read from the cached split d_by_shift.  A longer
+# closed form from the metric weights built once per spec, Lambda and the
+# adjoints term by term off the L or paired-d image of the star image, d
+# and its parts read from the cached split d_by_shift.  A longer
 # word's image is the sum of c times the image of word[:-1] over the terms
 # c m' of its rightmost operator's image, so words that share a prefix share
 # its images, and the first operator's image is used as it is.
@@ -335,15 +354,7 @@ def _map_form(op: str, form: Form, spec: ManifoldSpec) -> Form:
     exact for symbolic coefficients, as all three are linear over functions."""
     if form.n != spec.n:
         raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
-    return Form(spec.n, _through((op,), form.terms, spec))
-
-
-def _through(ops: tuple, column: dict, spec: ManifoldSpec) -> dict:
-    """A sparse column mapped through single operators, rightmost first,
-    from the cached image of each monomial; the result is not cached."""
-    for op in reversed(ops):
-        column = _combine((c, _word_image((op,), m, spec)) for m, c in column.items())
-    return column
+    return Form(spec.n, _combine((c, _word_image((op,), m, spec)) for m, c in form.terms.items()))
 
 
 def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
@@ -353,11 +364,9 @@ def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     if op == "L":
         return _lefschetz_image(idx, spec)
     if op == "Lambda":  # star^(-1) L star = (-1)^k * L * on degree k; -*L* only for odd k
-        star = _word_image(("*",), idx, spec)
-        return _through(("*", "L"), _negated(star) if idx.degree % 2 else star, spec)
+        return _starred("L", idx, spec, negate=idx.degree % 2 == 1)
     if op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
-        paired = OperatorKind(op[:-1]).conjugate.value
-        return _through(("*", paired), _negated(_word_image(("*",), idx, spec)), spec)
+        return _starred(OperatorKind(op[:-1]).conjugate.value, idx, spec, negate=True)
     shift = OperatorKind(op).shift
     out = {}
     for b, part in d_by_shift(idx, spec).items():
@@ -370,8 +379,19 @@ def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     return out
 
 
-def _negated(column: dict) -> dict:
-    return {m: -x for m, x in column.items()}
+def _starred(op: str, idx: MultiIndex, spec: ManifoldSpec, negate: bool) -> dict:
+    """* op * of one unit monomial m, negated when asked, read straight off
+    op(*m): *m = t m1 is one monomial, and star sends each term c m2 of
+    op(m1) to one term c s m3, distinct monomials to distinct ones, so each
+    term of op(*m) gives one term t c s m3 of the image, with no sum."""
+    ((image, t),) = _word_image(("*",), idx, spec).items()
+    if negate:
+        t = -t
+    out = {}
+    for m, c in _word_image((op,), image, spec).items():
+        ((target, s),) = _word_image(("*",), m, spec).items()
+        out[target] = t * c * s
+    return out
 
 
 def _star_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:
@@ -402,9 +422,10 @@ def _volume_top(spec: ManifoldSpec) -> GaussianRational:
 def _lefschetz_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:
     """L m = omega wedge m = sum over a in neither I nor J of
     i c_a phi^{a,abar} wedge phi^{I,Jbar}."""
+    _, weights = _metric_weights(spec)
     out = {}
     for a in range(1, spec.n + 1):
         if a not in idx.hol and a not in idx.anti:
             image, sign = _wedge_monomials(MultiIndex((a,), (a,)), idx)
-            out[image] = GaussianRational(0, spec.omega_coeffs[a - 1]) * sign
+            out[image] = weights[a - 1] if sign > 0 else -weights[a - 1]
     return out

@@ -19,7 +19,10 @@ incidence graph (union-find) and eliminates each component alone, densely
 on its own columns; the canonical form is unique, so the merged rows are the
 value one elimination of the whole matrix would give.  Membership needs no
 elimination: v lies in the space exactly when v = sum_c (v[c]/p_c) row_c
-over the pivot columns c that v touches, p_c the pivot entries.
+over the pivot columns c that v touches, p_c the pivot entries.  Two
+identities of canonical values need no row work at all: a value lies in any
+value equal to it (`first_outside` returns None), and a value meets an equal
+value in itself (`a & a` is a).
 
 Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
@@ -243,6 +246,8 @@ class Subspace:
 
     def first_outside(self, other: "Subspace") -> int | None:
         """Index of the first basis row not in `other`, or None if all are."""
+        if other == self:
+            return None
         return next(
             (i for i, (_, entries) in enumerate(self.sparse) if not other._contains(entries)),
             None,
@@ -259,7 +264,9 @@ class Subspace:
         """The intersection, by the Zassenhaus algorithm: the rows (a_i | a_i)
         and (b_j | 0) span a space whose canonical rows with pivot in the
         right half are zero on the left, and their right halves are the
-        canonical rows of the intersection."""
+        canonical rows of the intersection.  Equal values meet in themselves."""
+        if other == self:
+            return other if other.ncols > self.ncols else self
         m = max(self.ncols, other.ncols)
         if not self.sparse or not other.sparse:
             return Subspace((), m)

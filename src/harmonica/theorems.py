@@ -4,6 +4,15 @@ Each verifier compares canonical subspace values (`linalg.Subspace`) of the
 invariant complex and reports verified / refuted / not-applicable with
 witness forms wherever an inclusion is strict or a claim fails.  Statement
 ids are stable.
+
+Subspace values are canonical and immutable, so the derived spaces and texts
+of the statements are computed once per distinct value, on the spec's cache:
+H cap P is keyed by its two operand values, an L^r image by the value it
+lifts and a basis text by the value it prints.  Equal values of different
+widths compare equal, so each key also fixes the column count: H cap P by
+the width, the others by the bidegree (and r).  Kinds whose harmonic spaces
+are equal thus share one intersection, one image and one text.  Witness
+Forms are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -54,16 +63,25 @@ def _require_almost_kahler(spec: ManifoldSpec) -> None:
 
 
 def _harmonic_primitive(spec, kind, p, q) -> Subspace:
-    """H^{p,q}_kind cap P^{p,q}, computed once per spec."""
+    """H^{p,q}_kind cap P^{p,q}, computed once per spec, pair of values and
+    width: kinds with equal harmonic spaces share one object, and so do
+    bidegrees whose two spaces have equal coordinates."""
+    harmonic = harmonic_subspace(kind, p, q, spec)
+    primitive = primitive_subspace(spec, p, q)
     return spec.cached(
-        ("harmonic-primitive", kind, p, q),
-        lambda: harmonic_subspace(kind, p, q, spec) & primitive_subspace(spec, p, q),
+        ("harmonic-primitive", harmonic, primitive, harmonic.ncols),
+        lambda: harmonic & primitive,
     )
+
+
+def _lifted(spec, space, p, q, r) -> Subspace:
+    """L^r of a space of (p,q)-forms, computed once per spec and value."""
+    return spec.cached(("lifted", space, p, q, r), lefschetz_image, space, p, q, r, spec)
 
 
 def _omega_power(spec, r) -> Subspace:
     """C omega^r, the L^r-image of the constants."""
-    return lefschetz_image(form_subspace([Form.scalar(spec.n, 1)], 0, 0, spec), 0, 0, r, spec)
+    return _lifted(spec, form_subspace([Form.scalar(spec.n, 1)], 0, 0, spec), 0, 0, r)
 
 
 def _outside(big, small, spec, p, q) -> list:
@@ -75,8 +93,14 @@ def _outside(big, small, spec, p, q) -> list:
     return subspace_forms(Subspace(big.sparse[i : i + 1], big.ncols), p, q, spec)
 
 
-def _basis_strings(space, spec, p, q):
-    return [format_form(f) for f in subspace_forms(space, p, q, spec)]
+def _basis_strings(space, spec, p, q) -> list:
+    """The printed basis Forms of a space of (p,q)-forms, formatted once per
+    spec and value and kept as a tuple; each call returns a new list."""
+    strings = spec.cached(
+        ("basis-strings", space, p, q),
+        lambda: tuple(format_form(f) for f in subspace_forms(space, p, q, spec)),
+    )
+    return list(strings)
 
 
 def verify_decomp_11(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationReport:
@@ -118,7 +142,7 @@ def verify_decomp_n1n1(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationRe
     other = HarmonicKind.A if kind is HarmonicKind.BC else HarmonicKind.BC
     harmonic = harmonic_subspace(kind, n - 1, n - 1, spec)
     omega = _omega_power(spec, n - 1)
-    lifted = lefschetz_image(_harmonic_primitive(spec, other, 1, 1), 1, 1, n - 2, spec)
+    lifted = _lifted(spec, _harmonic_primitive(spec, other, 1, 1), 1, 1, n - 2)
     equal = omega + lifted == harmonic
     items = [
         CheckItem("omega^(n-1) is harmonic", omega <= harmonic),
@@ -155,7 +179,7 @@ def verify_edge_decomps(spec: ManifoldSpec) -> VerificationReport:
     for src, dst in ((bc, a), (a, bc)):
         for p in range(n + 1):
             for (s, t), (u, v) in (((p, 0), (n, n - p)), ((0, p), (n - p, n))):
-                lifted = lefschetz_image(harmonic_subspace(src, s, t, spec), s, t, n - p, spec)
+                lifted = _lifted(spec, harmonic_subspace(src, s, t, spec), s, t, n - p)
                 items.append(
                     CheckItem(
                         f"L^({n - p})(H^({s},{t})_{src.value}) = H^({u},{v})_{dst.value}",
@@ -294,7 +318,7 @@ def verify_bc21_gap(spec: ManifoldSpec) -> VerificationReport:
     _require_almost_kahler(spec)
     harmonic = harmonic_subspace(HarmonicKind.BC, 2, 1, spec)
     prim_part = _harmonic_primitive(spec, HarmonicKind.BC, 2, 1)
-    lifted = lefschetz_image(harmonic_subspace(HarmonicKind.BC, 1, 0, spec), 1, 0, 1, spec)
+    lifted = _lifted(spec, harmonic_subspace(HarmonicKind.BC, 1, 0, spec), 1, 0, 1)
     rhs = prim_part + lifted
     included = rhs <= harmonic
     equal = included and rhs.dim == harmonic.dim
@@ -344,7 +368,7 @@ def verify_lefschetz_d(spec: ManifoldSpec, p: int, q: int) -> VerificationReport
     dims = {}
     for r in range(r_min, min(p, q) + 1):
         part = _harmonic_primitive(spec, HarmonicKind.D, p - r, q - r)
-        lifted = lefschetz_image(part, p - r, q - r, r, spec)
+        lifted = _lifted(spec, part, p - r, q - r, r)
         summands.append(lifted)
         dims[f"r={r}"] = lifted.dim
     total = sum(summands, Subspace())
@@ -375,7 +399,7 @@ def check_aeppli_L_noninclusion(spec: ManifoldSpec) -> VerificationReport:
         return VerificationReport(
             "aeppli-L-inclusion", NOT_APPLICABLE, notes="spec is not almost Kahler"
         )
-    lifted = lefschetz_image(harmonic_subspace(HarmonicKind.A, 1, 0, spec), 1, 0, 1, spec)
+    lifted = _lifted(spec, harmonic_subspace(HarmonicKind.A, 1, 0, spec), 1, 0, 1)
     witnesses = _outside(lifted, harmonic_subspace(HarmonicKind.A, 2, 1, spec), spec, 2, 1)
     holds = not witnesses
     items = [CheckItem("L(H^{1,0}_a) <= H^{2,1}_a", holds)]

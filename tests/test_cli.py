@@ -4,10 +4,14 @@ import subprocess
 import sys
 import time
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonica import harmonic
-from harmonica.cli import main
+from harmonica.cli import _pretty, main
 from harmonica.forms import parse_form
 from harmonica.library import catalog_document
 from harmonica.structure import check_integrability_relations
@@ -606,3 +610,58 @@ class TestResourceLimits:
         assert time.perf_counter() - start < 2
         assert code == 3 and out == ""
         assert err == "unsupported: n = 10 exceeds the supported maximum n = 6\n"
+
+
+_TEN_PASSES = [
+    (re.compile(r"\bdelbar\b"), "∂̄"),
+    (re.compile(r"\bdel\b"), "∂"),
+    (re.compile(r"\bmubar\b"), "μ̄"),
+    (re.compile(r"\bmu\b"), "μ"),
+    (re.compile(r"\bomega\b"), "ω"),
+    (re.compile(r"\bH\^"), "ℋ^"),
+    (re.compile(r"\bcap\b"), "∩"),
+    (re.compile(r"not<="), "⊄"),
+    (re.compile(r"<="), "⊆"),
+    (re.compile(r"\(\+\)"), "⊕"),
+]
+
+
+def _pretty_in_ten_passes(text):
+    """The reference: one re.sub pass per token, in this order."""
+    for pattern, repl in _TEN_PASSES:
+        text = pattern.sub(repl, text)
+    return text
+
+
+class TestPrettyInOnePass:
+    """The one-pass pretty printer equals ten passes, one per token."""
+
+    @pytest.mark.parametrize("name", ["torus6", "iwasawa_ak", "iwasawa_cplx", "flat_kahler6"])
+    def test_every_printed_line(self, capsys, name):
+        n = json.loads(catalog_document(name))["n"]
+        commands = [["report"], ["validate"]]
+        commands += [
+            ["relations", "--bidegree", f"{p},{q}"] for p in range(n + 1) for q in range(n + 1 - p)
+        ]
+        lines = []
+        for command in commands:
+            _, out, _ = run_cli(capsys, command[0], name, "--ascii", *command[1:])
+            lines += out.splitlines()
+        assert lines
+        for line in lines:
+            assert _pretty(line, False) == _pretty_in_ten_passes(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["delbar", "del", "mubar", "mu", "omega", "cap", "H^", "not<=", "<=", "(+)"]
+                + ["H", "^", "not", "<", "=", "(", "+", ")", "a", "Z", "0", "_", "μ", "ω"]
+                + [" ", ",", ".", "-", "*", "[", "]", ";", ":", "'", "∂"]
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    def test_token_soups(self, text):
+        assert _pretty(text, False) == _pretty_in_ten_passes(text)
+        assert _pretty(text, True) == text

@@ -458,6 +458,45 @@ class TestKunneth:
                     assert harmonic_subspace(kind, p, q, product).dim == expected, (kind, p, q)
 
 
+def _times_torus4(name):
+    """The catalog spec times a flat 4-torus: two more generators, each with
+    d = 0 and omega coefficient 1."""
+    doc = json.loads(catalog_document(name))
+    for a in (doc["n"] + 1, doc["n"] + 2):
+        doc["generators"].append(f"phi{a}")
+        doc["d"][f"phi{a}"] = []
+        doc["omega"].append("1")
+    doc["n"] += 2
+    doc["name"] = f"{name}_x_T4"
+    return load_spec(doc)
+
+
+@pytest.mark.parametrize("name", ["iwasawa_ak", "iwasawa_cplx", "flat_kahler6"])
+def test_tables_of_a_product_with_a_4_torus(name):
+    """Kunneth at k = 2: the (a,b) parts of the invariant complex of T^4 have
+    dimension C(2,a) C(2,b), so every harmonic table of X x T^4 is
+    h^{p,q}(X x T^4) = sum over a, b in {0, 1, 2} of
+    C(2,a) C(2,b) h^{p-a,q-b}(X)."""
+    base = load_spec(catalog_document(name))
+    product = _times_torus4(name)
+    n = base.n
+
+    def h(kind, p, q):
+        if 0 <= p <= n and 0 <= q <= n:
+            return harmonic_subspace(kind, p, q, base).dim
+        return 0
+
+    for kind in HarmonicKind:
+        for p in range(n + 3):
+            for q in range(n + 3):
+                expected = sum(
+                    math.comb(2, a) * math.comb(2, b) * h(kind, p - a, q - b)
+                    for a in range(3)
+                    for b in range(3)
+                )
+                assert harmonic_subspace(kind, p, q, product).dim == expected, (kind, p, q)
+
+
 # aff(1), the Lie algebra of the affine group of the line, with
 # d phi^1 = phi^{1,1bar}.  It is not unimodular, so -*d* is not the adjoint
 # of d on invariant forms: the assembled Laplacians vanish on every block,

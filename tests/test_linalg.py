@@ -255,6 +255,35 @@ def test_subspace_operations_match_sympy(case):
     assert sum([sa, sb], Subspace()) == sa + sb == sb + sa
 
 
+@PROPERTY
+@given(respanned())
+def test_equal_values_need_no_row_work(case):
+    """For b == a built apart, a <= b, b <= a and a & b make no membership
+    test and no elimination, and a & b == a."""
+    n, rows, other = case
+    a, b = span(rows), span(other)
+    assert b == a and b is not a
+    calls = []
+    contains, of = Subspace.__dict__["_contains"], Subspace.__dict__["_of"]
+
+    def counting_contains(self, entries):
+        calls.append("_contains")
+        return contains(self, entries)
+
+    def counting_of(cls, rows, ncols):
+        calls.append("_of")
+        return of.__func__(cls, rows, ncols)
+
+    Subspace._contains, Subspace._of = counting_contains, classmethod(counting_of)
+    try:
+        assert a <= b and b <= a
+        meet = a & b
+    finally:
+        Subspace._contains, Subspace._of = contains, of
+    assert calls == []
+    assert meet == a and meet.ncols == max(a.ncols, b.ncols)
+
+
 def test_value_is_immutable():
     space = span([[GaussianRational(1), GaussianRational(0, 2)]])
     with pytest.raises(dataclasses.FrozenInstanceError):

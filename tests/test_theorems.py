@@ -3,14 +3,22 @@ import math
 import pytest
 
 from harmonica.errors import BidegreeOutOfRange, DimensionMismatch, NotAlmostKahler
-from harmonica.forms import Form, basis_multiindices, parse_form
-from harmonica.harmonic import HarmonicKind, forms_to_rows, harmonic_space, is_harmonic
-from harmonica.hermitian import fundamental_form, is_primitive, lefschetz_L
+from harmonica.forms import Form, basis_multiindices, format_form, parse_form
+from harmonica.harmonic import (
+    HarmonicKind,
+    forms_to_rows,
+    harmonic_space,
+    harmonic_subspace,
+    is_harmonic,
+)
+from harmonica.hermitian import fundamental_form, is_primitive, lefschetz_L, subspace_forms
 from harmonica.library import catalog_document, load_spec
 from harmonica.linalg import Subspace, in_span, subspace_equal
 from harmonica.report import NOT_APPLICABLE, REFUTED, VERIFIED
 from harmonica.structure import ManifoldSpec
 from harmonica.theorems import (
+    _basis_strings,
+    _harmonic_primitive,
     all_statements,
     check_aeppli_L_noninclusion,
     check_counterexamples_torus,
@@ -230,3 +238,63 @@ class TestSparseStatements:
         reports = all_statements(load_spec(catalog_document("iwasawa_ak")))
         assert any(r.witnesses for r in reports)
         assert reads == []
+
+
+class TestReuseByValue:
+    """The statements compute each derived space and text once per distinct
+    subspace value, on the spec's cache."""
+
+    def test_equal_harmonic_spaces_share_one_intersection(self):
+        spec = load_spec(catalog_document("flat_kahler6"))
+        for p in range(spec.n + 1):
+            for q in range(spec.n + 1 - p):
+                first = _harmonic_primitive(spec, HarmonicKind.D, p, q)
+                for kind in HarmonicKind:
+                    assert _harmonic_primitive(spec, kind, p, q) is first, (kind, p, q)
+
+    @pytest.mark.parametrize("name", ["flat_kahler6", "iwasawa_ak"])
+    def test_no_pair_of_values_is_intersected_twice(self, monkeypatch, name):
+        """Unequal operands meet once per report; equal operands meet in
+        themselves, with no elimination."""
+        spec = load_spec(catalog_document(name))
+        meets = []
+        eliminations = []
+        meet, of = Subspace.__and__, Subspace._of.__func__
+
+        def counting_of(cls, rows, ncols):
+            eliminations.append(ncols)
+            return of(cls, rows, ncols)
+
+        def counting_meet(a, b):
+            before = len(eliminations)
+            out = meet(a, b)
+            meets.append((a, b, len(eliminations) > before))
+            return out
+
+        monkeypatch.setattr(Subspace, "_of", classmethod(counting_of))
+        monkeypatch.setattr(Subspace, "__and__", counting_meet)
+        all_statements(spec)
+        monkeypatch.undo()
+        unequal = [(a, b) for a, b, _ in meets if a != b]
+        assert unequal and len(unequal) == len(set(unequal))
+        assert [a for a, b, eliminated in meets if a == b and eliminated] == []
+
+    def test_cleared_basis_text_leaves_the_next_call_unchanged(self):
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        space = harmonic_subspace(HarmonicKind.BC, 2, 1, spec)
+        expected = [format_form(f) for f in subspace_forms(space, 2, 1, spec)]
+        first = _basis_strings(space, spec, 2, 1)
+        assert first == expected
+        first.clear()
+        assert _basis_strings(space, spec, 2, 1) == expected
+
+    def test_cleared_report_bases_leave_the_next_report_unchanged(self):
+        """On a flat spec all five kinds print one shared value, and each
+        entry is still a list of its own."""
+        spec = load_spec(catalog_document("flat_kahler6"))
+        bases = verify_relations(spec, 1, 1).data["bases"]
+        expected = {kind: list(strings) for kind, strings in bases.items()}
+        assert len({tuple(strings) for strings in expected.values()}) == 1
+        bases[HarmonicKind.BC.value].clear()
+        assert bases[HarmonicKind.A.value] == expected[HarmonicKind.A.value]
+        assert verify_relations(spec, 1, 1).data["bases"] == expected
