@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 ok/verified/member, 1 refuted/failed/non-member or a failed
-internal cross-check, 2 parse or validation errors in the input, 3
-unsupported request (symbolic coefficients, wrong dimension, n above
-library.MAX_N, an exponent above scalars.MAX_EXPONENT, bidegree out of
-range, and similar).
+Exit codes: 0 ok/verified/member, 1 refuted/failed/non-member.  A command
+that raises a HarmonicaError exits with that error's code and prints one
+stderr line with its label; errors.py sets both, per error class: 1 for a
+failed internal cross-check, 2 for malformed input (spec, form text or
+option value) and 3 for an unsupported request (symbolic coefficients, wrong
+dimension, n above library.MAX_N, an exponent above scalars.MAX_EXPONENT,
+bidegree out of range, and similar).
 Output is deterministic given the spec bytes and the command line; printed
 forms always use the `phi[...]` syntax and re-parse bit-exactly.
 """
@@ -19,49 +21,18 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import (
-    BidegreeOutOfRange,
-    CrossCheckFailed,
-    DegreeTooHigh,
-    DepthExceeded,
-    DimensionMismatch,
-    ExponentTooLarge,
-    NotAlmostKahler,
-    NotHomogeneous,
-    NotPrimitive,
-    ParseError,
-    SchemaError,
-    SymbolicCoefficients,
-    UndeclaredConjugate,
-    UnknownSpec,
-    ValidationError,
-)
+from .errors import HarmonicaError, InputError, ParseError, SymbolicCoefficients, UnknownSpec
 from .forms import format_form, parse_form
 from .harmonic import HarmonicKind, harmonic_space, harmonic_subspace, is_harmonic
 from .hermitian import is_primitive, primitive_decompose
 from .library import CATALOG_NAMES, catalog, load_spec_path
-from .report import REFUTED, VERIFIED
+from .report import REFUTED
 from .scalars import parse_int
 from .structure import check_almost_kahler, check_integrability_relations
 from .theorems import all_statements, verify_relations
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
-EXIT_PARSE = 2
-EXIT_UNSUPPORTED = 3
-
-_PARSE_ERRORS = (ParseError, SchemaError, ValidationError, UnknownSpec, UndeclaredConjugate)
-_UNSUPPORTED_ERRORS = (
-    SymbolicCoefficients,
-    DimensionMismatch,
-    BidegreeOutOfRange,
-    DegreeTooHigh,
-    NotAlmostKahler,
-    NotHomogeneous,
-    NotPrimitive,
-    DepthExceeded,
-    ExponentTooLarge,
-)
 
 # One pass over the text, longer alternatives first.  It equals ten passes,
 # one per token in table order: no replacement emits ASCII that another
@@ -110,7 +81,7 @@ def _gate_validation(spec, args, out) -> bool:
     """True if the spec may be computed on: it validates, or --force is given.
     Otherwise prints the first failure."""
     report = check_integrability_relations(spec)
-    if report.status == VERIFIED or args.force:
+    if report.ok or args.force:
         return True
     failure = report.first_failure()
     out(f"spec {spec.name!r} fails validation: {failure.name}")
@@ -148,8 +119,7 @@ def cmd_validate(args, spec, out) -> int:
     _render_report(integ, args.ascii, out)
     out(_pretty(f"almost Kahler: {'yes' if ak.data['almost_kahler'] else 'no'}", args.ascii))
     out(_pretty(f"integrable: {'yes' if ak.data['integrable'] else 'no'}", args.ascii))
-    ok = integ.status == VERIFIED and all(c > 0 for c in spec.omega_coeffs)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK if integ.ok else EXIT_REFUTED
 
 
 def cmd_harmonics(args, spec, out) -> int:
@@ -182,7 +152,7 @@ def cmd_relations(args, spec, out) -> int:
     p, q = _parse_bidegree(args.bidegree)
     report = verify_relations(spec, p, q)
     _render_report(report, args.ascii, out)
-    return EXIT_OK if report.status == VERIFIED else EXIT_REFUTED
+    return EXIT_OK if report.ok else EXIT_REFUTED
 
 
 def cmd_check_form(args, spec, out) -> int:
@@ -236,7 +206,10 @@ def cmd_report(args, spec, out) -> int:
     }
     text = json.dumps(document, indent=2, sort_keys=True)
     if args.json:
-        Path(args.json).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.json).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.json}: {exc}") from None
         out(f"machine-readable report written to {args.json}")
     else:
         out("--- machine-readable report ---")
@@ -308,15 +281,9 @@ def main(argv=None) -> int:
         if args.command != "validate" and not _gate_validation(spec, args, out):
             return EXIT_REFUTED
         return _COMMANDS[args.command](args, spec, out)
-    except _UNSUPPORTED_ERRORS as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except CrossCheckFailed as exc:
-        print(f"cross-check failed: {exc}", file=sys.stderr)
-        return EXIT_REFUTED
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except HarmonicaError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

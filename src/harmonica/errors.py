@@ -1,11 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and their command-line exit policy.
+
+Each class sets the exit code and the stderr label with which `cli.main`
+reports it, once: the defaults on HarmonicaError (exit 3, `unsupported`)
+cover every unsupported request, InputError (exit 2, `error`) every
+malformed input, and CrossCheckFailed (exit 1, `cross-check failed`) the
+internal consistency failure.  A new subclass inherits its category.
+"""
 
 
 class HarmonicaError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 3
+    label = "unsupported"
 
-class UndeclaredConjugate(HarmonicaError):
+
+class InputError(HarmonicaError):
+    """Malformed input: a spec document, form text or option value."""
+
+    exit_code = 2
+    label = "error"
+
+
+class UndeclaredConjugate(InputError):
     """A function symbol has no declared conjugate partner."""
 
 
@@ -45,22 +62,25 @@ class ExponentTooLarge(HarmonicaError):
     """A power above scalars.MAX_EXPONENT, refused before any multiplication."""
 
 
-class ParseError(HarmonicaError):
+class ParseError(InputError):
     """Malformed input text (form expression or spec document)."""
 
 
-class SchemaError(HarmonicaError):
+class SchemaError(InputError):
     """A spec document has missing, extra, or mistyped fields."""
 
 
-class ValidationError(HarmonicaError):
+class ValidationError(InputError):
     """A spec document is well-formed but semantically invalid."""
 
 
-class UnknownSpec(HarmonicaError):
+class UnknownSpec(InputError):
     """No catalog entry with that name."""
 
 
 class CrossCheckFailed(HarmonicaError):
     """A condition kernel and its Laplacian nullspace disagree, or a
     Laplacian image leaves its block; an internal consistency failure."""
+
+    exit_code = 1
+    label = "cross-check failed"

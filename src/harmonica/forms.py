@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import NotHomogeneous, ParseError
 from .scalars import (
+    SYMBOL_NAME,
     Coefficient,
     DerivationTable,
     GaussianRational,
@@ -281,7 +282,7 @@ _TOKEN_RE = _re.compile(
     r"|(?P<gauss>\(\s*[+-]?\d+(?:/\d+)?\s*,\s*[+-]?\d+(?:/\d+)?\s*\))"
     r"|(?P<phi>phi\[[0-9,\s]*;[0-9,\s]*\])"
     r"|(?P<rat>\d+(?:/\d+)?)"
-    r"|(?P<sym>[A-Za-z_][A-Za-z0-9_]*(?:\[[A-Za-z0-9_\[\]]*\])?)(?:\^(?P<pow>\d+))?"
+    rf"|(?P<sym>{SYMBOL_NAME}(?:\[[A-Za-z0-9_\[\]]*\])?)(?:\^(?P<pow>\d+))?"
     r"|(?P<star>\*))"
 )
 
@@ -372,9 +373,6 @@ def format_form(form: Form) -> str:
     pieces = []
     for idx, coeff in form.sorted_terms():
         for mono, g in coeff.terms():
-            factors = [str(g)]
-            factors.extend(s if e == 1 else f"{s}^{e}" for s, e in mono)
-            if idx.degree:
-                factors.append(_format_multiindex(idx))
-            pieces.append("*".join(factors))
+            piece = Coefficient.term_text(g, mono)
+            pieces.append(f"{piece}*{_format_multiindex(idx)}" if idx.degree else piece)
     return " + ".join(pieces)

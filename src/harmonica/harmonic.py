@@ -26,8 +26,9 @@ from .hermitian import (
     operator_columns,
     rows_to_forms,
     subspace_forms,
+    word_kernel,
 )
-from .linalg import Subspace, is_kernel, rref, sparse_kernel, sparse_rows
+from .linalg import Subspace, is_kernel, rref
 from .structure import ManifoldSpec
 
 __all__ = [
@@ -154,10 +155,8 @@ def _condition_kernel(key: str, p: int, q: int, spec: ManifoldSpec):
 
 
 def _condition_subspace(key: str, p: int, q: int, spec: ManifoldSpec) -> Subspace:
-    """Kernel of the stacked condition blocks, from their sparse rows."""
-    blocks = [operator_columns([word], p, q, spec) for word in CONDITION_WORDS[key]]
-    rows = [row for columns in blocks for row in sparse_rows(columns)]
-    return sparse_kernel(rows, len(blocks[0]))
+    """Kernel of the stacked condition blocks."""
+    return word_kernel(CONDITION_WORDS[key], p, q, spec)
 
 
 def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec):

@@ -49,6 +49,7 @@ __all__ = [
     "forms_to_rows",
     "rows_to_forms",
     "operator_columns",
+    "word_kernel",
     "block_rows",
 ]
 
@@ -231,8 +232,7 @@ def primitive_subspace(spec: ManifoldSpec, p: int, q: int) -> Subspace:
 def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> Subspace:
     if p + q > spec.n:
         raise DegreeTooHigh(f"primitive forms need p+q <= n = {spec.n}")
-    columns = operator_columns([("Lambda",)], p, q, spec)
-    return sparse_kernel(sparse_rows(columns), len(columns))
+    return word_kernel([("Lambda",)], p, q, spec)
 
 
 def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec) -> Subspace:
@@ -249,14 +249,15 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # monomial).  A single operator's image comes from _image: star and L in
 # closed form from the metric weights built once per spec, Lambda and the
 # adjoints term by term off the L or paired-d image of the star image, d
-# and its parts read from the cached split d_by_shift.  A longer
-# word's image is the sum of c times the image of word[:-1] over the terms
-# c m' of its rightmost operator's image, so words that share a prefix share
-# its images, and the first operator's image is used as it is.
-# operator_columns accumulates each column of a sum of words the same way,
-# in one dict, and _map_form applies star, L and Lambda to Forms from the
-# images.  subspace_forms and form_subspace are the one Subspace <-> Form
-# pair.
+# and its parts read from the cached split d_by_shift.  _column is the one
+# accumulator of word images: it adds, over the terms c m' of a word's
+# rightmost operator's image, c times the image of word[:-1] at m', so words
+# that share a prefix share its images.  A longer word's image is _column of
+# that word alone, and operator_columns builds each column of a sum of words
+# with it.  word_kernel is the one kernel of a stack of word blocks, for the
+# condition systems and for Lambda.  _map_form applies star, L and Lambda to
+# Forms from the images.  subspace_forms and form_subspace are the one
+# Subspace <-> Form pair.
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -306,9 +307,9 @@ def _column(words, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     """The image of one unit monomial under the sum of the words, accumulated
     in one new dict: a single operator's cached image is added as it is, and
     a longer word adds c times the cached image of word[:-1] over the terms
-    c m' of its rightmost operator's image.  The whole word is not cached:
-    the kernels built from a block are cached, so the whole word's image
-    would be kept for nothing but memory."""
+    c m' of its rightmost operator's image.  A block's whole words are not
+    cached: the kernels built from a block are cached, so their images would
+    be kept for nothing but memory; only _compose caches, for a prefix."""
     out: dict = {}
     for word in words:
         first = _word_image(word[-1:], idx, spec)
@@ -321,6 +322,14 @@ def _column(words, idx: MultiIndex, spec: ManifoldSpec) -> dict:
             for m, x in _word_image(head, m1, spec).items():
                 out[m] = out[m] + c * x if m in out else c * x
     return {m: x for m, x in out.items() if not x.is_zero()}
+
+
+def word_kernel(words, p: int, q: int, spec: ManifoldSpec) -> Subspace:
+    """The (p,q)-forms every word annihilates: the kernel of the stacked
+    blocks of the words, eliminated from their sparse rows."""
+    blocks = [operator_columns([word], p, q, spec) for word in words]
+    rows = [row for columns in blocks for row in sparse_rows(columns)]
+    return sparse_kernel(rows, len(blocks[0]))
 
 
 def block_rows(columns: list[dict]) -> list[list]:
@@ -337,16 +346,13 @@ def _word_image(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
 
 
 def _compose(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
-    """The image of one unit monomial under the word, from the cached images
-    of its rightmost operator and of the rest of the word."""
+    """The image of one unit monomial under the word: the empty word's, one
+    operator's from _image, and a longer word's as the column of that word."""
     if not word:
         return {idx: _ONE}
     if len(word) == 1:
         return _image(word[0], idx, spec)
-    head = word[:-1]
-    return _combine(
-        (c, _word_image(head, m, spec)) for m, c in _word_image(word[-1:], idx, spec).items()
-    )
+    return _column((word,), idx, spec)
 
 
 def _map_form(op: str, form: Form, spec: ManifoldSpec) -> Form:

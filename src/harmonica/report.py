@@ -44,6 +44,12 @@ class VerificationReport:
     witnesses: list = field(default_factory=list)
     notes: str = ""
 
+    @classmethod
+    def from_items(cls, statement: str, items: list, **fields) -> "VerificationReport":
+        """Verified when every item holds, refuted otherwise."""
+        status = VERIFIED if all(i.ok for i in items) else REFUTED
+        return cls(statement, status, items=items, **fields)
+
     @property
     def ok(self) -> bool:
         return self.status == VERIFIED

@@ -33,8 +33,20 @@ __all__ = [
 ]
 
 # The largest power Coefficient.__pow__ (and so a `sym^k` factor in form
-# text) computes; shipped specs and inputs use 3 at most.
+# text) computes and a spec document's symbol power may have; shipped specs
+# and inputs use 3 at most.
 MAX_EXPONENT = 64
+
+
+def _checked_exponent(k: int) -> int:
+    """k, or ExponentTooLarge when it is above MAX_EXPONENT."""
+    if k > MAX_EXPONENT:
+        raise ExponentTooLarge(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
+    return k
+
+
+# A declarable symbol name, as form text parses it.
+SYMBOL_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -224,14 +236,12 @@ class GaussianRational:
 _ZERO = GaussianRational(0)
 
 
+@dataclass(frozen=True, slots=True)
 class Direction:
     """A frame direction V_a (bar=False) or Vbar_a (bar=True), 1-based."""
 
-    __slots__ = ("index", "bar")
-
-    def __init__(self, index: int, bar: bool = False):
-        self.index = index
-        self.bar = bar
+    index: int
+    bar: bool = False
 
     @property
     def label(self) -> str:
@@ -246,16 +256,6 @@ class Direction:
         if not m:
             raise ParseError(f"not a direction label: {label!r}")
         return cls(parse_int(m.group(2)), m.group(1) == "b")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Direction)
-            and self.index == other.index
-            and self.bar == other.bar
-        )
-
-    def __hash__(self):
-        return hash((self.index, self.bar))
 
     def __repr__(self):
         return f"Direction({self.label})"
@@ -301,13 +301,15 @@ class DerivationTable:
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def declare_symbol(self, name: str, conjugate: str | None = None) -> None:
+        """Declare a symbol, and its conjugate partner if given.  A declared
+        name is an identifier of form text other than phi: brackets are
+        reserved for derived symbols."""
         self._derived.clear()
-        if "[" in name or "]" in name:
-            raise ValueError(f"brackets are reserved for derived symbols: {name!r}")
+        for s in (name,) if conjugate is None else (name, conjugate):
+            if not _re.fullmatch(SYMBOL_NAME, s) or s == "phi":
+                raise ValueError(f"symbol name {s!r} is not an identifier other than 'phi'")
         self.symbols.add(name)
         if conjugate is not None:
-            if "[" in conjugate or "]" in conjugate:
-                raise ValueError(f"brackets are reserved: {conjugate!r}")
             self.symbols.add(conjugate)
             self.conjugates[name] = conjugate
             self.conjugates[conjugate] = name
@@ -505,10 +507,8 @@ class Coefficient:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not defined for Coefficient")
-        if k > MAX_EXPONENT:
-            raise ExponentTooLarge(f"exponent {k} exceeds the limit {MAX_EXPONENT}")
         out = Coefficient.one()
-        for _ in range(k):
+        for _ in range(_checked_exponent(k)):
             out = out * self
         return out
 
@@ -551,13 +551,12 @@ class Coefficient:
     def __str__(self):
         if self.is_zero():
             return "(0,0)"
-        pieces = []
-        for m, c in self.terms():
-            factors = [str(c)]
-            for s, e in m:
-                factors.append(s if e == 1 else f"{s}^{e}")
-            pieces.append("*".join(factors))
-        return " + ".join(pieces)
+        return " + ".join(self.term_text(c, m) for m, c in self.terms())
+
+    @staticmethod
+    def term_text(c: GaussianRational, m: Monomial) -> str:
+        """The term c m as text: the scalar, then each symbol power, `*`-joined."""
+        return "*".join([str(c), *(s if e == 1 else f"{s}^{e}" for s, e in m)])
 
     def to_json(self):
         value = self.constant_value()
@@ -589,7 +588,14 @@ class Coefficient:
                 isinstance(pair, list) and len(pair) == 2 for pair in pairs
             ):
                 raise ParseError(f"'syms' must be a list of [symbol, power] pairs: {pairs!r}")
-            mono = tuple(sorted((str(s), parse_int(e)) for s, e in pairs))
+            powers: dict = {}
+            for s, e in pairs:
+                if not isinstance(s, str) or type(e) is not int or e < 1 or s in powers:
+                    raise ParseError(
+                        f"'syms' needs distinct symbols, each with an integer power >= 1: {pairs!r}"
+                    )
+                powers[s] = _checked_exponent(e)
+            mono = tuple(sorted(powers.items()))
             c = GaussianRational.from_json(t["c"])
             terms[mono] = terms.get(mono, _ZERO) + c
         return cls(terms)

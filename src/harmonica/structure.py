@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .errors import ValidationError
 from .forms import Form, MultiIndex, ReadOnlyForm, _combine, _wedge_monomials, basis_multiindices
-from .report import REFUTED, VERIFIED, CheckItem, VerificationReport
+from .report import CheckItem, VerificationReport
 from .scalars import DerivationTable, Direction, Fraction, GaussianRational
 
 __all__ = [
@@ -286,8 +286,7 @@ def check_integrability_relations(spec: ManifoldSpec) -> VerificationReport:
     for name in ("d^2", *(name for name, _ in _IDENTITIES)):
         witness, residual = failures.get(name, (None, None))
         items.append(CheckItem(name, name not in failures, witness=witness, residual=residual))
-    status = VERIFIED if all(i.ok for i in items) else REFUTED
-    return VerificationReport(f"integrability:{spec.name}", status, items=items)
+    return VerificationReport.from_items(f"integrability:{spec.name}", items)
 
 
 def fundamental_form(spec: ManifoldSpec) -> Form:
@@ -322,11 +321,6 @@ def check_almost_kahler(spec: ManifoldSpec) -> VerificationReport:
         ),
         CheckItem("omega coefficients positive", all(c > 0 for c in spec.omega_coeffs)),
     ]
-    integrable = is_integrable(spec)
-    status = VERIFIED if all(i.ok for i in items) else REFUTED
-    return VerificationReport(
-        f"almost-kahler:{spec.name}",
-        status,
-        items=items,
-        data={"integrable": integrable, "almost_kahler": all(i.ok for i in items)},
-    )
+    report = VerificationReport.from_items(f"almost-kahler:{spec.name}", items)
+    report.data = {"integrable": is_integrable(spec), "almost_kahler": report.ok}
+    return report

@@ -34,7 +34,7 @@ from .hermitian import (
     subspace_forms,
 )
 from .linalg import Subspace
-from .report import NOT_APPLICABLE, REFUTED, VERIFIED, CheckItem, VerificationReport
+from .report import NOT_APPLICABLE, CheckItem, VerificationReport
 from .structure import ManifoldSpec, exterior_d
 
 __all__ = [
@@ -103,31 +103,36 @@ def _basis_strings(space, spec, p, q) -> list:
     return list(strings)
 
 
+def _omega_split(statement, spec, kind, r, power, part, part_key, bases=False):
+    """H^{r,r}_kind = C omega^r (+) part, omega^r printed as power: omega^r
+    harmonic, the sum direct and equal to the harmonic space, with a harmonic
+    witness outside the sum when it is not; the basis texts of both sides
+    when asked."""
+    harmonic = harmonic_subspace(kind, r, r, spec)
+    omega = _omega_power(spec, r)
+    total = omega + part
+    equal = total == harmonic
+    items = [
+        CheckItem(f"{power} is harmonic", omega <= harmonic),
+        CheckItem("sum is direct", Subspace.is_direct_sum([omega, part])),
+        CheckItem("sum equals the harmonic space", equal),
+    ]
+    data = {"dim_harmonic": harmonic.dim, part_key: part.dim}
+    if bases:
+        data["lhs_basis"] = _basis_strings(harmonic, spec, r, r)
+        data["rhs_basis"] = _basis_strings(total, spec, r, r)
+    witnesses = [] if equal else _outside(harmonic, total, spec, r, r)
+    return VerificationReport.from_items(statement, items, data=data, witnesses=witnesses)
+
+
 def verify_decomp_11(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationReport:
     """H^{1,1}_kind = C omega  (+)  (H^{1,1}_kind cap P^{1,1}), kind BC or A."""
     if kind not in (HarmonicKind.BC, HarmonicKind.A):
         raise ValueError("decomposition stated for BC and A only")
     _require_almost_kahler(spec)
-    harmonic = harmonic_subspace(kind, 1, 1, spec)
-    omega = _omega_power(spec, 1)
-    prim_part = _harmonic_primitive(spec, kind, 1, 1)
-    equal = omega + prim_part == harmonic
-    items = [
-        CheckItem("omega is harmonic", omega <= harmonic),
-        CheckItem("sum is direct", Subspace.is_direct_sum([omega, prim_part])),
-        CheckItem("sum equals the harmonic space", equal),
-    ]
-    witnesses = [] if equal else _outside(harmonic, omega + prim_part, spec, 1, 1)
-    return VerificationReport(
-        f"decomp-{kind.value}-11",
-        VERIFIED if all(i.ok for i in items) else REFUTED,
-        items=items,
-        data={
-            "dim_harmonic": harmonic.dim,
-            "dim_primitive_part": prim_part.dim,
-        },
-        witnesses=witnesses,
-    )
+    part = _harmonic_primitive(spec, kind, 1, 1)
+    statement = f"decomp-{kind.value}-11"
+    return _omega_split(statement, spec, kind, 1, "omega", part, "dim_primitive_part")
 
 
 def verify_decomp_n1n1(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationReport:
@@ -140,28 +145,10 @@ def verify_decomp_n1n1(spec: ManifoldSpec, kind: HarmonicKind) -> VerificationRe
     if n < 2:
         raise DimensionMismatch("needs n >= 2")
     other = HarmonicKind.A if kind is HarmonicKind.BC else HarmonicKind.BC
-    harmonic = harmonic_subspace(kind, n - 1, n - 1, spec)
-    omega = _omega_power(spec, n - 1)
     lifted = _lifted(spec, _harmonic_primitive(spec, other, 1, 1), 1, 1, n - 2)
-    equal = omega + lifted == harmonic
-    items = [
-        CheckItem("omega^(n-1) is harmonic", omega <= harmonic),
-        CheckItem("sum is direct", Subspace.is_direct_sum([omega, lifted])),
-        CheckItem("sum equals the harmonic space", equal),
-    ]
-    witnesses = [] if equal else _outside(harmonic, omega + lifted, spec, n - 1, n - 1)
-    return VerificationReport(
-        f"decomp-{kind.value}-n1n1",
-        VERIFIED if all(i.ok for i in items) else REFUTED,
-        items=items,
-        data={
-            "dim_harmonic": harmonic.dim,
-            "dim_lifted_part": lifted.dim,
-            "lhs_basis": _basis_strings(harmonic, spec, n - 1, n - 1),
-            "rhs_basis": _basis_strings(omega + lifted, spec, n - 1, n - 1),
-        },
-        witnesses=witnesses,
-    )
+    statement = f"decomp-{kind.value}-n1n1"
+    power = "omega^(n-1)"
+    return _omega_split(statement, spec, kind, n - 1, power, lifted, "dim_lifted_part", bases=True)
 
 
 def verify_edge_decomps(spec: ManifoldSpec) -> VerificationReport:
@@ -189,11 +176,7 @@ def verify_edge_decomps(spec: ManifoldSpec) -> VerificationReport:
     for s, t in ((n, 0), (0, n)):
         equal = harmonic_subspace(bc, s, t, spec) == harmonic_subspace(a, s, t, spec)
         items.append(CheckItem(f"H^({s},{t})_bc = H^({s},{t})_a", equal))
-    return VerificationReport(
-        "edge-decomps",
-        VERIFIED if all(i.ok for i in items) else REFUTED,
-        items=items,
-    )
+    return VerificationReport.from_items("edge-decomps", items)
 
 
 _FIVE_KINDS = tuple(HarmonicKind)
@@ -237,10 +220,9 @@ def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
             lattice[f"{a.value} <= {b.value}"] = not outside
             if outside and len(witnesses) < 4 and outside[0] not in witnesses:
                 witnesses += outside
-    return VerificationReport(
+    return VerificationReport.from_items(
         f"relations-{p}-{q}",
-        VERIFIED if all(i.ok for i in items) else REFUTED,
-        items=items,
+        items,
         data={
             "dims": {k.value: prim[k].dim for k in _FIVE_KINDS},
             "bases": {k.value: _basis_strings(prim[k], spec, p, q) for k in _FIVE_KINDS},
@@ -302,12 +284,7 @@ def check_counterexamples_torus(spec: ManifoldSpec) -> VerificationReport:
     for label, name, inside, outside in non_inclusions:
         ok = certs[(name, inside)].verdict and not certs[(name, outside)].verdict
         items.append(CheckItem(f"{label} (witness {name})", ok))
-    return VerificationReport(
-        "torus-counterexamples",
-        VERIFIED if all(i.ok for i in items) else REFUTED,
-        items=items,
-        witnesses=[w21, w12],
-    )
+    return VerificationReport.from_items("torus-counterexamples", items, witnesses=[w21, w12])
 
 
 def verify_bc21_gap(spec: ManifoldSpec) -> VerificationReport:
@@ -341,10 +318,9 @@ def verify_bc21_gap(spec: ManifoldSpec) -> VerificationReport:
                 note="nonzero L-image shows the witness is not primitive",
             )
         )
-    return VerificationReport(
+    return VerificationReport.from_items(
         "bc21-gap",
-        VERIFIED if all(i.ok for i in items) else REFUTED,
-        items=items,
+        items,
         data={
             "equality": equal,
             "dim_harmonic": harmonic.dim,
@@ -376,10 +352,9 @@ def verify_lefschetz_d(spec: ManifoldSpec, p: int, q: int) -> VerificationReport
         CheckItem("sum is direct", Subspace.is_direct_sum(summands)),
         CheckItem("sum equals H^{p,q}_d", total == harmonic),
     ]
-    return VerificationReport(
+    return VerificationReport.from_items(
         f"lefschetz-d-{p}-{q}",
-        VERIFIED if all(i.ok for i in items) else REFUTED,
-        items=items,
+        items,
         data={
             "dim_harmonic": harmonic.dim,
             "summands": dims,
@@ -415,10 +390,9 @@ def check_aeppli_L_noninclusion(spec: ManifoldSpec) -> VerificationReport:
                 else cert.first_failing().residual,
             )
         )
-    return VerificationReport(
+    return VerificationReport.from_items(
         "aeppli-L-inclusion",
-        VERIFIED if holds else REFUTED,
-        items=items,
+        items,
         data={"inclusion_holds": holds},
         witnesses=witnesses,
     )

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import hashlib
 import json
 import subprocess
@@ -5,14 +7,15 @@ import sys
 import time
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonica import harmonic
+from harmonica import errors, harmonic
 from harmonica.cli import _pretty, main
-from harmonica.forms import parse_form
+from harmonica.forms import format_form, parse_form
 from harmonica.library import catalog_document
 from harmonica.structure import check_integrability_relations
 
@@ -665,3 +668,144 @@ class TestPrettyInOnePass:
     def test_token_soups(self, text):
         assert _pretty(text, False) == _pretty_in_ten_passes(text)
         assert _pretty(text, True) == text
+
+
+def _error_classes(cls=errors.HarmonicaError):
+    """The package's error classes, walked recursively from HarmonicaError."""
+    yield cls
+    for sub in cls.__subclasses__():
+        if sub.__module__ == errors.__name__:
+            yield from _error_classes(sub)
+
+
+# The README's exit-code paragraph: malformed input exits 2 with an `error:`
+# line, a failed cross-check 1, every other package error 3 (`unsupported:`).
+_INPUT_ERRORS = {
+    "InputError", "ParseError", "SchemaError", "ValidationError", "UnknownSpec",
+    "UndeclaredConjugate",
+}
+
+
+class TestExitPolicy:
+    """Each package error leaves cli.main with its README exit code and one
+    stderr line carrying its label."""
+
+    @pytest.mark.parametrize(
+        "error", sorted(set(_error_classes()), key=lambda c: c.__name__), ids=lambda c: c.__name__
+    )
+    def test_every_error_exits_with_its_readme_code(self, capsys, monkeypatch, error):
+        from harmonica import cli
+
+        def broken(*args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "harmonic_space", broken)
+        code, out, err = run_cli(
+            capsys, "harmonics", "iwasawa_ak", "--laplacian", "bc", "--bidegree", "1,1"
+        )
+        if error.__name__ in _INPUT_ERRORS:
+            expected = (2, "error: boom\n")
+        elif error.__name__ == "CrossCheckFailed":
+            expected = (1, "cross-check failed: boom\n")
+        else:
+            expected = (3, "unsupported: boom\n")
+        assert (code, out, err) == (expected[0], "", expected[1])
+
+    def test_cli_names_no_single_error_class(self):
+        """cli.py catches package errors only as HarmonicaError: each except
+        clause names HarmonicaError or a built-in exception."""
+        from harmonica import cli
+
+        offenders = []
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in types:
+                name = t.id if isinstance(t, ast.Name) else ast.unparse(t)
+                builtin = getattr(builtins, name, None)
+                if name != "HarmonicaError" and not (
+                    isinstance(builtin, type) and issubclass(builtin, BaseException)
+                ):
+                    offenders.append(f"cli.py:{node.lineno}: {name}")
+        assert offenders == []
+
+
+def _torus6_with(tmp_path, replace=None, syms=None):
+    """torus6 with the symbol g3 renamed, or with the first symbol list of
+    d(phi1) replaced, written to a file."""
+    text = catalog_document("torus6")
+    if replace is not None:
+        text = text.replace('"g3"', json.dumps(replace))
+    doc = json.loads(text)
+    if syms is not None:
+        doc["d"]["phi1"][0]["coeff"]["terms"][0]["syms"] = syms
+    path = tmp_path / "torus6_variant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestSpecSymbols:
+    """Declared symbol names and symbol powers in a spec document are what
+    printed forms can re-parse, or the spec is refused at load."""
+
+    @pytest.mark.parametrize("name", ["x y", "phi", "3g", "g-3", ""])
+    def test_a_name_that_does_not_parse_is_refused(self, capsys, tmp_path, name):
+        path = _torus6_with(tmp_path, replace=name)
+        code, out, err = run_cli(
+            capsys, "check-form", path, "--form", "phi[2;1]", "--laplacian", "delbar"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: symbol name ") and err.count("\n") == 1
+
+    def test_an_identifier_loads_and_prints_text_that_parses(self, capsys, tmp_path):
+        path = _torus6_with(tmp_path, replace="_x1")
+        code, out, _ = run_cli(
+            capsys, "check-form", path, "--form", "phi[2;1]", "--laplacian", "d"
+        )
+        assert code == 1 and "_x1" in out
+        residual = out.split("residual: ")[1].splitlines()[0]
+        assert format_form(parse_form(residual, 3)) == residual
+
+    @pytest.mark.parametrize(
+        "syms",
+        [
+            [["g3c", 0]],
+            [["g3c", -1]],
+            [["g3c", True]],
+            [["g3c", "3"]],
+            [["g3c", 1.0]],
+            [["g3c", 1], ["g3c", 1]],
+            [[3, 1]],
+        ],
+        ids=["zero", "negative", "boolean", "string", "float", "repeated", "number-name"],
+    )
+    def test_a_power_outside_the_schema_exits_2(self, capsys, tmp_path, syms):
+        path = _torus6_with(tmp_path, syms=syms)
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'syms' ") and err.count("\n") == 1
+
+    def test_a_power_above_the_limit_exits_3(self, capsys, tmp_path):
+        path = _torus6_with(tmp_path, syms=[["g3c", 100000]])
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, out) == (3, "")
+        assert err == "unsupported: exponent 100000 exceeds the limit 64\n"
+
+    def test_the_largest_power_loads(self, capsys, tmp_path):
+        path = _torus6_with(tmp_path, syms=[["g3c", 64]])
+        code, out, err = run_cli(
+            capsys, "check-form", path, "--form", "phi[1;]", "--laplacian", "d"
+        )
+        assert code == 1 and err == ""
+        residual = out.split("residual: ")[1].splitlines()[0]
+        assert "g3c^64" in residual and format_form(parse_form(residual, 3)) == residual
+
+
+class TestReportJsonPath:
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_an_unwritable_path_exits_2(self, capsys, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+        code, _, err = run_cli(capsys, "report", "flat_kahler6", "--json", str(target))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -20,7 +21,7 @@ from harmonica.library import (
     serialize_spec,
 )
 from harmonica.report import VERIFIED
-from harmonica.scalars import Coefficient
+from harmonica.scalars import SYMBOL_NAME, Coefficient
 from harmonica.structure import check_almost_kahler, check_integrability_relations
 
 
@@ -160,6 +161,16 @@ class TestLoader:
     def test_malformed_derivation_settings(self, field, value):
         with pytest.raises(SchemaError, match=field):
             load_spec(minimal_doc(**{field: value}))
+
+
+def test_schema_symbol_pattern_is_the_form_grammar():
+    """The schema's symbol names are the names form text parses."""
+    schema = json.loads(
+        resources.files("harmonica.data").joinpath("spec.schema.json").read_text("utf-8")
+    )
+    symbol = schema["$defs"]["symbol"]
+    assert symbol["pattern"] == f"^{SYMBOL_NAME}$" and symbol["not"] == {"const": "phi"}
+    assert schema["properties"]["symbols"]["items"] == {"$ref": "#/$defs/symbol"}
 
 
 class TestDimensionLimit:

@@ -213,6 +213,32 @@ class TestDerivationTable:
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("name", ["x y", "phi", "3g", "", "V3[g3]", "g3]"])
+def test_declared_names_are_identifiers_other_than_phi(name):
+    """A declared symbol prints as text that parses back to it."""
+    with pytest.raises(ValueError, match="symbol name"):
+        DerivationTable().declare_symbol(name)
+    with pytest.raises(ValueError, match="symbol name"):
+        DerivationTable().declare_symbol("g", name)
+    table = DerivationTable()
+    table.declare_symbol("_g3", "g3c")
+    assert table.conjugates == {"_g3": "g3c", "g3c": "_g3"}
+
+
+class TestDirection:
+    def test_value_semantics(self):
+        d = Direction(3, True)
+        assert d == Direction(3, True) != Direction(3) and d != (3, True)
+        assert hash(d) == hash((3, True)) and repr(d) == "Direction(Vb3)"
+        assert d.conjugate() == Direction(3) and Direction.from_label("Vb3") == d
+
+    def test_frozen(self):
+        d = Direction(3, True)
+        with pytest.raises(AttributeError):
+            d.index = 1
+        assert d == Direction(3, True)
+
+
 class TestDerivativeMemo:
     """Coefficient.derive computes the derivative of each unit symbol
     monomial once per table and direction; a declaration clears that."""
