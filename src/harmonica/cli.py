@@ -179,12 +179,27 @@ def _dimension_tables(spec):
     return tables
 
 
+def _write_text(path: str, text: str, mode: str) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_report(args, spec, out) -> int:
     if spec.has_symbolic_structure():
         raise SymbolicCoefficients(
             f"spec {spec.name!r} has symbolic structure coefficients; "
             "the full report needs Q(i) constants (try check-form)"
         )
+    if args.json:
+        # refuse an unwritable path before any work; appending nothing leaves
+        # a file as it was, and one that did not exist is removed again
+        existed = os.path.exists(args.json)
+        _write_text(args.json, "", "a")
+        if not existed:
+            os.remove(args.json)
     tables = _dimension_tables(spec)
     out(f"harmonic dimension tables for {spec.name} (n = {spec.n})")
     header = "      " + "".join(f"q={q:<5d}" for q in range(spec.n + 1))
@@ -206,10 +221,7 @@ def cmd_report(args, spec, out) -> int:
     }
     text = json.dumps(document, indent=2, sort_keys=True)
     if args.json:
-        try:
-            Path(args.json).write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.json}: {exc}") from None
+        _write_text(args.json, text + "\n", "w")
         out(f"machine-readable report written to {args.json}")
     else:
         out("--- machine-readable report ---")

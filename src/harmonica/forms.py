@@ -18,7 +18,6 @@ from .scalars import (
     SYMBOL_NAME,
     Coefficient,
     DerivationTable,
-    GaussianRational,
     parse_int,
     parse_rational,
 )
@@ -274,7 +273,10 @@ class ReadOnlyForm(Form):
 # ---------------------------------------------------------------------------
 # text syntax: `phi[1,3;2]` is phi^{13,2bar}; coefficients `(re,im)`, rational
 # literals, or symbol factors with optional ^power, joined by `*`; terms are
-# separated by + and -.  parse(format(f)) == f bit-exactly.
+# separated by + and -.  parse(format(f)) == f bit-exactly.  parse_form reads
+# the tokens in one pass: a sign after a term, or the end of the text, closes
+# the term, and the normalized monomials of all terms are summed into one
+# term map at the end.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = _re.compile(
@@ -282,82 +284,55 @@ _TOKEN_RE = _re.compile(
     r"|(?P<gauss>\(\s*[+-]?\d+(?:/\d+)?\s*,\s*[+-]?\d+(?:/\d+)?\s*\))"
     r"|(?P<phi>phi\[[0-9,\s]*;[0-9,\s]*\])"
     r"|(?P<rat>\d+(?:/\d+)?)"
-    rf"|(?P<sym>{SYMBOL_NAME}(?:\[[A-Za-z0-9_\[\]]*\])?)(?:\^(?P<pow>\d+))?"
-    r"|(?P<star>\*))"
+    rf"|(?P<sym>{SYMBOL_NAME}(?:\[[A-Za-z0-9_\[\]]*\])?(?:\^\d+)?)"
+    r"|(?P<star>\*)"
+    r"|(?P<end>\Z))"
 )
-
-
-def _parse_int_list(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(parse_int(x) for x in text.split(","))
 
 
 def parse_form(text: str, n: int) -> Form:
     """Parse the CLI form syntax into a Form over the 2n-dimensional coframe."""
-    pos = 0
-    total = Form.zero(n)
-    sign = 1
-    coeff = None
-    phi_idx = None
-    seen_factor = False
-
-    def flush():
-        nonlocal total, sign, coeff, phi_idx, seen_factor
-        if not seen_factor:
-            return
-        c = coeff if coeff is not None else Coefficient.one()
-        hol, anti = phi_idx if phi_idx is not None else ((), ())
-        try:
-            total = total + Form.monomial(n, hol, anti, c * sign)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        sign, coeff, phi_idx, seen_factor = 1, None, None, False
-
-    text_stripped = text.strip()
-    if not text_stripped or text_stripped == "0":
-        return total
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
+    pos, columns, sign, coeff, phi_idx = 0, [], 1, None, None
+    while True:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError(f"bad form syntax at position {pos}: {text[pos:pos+20]!r}")
-        pos = m.end()
-        if m.group("sign"):
-            if seen_factor:
-                flush()
+        pos, kind = m.end(), m.lastgroup
+        if kind in ("sign", "end"):
+            if coeff is not None or phi_idx is not None:
+                hol, anti = phi_idx or ((), ())
+                c = Coefficient.one() if coeff is None else coeff
+                try:
+                    columns.append((c * sign, Form.monomial(n, hol, anti).terms))
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from None
+                sign, coeff, phi_idx = 1, None, None
+            if kind == "end":
+                return Form(n, _combine(columns))
             if m.group("sign") == "-":
                 sign = -sign
-            continue
-        if m.group("star"):
-            if not seen_factor:
+        elif kind == "star":
+            if coeff is None and phi_idx is None:
                 raise ParseError("misplaced '*'")
-            continue
-        seen_factor = True
-        if m.group("gauss"):
-            inner = m.group("gauss")[1:-1]
-            re_txt, im_txt = inner.split(",")
-            g = GaussianRational(parse_rational(re_txt), parse_rational(im_txt))
-            factor = Coefficient({(): g})
-        elif m.group("rat"):
-            factor = Coefficient.coerce(parse_rational(m.group("rat")))
-        elif m.group("phi"):
+        elif kind == "phi":
             if phi_idx is not None:
                 raise ParseError("at most one phi[...] factor per term")
-            body = m.group("phi")[4:-1]
-            hol_txt, anti_txt = body.split(";")
-            phi_idx = (_parse_int_list(hol_txt), _parse_int_list(anti_txt))
-            continue
+            phi_idx = tuple(
+                tuple(parse_int(x) for x in part.strip().split(",")) if part.strip() else ()
+                for part in m.group("phi")[4:-1].split(";")
+            )
         else:
-            name = m.group("sym")
-            if name == "phi":
-                raise ParseError("phi must be followed by [hol;anti]")
-            factor = Coefficient.symbol(name) ** parse_int(m.group("pow") or "1")
-        coeff = factor if coeff is None else coeff * factor
-    flush()
-    return total
+            if kind == "gauss":
+                re_txt, im_txt = m.group("gauss")[1:-1].split(",")
+                factor = Coefficient.gauss(parse_rational(re_txt), parse_rational(im_txt))
+            elif kind == "rat":
+                factor = Coefficient.coerce(parse_rational(m.group("rat")))
+            else:
+                name, _, power = m.group("sym").partition("^")
+                if name == "phi":
+                    raise ParseError("phi must be followed by [hol;anti]")
+                factor = Coefficient.symbol(name) ** parse_int(power or "1")
+            coeff = factor if coeff is None else coeff * factor
 
 
 def _format_multiindex(idx: MultiIndex) -> str:

@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DimensionMismatch, ParseError, SchemaError, UnknownSpec, ValidationError
-from .forms import Form
+from .forms import Form, _combine
 from .scalars import (
     Coefficient,
     DerivationTable,
@@ -113,7 +113,7 @@ def load_spec(document) -> ManifoldSpec:
     for a, gen in enumerate(generators, start=1):
         terms = document["d"].get(gen, [])
         _expect(isinstance(terms, list), f"d[{gen!r}] must be a list of terms")
-        form = Form.zero(n)
+        columns = []
         for term in terms:
             _expect(
                 isinstance(term, dict) and {"coeff", "hol", "anti"} <= set(term),
@@ -135,8 +135,8 @@ def load_spec(document) -> ManifoldSpec:
                     raise ValidationError(
                         f"d[{gen!r}] uses undeclared symbol {used!r}"
                     )
-            form = form + Form.monomial(n, hol, anti, coeff)
-        d_gen[a] = form
+            columns.append((coeff, Form.monomial(n, hol, anti).terms))
+        d_gen[a] = Form(n, _combine(columns))
 
     omega = document["omega"]
     _expect(isinstance(omega, list), "'omega' must be a list of rationals")

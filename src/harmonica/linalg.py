@@ -12,9 +12,9 @@ list functions (`rref`, `right_kernel`, `subspace_intersection`, ...) take
 and return lists of GaussianRational and convert at that boundary.
 
 Every value is built by one constructor, `Subspace._of`, from sparse
-Gaussian-integer rows: `span`, `+`, `&`, `sparse_kernel` and `kernel` all go
-through it.  Operator matrices are sparse and fall apart into small blocks,
-so `_of` splits the columns into the connected components of the row-column
+Gaussian-integer rows: `span`, `+`, `&` and `sparse_kernel` all go through
+it.  Operator matrices are sparse and fall apart into small blocks, so `_of`
+splits the columns into the connected components of the row-column
 incidence graph (union-find) and eliminates each component alone, densely
 on its own columns; the canonical form is unique, so the merged rows are the
 value one elimination of the whole matrix would give.  Membership needs no
@@ -28,13 +28,13 @@ Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
 the gcd of all its integer parts, so no rational number is formed.
 
-`sparse_kernel` reads the kernel from the canonical rows of a sparse matrix;
-`kernel` reads it from `rref` of a dense one and serves `right_kernel` only.
-The Laplacian cross-check reads no second kernel: `is_kernel` decides
-whether a space is the kernel of a matrix from the matrix's reduced rows,
-by rank and annihilation, so the condition kernel and the Laplacian are
-compared on different matrices by different routes; the component split
-they share is checked against sympy in the tests.
+`sparse_kernel` reads the kernel from the canonical rows of a sparse matrix,
+and `kernel` of a dense one is `sparse_kernel` of its nonzero entries.  The
+Laplacian cross-check reads no second kernel: `is_kernel` decides whether a
+space is the kernel of a matrix from the matrix's reduced rows, by rank and
+annihilation, so the condition kernel and the Laplacian are compared on
+different matrices by different routes; the component split they share is
+checked against sympy in the tests.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .scalars import GaussianRational
 Vector = list
 
 _ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
 
 
 def _to_int(row: Vector) -> list:
@@ -298,19 +297,9 @@ def sparse_span(rows, ncols: int) -> Subspace:
 
 
 def kernel(rows: list[Vector], ncols: int) -> Subspace:
-    """{x : A x = 0} for the matrix with the given dense rows: each free
-    column f of rref(A) gives the vector e_f minus the pivot rows' entries
-    in column f."""
-    reduced = rref(rows)
-    pivots = [next(j for j, x in enumerate(r) if not x.is_zero()) for r in reduced]
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = {fc: _ONE}
-        for r, pc in zip(reduced, pivots):
-            if not r[fc].is_zero():
-                v[pc] = -r[fc]
-        basis.append(v)
-    return sparse_span(basis, ncols)
+    """{x : A x = 0} for the matrix with the given dense rows, as
+    `sparse_kernel` of their nonzero entries."""
+    return sparse_kernel([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
 
 
 def is_kernel(space: Subspace, reduced: list[Vector], ncols: int) -> bool:

@@ -16,6 +16,7 @@ import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import DepthExceeded, ExponentTooLarge, ParseError, UndeclaredConjugate
@@ -28,6 +29,7 @@ __all__ = [
     "GaussianRational",
     "Direction",
     "DerivationTable",
+    "ReadOnlyTable",
     "Coefficient",
     "MAX_EXPONENT",
 ]
@@ -131,10 +133,6 @@ class GaussianRational:
         return Fraction(self.im_num, self.den)
 
     @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
-
-    @classmethod
     def i_power(cls, k: int) -> "GaussianRational":
         return (cls(1), cls(0, 1), cls(-1), cls(0, -1))[k % 4]
 
@@ -236,7 +234,7 @@ class GaussianRational:
 _ZERO = GaussianRational(0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Direction:
     """A frame direction V_a (bar=False) or Vbar_a (bar=True), 1-based."""
 
@@ -351,6 +349,30 @@ class DerivationTable:
                 "auto_fresh is off"
             )
         return Coefficient.symbol(fresh_symbol_name(symbol, direction))
+
+
+class ReadOnlyTable(DerivationTable):
+    """A copy of a DerivationTable whose declarations, settings and symbol,
+    conjugate and entry collections refuse writes, for the table a spec
+    shares with its callers; only the private derivative memo fills."""
+
+    def __init__(self, table: DerivationTable):
+        self.__dict__.update(
+            symbols=frozenset(table.symbols),
+            conjugates=MappingProxyType(dict(table.conjugates)),
+            entries=MappingProxyType(dict(table.entries)),
+            depth_limit=table.depth_limit,
+            auto_fresh=table.auto_fresh,
+            _derived={},
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: this table is read-only")
+
+    def declare_symbol(self, *args):
+        raise TypeError("cannot declare: this table is read-only")
+
+    declare_derivative = declare_symbol
 
 
 # A monomial is a sorted tuple of (symbol, exponent) pairs; () is the constant.

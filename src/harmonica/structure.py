@@ -23,7 +23,7 @@ from typing import Mapping
 from .errors import ValidationError
 from .forms import Form, MultiIndex, ReadOnlyForm, _combine, _wedge_monomials, basis_multiindices
 from .report import CheckItem, VerificationReport
-from .scalars import DerivationTable, Direction, Fraction, GaussianRational
+from .scalars import DerivationTable, Direction, Fraction, GaussianRational, ReadOnlyTable
 
 __all__ = [
     "OperatorKind",
@@ -75,7 +75,8 @@ _MISSING = object()
 
 @dataclass(eq=False, frozen=True)
 class ManifoldSpec:
-    """Structure equations and metric data; immutable after construction.
+    """Structure equations and metric data; immutable after construction,
+    with a read-only copy of the symbol table passed in.
 
     Identity-hashable.  Each spec owns the cache of everything derived from
     it (operator images, kernels, the split of d), so a derived spec from
@@ -113,6 +114,7 @@ class ManifoldSpec:
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "d_gen", MappingProxyType(d_gen))
         object.__setattr__(self, "omega_coeffs", omega_coeffs)
+        object.__setattr__(self, "table", ReadOnlyTable(self.table))
         object.__setattr__(self, "_cache", {})
 
     def cached(self, key: tuple, build, *args):
@@ -264,6 +266,11 @@ def _d_squared_parts(idx: MultiIndex, spec: ManifoldSpec):
         yield name, sum(pieces, Form.zero(spec.n))
 
 
+def _unit_and_generators(n: int) -> list[MultiIndex]:
+    """1, every phi^a, every phi^abar: all_basis_monomials' first 2n + 1."""
+    return basis_multiindices(n, 0, 0) + basis_multiindices(n, 1, 0) + basis_multiindices(n, 0, 1)
+
+
 def check_integrability_relations(spec: ManifoldSpec) -> VerificationReport:
     """Evaluate d^2 and the seven component identities on the basis
     monomials; a failing item names the first monomial it fails on.
@@ -277,9 +284,8 @@ def check_integrability_relations(spec: ManifoldSpec) -> VerificationReport:
     bad = [a for a in range(1, spec.n + 1) if spec.d_gen[a] and spec.d_gen[a].degree() != 2]
     witness = spec.d_gen[bad[0]] if bad else None
     items = [CheckItem("d(generators) are 2-forms", not bad, witness=witness)]
-    monomials = all_basis_monomials(spec.n)
     failures: dict = {}  # name -> (witness, residual)
-    for idx in monomials if bad else monomials[: 2 * spec.n + 1]:
+    for idx in all_basis_monomials(spec.n) if bad else _unit_and_generators(spec.n):
         for name, value in _d_squared_parts(idx, spec):
             if name not in failures and not value.is_zero():
                 failures[name] = (Form.monomial(spec.n, idx.hol, idx.anti), value)
@@ -301,26 +307,20 @@ def fundamental_form(spec: ManifoldSpec) -> Form:
 
 def is_integrable(spec: ManifoldSpec) -> bool:
     """True when mu and mubar vanish on every basis monomial: no split of d
-    has a part at their shifts."""
+    has a part at their shifts.  By the Leibniz rule, their part of d of a
+    monomial sums their parts of d of its factors, so 1, the phi^a and the
+    phi^abar suffice, whatever the degrees of the d(phi^a)."""
     shifts = (OperatorKind.MU.shift, OperatorKind.MUBAR.shift)
-    splits = (d_by_shift(idx, spec) for idx in all_basis_monomials(spec.n))
+    splits = (d_by_shift(idx, spec) for idx in _unit_and_generators(spec.n))
     return not any(b in shifts for split in splits for b in split)
 
 
 def check_almost_kahler(spec: ManifoldSpec) -> VerificationReport:
-    """d omega = 0 and positive metric coefficients; integrability is reported
-    as a flag, not a requirement."""
+    """d omega = 0; integrability is reported as a flag, not a requirement.
+    The metric coefficients need no item: ManifoldSpec refuses any c <= 0."""
     omega = fundamental_form(spec)
     d_omega = exterior_d(omega, spec)
-    items = [
-        CheckItem(
-            "d omega = 0",
-            d_omega.is_zero(),
-            witness=None if d_omega.is_zero() else omega,
-            residual=None if d_omega.is_zero() else d_omega,
-        ),
-        CheckItem("omega coefficients positive", all(c > 0 for c in spec.omega_coeffs)),
-    ]
-    report = VerificationReport.from_items(f"almost-kahler:{spec.name}", items)
-    report.data = {"integrable": is_integrable(spec), "almost_kahler": report.ok}
-    return report
+    closed = d_omega.is_zero()
+    item = CheckItem("d omega = 0", closed, None if closed else omega, None if closed else d_omega)
+    data = {"integrable": is_integrable(spec), "almost_kahler": closed}
+    return VerificationReport.from_items(f"almost-kahler:{spec.name}", [item], data=data)

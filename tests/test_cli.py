@@ -809,3 +809,40 @@ class TestReportJsonPath:
         code, _, err = run_cli(capsys, "report", "flat_kahler6", "--json", str(target))
         assert code == 2
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+class TestReportJsonPathFirst:
+    """report tries its --json path before any table or statement is
+    computed, and leaves no file behind at a new path if a later stage fails."""
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_an_unwritable_path_is_refused_before_any_work(self, capsys, monkeypatch, tmp_path, where):
+        from harmonica import cli
+
+        def reached(*args, **kwargs):
+            raise AssertionError("the report was computed before its --json path was tried")
+
+        monkeypatch.setattr(cli, "harmonic_subspace", reached)
+        monkeypatch.setattr(cli, "all_statements", reached)
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "report", "flat_kahler6", "--json", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_a_later_failure_leaves_the_path_as_it_was(self, capsys, monkeypatch, tmp_path, existed):
+        from harmonica import cli
+
+        def broken(*args):
+            raise errors.CrossCheckFailed("boom")
+
+        monkeypatch.setattr(cli, "all_statements", broken)
+        target = tmp_path / "report.json"
+        if existed:
+            target.write_text("old report\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "report", "flat_kahler6", "--json", str(target))
+        assert (code, err) == (1, "cross-check failed: boom\n")
+        if existed:
+            assert target.read_text(encoding="utf-8") == "old report\n"
+        else:
+            assert not target.exists()

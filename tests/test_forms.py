@@ -1,11 +1,20 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonica.errors import ParseError
 from harmonica.forms import Form, MultiIndex, basis_multiindices, format_form, parse_form
 from harmonica.hermitian import fundamental_form
-from harmonica.scalars import Coefficient, GaussianRational
+from harmonica.scalars import (
+    SYMBOL_NAME,
+    Coefficient,
+    GaussianRational,
+    parse_int,
+    parse_rational,
+)
 
 from conftest import rand_form_any, rand_form_pq, rand_gauss
 
@@ -189,3 +198,177 @@ class TestSyntax:
                 3, (3,), (1,), g3 * g3c * rand_gauss(rng)
             )
             assert parse_form(format_form(f), 3) == f
+
+
+# --- the reference: the term-at-a-time parser that parse_form replaced -------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<sign>[+-])"
+    r"|(?P<gauss>\(\s*[+-]?\d+(?:/\d+)?\s*,\s*[+-]?\d+(?:/\d+)?\s*\))"
+    r"|(?P<phi>phi\[[0-9,\s]*;[0-9,\s]*\])"
+    r"|(?P<rat>\d+(?:/\d+)?)"
+    rf"|(?P<sym>{SYMBOL_NAME}(?:\[[A-Za-z0-9_\[\]]*\])?)(?:\^(?P<pow>\d+))?"
+    r"|(?P<star>\*))"
+)
+
+
+def _reference_parse_int_list(text: str) -> tuple:
+    text = text.strip()
+    if not text:
+        return ()
+    return tuple(parse_int(x) for x in text.split(","))
+
+
+def reference_parse_form(text: str, n: int) -> Form:
+    """Parse the CLI form syntax into a Form over the 2n-dimensional coframe."""
+    pos = 0
+    total = Form.zero(n)
+    sign = 1
+    coeff = None
+    phi_idx = None
+    seen_factor = False
+
+    def flush():
+        nonlocal total, sign, coeff, phi_idx, seen_factor
+        if not seen_factor:
+            return
+        c = coeff if coeff is not None else Coefficient.one()
+        hol, anti = phi_idx if phi_idx is not None else ((), ())
+        try:
+            total = total + Form.monomial(n, hol, anti, c * sign)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        sign, coeff, phi_idx, seen_factor = 1, None, None, False
+
+    text_stripped = text.strip()
+    if not text_stripped or text_stripped == "0":
+        return total
+    while pos < len(text):
+        if text[pos:].strip() == "":
+            break
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"bad form syntax at position {pos}: {text[pos:pos+20]!r}")
+        pos = m.end()
+        if m.group("sign"):
+            if seen_factor:
+                flush()
+            if m.group("sign") == "-":
+                sign = -sign
+            continue
+        if m.group("star"):
+            if not seen_factor:
+                raise ParseError("misplaced '*'")
+            continue
+        seen_factor = True
+        if m.group("gauss"):
+            inner = m.group("gauss")[1:-1]
+            re_txt, im_txt = inner.split(",")
+            g = GaussianRational(parse_rational(re_txt), parse_rational(im_txt))
+            factor = Coefficient({(): g})
+        elif m.group("rat"):
+            factor = Coefficient.coerce(parse_rational(m.group("rat")))
+        elif m.group("phi"):
+            if phi_idx is not None:
+                raise ParseError("at most one phi[...] factor per term")
+            body = m.group("phi")[4:-1]
+            hol_txt, anti_txt = body.split(";")
+            phi_idx = (_reference_parse_int_list(hol_txt), _reference_parse_int_list(anti_txt))
+            continue
+        else:
+            name = m.group("sym")
+            if name == "phi":
+                raise ParseError("phi must be followed by [hol;anti]")
+            factor = Coefficient.symbol(name) ** parse_int(m.group("pow") or "1")
+        coeff = factor if coeff is None else coeff * factor
+    flush()
+    return total
+
+
+def _outcome(parse, text, n):
+    """The formatted Form, or the type and message of the exception."""
+    try:
+        return "ok", format_form(parse(text, n))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+_INDEX_LISTS = st.lists(st.sampled_from("0123457"), max_size=3).map(",".join)
+_PHI = st.builds(
+    "phi[{}{};{}{}]".format,
+    _INDEX_LISTS,
+    st.sampled_from(["", " ", ",", ",,"]),
+    _INDEX_LISTS,
+    st.sampled_from(["", " "]),
+)
+_RATIONAL = st.sampled_from(["0", "1", "3", "2/3", "-1/2", "0/5", "1/0", "007"])
+_GAUSS = st.builds("({},{})".format, _RATIONAL, _RATIONAL)
+_SYMBOL = st.builds(
+    "{}{}".format,
+    st.sampled_from(["g3", "g3c", "x", "_y1", "V1[g3]", "phi", "phi[x]"]),
+    st.sampled_from(["", "^0", "^1", "^3", "^65", "^"]),
+)
+_TERM = st.builds(
+    "{}{}*{}".format, st.sampled_from([" + ", " - ", "+", ""]), st.one_of(_RATIONAL, _GAUSS, _SYMBOL), _PHI
+)
+_TOKENS = st.one_of(
+    _TERM,
+    st.sampled_from(["+", "-", "*", " ", "  ", "\t", "\n"]),
+    _PHI,
+    _RATIONAL,
+    _GAUSS,
+    _SYMBOL,
+    st.sampled_from(["@", "#", "(", ")", ",", ";", "[", "]", "^", "/", "é", "\u00a0"]),
+)
+
+
+class TestParseInOnePass:
+    """parse_form reads the tokens in one pass into one term map; it equals
+    the term-at-a-time reference on every text, result or error."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(_TOKENS, max_size=14).map("".join), st.integers(1, 4))
+    def test_token_soups(self, text, n):
+        assert _outcome(parse_form, text, n) == _outcome(reference_parse_form, text, n)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "  ",
+            "0",
+            " 0 ",
+            "phi[4;] * @",
+            "phi[4;] + @",
+            "phi[1;]*phi[2;]",
+            "- - phi[1;2] -(1,0)*phi[1;2]",
+            "phi[1;2] - phi[1;2] + 2*phi[1;2]",
+            "phi[2,1;1,1] + phi[0;]",
+            "x^65",
+            "  phi[1;2] @  ",
+        ],
+    )
+    def test_edge_texts(self, text):
+        assert _outcome(parse_form, text, 3) == _outcome(reference_parse_form, text, 3)
+
+    def test_no_form_is_added_to_a_form(self, monkeypatch):
+        from harmonica.structure import all_basis_monomials
+
+        monomials = all_basis_monomials(6)
+        text = " + ".join(
+            f"phi[{','.join(map(str, idx.hol))};{','.join(map(str, idx.anti))}]"
+            for idx in monomials
+        )
+        calls = []
+        add = Form.__add__
+
+        def counting_add(self, other):
+            calls.append("add")
+            return add(self, other)
+
+        monkeypatch.setattr(Form, "__add__", counting_add)
+        form = parse_form(text, 6)
+        monkeypatch.undo()
+        assert calls == []
+        assert len(monomials) == 4096
+        assert form == Form(6, {idx: Coefficient.one() for idx in monomials})

@@ -186,3 +186,30 @@ class TestDimensionLimit:
     def test_larger_n_is_refused(self):
         with pytest.raises(DimensionMismatch, match="n = 7 exceeds the supported maximum n = 6"):
             load_spec(self.flat(MAX_N + 1))
+
+
+def test_load_spec_adds_no_form_to_a_form(monkeypatch):
+    """Each d entry is one term map: a document with all 4,096 n = 6
+    monomials in one d entry loads without a Form + Form."""
+    from harmonica.structure import all_basis_monomials
+
+    monomials = all_basis_monomials(6)
+    gens = [f"phi{a}" for a in range(1, 7)]
+    terms = [
+        {"coeff": {"re": "1", "im": "-1"}, "hol": list(idx.hol), "anti": list(idx.anti)}
+        for idx in monomials
+    ]
+    doc = minimal_doc(n=6, generators=gens, d={"phi1": terms}, omega=["1"] * 6)
+    calls = []
+    add = Form.__add__
+
+    def counting_add(self, other):
+        calls.append("add")
+        return add(self, other)
+
+    monkeypatch.setattr(Form, "__add__", counting_add)
+    spec = load_spec(doc)
+    monkeypatch.undo()
+    assert calls == []
+    assert len(monomials) == 4096
+    assert spec.d_gen[1] == Form(6, {idx: Coefficient.gauss(1, -1) for idx in monomials})

@@ -238,6 +238,14 @@ class TestDirection:
             d.index = 1
         assert d == Direction(3, True)
 
+    def test_an_undeclared_attribute_is_refused(self):
+        import dataclasses
+
+        d = Direction(3, True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.extra = 1
+        assert not hasattr(d, "extra") and d == Direction(3, True)
+
 
 class TestDerivativeMemo:
     """Coefficient.derive computes the derivative of each unit symbol

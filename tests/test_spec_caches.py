@@ -10,16 +10,17 @@ import pytest
 
 import harmonica
 from harmonica import harmonic, hermitian, linalg
-from harmonica.forms import Form, parse_form
+from harmonica.forms import Form, format_form, parse_form
 from harmonica.harmonic import LAPLACIAN_WORDS, HarmonicKind, harmonic_space, harmonic_subspace
 from harmonica.hermitian import operator_columns, primitive_basis, primitive_subspace
 from harmonica.library import catalog_document, load_spec
-from harmonica.scalars import GaussianRational
+from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import (
     ManifoldSpec,
     OperatorKind,
     check_integrability_relations,
     differential_component,
+    exterior_d,
 )
 
 
@@ -48,6 +49,47 @@ class TestImmutableSpec:
         assert spec.d_gen[1].is_zero() and spec.d_gen[2].is_zero()
         generators.append("c")
         assert spec.generators == ("a", "b")
+
+
+class TestReadOnlyTable:
+    """A spec keeps a read-only copy of its DerivationTable, so no caller can
+    change what its d computes."""
+
+    def test_writes_through_the_table_are_refused(self):
+        spec = load_spec(catalog_document("torus6"))
+        form = parse_form("g3*phi[1;2]", 3)
+        before = exterior_d(form, spec)
+        table = spec.table
+        with pytest.raises(TypeError):
+            table.declare_derivative("g3", Direction(3), Coefficient.gauss(7))
+        with pytest.raises(TypeError):
+            table.declare_symbol("h")
+        with pytest.raises(AttributeError):
+            table.symbols.add("h")
+        with pytest.raises(TypeError):
+            table.conjugates["g3"] = "g3"
+        with pytest.raises(TypeError):
+            table.entries[("g3", Direction(3))] = Coefficient.gauss(7)
+        for name, value in (("depth_limit", 1), ("auto_fresh", False), ("entries", {})):
+            with pytest.raises(AttributeError):
+                setattr(table, name, value)
+        assert exterior_d(form, spec) == before
+        assert "(-1,0)*g33*phi[1,3;2]" in format_form(before)
+        assert spec.with_omega((1, 1, 2)).table.entries == table.entries
+
+    def test_the_spec_copies_the_table_it_is_given(self):
+        table = DerivationTable()
+        table.declare_symbol("g", "gc")
+        d_gen = {1: Form.monomial(1, (1,), (1,), Coefficient.symbol("g"))}
+        spec = ManifoldSpec(name="s", n=1, generators=["a"], d_gen=d_gen, omega_coeffs=(1,), table=table)
+        form = Form.monomial(1, (), (), Coefficient.symbol("g"))
+        before = exterior_d(form, spec)
+        table.declare_derivative("g", Direction(1, True), Coefficient.gauss(5))
+        table.declare_symbol("h")
+        table.depth_limit = 1
+        assert exterior_d(form, spec) == before
+        assert spec.table.symbols == {"g", "gc"} and not spec.table.entries
+        assert spec.table.depth_limit == 3
 
 
 class TestReadOnlyStructureEquations:
