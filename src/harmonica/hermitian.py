@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
 from .forms import Form, MultiIndex, _combine, _wedge_monomials, basis_multiindices
 from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
-from .scalars import Coefficient, Fraction, GaussianRational
+from .scalars import Coefficient, Direction, Fraction, GaussianRational
 from .structure import (
     ManifoldSpec,
     OperatorKind,
     d_by_shift,
-    differential_component,
     fundamental_form,
 )
 
@@ -95,7 +94,7 @@ def _metric_weights(spec: ManifoldSpec) -> tuple:
 
 def hodge_star(form: Form, spec: ManifoldSpec) -> Form:
     """C-linear Hodge star; maps (p,q) to (n-q,n-p)."""
-    return _map_form("*", form, spec)
+    return apply_word(("*",), form, spec)
 
 
 def j_on_forms(form: Form) -> Form:
@@ -107,22 +106,19 @@ def j_on_forms(form: Form) -> Form:
 
 
 def lefschetz_L(form: Form, spec: ManifoldSpec) -> Form:
-    return _map_form("L", form, spec)
+    return apply_word(("L",), form, spec)
 
 
 def lefschetz_lambda(form: Form, spec: ManifoldSpec) -> Form:
     """The dual Lefschetz operator, the formal adjoint of L, normalized so
     that Lambda omega = n with the usual sl(2) commutators."""
-    return _map_form("Lambda", form, spec)
+    return apply_word(("Lambda",), form, spec)
 
 
 def adjoint(kind: OperatorKind, form: Form, spec: ManifoldSpec) -> Form:
     """Formal adjoint: -* k' *, where k' is the conjugate-paired operator
     (d* = -*d*, del* = -*delbar*, mu* = -*mubar*, and symmetrically)."""
-    paired = kind.conjugate
-    return -hodge_star(
-        differential_component(hodge_star(form, spec), paired, spec), spec
-    )
+    return apply_word((kind.value + "*",), form, spec)
 
 
 def apply_word(word: tuple, form: Form, spec: ManifoldSpec) -> Form:
@@ -130,19 +126,28 @@ def apply_word(word: tuple, form: Form, spec: ManifoldSpec) -> Form:
 
     The names are "d", "mu", "del", "delbar", "mubar", each with an adjoint
     named by a trailing "*" (as in "del*"), the star "*", "L" and "Lambda",
-    so ("del", "delbar", "*") is del delbar *."""
+    so ("del", "delbar", "*") is del delbar *.  Exact for symbolic
+    coefficients: the Form is read as one term map {monomial: {symbol
+    monomial: Q(i)}}, each operator maps that map, and the Coefficients and
+    the Form of the result are built once, at the end."""
+    if word and form.n != spec.n:
+        raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
+    terms = form.terms
     for op in reversed(word):
-        if op == "*":
-            form = hodge_star(form, spec)
-        elif op == "L":
-            form = lefschetz_L(form, spec)
-        elif op == "Lambda":
-            form = lefschetz_lambda(form, spec)
-        elif op.endswith("*"):
-            form = adjoint(OperatorKind(op[:-1]), form, spec)
+        if op in ("*", "L", "Lambda"):
+            terms = _metric_terms(op, terms, spec)
+        elif op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
+            paired = OperatorKind(op[:-1]).conjugate
+            starred = _d_terms(paired, _metric_terms("*", terms, spec), spec)
+            terms = _metric_terms("*", starred, spec, negate=True)
         else:
-            form = differential_component(form, OperatorKind(op), spec)
-    return form
+            terms = _d_terms(OperatorKind(op), terms, spec)
+    out = {}
+    for m, c in terms.items():
+        c = {s: x for s, x in c.items() if x.re_num or x.im_num}
+        if c:
+            out[m] = Coefficient.from_terms(c)
+    return Form(form.n, out)
 
 
 def is_primitive(form: Form, spec: ManifoldSpec) -> bool:
@@ -255,9 +260,12 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # that share a prefix share its images.  A longer word's image is _column of
 # that word alone, and operator_columns builds each column of a sum of words
 # with it.  word_kernel is the one kernel of a stack of word blocks, for the
-# condition systems and for Lambda.  _map_form applies star, L and Lambda to
-# Forms from the images.  subspace_forms and form_subspace are the one
-# Subspace <-> Form pair.
+# condition systems and for Lambda.  apply_word maps the term map of a Form
+# with the same images: _metric_terms for star, L and Lambda, and _d_terms
+# for d and its parts, which adds the split for constant terms and, for a
+# term with a symbol monomial, its image from _unit_term_images, cached on
+# the spec.  subspace_forms and form_subspace are the one Subspace <-> Form
+# pair.
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -355,12 +363,96 @@ def _compose(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     return _column((word,), idx, spec)
 
 
-def _map_form(op: str, form: Form, spec: ManifoldSpec) -> Form:
-    """A Form through star, L or Lambda from the images of its monomials;
-    exact for symbolic coefficients, as all three are linear over functions."""
-    if form.n != spec.n:
-        raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
-    return Form(spec.n, _combine((c, _word_image((op,), m, spec)) for m, c in form.terms.items()))
+def _metric_terms(op: str, terms, spec: ManifoldSpec, negate: bool = False) -> dict:
+    """A term map {monomial: {symbol monomial: Q(i)}} through star, L or
+    Lambda, negated when asked: each term x s m adds g x s m' over the cached
+    image g m' of the unit monomial m; the three are linear over functions.
+    The values of `terms` are read through .items(), so a Form's
+    Coefficients serve as they are."""
+    out: dict = {}
+    for idx, coeff in terms.items():
+        for m, g in _word_image((op,), idx, spec).items():
+            if negate:
+                g = -g
+            target = out.get(m)
+            if target is None:
+                out[m] = {s: g * x for s, x in coeff.items()}
+                continue
+            for s, x in coeff.items():
+                target[s] = target[s] + g * x if s in target else g * x
+    return out
+
+
+def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
+    """A term map through d or one of its parts.  A constant term x m gives
+    x times the kind's parts of d(m), read from the cached split d_by_shift;
+    a term x s m with a symbol monomial s gives x times the cached image of
+    the unit term s m (_unit_term_images).  A value that cancelled to 0 is
+    skipped, as a Form would not hold it."""
+    shift = kind.shift
+    out: dict = {}
+    for idx, coeff in terms.items():
+        parts = images = None
+        for s, x in coeff.items():
+            if not (x.re_num or x.im_num):
+                continue
+            if parts is None:
+                split = d_by_shift(idx, spec)
+                parts = [part.terms for b, part in split.items() if shift is None or b == shift]
+            if s:
+                if images is None:
+                    images = _unit_term_images(kind, idx, coeff, parts, spec)
+                columns = (images[s],)
+            else:
+                columns = parts
+            for column in columns:
+                for m, c in column.items():
+                    target = out.get(m)
+                    if target is None:
+                        target = out[m] = {}
+                    for s2, y in c.items():
+                        v = x * y
+                        target[s2] = target[s2] + v if s2 in target else v
+    return out
+
+
+def _unit_term_images(kind: OperatorKind, idx: MultiIndex, coeff, parts, spec: ManifoldSpec) -> dict:
+    """{s: image of the unit term s phi^idx under the kind} for the symbol
+    monomials s of coeff, from a dict cached on the spec per (kind, idx) and
+    filled on demand; shared, so read-only.  The image of s phi^idx is s
+    times the kind's parts of d(phi^idx), plus, for each frame direction of
+    the kind (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and
+    mubar), the derivative of s along it times phi^a or phi^abar wedge
+    phi^idx, where that wedge is not 0.  The missing images of one coeff are
+    built together, direction by direction, so the first derivative that
+    fails is the one a direction-by-direction derivative of coeff meets."""
+    images = spec.cached(("unit-term", kind, idx), dict)
+    missing = [s for s, x in coeff.items() if s and (x.re_num or x.im_num) and s not in images]
+    if not missing:
+        return images
+    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(kind.shift, ())
+    units = {s: Coefficient({s: _ONE}) for s in missing}
+    columns = {s: [(unit, part) for part in parts] for s, unit in units.items()}
+    for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
+        if direction.bar in bars:
+            for s, unit in units.items():
+                columns[s].append((unit.derive(direction, spec.table), {image: sign}))
+    images.update((s, _combine(column)) for s, column in columns.items())
+    return images
+
+
+def _frame(idx: MultiIndex, spec: ManifoldSpec) -> tuple:
+    """(direction V_a or Vbar_a, monomial, sign) with phi^a or phi^abar
+    wedge phi^idx = sign * phi^monomial, for every frame direction where
+    that wedge is not 0; cached on the spec per monomial."""
+    out = []
+    for a in range(1, spec.n + 1):
+        for bar in (False, True):
+            factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
+            image, sign = _wedge_monomials(factor, idx)
+            if sign:
+                out.append((Direction(a, bar), image, sign))
+    return tuple(out)
 
 
 def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:

@@ -416,6 +416,15 @@ class Coefficient:
     def __init__(self, terms: Mapping[Monomial, GaussianRational] | None = None):
         self._terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
 
+    @staticmethod
+    def from_terms(terms: dict) -> "Coefficient":
+        """The Coefficient that takes over `terms`, a dict with no zero value
+        that the caller does not change afterwards: the trusted constructor,
+        with no copy and no check."""
+        out = _new(Coefficient)
+        out._terms = terms
+        return out
+
     @classmethod
     def zero(cls) -> "Coefficient":
         return cls()
@@ -444,6 +453,11 @@ class Coefficient:
 
     def terms(self) -> Iterator[tuple[Monomial, GaussianRational]]:
         return iter(sorted(self._terms.items()))
+
+    def items(self):
+        """The (monomial, value) pairs in storage order, as a read-only view:
+        a Coefficient reads like its term dict."""
+        return self._terms.items()
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -507,14 +521,11 @@ class Coefficient:
         x = 0 can drop terms, and x = 1 or -1 needs no product."""
         if x.is_zero():
             return Coefficient()
-        out = _new(Coefficient)
         if x.den == 1 and not x.im_num and x.re_num == 1:
-            out._terms = dict(self._terms)
-        elif x.den == 1 and not x.im_num and x.re_num == -1:
-            out._terms = {m: -c for m, c in self._terms.items()}
-        else:
-            out._terms = {m: c * x for m, c in self._terms.items()}
-        return out
+            return Coefficient.from_terms(dict(self._terms))
+        if x.den == 1 and not x.im_num and x.re_num == -1:
+            return Coefficient.from_terms({m: -c for m, c in self._terms.items()})
+        return Coefficient.from_terms({m: c * x for m, c in self._terms.items()})
 
     def __truediv__(self, other):
         """Division by a nonzero Q(i) scalar only; symbols are not inverted."""

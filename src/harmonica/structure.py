@@ -5,12 +5,9 @@ coframe on a 2n-dimensional Lie group quotient, diagonal fundamental-form
 coefficients, and the symbol tables.  d on barred generators is forced to be
 the conjugate of d on the unbarred ones.  d of each unit monomial follows by
 the Leibniz rule and is split once by bidegree shift into mu, del, delbar and
-mubar parts, cached on the spec (d_by_shift).  d or one part of a Form is one
-term map over that split, plus frame derivatives of non-constant
-coefficients, with the wedge signs of forms._wedge_monomials.  The frame
-part reads a table per monomial, cached on the spec, of the directions V_a
-and Vbar_a whose phi^a or phi^abar wedges it to a nonzero monomial, with
-that monomial and sign.
+mubar parts, cached on the spec (d_by_shift).  d and its parts of a Form are
+one-operator words of hermitian.apply_word, which reads that split and adds
+the frame derivatives of non-constant coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Mapping
 from .errors import ValidationError
 from .forms import Form, MultiIndex, ReadOnlyForm, _combine, _wedge_monomials, basis_multiindices
 from .report import CheckItem, VerificationReport
-from .scalars import DerivationTable, Direction, Fraction, GaussianRational, ReadOnlyTable
+from .scalars import DerivationTable, Fraction, GaussianRational, ReadOnlyTable
 
 __all__ = [
     "OperatorKind",
@@ -170,47 +167,20 @@ def _d_bar(a: int, spec: ManifoldSpec) -> Form:
 
 def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
     """Exterior differential via the Leibniz rule on each monomial term."""
-    return differential_component(form, OperatorKind.D, spec)
+    from .hermitian import apply_word  # hermitian imports this module
+
+    return apply_word(("d",), form, spec)
 
 
 def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -> Form:
-    """d, or its mu, del, delbar or mubar part, as one term map: c * phi^I
-    gives c times the part of d(phi^I) at the kind's shift (every part for
-    d), read from d_by_shift, plus, for each frame direction of the kind
-    (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and mubar),
-    the derivative of c along it times phi^a or phi^abar wedge phi^I, taken
-    only where that wedge is not 0."""
-    if form.n != spec.n:
-        raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
-    shift = kind.shift
-    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(shift, ())
+    """d, or its mu, del, delbar or mubar part: c * phi^I gives c times the
+    part of d(phi^I) at the kind's shift (every part for d), plus, for each
+    frame direction of the kind (V_a for del, Vbar_a for delbar, all 2n for
+    d, none for mu and mubar), the derivative of c along it times phi^a or
+    phi^abar wedge phi^I.  The one-operator word of hermitian.apply_word."""
+    from .hermitian import apply_word  # hermitian imports this module
 
-    def columns():
-        for idx, coeff in form.terms.items():
-            for b, part in d_by_shift(idx, spec).items():
-                if shift is None or b == shift:
-                    yield coeff, part.terms
-            if coeff.is_constant():
-                continue
-            for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
-                if direction.bar in bars:
-                    yield coeff.derive(direction, spec.table), {image: sign}
-
-    return Form(spec.n, _combine(columns()))
-
-
-def _frame(idx: MultiIndex, spec: ManifoldSpec) -> tuple:
-    """(direction V_a or Vbar_a, monomial, sign) with phi^a or phi^abar
-    wedge phi^idx = sign * phi^monomial, for every frame direction where
-    that wedge is not 0; cached on the spec per monomial."""
-    out = []
-    for a in range(1, spec.n + 1):
-        for bar in (False, True):
-            factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
-            image, sign = _wedge_monomials(factor, idx)
-            if sign:
-                out.append((Direction(a, bar), image, sign))
-    return tuple(out)
+    return apply_word((kind.value,), form, spec)
 
 
 def all_basis_monomials(n: int) -> list[MultiIndex]:

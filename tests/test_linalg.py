@@ -123,6 +123,12 @@ def _oracle_rank(rows, n):
     return len(_oracle_rref(rows, n))
 
 
+def _oracle_kernel(rows, n):
+    """RREF basis of {x : A x = 0}, from sympy's nullspace."""
+    null = _matrix(rows, n).nullspace(simplify=True)
+    return _oracle_rref([[_from_sympy(e) for e in v] for v in null], n)
+
+
 def _oracle_intersection(a, b, n):
     """RREF of span(a) ∩ span(b) from the kernel of the matrix [a^T | -b^T]."""
     if not a or not b:
@@ -323,10 +329,11 @@ def sparse_matrices(draw):
 def test_sparse_kernel_equals_dense_kernel(case):
     n, rows = case
     dense = [[row.get(j, _ZERO) for j in range(n)] for row in rows]
-    space = sparse_kernel(rows, n)
-    _assert_canonical(space)
-    assert space == kernel(dense, n)
-    assert all(len(re) == n for _, (re, _) in space.rows)
+    oracle = _oracle_kernel(dense, n)
+    for space in (sparse_kernel(rows, n), kernel(dense, n)):
+        _assert_canonical(space)
+        assert space.vectors() == oracle
+        assert all(len(re) == n for _, (re, _) in space.rows)
 
 
 def test_sparse_kernel_of_no_rows_is_everything():
@@ -444,14 +451,14 @@ def test_empty_spaces_are_neutral():
 @PROPERTY
 @given(bridged_sparse_matrices(), st.data())
 def test_rank_and_annihilation_decide_the_kernel(case, data):
-    """is_kernel(K, rref(A), m) holds exactly when K == kernel(A, m), for K
-    the kernel itself and for candidates next to it: the kernel with one
-    basis row dropped, with one entry of a basis row changed, and with one
-    more vector."""
+    """is_kernel(K, rref(A), m) holds exactly when K is ker A, for K the
+    kernel itself and for candidates next to it: the kernel with one basis
+    row dropped, with one entry of a basis row changed, and with one more
+    vector.  rref(A) and ker A both come from sympy."""
     n, rows = case
     dense = _dense(rows, n)
-    null = kernel(dense, n)
-    basis = [dict(row) for row in null.sparse_vectors()]
+    null = _oracle_kernel(dense, n)
+    basis = [{j: x for j, x in enumerate(v) if x} for v in null]
     candidates = [basis]
     if basis:
         k = data.draw(st.integers(0, len(basis) - 1))
@@ -461,7 +468,7 @@ def test_rank_and_annihilation_decide_the_kernel(case, data):
     if n:
         cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
         candidates.append(basis + [{j: data.draw(small_nonzero) for j in cols}])
-    reduced = rref(dense)
+    reduced = _oracle_rref(dense, n)
     for candidate in candidates:
         space = sparse_span(candidate, n)
-        assert is_kernel(space, reduced, n) == (space == null)
+        assert is_kernel(space, reduced, n) == (space.vectors() == null)

@@ -11,8 +11,26 @@ import pytest
 import harmonica
 from harmonica import harmonic, hermitian, linalg
 from harmonica.forms import Form, format_form, parse_form
-from harmonica.harmonic import LAPLACIAN_WORDS, HarmonicKind, harmonic_space, harmonic_subspace
-from harmonica.hermitian import operator_columns, primitive_basis, primitive_subspace
+from harmonica.cli import _dimension_tables
+from harmonica.errors import DepthExceeded
+from harmonica.harmonic import (
+    CONDITION_WORDS,
+    LAPLACIAN_WORDS,
+    HarmonicKind,
+    harmonic_space,
+    harmonic_subspace,
+    is_harmonic,
+)
+from harmonica.hermitian import (
+    adjoint,
+    apply_word,
+    hodge_star,
+    lefschetz_L,
+    lefschetz_lambda,
+    operator_columns,
+    primitive_basis,
+    primitive_subspace,
+)
 from harmonica.library import catalog_document, load_spec
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import (
@@ -299,10 +317,88 @@ class TestOneSplitOfD:
         assert images[OperatorKind.DEL] and images[OperatorKind.DELBAR]
 
     def test_the_split_is_the_one_cache_of_d(self):
+        """Constant terms read the split; only a term with a symbol monomial
+        has a cached image of its own."""
         spec = load_spec(catalog_document("iwasawa_ak"))
         check_integrability_relations(spec)
         assert any(key[0] == "d_parts" for key in spec._cache)
         assert not [key for key in spec._cache if key[0] == "d"]
+        _dimension_tables(spec)
+        form = parse_form("(1,2)*phi[1;2] + phi[1,3;2] - 3*phi[2;] + phi[;3]", 3)
+        for kind in HarmonicKind:
+            is_harmonic(kind, form, spec)
+        assert not [key for key in spec._cache if key[0] in ("d", "unit-term")]
+        torus = load_spec(catalog_document("torus6"))
+        form = parse_form("(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] + g3*g3c*phi[1;1] + phi[2;]", 3)
+        for kind in HarmonicKind:
+            is_harmonic(kind, form, torus)
+        entries = [s for key, images in torus._cache.items() if key[0] == "unit-term" for s in images]
+        assert entries and all(entries)
+
+
+class TestReturnedFormsAreNew:
+    """apply_word builds every Form it returns, so a caller may change one
+    without changing a cache, an input or a later result."""
+
+    WORDS = [(), ("*",), ("L",), ("Lambda",), ("d",), ("mu",), ("del*",), ("d", "*")]
+    WORDS += [*CONDITION_WORDS["bc"], *LAPLACIAN_WORDS["del"]]
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("torus6", "(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] + g3*g3c*phi[1;1] + phi[2;]"),
+            ("iwasawa_ak", "(1,2)*phi[1;2] + phi[1,3;2] - 3*phi[2;] + phi[;3]"),
+        ],
+    )
+    def test_clearing_every_returned_form_changes_no_later_result(self, name, text):
+        spec = load_spec(catalog_document(name))
+        form = parse_form(text, 3)
+        calls = [lambda f, w=word: apply_word(w, f, spec) for word in self.WORDS]
+        calls += [lambda f, k=kind: differential_component(f, k, spec) for kind in OperatorKind]
+        calls += [
+            lambda f: exterior_d(f, spec),
+            lambda f: hodge_star(f, spec),
+            lambda f: lefschetz_L(f, spec),
+            lambda f: lefschetz_lambda(f, spec),
+            lambda f: adjoint(OperatorKind.DEL, f, spec),
+        ]
+        first = [call(form) for call in calls]
+        texts = [format_form(f) for f in first]
+        assert any(f.terms for f in first)
+        for f in first:
+            f.terms.clear()
+        assert [format_form(call(form)) for call in calls] == texts
+        assert format_form(form) == format_form(parse_form(text, 3))
+
+
+class TestUnderivableTerms:
+    """A term that cannot be differentiated raises DepthExceeded, and the
+    first one met is the first a direction-by-direction derivative of each
+    coefficient meets: frame directions in turn, the coefficient's terms
+    within each.  The expected texts are what the Form-level d raised."""
+
+    def test_the_first_underivable_term_names_the_error(self):
+        spec = load_spec(catalog_document("torus6"))
+        shallow_table = DerivationTable(
+            set(spec.table.symbols), dict(spec.table.conjugates), dict(spec.table.entries),
+            depth_limit=0,
+        )
+        shallow = dataclasses.replace(spec, table=shallow_table)
+        cases = [
+            (
+                spec,
+                "V1[V1[V1[g3]]]*phi[1;2] + V2[V2[V2[g3c]]]*phi[1;2]",
+                "derivative of 'V1[V1[V1[g3]]]' along Vb1 exceeds depth limit 3",
+            ),
+            # g33 is declared along V1 but not V3; V1[g3] along nothing
+            (shallow, "g33*phi[2;] + V1[g3]*phi[2;]", "derivative of 'V1[g3]' along V1 exceeds depth limit 0"),
+        ]
+        for spec, text, message in cases:
+            form = parse_form(text, 3)
+            for _ in range(2):
+                with pytest.raises(DepthExceeded) as caught:
+                    exterior_d(form, spec)
+                assert str(caught.value) == message
 
 
 def test_no_function_caches_in_the_package():

@@ -1,0 +1,133 @@
+"""apply_word against a Form-level reference of every operator.
+
+The reference applies one operator at a time and builds a Form after each,
+with forms._combine of Coefficient products: star, L and Lambda sum c times
+the cached image of each unit monomial; d and its parts sum c times the
+kind's parts of the split of d of each monomial, plus the derivative of c
+along each frame direction of the kind times phi^a or phi^abar wedge the
+monomial; an adjoint is -* k' *.  apply_word must give the same Form, or
+raise DepthExceeded too, for every single operator and for every word of
+the condition systems and the Laplacians.
+
+Which underivable term the error names depends on the order in which terms
+are met.  Up to the first differential operator both paths meet them in the
+Form's order, so there the message must be the same too.  After one, the
+reference's order comes from its Coefficient arithmetic, and apply_word's
+from its term map, so for a word with two differential operators only the
+error class is compared.
+"""
+
+import dataclasses
+import itertools
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from harmonica.errors import DepthExceeded
+from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials
+from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS
+from harmonica.hermitian import _word_image, apply_word
+from harmonica.scalars import Coefficient, DerivationTable, Direction
+from harmonica.structure import OperatorKind, all_basis_monomials, d_by_shift
+
+from test_structure import TORUS_SYMBOLS, gauss, random_specs
+
+SINGLE = [("*",), ("L",), ("Lambda",)]
+SINGLE += [(kind.value,) for kind in OperatorKind] + [(kind.value + "*",) for kind in OperatorKind]
+WORDS = [(), *SINGLE]
+for words in itertools.chain(CONDITION_WORDS.values(), LAPLACIAN_WORDS.values()):
+    WORDS += [word for word in words if word not in WORDS]
+
+
+def reference_metric(op, form, spec):
+    return Form(spec.n, _combine((c, _word_image((op,), m, spec)) for m, c in form.terms.items()))
+
+
+def reference_component(form, kind, spec):
+    shift = kind.shift
+    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(shift, ())
+
+    def columns():
+        for idx, coeff in form.terms.items():
+            for b, part in d_by_shift(idx, spec).items():
+                if shift is None or b == shift:
+                    yield coeff, part.terms
+            if coeff.is_constant():
+                continue
+            for a in range(1, spec.n + 1):
+                for bar in (False, True):
+                    factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
+                    image, sign = _wedge_monomials(factor, idx)
+                    if sign and bar in bars:
+                        yield coeff.derive(Direction(a, bar), spec.table), {image: sign}
+
+    return Form(spec.n, _combine(columns()))
+
+
+def reference_word(word, form, spec):
+    for op in reversed(word):
+        if op in ("*", "L", "Lambda"):
+            form = reference_metric(op, form, spec)
+        elif op.endswith("*"):
+            paired = OperatorKind(op[:-1]).conjugate
+            starred = reference_component(reference_metric("*", form, spec), paired, spec)
+            form = -reference_metric("*", starred, spec)
+        else:
+            form = reference_component(form, OperatorKind(op), spec)
+    return form
+
+
+def outcome(apply, word, form, spec):
+    try:
+        return apply(word, form, spec)
+    except DepthExceeded as exc:
+        differentials = [op for op in word if op not in ("*", "L", "Lambda")]
+        return str(exc) if len(differentials) < 2 else DepthExceeded
+
+
+def assert_words_match(form, spec):
+    for word in WORDS:
+        want = outcome(reference_word, word, form, spec)
+        assert outcome(apply_word, word, form, spec) == want, word
+
+
+def with_depth(table, depth):
+    """A copy of the table with another depth limit: at 0 and 1, the
+    derivatives of the torus6 symbols run out along some directions."""
+    return DerivationTable(
+        set(table.symbols), dict(table.conjugates), dict(table.entries), depth_limit=depth
+    )
+
+
+@st.composite
+def word_forms(draw, n):
+    """Up to five terms of any bidegree; each coefficient a nonzero Q(i)
+    constant times up to two torus6 symbols, some of them derived ones."""
+    symbols = st.sampled_from([*TORUS_SYMBOLS, "V1[g3]", "Vb3[g33]"])
+    form = Form.zero(n)
+    for _ in range(draw(st.integers(1, 5))):
+        idx = draw(st.sampled_from(all_basis_monomials(n)))
+        c = Coefficient.coerce(draw(gauss))
+        for name in draw(st.lists(symbols, max_size=2)):
+            c = c * Coefficient.symbol(name)
+        form = form + Form.monomial(n, idx.hol, idx.anti, c)
+    return form
+
+
+ORACLE = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestWordsMatchTheFormPath:
+    @ORACLE
+    @given(data=st.data())
+    def test_torus6(self, torus, data):
+        depth = data.draw(st.sampled_from([3, 1, 0]))
+        spec = torus if depth == 3 else dataclasses.replace(torus, table=with_depth(torus.table, depth))
+        assert_words_match(data.draw(word_forms(3)), spec)
+
+    @ORACLE
+    @given(data=st.data())
+    def test_random_specs(self, torus, data):
+        depth = data.draw(st.sampled_from([3, 1]))
+        spec = data.draw(random_specs(with_depth(torus.table, depth)))
+        assert_words_match(data.draw(word_forms(spec.n)), spec)
