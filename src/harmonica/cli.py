@@ -6,7 +6,8 @@ stderr line with its label; errors.py sets both, per error class: 1 for a
 failed internal cross-check, 2 for malformed input (spec, form text or
 option value) and 3 for an unsupported request (symbolic coefficients, wrong
 dimension, n above library.MAX_N, an exponent above scalars.MAX_EXPONENT,
-bidegree out of range, and similar).
+an integrability walk above structure.MAX_WALK, bidegree out of range, and
+similar).
 Output is deterministic given the spec bytes and the command line; printed
 forms always use the `phi[...]` syntax and re-parse bit-exactly.
 """

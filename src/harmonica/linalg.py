@@ -13,16 +13,17 @@ and return lists of GaussianRational and convert at that boundary.
 
 Every value is built by one constructor, `Subspace._of`, from sparse
 Gaussian-integer rows: `span`, `+`, `&` and `sparse_kernel` all go through
-it.  Operator matrices are sparse and fall apart into small blocks, so `_of`
-splits the columns into the connected components of the row-column
-incidence graph (union-find) and eliminates each component alone, densely
-on its own columns; the canonical form is unique, so the merged rows are the
-value one elimination of the whole matrix would give.  Membership needs no
-elimination: v lies in the space exactly when v = sum_c (v[c]/p_c) row_c
-over the pivot columns c that v touches, p_c the pivot entries.  Two
-identities of canonical values need no row work at all: a value lies in any
-value equal to it (`first_outside` returns None), and a value meets an equal
-value in itself (`a & a` is a).
+it.  `_of` reduces the rows as they are, sparse, with no dense copy: it
+keeps pivot rows that are zero at every other pivot column, reduces each
+incoming row at the pivot columns it touches, makes what is left a pivot
+row at its smallest column and reduces the older pivot rows that hold that
+column.  A reduction combines two rows only where they share a column, so
+operator matrices, which fall apart into small blocks, are reduced block by
+block without being split.  Membership needs no elimination: v lies in the
+space exactly when v = sum_c (v[c]/p_c) row_c over the pivot columns c that
+v touches, p_c the pivot entries.  Two identities of canonical values need
+no row work at all: a value lies in any value equal to it (`first_outside`
+returns None), and a value meets an equal value in itself (`a & a` is a).
 
 Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
@@ -33,12 +34,13 @@ and `kernel` of a dense one is `sparse_kernel` of its nonzero entries.  The
 Laplacian cross-check reads no second kernel: `is_kernel` decides whether a
 space is the kernel of a matrix from the matrix's reduced rows, by rank and
 annihilation, so the condition kernel and the Laplacian are compared on
-different matrices by different routes; the component split they share is
-checked against sympy in the tests.
+different matrices by different routes; the reduction they share is checked
+against sympy in the tests.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
@@ -63,73 +65,40 @@ def _sparse_to_int(entries: list) -> list:
     return [(j, x.re_num * (den // x.den), x.im_num * (den // x.den)) for j, x in entries]
 
 
-def _divide_content(re: list, im: list) -> tuple:
-    """The row divided by the gcd of all its integer parts."""
-    g = gcd(*re, *im)
-    if g > 1:
-        re = [x // g for x in re]
-        im = [x // g for x in im]
-    return re, im
-
-
-def _is_zero(row: tuple) -> bool:
-    return not any(row[0]) and not any(row[1])
-
-
-def _eliminate(row: tuple, pivot: tuple, col: int) -> tuple:
+def _reduce(row: dict, pivot: dict, col: int) -> dict:
     """p*row - f*pivot, zero in column `col`, with its integer content divided
     out; p is the pivot's entry in `col` and f the row's, both first divided
-    by their common integer factor."""
-    a, b = row
-    c, d = pivot
-    pr, pi, fr, fi = c[col], d[col], a[col], b[col]
+    by their common integer factor.  Rows are {column: (re, im)} of nonzero
+    Gaussian-integer entries."""
+    pr, pi = pivot[col]
+    fr, fi = row[col]
     g = gcd(pr, pi, fr, fi)
     pr, pi, fr, fi = pr // g, pi // g, fr // g, fi // g
-    re = [pr * x - pi * y - fr * u + fi * v for x, y, u, v in zip(a, b, c, d)]
-    im = [pr * y + pi * x - fr * v - fi * u for x, y, u, v in zip(a, b, c, d)]
-    return _divide_content(re, im)
-
-
-def _echelon(rows: list) -> list:
-    """Reduced row echelon form of dense Gaussian-integer (re, im) rows, as
-    (pivot column, row) pairs in increasing pivot order, every pivot column
-    zero outside its pivot row; zero rows are dropped."""
-    rows = [r for r in rows if not _is_zero(r)]
-    out: list = []
-    if not rows:
-        return out
-    for col in range(len(rows[0][0])):
-        pivot = None
-        for k, (re, im) in enumerate(rows):
-            if re[col] or im[col]:
-                pivot = rows.pop(k)
-                break
-        if pivot is None:
-            continue
-        rest = []
-        for r in rows:
-            if r[0][col] or r[1][col]:
-                r = _eliminate(r, pivot, col)
-                if _is_zero(r):
-                    continue
-            rest.append(r)
-        rows = rest
-        out = [(c, _eliminate(r, pivot, col) if r[0][col] or r[1][col] else r) for c, r in out]
-        out.append((col, pivot))
-        if not rows:
-            break
+    out = {j: (pr * a - pi * b, pr * b + pi * a) for j, (a, b) in row.items()}
+    for j, (c, d) in pivot.items():
+        a, b = out.get(j, (0, 0))
+        a, b = a - fr * c + fi * d, b - fr * d - fi * c
+        if a or b:
+            out[j] = (a, b)
+        else:
+            del out[j]
+    g = gcd(*(x for entry in out.values() for x in entry))
+    if g > 1:
+        out = {j: (a // g, b // g) for j, (a, b) in out.items()}
     return out
 
 
-def _normalized(entries: list) -> tuple:
-    """(pivot column, entries) of a nonzero sparse row in column order, times
-    the conjugate of its first entry and divided by its integer content."""
-    _, pr, pi = entries[0]
-    out = [(j, a * pr + b * pi, b * pr - a * pi) for j, a, b in entries]
+def _normalized(row: dict) -> tuple:
+    """(pivot column, entries) of a nonzero sparse row {column: (re, im)}:
+    its entries in column order, times the conjugate of the first and
+    divided by their integer content."""
+    entries = sorted(row.items())
+    col, (pr, pi) = entries[0]
+    out = [(j, a * pr + b * pi, b * pr - a * pi) for j, (a, b) in entries]
     g = gcd(*(x for _, a, b in out for x in (a, b)))
     if g > 1:
         out = [(j, a // g, b // g) for j, a, b in out]
-    return entries[0][0], tuple(out)
+    return col, tuple(out)
 
 
 @dataclass(frozen=True)
@@ -145,45 +114,34 @@ class Subspace:
     @classmethod
     def _of(cls, rows, ncols: int) -> "Subspace":
         """The value spanned by sparse Gaussian-integer rows [(column, re,
-        im), ...] of nonzero entries, one connected component of columns at a
-        time: a component of one row is only normalized, a larger one is
-        eliminated densely on its own columns."""
-        rows = [row for row in rows if row]
-        parent: dict = {}
-
-        def find(j):
-            while parent[j] != j:
-                parent[j] = j = parent[parent[j]]
-            return j
-
-        for row in rows:
-            for j, _, _ in row:
-                parent.setdefault(j, j)
-            root = find(row[0][0])
-            for j, _, _ in row[1:]:
-                other = find(j)
-                if other != root:
-                    parent[other] = root
-        components: dict = {}
-        for row in rows:
-            components.setdefault(find(row[0][0]), []).append(row)
-        out = []
-        for group in components.values():
-            if len(group) == 1:
-                out.append(_normalized(sorted(group[0])))
+        im), ...] of nonzero entries, by one fraction-free reduction of the
+        rows themselves.  The pivot rows {column: (re, im)}, keyed by pivot
+        column, are zero at every other pivot column, so an incoming row is
+        reduced once at each pivot column it touches.  What is left, if
+        anything, becomes a pivot row at its smallest column, and the older
+        pivot rows that hold that column are reduced at it; `holders` maps
+        each non-pivot column to the pivot columns of the rows holding it."""
+        pivots: dict = {}
+        holders = defaultdict(set)
+        for entries in rows:
+            row = {j: (a, b) for j, a, b in entries}
+            for col in [j for j in row if j in pivots]:
+                row = _reduce(row, pivots[col], col)
+            if not row:
                 continue
-            cols = sorted({j for row in group for j, _, _ in row})
-            local = {j: k for k, j in enumerate(cols)}
-            dense = []
-            for row in group:
-                re, im = [0] * len(cols), [0] * len(cols)
-                for j, a, b in row:
-                    re[local[j]], im[local[j]] = a, b
-                dense.append((re, im))
-            for _, (re, im) in _echelon(dense):
-                out.append(_normalized([(j, a, b) for j, a, b in zip(cols, re, im) if a or b]))
-        out.sort()
-        return cls(tuple(out), ncols)
+            col = min(row)
+            for other in holders.pop(col, ()):
+                old = pivots[other]
+                new = pivots[other] = _reduce(old, row, col)
+                for j in old.keys() - new.keys() - {col}:
+                    holders[j].discard(other)
+                for j in new.keys() - old.keys():
+                    holders[j].add(other)
+            pivots[col] = row
+            for j in row:
+                if j != col:
+                    holders[j].add(col)
+        return cls(tuple(sorted(map(_normalized, pivots.values()))), ncols)
 
     @property
     def rows(self) -> tuple:

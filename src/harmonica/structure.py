@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, WorkBoundExceeded
 from .forms import Form, MultiIndex, ReadOnlyForm, _combine, _wedge_monomials, basis_multiindices
 from .report import CheckItem, VerificationReport
 from .scalars import DerivationTable, Fraction, GaussianRational, ReadOnlyTable
@@ -216,6 +216,10 @@ _IDENTITIES = (
     ("mubar delbar + delbar mubar", (-1, 3)),
     ("mubar^2", (-2, 4)),
 )
+# The most work the walk over all 4^n monomials may take, counted as 4^n times
+# the square of the number of d terms (d of a monomial reads the terms of each
+# factor, and so does d of each of its terms): 64 terms at n = 6.
+MAX_WALK = 2**24
 
 
 def _d_squared_parts(idx: MultiIndex, spec: ManifoldSpec):
@@ -250,8 +254,16 @@ def check_integrability_relations(spec: ManifoldSpec) -> VerificationReport:
     identities.  Each then vanishes on every monomial exactly when it
     vanishes on the phi^a and phi^abar, which `all_basis_monomials` lists
     first (after 1), so only those 2n + 1 are evaluated and the first
-    failing monomial is the same.  Otherwise all 4^n are."""
+    failing monomial is the same.  Otherwise all 4^n are, and a spec whose
+    walk would exceed MAX_WALK is refused before it starts."""
     bad = [a for a in range(1, spec.n + 1) if spec.d_gen[a] and spec.d_gen[a].degree() != 2]
+    terms = sum(len(form.terms) for form in spec.d_gen.values())
+    if bad and 4**spec.n * terms**2 > MAX_WALK:
+        raise WorkBoundExceeded(
+            f"spec {spec.name!r}: a d(generator) is not a 2-form, so d^2 = 0 must be "
+            f"checked on all 4^{spec.n} monomials, and with {terms} d terms that exceeds "
+            f"the work bound 4^n * terms^2 <= {MAX_WALK}"
+        )
     witness = spec.d_gen[bad[0]] if bad else None
     items = [CheckItem("d(generators) are 2-forms", not bad, witness=witness)]
     failures: dict = {}  # name -> (witness, residual)

@@ -7,6 +7,7 @@ combinations of earlier rows, and entries with large denominators.
 
 import dataclasses
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from harmonica import linalg
 from harmonica.linalg import (
     Subspace,
     first_outside,
@@ -351,9 +353,9 @@ def test_sparse_rows_transpose_columns(case):
     assert as_sets(sparse_rows(columns)) == as_sets(r for r in rows if r)
 
 
-# The component split is shared by every constructor, so the sparse values
-# are checked against sympy directly: block-structured sparse matrices, and
-# pairs of them on the same column blocks.
+# The one sparse reduction is shared by every constructor, so the sparse
+# values are checked against sympy directly: block-structured sparse
+# matrices, and pairs of them on the same column blocks.
 
 
 def _dense(rows, n):
@@ -472,3 +474,34 @@ def test_rank_and_annihilation_decide_the_kernel(case, data):
     for candidate in candidates:
         space = sparse_span(candidate, n)
         assert is_kernel(space, reduced, n) == (space.vectors() == null)
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 8])
+def test_reduction_combines_rows_of_one_block_only(monkeypatch, blocks):
+    """b disjoint 2x2 blocks of generic Gaussian-integer rows, rows and
+    columns shuffled: no reduction combines rows of two blocks, there are at
+    most 2b reductions, and the value is sympy's RREF.  The reduction keeps
+    to the blocks without splitting the columns into components first."""
+    rng = random.Random(blocks)
+    n = 2 * blocks
+    order = rng.sample(range(n), n)
+    block_of = {j: order.index(j) // 2 for j in range(n)}
+    rows = []
+    for k in range(blocks):
+        cols = order[2 * k : 2 * k + 2]
+        for _ in range(2):
+            rows.append({j: GaussianRational(rng.randint(1, 9), rng.randint(-9, 9)) for j in cols})
+    rng.shuffle(rows)
+    reductions = []
+    reduce = linalg._reduce
+
+    def spy(row, pivot, col):
+        reductions.append({block_of[j] for j in (*row, *pivot)})
+        return reduce(row, pivot, col)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    space = sparse_span(rows, n)
+    assert all(len(touched) == 1 for touched in reductions)
+    assert 0 < len(reductions) <= 2 * blocks
+    assert space.dim == n
+    assert space.vectors() == _oracle_rref(_dense(rows, n), n)

@@ -1,13 +1,16 @@
 import dataclasses
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from harmonica.errors import ValidationError
+from harmonica.errors import ValidationError, WorkBoundExceeded
 from harmonica.forms import Form
 from harmonica import structure
 from harmonica.hermitian import fundamental_form
@@ -491,3 +494,56 @@ class TestIntegrabilityGate:
         monkeypatch.setattr(structure, "_d_squared_parts", counted)
         assert check_integrability_relations(spec).status == VERIFIED
         assert 0 < len(calls) <= 2 * spec.n + 1
+
+
+def _walk_document(n, terms):
+    """A flat spec whose d(phi1) holds the first `terms` monomials of
+    all_basis_monomials(n), 1 first, so it is not a 2-form."""
+    gens = [f"phi{a}" for a in range(1, n + 1)]
+    entries = [
+        {"coeff": {"re": "1", "im": "-1"}, "hol": list(idx.hol), "anti": list(idx.anti)}
+        for idx in all_basis_monomials(n)[:terms]
+    ]
+    d = {g: entries if g == "phi1" else [] for g in gens}
+    return {
+        "name": f"walk{n}_{terms}", "n": n, "generators": gens, "d": d, "omega": ["1"] * n,
+        "symbols": [], "conjugates": {}, "derivations": {},
+    }
+
+
+class TestWalkBound:
+    """A spec whose d(generators) are not all 2-forms is checked on all 4^n
+    monomials; one whose walk would exceed MAX_WALK is refused first."""
+
+    def test_the_bound_is_where_it_is_stated(self, monkeypatch):
+        assert structure.MAX_WALK == 4**6 * 64**2
+        monkeypatch.setattr(structure, "_d_squared_parts", lambda idx, spec: iter(()))
+        for n, largest in ((6, 64), (5, 128), (4, 256)):
+            if largest <= 4**n:
+                report = check_integrability_relations(load_spec(_walk_document(n, largest)))
+                assert not report.items[0].ok
+            if largest < 4**n:
+                with pytest.raises(WorkBoundExceeded, match=f"with {largest + 1} d terms"):
+                    check_integrability_relations(load_spec(_walk_document(n, largest + 1)))
+
+    def test_refusal_comes_before_any_d(self, monkeypatch):
+        spec = load_spec(_walk_document(6, 4096))
+        calls = []
+        monkeypatch.setattr(structure, "d_by_shift", lambda *args: calls.append(args))
+        with pytest.raises(WorkBoundExceeded, match="4096 d terms"):
+            check_integrability_relations(spec)
+        assert calls == []
+
+    def test_validate_exits_3_at_once(self, tmp_path):
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps(_walk_document(6, 4096)), encoding="utf-8")
+        assert path.stat().st_size > 290_000
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonica.cli", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("unsupported: spec 'walk6_4096': ")
+        assert proc.stderr.count("\n") == 1
