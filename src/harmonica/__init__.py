@@ -23,7 +23,6 @@ from .errors import (
     UndeclaredConjugate,
     UnknownSpec,
     ValidationError,
-    WorkBoundExceeded,
 )
 from .scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from .forms import Form, MultiIndex, basis_multiindices, format_form, parse_form

@@ -62,11 +62,6 @@ class ExponentTooLarge(HarmonicaError):
     """A power above scalars.MAX_EXPONENT, refused before any multiplication."""
 
 
-class WorkBoundExceeded(HarmonicaError):
-    """Input whose check would exceed a stated work bound (structure.MAX_WALK),
-    refused before any of that work."""
-
-
 class ParseError(InputError):
     """Malformed input text (form expression or spec document)."""
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from harmonica.errors import ValidationError, WorkBoundExceeded
+from harmonica.errors import HarmonicaError, ValidationError
 from harmonica.forms import Form
 from harmonica import structure
 from harmonica.hermitian import fundamental_form
@@ -496,41 +496,62 @@ class TestIntegrabilityGate:
         assert 0 < len(calls) <= 2 * spec.n + 1
 
 
-def _walk_document(n, terms):
+def _walk_document(n, terms, syms=0):
     """A flat spec whose d(phi1) holds the first `terms` monomials of
-    all_basis_monomials(n), 1 first, so it is not a 2-form."""
+    all_basis_monomials(n), 1 first, so it is not a 2-form; with syms > 0
+    each coefficient is a sum of `syms` distinct monomials x^i xc^j."""
     gens = [f"phi{a}" for a in range(1, n + 1)]
+    coeff = {"re": "1", "im": "-1"}
+    if syms:
+        powers = [(i, j) for i in range(65) for j in range(65)][1 : syms + 1]
+        coeff = {"terms": [
+            {"c": coeff, "syms": [[x, e] for x, e in (("x", i), ("xc", j)) if e]} for i, j in powers
+        ]}
     entries = [
-        {"coeff": {"re": "1", "im": "-1"}, "hol": list(idx.hol), "anti": list(idx.anti)}
+        {"coeff": coeff, "hol": list(idx.hol), "anti": list(idx.anti)}
         for idx in all_basis_monomials(n)[:terms]
     ]
     d = {g: entries if g == "phi1" else [] for g in gens}
+    zero = {"re": "0", "im": "0"}
+    directions = [f"V{a}" for a in range(1, n + 1)] + [f"Vb{a}" for a in range(1, n + 1)]
     return {
         "name": f"walk{n}_{terms}", "n": n, "generators": gens, "d": d, "omega": ["1"] * n,
-        "symbols": [], "conjugates": {}, "derivations": {},
+        "symbols": ["x", "xc"] if syms else [], "conjugates": {"x": "xc", "xc": "x"} if syms else {},
+        "derivations": {x: dict.fromkeys(directions, zero) for x in ("x", "xc")} if syms else {},
     }
 
 
 class TestWalkBound:
     """A spec whose d(generators) are not all 2-forms is checked on all 4^n
-    monomials; one whose walk would exceed MAX_WALK is refused first."""
+    monomials; one whose walk takes more than MAX_WALK coefficient-term
+    products is refused as soon as the count passes it."""
 
-    def test_the_bound_is_where_it_is_stated(self, monkeypatch):
-        assert structure.MAX_WALK == 4**6 * 64**2
-        monkeypatch.setattr(structure, "_d_squared_parts", lambda idx, spec: iter(()))
-        for n, largest in ((6, 64), (5, 128), (4, 256)):
-            if largest <= 4**n:
-                report = check_integrability_relations(load_spec(_walk_document(n, largest)))
-                assert not report.items[0].ok
-            if largest < 4**n:
-                with pytest.raises(WorkBoundExceeded, match=f"with {largest + 1} d terms"):
-                    check_integrability_relations(load_spec(_walk_document(n, largest + 1)))
+    @pytest.mark.parametrize("syms", [0, 3])
+    def test_the_count_is_the_one_stated(self, monkeypatch, syms):
+        # d(phi1) = c, a 0-form with k coefficient terms: the first d's count
+        # 4^1 * k; d(phi1) = c and d(phi1bar) = cbar count k * (2 + 0) each;
+        # d(phi1 phi1bar) = c phi1bar - cbar phi1 counts 2 * k * (2 + k).
+        k = max(syms, 1)
+        count = 4 * k + 2 * (2 * k) + 2 * k * (2 + k)
+        assert count == (14 if syms == 0 else 54)
+        monomials = all_basis_monomials(1)
+        walked = []
+        monkeypatch.setattr(structure, "_d_squared_parts", lambda idx, spec: walked.append(idx) or iter(()))
+        monkeypatch.setattr(structure, "MAX_WALK", count)
+        assert not check_integrability_relations(load_spec(_walk_document(1, 1, syms))).items[0].ok
+        assert walked == monomials
+        walked.clear()
+        monkeypatch.setattr(structure, "MAX_WALK", count - 1)
+        with pytest.raises(HarmonicaError, match=f"more than MAX_WALK = {count - 1} coefficient-term"):
+            check_integrability_relations(load_spec(_walk_document(1, 1, syms)))
+        assert walked == monomials[:3]
 
-    def test_refusal_comes_before_any_d(self, monkeypatch):
-        spec = load_spec(_walk_document(6, 4096))
+    @pytest.mark.parametrize("terms, syms", [(4096, 0), (4, 1024)], ids=["terms", "coefficient"])
+    def test_refusal_comes_before_any_d(self, monkeypatch, terms, syms):
+        spec = load_spec(_walk_document(6, terms, syms))
         calls = []
         monkeypatch.setattr(structure, "d_by_shift", lambda *args: calls.append(args))
-        with pytest.raises(WorkBoundExceeded, match="4096 d terms"):
+        with pytest.raises(HarmonicaError, match="must be checked on all 4\\^6 monomials"):
             check_integrability_relations(spec)
         assert calls == []
 
