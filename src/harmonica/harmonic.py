@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import BidegreeOutOfRange, CrossCheckFailed, ParseError, SymbolicCoefficients
 from .forms import Form, basis_multiindices
 from .hermitian import (
+    _apply_words,
     adjoint,
     apply_word,
     block_rows,
@@ -102,13 +103,11 @@ CONDITION_WORDS = {
 
 
 def laplacian_apply(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> Form:
-    """Exact evaluation of the requested Laplacian."""
+    """Exact evaluation of the requested Laplacian: the sum of its words,
+    as one term map over the cached unit-term images of apply_word."""
     if kind is not HarmonicKind.D:
         form.require_bidegree()
-    out = Form.zero(spec.n)
-    for word in LAPLACIAN_WORDS[kind.value]:
-        out = out + apply_word(word, form, spec)
-    return out
+    return _apply_words(LAPLACIAN_WORDS[kind.value], form, spec)
 
 
 @dataclass

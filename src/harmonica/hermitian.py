@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
+from .errors import DegreeTooHigh, DepthExceeded, NotPrimitive, SymbolicCoefficients
 from .forms import Form, MultiIndex, _combine, _wedge_monomials, basis_multiindices
 from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
 from .scalars import Coefficient, Direction, Fraction, GaussianRational
@@ -54,6 +54,12 @@ __all__ = [
 
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
+# The operator names of a word (see apply_word) other than "*", "L" and
+# "Lambda": each part of d maps to (its kind, False), and each adjoint
+# -* k' * to (k', True), with k' the conjugate-paired kind.
+_D_OPERATORS = {kind.value: (kind, False) for kind in OperatorKind}
+_D_OPERATORS.update((kind.value + "*", (kind.conjugate, True)) for kind in OperatorKind)
+_OPERATORS = frozenset(["*", "L", "Lambda", *_D_OPERATORS])
 
 
 def volume_form(spec: ManifoldSpec) -> Form:
@@ -121,33 +127,48 @@ def adjoint(kind: OperatorKind, form: Form, spec: ManifoldSpec) -> Form:
     return apply_word((kind.value + "*",), form, spec)
 
 
-def apply_word(word: tuple, form: Form, spec: ManifoldSpec) -> Form:
+def apply_word(word, form: Form, spec: ManifoldSpec) -> Form:
     """An operator word applied to a Form, rightmost operator first.
 
     The names are "d", "mu", "del", "delbar", "mubar", each with an adjoint
     named by a trailing "*" (as in "del*"), the star "*", "L" and "Lambda",
-    so ("del", "delbar", "*") is del delbar *.  Exact for symbolic
-    coefficients: the Form is read as one term map {monomial: {symbol
-    monomial: Q(i)}}, each operator maps that map, and the Coefficients and
-    the Form of the result are built once, at the end."""
-    if word and form.n != spec.n:
-        raise ValueError(f"ambient mismatch: n={spec.n} vs n={form.n}")
-    terms = form.terms
-    for op in reversed(word):
-        if op in ("*", "L", "Lambda"):
-            terms = _metric_terms(op, terms, spec)
-        elif op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
-            paired = OperatorKind(op[:-1]).conjugate
-            starred = _d_terms(paired, _metric_terms("*", terms, spec), spec)
-            terms = _metric_terms("*", starred, spec, negate=True)
-        else:
-            terms = _d_terms(OperatorKind(op), terms, spec)
-    out = {}
-    for m, c in terms.items():
-        c = {s: x for s, x in c.items() if x.re_num or x.im_num}
-        if c:
-            out[m] = Coefficient.from_terms(c)
-    return Form(form.n, out)
+    so ("del", "delbar", "*") is del delbar *; a list serves as its tuple.
+    Exact for symbolic coefficients: the result is the sum, over the unit
+    terms x s phi^m of the Form (x in Q(i), s a symbol monomial), of x times
+    the word's image of s phi^m, cached on the spec per (word, m, s), so
+    words and Forms that share a unit term share its image.  When an image
+    cannot be built (DepthExceeded), the word maps the Form's whole term map
+    operator by operator instead, which raises the error for the first
+    underivable term met, or gives the result when such terms cancel before
+    their derivative is taken.  The Coefficients and the Form of the result
+    are built once, at the end."""
+    return _apply_words((tuple(word),), form, spec)
+
+
+def _apply_words(words, form: Form, spec: ManifoldSpec) -> Form:
+    """The sum of the words (tuples) applied to a Form, as in apply_word; the
+    fallback maps the Form through each word in turn, so the first word
+    that fails names the error."""
+    if any(words):
+        _check_ambient(form.n, spec)
+    for word in words:
+        for op in word:
+            if op not in _OPERATORS:
+                raise ValueError(f"unknown operator {op!r} in word {word!r}")
+    terms: dict = {}
+    try:
+        for word in words:
+            _image_sum(word, form.terms, spec, terms)
+    except DepthExceeded:
+        terms = {}
+        for word in words:  # the empty word adds a term map as it is
+            _image_sum((), _word_pass(word, form.terms, spec), spec, terms)
+    return _form(form.n, terms)
+
+
+def _check_ambient(n: int, spec: ManifoldSpec) -> None:
+    if n != spec.n:
+        raise ValueError(f"ambient mismatch: n={spec.n} vs n={n}")
 
 
 def is_primitive(form: Form, spec: ManifoldSpec) -> bool:
@@ -181,16 +202,20 @@ class PrimitiveComponents:
     parts: list  # (r, beta) with beta primitive of degree k - 2r
 
     def reassemble(self, spec: ManifoldSpec) -> Form:
-        out = Form.zero(spec.n)
+        """sum_r (1/r!) L^r beta, as one term map over the cached L^r images."""
+        out: dict = {}
         for r, beta in self.parts:
-            out = out + apply_word(("L",) * r, beta, spec) / math.factorial(r)
-        return out
+            _check_ambient(beta.n, spec)
+            _image_sum(("L",) * r, beta.terms, spec, out, _inverse(math.factorial(r)))
+        return _form(spec.n, out)
 
 
 def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
     """Unique primitive decomposition of a homogeneous form, by the
     Lambda ladder: the deepest component is solved from Lambda^r, subtracted,
-    and the process repeats with decreasing r.
+    and the process repeats with decreasing r.  The ladder runs on term
+    maps, over the cached unit-term images of Lambda^r and L^r that
+    apply_word and is_primitive read too; each part's Form is built once.
 
     Uses Lambda L^j = L^j Lambda + j(n - s - j + 1) L^(j-1) on degree-s forms,
     whose scalar factors never vanish in the relevant range.
@@ -199,27 +224,23 @@ def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
     k = form.require_homogeneous_degree()
     if form.is_zero():
         return PrimitiveComponents(k, [])
-    r_min = max(k - n, 0)
-    r_max = k // 2
-    remaining = form
+    _check_ambient(form.n, spec)
+    remaining = form.terms
     parts = []
-    for r in range(r_max, r_min - 1, -1):
-        s = k - 2 * r
+    for r in range(k // 2, max(k - n, 0) - 1, -1):
         if r == 0:
-            beta = remaining
+            beta, remaining = remaining, {}
         else:
-            lam_r = apply_word(("Lambda",) * r, remaining, spec)
-            denom = 1
-            for j in range(1, r + 1):
-                denom *= n - s - j + 1
-            beta = lam_r / denom
-        if not beta.is_zero():
-            parts.append((r, beta))
-            remaining = remaining - apply_word(("L",) * r, beta, spec) / math.factorial(r)
-    if not remaining.is_zero():
+            denom = math.prod(n - (k - 2 * r) - j + 1 for j in range(1, r + 1))
+            beta = _nonzero(_image_sum(("Lambda",) * r, remaining, spec, {}, _inverse(denom)))
+            if beta:  # remaining - L^r beta / r!, into a copy of remaining
+                minus = _inverse(-math.factorial(r))
+                remaining = _nonzero(_image_sum(("L",) * r, beta, spec, _nonzero(remaining), minus))
+        if beta:
+            parts.append((r, _form(form.n, beta)))
+    if remaining:
         raise AssertionError("primitive decomposition did not close")
-    parts.sort(key=lambda rb: rb[0])
-    return PrimitiveComponents(k, parts)
+    return PrimitiveComponents(k, parts[::-1])
 
 
 def primitive_basis(spec: ManifoldSpec, p: int, q: int) -> list[Form]:
@@ -260,12 +281,17 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # that share a prefix share its images.  A longer word's image is _column of
 # that word alone, and operator_columns builds each column of a sum of words
 # with it.  word_kernel is the one kernel of a stack of word blocks, for the
-# condition systems and for Lambda.  apply_word maps the term map of a Form
-# with the same images: _metric_terms for star, L and Lambda, and _d_terms
-# for d and its parts, which adds the split for constant terms and, for a
-# term with a symbol monomial, its image from _unit_term_images, cached on
-# the spec.  subspace_forms and form_subspace are the one Subspace <-> Form
-# pair.
+# condition systems and for Lambda.  _term_image is the symbolic
+# counterpart of _word_image: the image of a unit term s phi^m under a word,
+# cached on the spec per (word, m, s).  _word_pass builds it from the
+# one-term map {m: {s: 1}} operator by operator with the same single-operator
+# images: _metric_terms for star, L and Lambda, and _d_terms for d and its
+# parts, which adds the split for constant terms and, for a term with a
+# symbol monomial, its image from _unit_term_images, cached on the spec.
+# _image_sum adds x times those images over the unit terms x s phi^m of a
+# term map; apply_word, laplacian_apply and the Lefschetz ladder are sums of
+# it, and only a DepthExceeded sends apply_word to _word_pass over the whole
+# Form.  subspace_forms and form_subspace are the one Subspace <-> Form pair.
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -361,6 +387,80 @@ def _compose(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     if len(word) == 1:
         return _image(word[0], idx, spec)
     return _column((word,), idx, spec)
+
+
+def _image_sum(word: tuple, terms, spec: ManifoldSpec, out: dict, scale=None) -> dict:
+    """Add to the term map `out`, and return it, scale (1 when None) times
+    the word's image of a term map {monomial: {symbol monomial: Q(i)}}: over
+    its unit terms x s m, x times the image of s m from _term_image.  The
+    values of `terms` are read through .items(), so a Form's Coefficients
+    serve as they are."""
+    for idx, coeff in terms.items():
+        for s, x in coeff.items():
+            if scale is not None:
+                x = x * scale
+            for m, c in _term_image(word, idx, s, spec).items():
+                target = out.get(m)
+                if target is None:
+                    out[m] = {s2: x * y for s2, y in c.items()}
+                    continue
+                for s2, y in c.items():
+                    v = x * y
+                    target[s2] = target[s2] + v if s2 in target else v
+    return out
+
+
+def _term_image(word: tuple, idx: MultiIndex, s, spec: ManifoldSpec) -> dict:
+    """The word's image of the unit term s phi^idx as a term map, cached on
+    the spec per (word, idx, s) and shared, so read-only; a value that
+    cancelled to 0 may stay in it, and a build that raises caches nothing.
+    The empty word's is built afresh."""
+    if not word:
+        return {idx: {s: _ONE}}
+    return spec.cached(("term-image", word, idx, s), _build_term_image, word, idx, s, spec)
+
+
+def _build_term_image(word: tuple, idx: MultiIndex, s, spec: ManifoldSpec) -> dict:
+    """The word's image of s phi^idx, by the operator-by-operator pass."""
+    return _word_pass(word, {idx: {s: _ONE}}, spec)
+
+
+def _word_pass(word: tuple, terms, spec: ManifoldSpec) -> dict:
+    """A term map through the word, operator by operator, rightmost first:
+    _metric_terms for star, L and Lambda, _d_terms for d and its parts, and
+    an adjoint as -* k' *.  The result may hold values that cancelled to 0."""
+    for op in reversed(word):
+        if op in ("*", "L", "Lambda"):
+            terms = _metric_terms(op, terms, spec)
+            continue
+        kind, starred_kind = _D_OPERATORS[op]
+        if starred_kind:
+            starred = _d_terms(kind, _metric_terms("*", terms, spec), spec)
+            terms = _metric_terms("*", starred, spec, negate=True)
+        else:
+            terms = _d_terms(kind, terms, spec)
+    return terms
+
+
+def _nonzero(terms) -> dict:
+    """A new term map {monomial: {symbol monomial: value}} with the nonzero
+    values of `terms`, and no monomial whose values all vanish."""
+    out = {}
+    for m, c in terms.items():
+        c = {s: x for s, x in c.items() if x.re_num or x.im_num}
+        if c:
+            out[m] = c
+    return out
+
+
+def _form(n: int, terms) -> Form:
+    """The Form of a term map, its Coefficients and itself built once."""
+    return Form.from_terms(n, {m: Coefficient.from_terms(c) for m, c in _nonzero(terms).items()})
+
+
+def _inverse(k: int):
+    """1/k as a scale of _image_sum, or None for k = 1."""
+    return None if k == 1 else _ONE / k
 
 
 def _metric_terms(op: str, terms, spec: ManifoldSpec, negate: bool = False) -> dict:

@@ -20,15 +20,18 @@ from harmonica.harmonic import (
     harmonic_space,
     harmonic_subspace,
     is_harmonic,
+    laplacian_apply,
 )
 from harmonica.hermitian import (
     adjoint,
     apply_word,
     hodge_star,
+    is_primitive,
     lefschetz_L,
     lefschetz_lambda,
     operator_columns,
     primitive_basis,
+    primitive_decompose,
     primitive_subspace,
 )
 from harmonica.library import catalog_document, load_spec
@@ -361,6 +364,7 @@ class TestReturnedFormsAreNew:
             lambda f: lefschetz_L(f, spec),
             lambda f: lefschetz_lambda(f, spec),
             lambda f: adjoint(OperatorKind.DEL, f, spec),
+            lambda f: laplacian_apply(HarmonicKind.D, f, spec),
         ]
         first = [call(form) for call in calls]
         texts = [format_form(f) for f in first]
@@ -369,6 +373,69 @@ class TestReturnedFormsAreNew:
             f.terms.clear()
         assert [format_form(call(form)) for call in calls] == texts
         assert format_form(form) == format_form(parse_form(text, 3))
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("torus6", "(1,2)*g33*phi[1;] + g3c*phi[;2]"),
+            ("torus6", "(1,2)*g33*phi[1;2] + g3c*phi[2;1] - 3*phi[3;3] + g3*phi[1;1]"),
+            ("torus6", "g3*phi[1,2;3] + (0,1)*phi[1;1,2] + 2*phi[2;2,3]"),
+            ("iwasawa_ak", "(1,2)*phi[1;2] + phi[1;1] - 3*phi[2;2]"),
+        ],
+    )
+    def test_clearing_the_ladder_parts_changes_no_later_result(self, name, text):
+        """The parts of primitive_decompose and the Form of reassemble are new,
+        the degree 0 part of a 1-form too."""
+        spec = load_spec(catalog_document(name))
+        form = parse_form(text, 3)
+
+        def ladder():
+            decomposition = primitive_decompose(form, spec)
+            return [beta for _, beta in decomposition.parts] + [decomposition.reassemble(spec)]
+
+        first = ladder()
+        texts = [format_form(f) for f in first]
+        assert all(f.terms for f in first)
+        for f in first:
+            f.terms.clear()
+        assert [format_form(f) for f in ladder()] == texts
+        assert format_form(form) == format_form(parse_form(text, 3))
+
+
+class TestSharedTermImages:
+    """apply_word sums cached images of unit terms, one per (word, monomial,
+    symbol monomial) and spec: the words of several kinds, equal Forms and
+    the Lambda ladder share them."""
+
+    def test_each_image_is_built_once(self, monkeypatch):
+        spec = load_spec(catalog_document("torus6"))
+        text = "(1,2)*g33*phi[1;2] + g3c*phi[1;2] - 3*phi[2;1] + (0,1)*g3*phi[3;3] + phi[1;1]"
+        built = []
+        build = hermitian._build_term_image
+
+        def spying(word, idx, s, spec):
+            built.append((word, idx, s))
+            return build(word, idx, s, spec)
+
+        monkeypatch.setattr(hermitian, "_build_term_image", spying)
+        for kind in HarmonicKind:
+            is_harmonic(kind, parse_form(text, 3), spec)
+        certified = len(built)
+        # 12 condition words, 8 of them distinct, on 5 unit terms
+        words = {word for kind in HarmonicKind for word in CONDITION_WORDS[kind.value]}
+        assert len(words) == 8
+        assert len(set(built)) == certified == 8 * 5
+        for kind in HarmonicKind:
+            is_harmonic(kind, parse_form(text, 3), spec)
+        assert len(built) == certified
+        assert is_primitive(parse_form(text, 3), spec) is False
+        lambdas = len(built)
+        assert lambdas > certified
+        decomposition = primitive_decompose(parse_form(text, 3), spec)
+        assert decomposition.reassemble(spec) == parse_form(text, 3)
+        monkeypatch.undo()
+        assert len(built) > lambdas
+        assert len(set(built)) == len(built)
 
 
 class TestUnderivableTerms:
@@ -399,6 +466,45 @@ class TestUnderivableTerms:
                 with pytest.raises(DepthExceeded) as caught:
                     exterior_d(form, spec)
                 assert str(caught.value) == message
+
+    def test_a_term_image_that_fails_falls_back_to_the_whole_form(self, monkeypatch):
+        """The d Lambda image of each unit term of this form fails at depth
+        limit 0, but the Lambda images of the two terms cancel at phi[2;], so
+        d Lambda of the whole form is 0, as the operator-by-operator pass over
+        the whole form gives; d of the form raises for its first underivable
+        term.  No failed build leaves an image in the spec cache."""
+        spec = load_spec(catalog_document("torus6"))
+        shallow_table = DerivationTable(
+            set(spec.table.symbols), dict(spec.table.conjugates), dict(spec.table.entries),
+            depth_limit=0,
+        )
+        shallow = dataclasses.replace(spec, table=shallow_table)
+        form = parse_form("V1[g3]*phi[1,2;1] + V1[g3]*phi[2,3;3]", 3)
+        failed = []
+        build = hermitian._build_term_image
+
+        def spying(word, idx, s, spec):
+            try:
+                return build(word, idx, s, spec)
+            except DepthExceeded:
+                failed.append((word, idx, s))
+                raise
+
+        monkeypatch.setattr(hermitian, "_build_term_image", spying)
+        assert apply_word(("d", "Lambda"), form, shallow).is_zero()
+        assert [word for word, _, _ in failed] == [("d", "Lambda")]
+        for _ in range(2):
+            with pytest.raises(DepthExceeded) as caught:
+                apply_word(("d",), form, shallow)
+            assert str(caught.value) == "derivative of 'V1[g3]' along Vb2 exceeds depth limit 0"
+        monkeypatch.undo()
+        assert [word for word, _, _ in failed] == [("d", "Lambda"), ("d",), ("d",)]
+        for idx, coeff in form.terms.items():
+            for s, _ in coeff.items():
+                with pytest.raises(DepthExceeded):
+                    hermitian._term_image(("d", "Lambda"), idx, s, shallow)
+        assert not [key for key in shallow._cache if key[0] == "term-image"]
+        assert not [key for key, images in shallow._cache.items() if key[0] == "unit-term" and images]
 
 
 def test_no_function_caches_in_the_package():

@@ -20,11 +20,12 @@ error class is compared.
 import dataclasses
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harmonica.errors import DepthExceeded
-from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials
+from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials, parse_form
 from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS
 from harmonica.hermitian import _word_image, apply_word
 from harmonica.scalars import Coefficient, DerivationTable, Direction
@@ -131,3 +132,19 @@ class TestWordsMatchTheFormPath:
         depth = data.draw(st.sampled_from([3, 1]))
         spec = data.draw(random_specs(with_depth(torus.table, depth)))
         assert_words_match(data.draw(word_forms(spec.n)), spec)
+
+
+class TestWordArguments:
+    FORM = "(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] - 3*phi[1;1] + g3*phi[2;]"
+
+    @pytest.mark.parametrize("word", [("foo",), ("d", "foo"), ("foo", "d"), ("foo*",), ("Lambda*",)])
+    def test_an_unknown_operator_is_refused_on_every_form(self, torus, word):
+        for form in (Form.zero(3), parse_form(self.FORM, 3)):
+            with pytest.raises(ValueError):
+                apply_word(word, form, torus)
+
+    def test_a_list_word_is_its_tuple(self, torus):
+        form = parse_form(self.FORM, 3)
+        for word in WORDS:
+            want = outcome(apply_word, word, form, torus)
+            assert outcome(apply_word, list(word), form, torus) == want, word
