@@ -82,6 +82,28 @@ def _combine(terms) -> dict:
     return {m: x for m, x in out.items() if not x.is_zero()}
 
 
+def _nonzero(terms) -> dict:
+    """A new term map {monomial: {symbol monomial: value}} with the nonzero
+    values of `terms`, and no monomial whose values all vanish."""
+    out = {}
+    for m, c in terms.items():
+        c = {s: x for s, x in c.items() if x.re_num or x.im_num}
+        if c:
+            out[m] = c
+    return out
+
+
+def _form(n: int, terms) -> "Form":
+    """The Form of a term map, its Coefficients and itself built once."""
+    return Form.from_terms(n, {m: Coefficient.from_terms(c) for m, c in _nonzero(terms).items()})
+
+
+def _check_ambient(n: int, other: int) -> None:
+    """Refuse a form over 2*other generators where 2*n are expected."""
+    if n != other:
+        raise ValueError(f"ambient mismatch: n={n} vs n={other}")
+
+
 def basis_multiindices(n: int, p: int, q: int) -> list[MultiIndex]:
     """All (p,q) monomials in canonical order (lexicographic hol, then anti)."""
     return [
@@ -155,7 +177,7 @@ class Form:
         return hash((self.n, frozenset(self.terms.items())))
 
     def __add__(self, other: "Form") -> "Form":
-        self._check_ambient(other)
+        _check_ambient(self.n, other.n)
         terms = dict(self.terms)
         for idx, c in other.terms.items():
             terms[idx] = terms.get(idx, Coefficient.zero()) + c
@@ -176,12 +198,8 @@ class Form:
     def __truediv__(self, scalar) -> "Form":
         return Form(self.n, {idx: v / scalar for idx, v in self.terms.items()})
 
-    def _check_ambient(self, other: "Form") -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient mismatch: n={self.n} vs n={other.n}")
-
     def wedge(self, other: "Form") -> "Form":
-        self._check_ambient(other)
+        _check_ambient(self.n, other.n)
         terms: dict = {}
         for idx1, c1 in self.terms.items():
             for idx2, c2 in other.terms.items():

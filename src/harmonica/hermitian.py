@@ -7,7 +7,8 @@ alpha wedge *(conj beta) = <alpha, beta> vol; on a diagonal metric it maps
 monomials to complementary monomials.  The star and L images of a unit
 monomial are closed forms of that relation and of omega wedge, computed by
 sign arithmetic on the index tuples when an operator column or a Form first
-asks for them, and cached on the spec.
+asks for them, and cached on the spec.  Words compose them with d and its
+parts, which structure owns (d_by_shift and the term-map pass _d_terms).
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, DepthExceeded, NotPrimitive, SymbolicCoefficients
-from .forms import Form, MultiIndex, _combine, _wedge_monomials, basis_multiindices
-from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
-from .scalars import Coefficient, Direction, Fraction, GaussianRational
-from .structure import (
-    ManifoldSpec,
-    OperatorKind,
-    d_by_shift,
-    fundamental_form,
+from .forms import (
+    Form, MultiIndex, _check_ambient, _combine, _form, _nonzero, _wedge_monomials, basis_multiindices
 )
+from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
+from .scalars import Coefficient, Fraction, GaussianRational
+from .structure import ManifoldSpec, OperatorKind, _d_terms, d_by_shift, fundamental_form
 
 __all__ = [
     "fundamental_form",
@@ -150,11 +148,8 @@ def _apply_words(words, form: Form, spec: ManifoldSpec) -> Form:
     fallback maps the Form through each word in turn, so the first word
     that fails names the error."""
     if any(words):
-        _check_ambient(form.n, spec)
-    for word in words:
-        for op in word:
-            if op not in _OPERATORS:
-                raise ValueError(f"unknown operator {op!r} in word {word!r}")
+        _check_ambient(spec.n, form.n)
+    _check_words(words)
     terms: dict = {}
     try:
         for word in words:
@@ -166,9 +161,12 @@ def _apply_words(words, form: Form, spec: ManifoldSpec) -> Form:
     return _form(form.n, terms)
 
 
-def _check_ambient(n: int, spec: ManifoldSpec) -> None:
-    if n != spec.n:
-        raise ValueError(f"ambient mismatch: n={spec.n} vs n={n}")
+def _check_words(words) -> None:
+    """Refuse, before any work, a word naming an operator apply_word lacks."""
+    for word in words:
+        for op in word:
+            if op not in _OPERATORS:
+                raise ValueError(f"unknown operator {op!r} in word {word!r}")
 
 
 def is_primitive(form: Form, spec: ManifoldSpec) -> bool:
@@ -205,7 +203,7 @@ class PrimitiveComponents:
         """sum_r (1/r!) L^r beta, as one term map over the cached L^r images."""
         out: dict = {}
         for r, beta in self.parts:
-            _check_ambient(beta.n, spec)
+            _check_ambient(spec.n, beta.n)
             _image_sum(("L",) * r, beta.terms, spec, out, _inverse(math.factorial(r)))
         return _form(spec.n, out)
 
@@ -224,7 +222,7 @@ def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
     k = form.require_homogeneous_degree()
     if form.is_zero():
         return PrimitiveComponents(k, [])
-    _check_ambient(form.n, spec)
+    _check_ambient(spec.n, form.n)
     remaining = form.terms
     parts = []
     for r in range(k // 2, max(k - n, 0) - 1, -1):
@@ -285,13 +283,13 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # counterpart of _word_image: the image of a unit term s phi^m under a word,
 # cached on the spec per (word, m, s).  _word_pass builds it from the
 # one-term map {m: {s: 1}} operator by operator with the same single-operator
-# images: _metric_terms for star, L and Lambda, and _d_terms for d and its
-# parts, which adds the split for constant terms and, for a term with a
-# symbol monomial, its image from _unit_term_images, cached on the spec.
-# _image_sum adds x times those images over the unit terms x s phi^m of a
-# term map; apply_word, laplacian_apply and the Lefschetz ladder are sums of
-# it, and only a DepthExceeded sends apply_word to _word_pass over the whole
-# Form.  subspace_forms and form_subspace are the one Subspace <-> Form pair.
+# images: _metric_terms for star, L and Lambda, and structure's d pass
+# _d_terms for d and its parts.  _image_sum adds x times those images over
+# the unit terms x s phi^m of a term map; apply_word, laplacian_apply and the
+# Lefschetz ladder are sums of it, and only a DepthExceeded sends apply_word
+# to _word_pass over the whole Form.  Each entry point that takes words checks
+# their names first (_check_words).  subspace_forms and form_subspace are the
+# one Subspace <-> Form pair.
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -334,6 +332,7 @@ def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:
     the operator words (as in apply_word), as sparse columns {output
     monomial: nonzero Q(i) value}.  Each column is a new dict built from the
     cached image of its monomial under each word, so a caller may change it."""
+    _check_words(words)
     return [_column(words, m, spec) for m in basis_multiindices(spec.n, p, q)]
 
 
@@ -361,6 +360,7 @@ def _column(words, idx: MultiIndex, spec: ManifoldSpec) -> dict:
 def word_kernel(words, p: int, q: int, spec: ManifoldSpec) -> Subspace:
     """The (p,q)-forms every word annihilates: the kernel of the stacked
     blocks of the words, eliminated from their sparse rows."""
+    _check_words(words)
     blocks = [operator_columns([word], p, q, spec) for word in words]
     rows = [row for columns in blocks for row in sparse_rows(columns)]
     return sparse_kernel(rows, len(blocks[0]))
@@ -442,22 +442,6 @@ def _word_pass(word: tuple, terms, spec: ManifoldSpec) -> dict:
     return terms
 
 
-def _nonzero(terms) -> dict:
-    """A new term map {monomial: {symbol monomial: value}} with the nonzero
-    values of `terms`, and no monomial whose values all vanish."""
-    out = {}
-    for m, c in terms.items():
-        c = {s: x for s, x in c.items() if x.re_num or x.im_num}
-        if c:
-            out[m] = c
-    return out
-
-
-def _form(n: int, terms) -> Form:
-    """The Form of a term map, its Coefficients and itself built once."""
-    return Form.from_terms(n, {m: Coefficient.from_terms(c) for m, c in _nonzero(terms).items()})
-
-
 def _inverse(k: int):
     """1/k as a scale of _image_sum, or None for k = 1."""
     return None if k == 1 else _ONE / k
@@ -483,78 +467,6 @@ def _metric_terms(op: str, terms, spec: ManifoldSpec, negate: bool = False) -> d
     return out
 
 
-def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
-    """A term map through d or one of its parts.  A constant term x m gives
-    x times the kind's parts of d(m), read from the cached split d_by_shift;
-    a term x s m with a symbol monomial s gives x times the cached image of
-    the unit term s m (_unit_term_images).  A value that cancelled to 0 is
-    skipped, as a Form would not hold it."""
-    shift = kind.shift
-    out: dict = {}
-    for idx, coeff in terms.items():
-        parts = images = None
-        for s, x in coeff.items():
-            if not (x.re_num or x.im_num):
-                continue
-            if parts is None:
-                split = d_by_shift(idx, spec)
-                parts = [part.terms for b, part in split.items() if shift is None or b == shift]
-            if s:
-                if images is None:
-                    images = _unit_term_images(kind, idx, coeff, parts, spec)
-                columns = (images[s],)
-            else:
-                columns = parts
-            for column in columns:
-                for m, c in column.items():
-                    target = out.get(m)
-                    if target is None:
-                        target = out[m] = {}
-                    for s2, y in c.items():
-                        v = x * y
-                        target[s2] = target[s2] + v if s2 in target else v
-    return out
-
-
-def _unit_term_images(kind: OperatorKind, idx: MultiIndex, coeff, parts, spec: ManifoldSpec) -> dict:
-    """{s: image of the unit term s phi^idx under the kind} for the symbol
-    monomials s of coeff, from a dict cached on the spec per (kind, idx) and
-    filled on demand; shared, so read-only.  The image of s phi^idx is s
-    times the kind's parts of d(phi^idx), plus, for each frame direction of
-    the kind (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and
-    mubar), the derivative of s along it times phi^a or phi^abar wedge
-    phi^idx, where that wedge is not 0.  The missing images of one coeff are
-    built together, direction by direction, so the first derivative that
-    fails is the one a direction-by-direction derivative of coeff meets."""
-    images = spec.cached(("unit-term", kind, idx), dict)
-    missing = [s for s, x in coeff.items() if s and (x.re_num or x.im_num) and s not in images]
-    if not missing:
-        return images
-    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(kind.shift, ())
-    units = {s: Coefficient({s: _ONE}) for s in missing}
-    columns = {s: [(unit, part) for part in parts] for s, unit in units.items()}
-    for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
-        if direction.bar in bars:
-            for s, unit in units.items():
-                columns[s].append((unit.derive(direction, spec.table), {image: sign}))
-    images.update((s, _combine(column)) for s, column in columns.items())
-    return images
-
-
-def _frame(idx: MultiIndex, spec: ManifoldSpec) -> tuple:
-    """(direction V_a or Vbar_a, monomial, sign) with phi^a or phi^abar
-    wedge phi^idx = sign * phi^monomial, for every frame direction where
-    that wedge is not 0; cached on the spec per monomial."""
-    out = []
-    for a in range(1, spec.n + 1):
-        for bar in (False, True):
-            factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
-            image, sign = _wedge_monomials(factor, idx)
-            if sign:
-                out.append((Direction(a, bar), image, sign))
-    return tuple(out)
-
-
 def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
     """The image of one unit monomial under one operator, as a sparse column."""
     if op == "*":
@@ -563,9 +475,10 @@ def _image(op: str, idx: MultiIndex, spec: ManifoldSpec) -> dict:
         return _lefschetz_image(idx, spec)
     if op == "Lambda":  # star^(-1) L star = (-1)^k * L * on degree k; -*L* only for odd k
         return _starred("L", idx, spec, negate=idx.degree % 2 == 1)
-    if op.endswith("*"):  # the adjoint -* k' *, k' the conjugate-paired operator
-        return _starred(OperatorKind(op[:-1]).conjugate.value, idx, spec, negate=True)
-    shift = OperatorKind(op).shift
+    kind, starred = _D_OPERATORS[op]
+    if starred:  # the adjoint -* k' *, k' the conjugate-paired operator
+        return _starred(kind.value, idx, spec, negate=True)
+    shift = kind.shift
     out = {}
     for b, part in d_by_shift(idx, spec).items():
         if shift is None or b == shift:

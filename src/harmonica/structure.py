@@ -4,10 +4,10 @@ A spec fixes invariant structure equations d(phi^a) for a left-invariant
 coframe on a 2n-dimensional Lie group quotient, diagonal fundamental-form
 coefficients, and the symbol tables.  d on barred generators is forced to be
 the conjugate of d on the unbarred ones.  d of each unit monomial follows by
-the Leibniz rule and is split once by bidegree shift into mu, del, delbar and
-mubar parts, cached on the spec (d_by_shift).  d and its parts of a Form are
-one-operator words of hermitian.apply_word, which reads that split and adds
-the frame derivatives of non-constant coefficients.
+the Leibniz rule and is split by bidegree shift into mu, del, delbar and
+mubar parts, cached on the spec (d_by_shift).  _d_terms maps a term map
+through d or a part, reading that split and adding the frame derivatives of
+symbols; exterior_d, differential_component and apply_word's words run it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import HarmonicaError, ValidationError
-from .forms import Form, MultiIndex, ReadOnlyForm, _combine, _wedge_monomials, basis_multiindices
+from .forms import (
+    Form, MultiIndex, ReadOnlyForm, _check_ambient, _combine, _form, _wedge_monomials, basis_multiindices
+)
 from .report import CheckItem, VerificationReport
-from .scalars import DerivationTable, Fraction, GaussianRational, ReadOnlyTable
+from .scalars import Coefficient, DerivationTable, Direction, Fraction, GaussianRational, ReadOnlyTable
 
 __all__ = [
     "OperatorKind",
@@ -68,6 +70,7 @@ _CONJUGATES = {
 }
 
 _MISSING = object()
+_ONE = GaussianRational(1)
 
 
 @dataclass(eq=False, frozen=True)
@@ -133,32 +136,6 @@ class ManifoldSpec:
         return replace(self, omega_coeffs=tuple(Fraction(c) for c in coeffs))
 
 
-def _d_monomial(idx: MultiIndex, spec: ManifoldSpec) -> Form:
-    """d of the unit monomial phi^idx by the Leibniz rule: the sum over its
-    factors f_k, hol then anti, of (-1)^k f_1..f_(k-1) wedge d(f_k) wedge
-    f_(k+1)..; the rest of the package reads it through d_by_shift."""
-
-    def columns():
-        for k in range(idx.degree):
-            if k < idx.p:
-                d_fac = spec.d_gen[idx.hol[k]]
-            else:
-                a = idx.anti[k - idx.p]
-                d_fac = spec.cached(("d_bar", a), _d_bar, a, spec)
-            if d_fac.is_zero():
-                continue
-            before = MultiIndex(idx.hol[:k], idx.anti[: max(k - idx.p, 0)])
-            after = MultiIndex(idx.hol[k + 1 :], idx.anti[max(k + 1 - idx.p, 0) :])
-            for middle, c in d_fac.terms.items():
-                image, s1 = _wedge_monomials(before, middle)
-                if s1:
-                    image, s2 = _wedge_monomials(image, after)
-                    if s2:
-                        yield c, {image: (-1) ** k * s1 * s2}
-
-    return Form(spec.n, _combine(columns()))
-
-
 def _d_bar(a: int, spec: ManifoldSpec) -> Form:
     """d of the barred generator a, the conjugate of d(phi^a); read-only, as
     it is shared by every monomial of the spec."""
@@ -167,9 +144,8 @@ def _d_bar(a: int, spec: ManifoldSpec) -> Form:
 
 def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
     """Exterior differential via the Leibniz rule on each monomial term."""
-    from .hermitian import apply_word  # hermitian imports this module
-
-    return apply_word(("d",), form, spec)
+    _check_ambient(spec.n, form.n)
+    return _form(form.n, _d_terms(OperatorKind.D, form.terms, spec))
 
 
 def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -> Form:
@@ -177,10 +153,9 @@ def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -
     part of d(phi^I) at the kind's shift (every part for d), plus, for each
     frame direction of the kind (V_a for del, Vbar_a for delbar, all 2n for
     d, none for mu and mubar), the derivative of c along it times phi^a or
-    phi^abar wedge phi^I.  The one-operator word of hermitian.apply_word."""
-    from .hermitian import apply_word  # hermitian imports this module
-
-    return apply_word((kind.value,), form, spec)
+    phi^abar wedge phi^I.  One _d_terms pass over the Form's term map."""
+    _check_ambient(spec.n, form.n)
+    return _form(form.n, _d_terms(kind, form.terms, spec))
 
 
 def all_basis_monomials(n: int) -> list[MultiIndex]:
@@ -199,10 +174,103 @@ def d_by_shift(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
 
 
 def _split_d(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
-    """d of the unit monomial idx from _d_monomial, cut into its read-only
-    homogeneous parts; it is not kept whole anywhere else."""
-    parts = _d_monomial(idx, spec).homogeneous_parts().items()
-    return MappingProxyType({(p - idx.p, q - idx.q): ReadOnlyForm(f) for (p, q), f in parts})
+    """d of the unit monomial phi^idx by the Leibniz rule, as its read-only
+    homogeneous parts: the sum over its factors f_k, hol then anti, of
+    (-1)^k f_1..f_(k-1) wedge d(f_k) wedge f_(k+1)..  Each wedge term that
+    is not 0 joins the list of its bidegree shift, and each list is summed
+    once into its part; d(phi^idx) is not kept whole anywhere."""
+    columns: dict = {}  # shift -> [(coefficient, {monomial: sign})]
+    for k in range(idx.degree):
+        if k < idx.p:
+            d_fac = spec.d_gen[idx.hol[k]]
+        else:
+            a = idx.anti[k - idx.p]
+            d_fac = spec.cached(("d_bar", a), _d_bar, a, spec)
+        if d_fac.is_zero():
+            continue
+        before = MultiIndex(idx.hol[:k], idx.anti[: max(k - idx.p, 0)])
+        after = MultiIndex(idx.hol[k + 1 :], idx.anti[max(k + 1 - idx.p, 0) :])
+        for middle, c in d_fac.terms.items():
+            image, s1 = _wedge_monomials(before, middle)
+            if s1:
+                image, s2 = _wedge_monomials(image, after)
+                if s2:
+                    shift = (image.p - idx.p, image.q - idx.q)
+                    columns.setdefault(shift, []).append((c, {image: (-1) ** k * s1 * s2}))
+    parts = ((b, _combine(column)) for b, column in columns.items())
+    return MappingProxyType({b: ReadOnlyForm(Form.from_terms(spec.n, t)) for b, t in parts if t})
+
+
+def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
+    """A term map through d or one of its parts.  A constant term x m gives
+    x times the kind's parts of d(m), read from the cached split d_by_shift;
+    a term x s m with a symbol monomial s gives x times the cached image of
+    the unit term s m (_unit_term_images).  A value that cancelled to 0 is
+    skipped, as a Form would not hold it."""
+    shift = kind.shift
+    out: dict = {}
+    for idx, coeff in terms.items():
+        parts = images = None
+        for s, x in coeff.items():
+            if not (x.re_num or x.im_num):
+                continue
+            if parts is None:
+                split = d_by_shift(idx, spec)
+                parts = [part.terms for b, part in split.items() if shift is None or b == shift]
+            if s:
+                if images is None:
+                    images = _unit_term_images(kind, idx, coeff, parts, spec)
+                columns = (images[s],)
+            else:
+                columns = parts
+            for column in columns:
+                for m, c in column.items():
+                    target = out.get(m)
+                    if target is None:
+                        target = out[m] = {}
+                    for s2, y in c.items():
+                        v = x * y
+                        target[s2] = target[s2] + v if s2 in target else v
+    return out
+
+
+def _unit_term_images(kind: OperatorKind, idx: MultiIndex, coeff, parts, spec: ManifoldSpec) -> dict:
+    """{s: image of the unit term s phi^idx under the kind} for the symbol
+    monomials s of coeff, from a dict cached on the spec per (kind, idx) and
+    filled on demand; shared, so read-only.  The image of s phi^idx is s
+    times the kind's parts of d(phi^idx), plus, for each frame direction of
+    the kind (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and
+    mubar), the derivative of s along it times phi^a or phi^abar wedge
+    phi^idx, where that wedge is not 0.  The missing images of one coeff are
+    built together, direction by direction, so the first derivative that
+    fails is the one a direction-by-direction derivative of coeff meets."""
+    images = spec.cached(("unit-term", kind, idx), dict)
+    missing = [s for s, x in coeff.items() if s and (x.re_num or x.im_num) and s not in images]
+    if not missing:
+        return images
+    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(kind.shift, ())
+    units = {s: Coefficient({s: _ONE}) for s in missing}
+    columns = {s: [(unit, part) for part in parts] for s, unit in units.items()}
+    for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
+        if direction.bar in bars:
+            for s, unit in units.items():
+                columns[s].append((unit.derive(direction, spec.table), {image: sign}))
+    images.update((s, _combine(column)) for s, column in columns.items())
+    return images
+
+
+def _frame(idx: MultiIndex, spec: ManifoldSpec) -> tuple:
+    """(direction V_a or Vbar_a, monomial, sign) with phi^a or phi^abar
+    wedge phi^idx = sign * phi^monomial, for every frame direction where
+    that wedge is not 0; cached on the spec per monomial."""
+    out = []
+    for a in range(1, spec.n + 1):
+        for bar in (False, True):
+            factor = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
+            image, sign = _wedge_monomials(factor, idx)
+            if sign:
+                out.append((Direction(a, bar), image, sign))
+    return tuple(out)
 
 
 _COMPONENT_SHIFTS = {kind.shift for kind in OperatorKind if kind.shift}

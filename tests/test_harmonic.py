@@ -37,6 +37,7 @@ from harmonica.library import catalog_document, load_spec
 from harmonica.linalg import kernel, rref, subspace_equal
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import OperatorKind, all_basis_monomials, differential_component
+from harmonica.theorems import all_statements
 
 from conftest import rand_form_pq
 
@@ -459,27 +460,32 @@ class TestKunneth:
                     assert harmonic_subspace(kind, p, q, product).dim == expected, (kind, p, q)
 
 
-def _times_torus4(name):
-    """The catalog spec times a flat 4-torus: two more generators, each with
+def _times_torus(name, k):
+    """The catalog spec times a flat 2k-torus: k more generators, each with
     d = 0 and omega coefficient 1."""
     doc = json.loads(catalog_document(name))
-    for a in (doc["n"] + 1, doc["n"] + 2):
+    for a in range(doc["n"] + 1, doc["n"] + k + 1):
         doc["generators"].append(f"phi{a}")
         doc["d"][f"phi{a}"] = []
         doc["omega"].append("1")
-    doc["n"] += 2
-    doc["name"] = f"{name}_x_T4"
+    doc["n"] += k
+    doc["name"] = f"{name}_x_T{2 * k}"
     return load_spec(doc)
 
 
-@pytest.mark.parametrize("name", ["iwasawa_ak", "iwasawa_cplx", "flat_kahler6"])
-def test_tables_of_a_product_with_a_4_torus(name):
-    """Kunneth at k = 2: the (a,b) parts of the invariant complex of T^4 have
-    dimension C(2,a) C(2,b), so every harmonic table of X x T^4 is
-    h^{p,q}(X x T^4) = sum over a, b in {0, 1, 2} of
-    C(2,a) C(2,b) h^{p-a,q-b}(X)."""
+@pytest.mark.parametrize(
+    "name, k",
+    [pytest.param(name, 2, id=name) for name in ("iwasawa_ak", "iwasawa_cplx", "flat_kahler6")]
+    + [pytest.param("iwasawa_cplx", 3, id="iwasawa_cplx-k3")],
+)
+def test_tables_of_a_product_with_a_4_torus(name, k):
+    """Kunneth at k = 2, and at k = 3 (n = 6) on iwasawa_cplx, the n = 6
+    product with the cheapest report: the (a,b) parts of the invariant
+    complex of T^2k have dimension C(k,a) C(k,b), so every harmonic table
+    of X x T^2k is h^{p,q}(X x T^2k) = sum over a, b in {0, ..., k} of
+    C(k,a) C(k,b) h^{p-a,q-b}(X)."""
     base = load_spec(catalog_document(name))
-    product = _times_torus4(name)
+    product = _times_torus(name, k)
     n = base.n
 
     def h(kind, p, q):
@@ -488,12 +494,12 @@ def test_tables_of_a_product_with_a_4_torus(name):
         return 0
 
     for kind in HarmonicKind:
-        for p in range(n + 3):
-            for q in range(n + 3):
+        for p in range(n + k + 1):
+            for q in range(n + k + 1):
                 expected = sum(
-                    math.comb(2, a) * math.comb(2, b) * h(kind, p - a, q - b)
-                    for a in range(3)
-                    for b in range(3)
+                    math.comb(k, a) * math.comb(k, b) * h(kind, p - a, q - b)
+                    for a in range(k + 1)
+                    for b in range(k + 1)
                 )
                 assert harmonic_subspace(kind, p, q, product).dim == expected, (kind, p, q)
 
@@ -580,6 +586,44 @@ def test_tables_do_not_depend_on_the_order_of_the_coframe(name):
                 for q in range(4):
                     expected = harmonic_subspace(kind, p, q, base).dim
                     assert harmonic_subspace(kind, p, q, spec).dim == expected, (sigma, kind, p, q)
+
+
+def _rescaled(name, lambdas):
+    """The catalog spec in the coframe phi'^a = lambda_a phi^a, for nonzero
+    Gaussian integers lambda_a.  The constant c of phi^{I,Jbar} in
+    d(phi^a) becomes c lambda_a / (prod_{i in I} lambda_i prod_{j in J}
+    conj(lambda_j)), and omega_a becomes omega_a / |lambda_a|^2, so J and
+    omega, and with them the metric, are unchanged."""
+    doc = json.loads(catalog_document(name))
+    for a, g in enumerate(doc["generators"], start=1):
+        for term in doc["d"][g]:
+            c = G(term["coeff"]["re"], term["coeff"]["im"]) * lambdas[a - 1]
+            for i in term["hol"]:
+                c = c / lambdas[i - 1]
+            for j in term["anti"]:
+                c = c / lambdas[j - 1].conjugate()
+            term["coeff"] = {"re": str(c.re), "im": str(c.im)}
+    doc["omega"] = [
+        str(Fraction(w) / (lam * lam.conjugate()).re) for w, lam in zip(doc["omega"], lambdas)
+    ]
+    return load_spec(dict(doc, name=f"{name}_rescaled"))
+
+
+@pytest.mark.parametrize("name", ["iwasawa_ak", "iwasawa_cplx"])
+def test_an_isometric_rescaling_of_the_coframe_changes_no_result(name):
+    """Rescaling the coframe by Gaussian integers rewrites the structure
+    constants and omega, but not the almost Hermitian structure: every
+    harmonic table and every statement status stays the same."""
+    base = load_spec(catalog_document(name))
+    spec = _rescaled(name, [G(1, 1), G(2, -1), G(0, 3)])
+    assert dict(spec.d_gen) != dict(base.d_gen) and spec.omega_coeffs != base.omega_coeffs
+    for kind in HarmonicKind:
+        for p in range(4):
+            for q in range(4):
+                expected = harmonic_subspace(kind, p, q, base).dim
+                assert harmonic_subspace(kind, p, q, spec).dim == expected, (kind, p, q)
+    statuses = [(r.statement, r.status) for r in all_statements(base)]
+    assert [(r.statement, r.status) for r in all_statements(spec)] == statuses
 
 
 # aff(1), the Lie algebra of the affine group of the line, with

@@ -550,6 +550,27 @@ def test_one_wedge_sign_rule():
     assert offenders == []
 
 
+def test_d_has_one_owner():
+    """structure.py owns d: it imports nothing from hermitian, at the top of
+    the file or inside a function, and it alone defines the split of d and
+    the d pass over a term map."""
+    owned = {"_split_d", "_d_terms", "_unit_term_images", "_frame"}
+    defined, offenders = set(), []
+    for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in owned:
+                if path.name == "structure.py":
+                    defined.add(node.name)
+                else:
+                    offenders.append(f"{path.name}:{node.lineno}: defines {node.name}")
+            elif path.name == "structure.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if any(name.rsplit(".", 1)[-1] == "hermitian" for name in names):
+                    offenders.append(f"structure.py:{node.lineno}: imports hermitian")
+    assert offenders == []
+    assert defined == owned
+
+
 def test_theorems_works_on_subspace_values():
     """The statements compare canonical Subspace values: theorems.py imports
     (or reaches through a module) no list-level linalg function and no

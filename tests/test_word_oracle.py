@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from harmonica.errors import DepthExceeded
 from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials, parse_form
 from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS
-from harmonica.hermitian import _word_image, apply_word
+from harmonica.hermitian import _word_image, apply_word, operator_columns, word_kernel
+from harmonica.library import catalog_document, load_spec
 from harmonica.scalars import Coefficient, DerivationTable, Direction
 from harmonica.structure import OperatorKind, all_basis_monomials, d_by_shift
 
@@ -137,11 +138,23 @@ class TestWordsMatchTheFormPath:
 class TestWordArguments:
     FORM = "(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] - 3*phi[1;1] + g3*phi[2;]"
 
-    @pytest.mark.parametrize("word", [("foo",), ("d", "foo"), ("foo", "d"), ("foo*",), ("Lambda*",)])
+    @pytest.mark.parametrize(
+        "word", [("foo",), ("d", "foo"), ("foo", "d"), ("foo*",), ("Lambda*",), ("foo", "L"), ("L*",)]
+    )
     def test_an_unknown_operator_is_refused_on_every_form(self, torus, word):
+        """apply_word, operator_columns and word_kernel refuse the word before
+        any work: a block whose images would all be 0, as at (3,3), or whose
+        other word is valid, is refused too, and no image is cached."""
         for form in (Form.zero(3), parse_form(self.FORM, 3)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="unknown operator"):
                 apply_word(word, form, torus)
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        for p, q in ((0, 0), (1, 1), (3, 3)):
+            for words in ([word], [("L",), word]):
+                for entry in (operator_columns, word_kernel):
+                    with pytest.raises(ValueError, match="unknown operator"):
+                        entry(words, p, q, spec)
+        assert spec._cache == {}
 
     def test_a_list_word_is_its_tuple(self, torus):
         form = parse_form(self.FORM, 3)
