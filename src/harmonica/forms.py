@@ -93,6 +93,17 @@ def _nonzero(terms) -> dict:
     return out
 
 
+def _add_term(out: dict, m: MultiIndex, c, x) -> None:
+    """Add x c phi^m into the term map out: c maps symbol monomials to Q(i)
+    values (a Coefficient serves as it is), and x is an int or a Q(i) scale."""
+    target = out.get(m)
+    if target is None:
+        target = out[m] = {}
+    for s, y in c.items():
+        v = x * y
+        target[s] = target[s] + v if s in target else v
+
+
 def _form(n: int, terms) -> "Form":
     """The Form of a term map, its Coefficients and itself built once."""
     return Form.from_terms(n, {m: Coefficient.from_terms(c) for m, c in _nonzero(terms).items()})

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DegreeTooHigh, DepthExceeded, NotPrimitive, SymbolicCoefficients
 from .forms import (
-    Form, MultiIndex, _check_ambient, _combine, _form, _nonzero, _wedge_monomials, basis_multiindices
+    Form, MultiIndex, _add_term, _check_ambient, _combine, _form, _nonzero, _wedge_monomials,
+    basis_multiindices,
 )
 from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
 from .scalars import Coefficient, Fraction, GaussianRational
@@ -140,16 +141,15 @@ def apply_word(word, form: Form, spec: ManifoldSpec) -> Form:
     underivable term met, or gives the result when such terms cancel before
     their derivative is taken.  The Coefficients and the Form of the result
     are built once, at the end."""
-    return _apply_words((tuple(word),), form, spec)
+    return _apply_words(_check_words((word,)), form, spec)
 
 
 def _apply_words(words, form: Form, spec: ManifoldSpec) -> Form:
-    """The sum of the words (tuples) applied to a Form, as in apply_word; the
-    fallback maps the Form through each word in turn, so the first word
-    that fails names the error."""
+    """The sum of the words (checked tuples) applied to a Form, as in
+    apply_word; the fallback maps the Form through each word in turn, so the
+    first word that fails names the error."""
     if any(words):
         _check_ambient(spec.n, form.n)
-    _check_words(words)
     terms: dict = {}
     try:
         for word in words:
@@ -161,12 +161,16 @@ def _apply_words(words, form: Form, spec: ManifoldSpec) -> Form:
     return _form(form.n, terms)
 
 
-def _check_words(words) -> None:
-    """Refuse, before any work, a word naming an operator apply_word lacks."""
+def _check_words(words) -> tuple:
+    """The words as tuples, once none names an operator apply_word lacks."""
+    checked = ()
     for word in words:
+        word = tuple(word)
         for op in word:
             if op not in _OPERATORS:
                 raise ValueError(f"unknown operator {op!r} in word {word!r}")
+        checked += (word,)
+    return checked
 
 
 def is_primitive(form: Form, spec: ManifoldSpec) -> bool:
@@ -332,7 +336,7 @@ def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:
     the operator words (as in apply_word), as sparse columns {output
     monomial: nonzero Q(i) value}.  Each column is a new dict built from the
     cached image of its monomial under each word, so a caller may change it."""
-    _check_words(words)
+    words = _check_words(words)
     return [_column(words, m, spec) for m in basis_multiindices(spec.n, p, q)]
 
 
@@ -359,11 +363,12 @@ def _column(words, idx: MultiIndex, spec: ManifoldSpec) -> dict:
 
 def word_kernel(words, p: int, q: int, spec: ManifoldSpec) -> Subspace:
     """The (p,q)-forms every word annihilates: the kernel of the stacked
-    blocks of the words, eliminated from their sparse rows."""
-    _check_words(words)
-    blocks = [operator_columns([word], p, q, spec) for word in words]
+    blocks of the words, eliminated from their sparse rows; with no word,
+    the whole (p,q) space."""
+    words, monomials = _check_words(words), basis_multiindices(spec.n, p, q)
+    blocks = ([_column((word,), m, spec) for m in monomials] for word in words)
     rows = [row for columns in blocks for row in sparse_rows(columns)]
-    return sparse_kernel(rows, len(blocks[0]))
+    return sparse_kernel(rows, len(monomials))
 
 
 def block_rows(columns: list[dict]) -> list[list]:
@@ -456,14 +461,7 @@ def _metric_terms(op: str, terms, spec: ManifoldSpec, negate: bool = False) -> d
     out: dict = {}
     for idx, coeff in terms.items():
         for m, g in _word_image((op,), idx, spec).items():
-            if negate:
-                g = -g
-            target = out.get(m)
-            if target is None:
-                out[m] = {s: g * x for s, x in coeff.items()}
-                continue
-            for s, x in coeff.items():
-                target[s] = target[s] + g * x if s in target else g * x
+            _add_term(out, m, coeff, -g if negate else g)
     return out
 
 

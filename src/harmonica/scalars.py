@@ -295,7 +295,7 @@ class DerivationTable:
     depth_limit: int = 3
     auto_fresh: bool = True
     # (symbol monomial, direction) -> derivative of that unit monomial, filled
-    # by Coefficient.derive and cleared whenever a declaration changes.
+    # by derive_monomial and cleared whenever a declaration changes.
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def declare_symbol(self, name: str, conjugate: str | None = None) -> None:
@@ -350,6 +350,19 @@ class DerivationTable:
             )
         return Coefficient.symbol(fresh_symbol_name(symbol, direction))
 
+    def derive_monomial(self, m: "Monomial", direction: Direction) -> "Coefficient":
+        """The frame derivative of the unit monomial m, by the Leibniz rule,
+        computed once per table (a failure is raised again on every call);
+        shared, so read-only."""
+        derived = self._derived.get((m, direction))
+        if derived is None:
+            derived = Coefficient.zero()
+            for k, (s, e) in enumerate(m):  # m with one factor s taken out
+                rest = m[:k] + (((s, e - 1),) if e > 1 else ()) + m[k + 1 :]
+                derived += Coefficient({rest: GaussianRational(e)}) * self.derive_symbol(s, direction)
+            self._derived[(m, direction)] = derived
+        return derived
+
 
 class ReadOnlyTable(DerivationTable):
     """A copy of a DerivationTable whose declarations, settings and symbol,
@@ -386,20 +399,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for s, e in b:
         exps[s] = exps.get(s, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def _derive_monomial(m: Monomial, direction: Direction, table: DerivationTable) -> "Coefficient":
-    """The frame derivative of the unit monomial m, by the Leibniz rule."""
-    out = Coefficient.zero()
-    for k, (s, e) in enumerate(m):
-        rest = list(m)
-        if e == 1:
-            del rest[k]
-        else:
-            rest[k] = (s, e - 1)
-        factor = Coefficient({tuple(rest): GaussianRational(e)})
-        out = out + factor * table.derive_symbol(s, direction)
-    return out
 
 
 class Coefficient:
@@ -554,14 +553,10 @@ class Coefficient:
 
     def derive(self, direction: Direction, table: DerivationTable) -> "Coefficient":
         """Frame derivative: the sum of c times the derivative of the unit
-        monomial m over the terms c m, each such derivative computed once per
-        table by the Leibniz rule (a failure is raised again on every call)."""
+        monomial m over the terms c m, from the table's memo."""
         terms: dict = {}
         for m, c in self._terms.items():
-            derived = table._derived.get((m, direction))
-            if derived is None:
-                derived = table._derived[(m, direction)] = _derive_monomial(m, direction, table)
-            for m2, x in derived._terms.items():
+            for m2, x in table.derive_monomial(m, direction)._terms.items():
                 terms[m2] = terms[m2] + c * x if m2 in terms else c * x
         return Coefficient(terms)
 

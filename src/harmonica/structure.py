@@ -3,11 +3,12 @@
 A spec fixes invariant structure equations d(phi^a) for a left-invariant
 coframe on a 2n-dimensional Lie group quotient, diagonal fundamental-form
 coefficients, and the symbol tables.  d on barred generators is forced to be
-the conjugate of d on the unbarred ones.  d of each unit monomial follows by
-the Leibniz rule and is split by bidegree shift into mu, del, delbar and
-mubar parts, cached on the spec (d_by_shift).  _d_terms maps a term map
-through d or a part, reading that split and adding the frame derivatives of
-symbols; exterior_d, differential_component and apply_word's words run it.
+the conjugate of d on the unbarred ones.  d of each unit monomial f phi^J, f
+its first factor, is one Leibniz step over the cached d(phi^J), split by
+bidegree shift into mu, del, delbar and mubar parts, cached on the spec
+(d_by_shift).  _d_terms maps a term map through d or a part: constant terms
+read that split, symbolic unit terms a cached term-map image that adds the
+frame derivatives; exterior_d, differential_component and words run it.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from typing import Mapping
 
 from .errors import HarmonicaError, ValidationError
 from .forms import (
-    Form, MultiIndex, ReadOnlyForm, _check_ambient, _combine, _form, _wedge_monomials, basis_multiindices
+    Form, MultiIndex, ReadOnlyForm, _add_term, _check_ambient, _form, _nonzero, _wedge_monomials,
+    basis_multiindices,
 )
 from .report import CheckItem, VerificationReport
-from .scalars import Coefficient, DerivationTable, Direction, Fraction, GaussianRational, ReadOnlyTable
+from .scalars import DerivationTable, Direction, Fraction, GaussianRational, ReadOnlyTable, _mono_mul
 
 __all__ = [
     "OperatorKind",
@@ -37,7 +39,8 @@ __all__ = [
 
 
 class OperatorKind(enum.Enum):
-    """The four bidegree components of d, plus d itself."""
+    """The four bidegree components of d, plus d itself.  A member's shift
+    (None for d) and conjugate kind are plain attributes, set once below."""
 
     D = "d"
     MU = "mu"
@@ -45,32 +48,20 @@ class OperatorKind(enum.Enum):
     DELBAR = "delbar"
     MUBAR = "mubar"
 
-    @property
-    def shift(self) -> tuple | None:
-        return _SHIFTS[self]
 
-    @property
-    def conjugate(self) -> "OperatorKind":
-        return _CONJUGATES[self]
-
-
-_SHIFTS = {
-    OperatorKind.D: None,
-    OperatorKind.MU: (2, -1),
-    OperatorKind.DEL: (1, 0),
-    OperatorKind.DELBAR: (0, 1),
-    OperatorKind.MUBAR: (-1, 2),
-}
-_CONJUGATES = {
-    OperatorKind.D: OperatorKind.D,
-    OperatorKind.MU: OperatorKind.MUBAR,
-    OperatorKind.DEL: OperatorKind.DELBAR,
-    OperatorKind.DELBAR: OperatorKind.DEL,
-    OperatorKind.MUBAR: OperatorKind.MU,
-}
+for _kind, _shift, _conjugate in (
+    ("d", None, "d"),
+    ("mu", (2, -1), "mubar"),
+    ("del", (1, 0), "delbar"),
+    ("delbar", (0, 1), "del"),
+    ("mubar", (-1, 2), "mu"),
+):
+    OperatorKind(_kind).shift = _shift
+    OperatorKind(_kind).conjugate = OperatorKind(_conjugate)
+del _kind, _shift, _conjugate
 
 _MISSING = object()
-_ONE = GaussianRational(1)
+_NO_PARTS = MappingProxyType({})
 
 
 @dataclass(eq=False, frozen=True)
@@ -91,6 +82,7 @@ class ManifoldSpec:
     omega_coeffs: tuple
     table: DerivationTable = field(default_factory=DerivationTable)
     _cache: dict = field(init=False, repr=False, compare=False)
+    _d_active: frozenset = field(init=False, repr=False, compare=False)  # the a with d(phi^a) != 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -116,6 +108,7 @@ class ManifoldSpec:
         object.__setattr__(self, "omega_coeffs", omega_coeffs)
         object.__setattr__(self, "table", ReadOnlyTable(self.table))
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_d_active", frozenset(a for a, form in d_gen.items() if form))
 
     def cached(self, key: tuple, build, *args):
         """build(*args), computed once per key for the life of this spec."""
@@ -174,31 +167,33 @@ def d_by_shift(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
 
 
 def _split_d(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
-    """d of the unit monomial phi^idx by the Leibniz rule, as its read-only
-    homogeneous parts: the sum over its factors f_k, hol then anti, of
-    (-1)^k f_1..f_(k-1) wedge d(f_k) wedge f_(k+1)..  Each wedge term that
-    is not 0 joins the list of its bidegree shift, and each list is summed
-    once into its part; d(phi^idx) is not kept whole anywhere."""
-    columns: dict = {}  # shift -> [(coefficient, {monomial: sign})]
-    for k in range(idx.degree):
-        if k < idx.p:
-            d_fac = spec.d_gen[idx.hol[k]]
-        else:
-            a = idx.anti[k - idx.p]
-            d_fac = spec.cached(("d_bar", a), _d_bar, a, spec)
-        if d_fac.is_zero():
-            continue
-        before = MultiIndex(idx.hol[:k], idx.anti[: max(k - idx.p, 0)])
-        after = MultiIndex(idx.hol[k + 1 :], idx.anti[max(k + 1 - idx.p, 0) :])
-        for middle, c in d_fac.terms.items():
-            image, s1 = _wedge_monomials(before, middle)
-            if s1:
-                image, s2 = _wedge_monomials(image, after)
-                if s2:
-                    shift = (image.p - idx.p, image.q - idx.q)
-                    columns.setdefault(shift, []).append((c, {image: (-1) ** k * s1 * s2}))
-    parts = ((b, _combine(column)) for b, column in columns.items())
-    return MappingProxyType({b: ReadOnlyForm(Form.from_terms(spec.n, t)) for b, t in parts if t})
+    """d of the unit monomial phi^idx as its read-only homogeneous parts, by
+    one Leibniz step: phi^idx = f wedge phi^rest, f its first factor (hol
+    before anti), so d(phi^idx) = d(f) wedge phi^rest - f wedge d(phi^rest),
+    with d(phi^rest) read from the cached split of rest.  Each wedge term
+    that is not 0 is added into the term map of its bidegree shift, and each
+    term map becomes one part; d(phi^idx) is not kept whole anywhere.  A
+    monomial with no factor of nonzero d (every one, when d = 0) has none."""
+    if spec._d_active.isdisjoint(idx.hol) and spec._d_active.isdisjoint(idx.anti):
+        return _NO_PARTS
+    a, bar = (idx.anti[0], True) if not idx.hol else (idx.hol[0], False)
+    f = MultiIndex((), (a,)) if bar else MultiIndex((a,), ())
+    rest = MultiIndex((), idx.anti[1:]) if bar else MultiIndex(idx.hol[1:], idx.anti)
+    d_f = spec.cached(("d_bar", a), _d_bar, a, spec) if bar else spec.d_gen[a]
+    d_rest = d_by_shift(rest, spec)
+    parts: dict = {}  # shift -> {monomial: {symbol monomial: Q(i)}}
+    for middle, c in d_f.terms.items():
+        image, sign = _wedge_monomials(middle, rest)
+        if sign:
+            _add_term(parts.setdefault((image.p - idx.p, image.q - idx.q), {}), image, c, sign)
+    for b, part in d_rest.items():
+        target = parts.setdefault(b, {})
+        for m, c in part.terms.items():
+            image, sign = _wedge_monomials(f, m)
+            if sign:
+                _add_term(target, image, c, -sign)
+    forms = ((b, _form(spec.n, terms)) for b, terms in parts.items())
+    return MappingProxyType({b: ReadOnlyForm(form) for b, form in forms if form})
 
 
 def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
@@ -225,37 +220,37 @@ def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
                 columns = parts
             for column in columns:
                 for m, c in column.items():
-                    target = out.get(m)
-                    if target is None:
-                        target = out[m] = {}
-                    for s2, y in c.items():
-                        v = x * y
-                        target[s2] = target[s2] + v if s2 in target else v
+                    _add_term(out, m, c, x)
     return out
 
 
 def _unit_term_images(kind: OperatorKind, idx: MultiIndex, coeff, parts, spec: ManifoldSpec) -> dict:
-    """{s: image of the unit term s phi^idx under the kind} for the symbol
-    monomials s of coeff, from a dict cached on the spec per (kind, idx) and
-    filled on demand; shared, so read-only.  The image of s phi^idx is s
+    """{s: image of the unit term s phi^idx under the kind, a term map} for
+    the symbol monomials s of coeff, from a dict cached on the spec per
+    (kind, idx) and filled on demand; shared, so read-only.  The image is s
     times the kind's parts of d(phi^idx), plus, for each frame direction of
     the kind (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and
-    mubar), the derivative of s along it times phi^a or phi^abar wedge
-    phi^idx, where that wedge is not 0.  The missing images of one coeff are
-    built together, direction by direction, so the first derivative that
-    fails is the one a direction-by-direction derivative of coeff meets."""
-    images = spec.cached(("unit-term", kind, idx), dict)
+    mubar), the table's derivative of s along it times phi^a or phi^abar
+    wedge phi^idx.  The missing images are built direction by direction, so
+    the first derivative that fails is the one a derivative of coeff meets."""
+    images = spec.cached(("unit-term", kind.value, idx), dict)
     missing = [s for s, x in coeff.items() if s and (x.re_num or x.im_num) and s not in images]
     if not missing:
         return images
+    built = {}
+    for s in missing:
+        # the parts' monomials are distinct, and so are the products s * s1
+        built[s] = {
+            m: {_mono_mul(s, s1) if s1 else s: y for s1, y in c.items()}
+            for part in parts
+            for m, c in part.items()
+        }
     bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(kind.shift, ())
-    units = {s: Coefficient({s: _ONE}) for s in missing}
-    columns = {s: [(unit, part) for part in parts] for s, unit in units.items()}
     for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
         if direction.bar in bars:
-            for s, unit in units.items():
-                columns[s].append((unit.derive(direction, spec.table), {image: sign}))
-    images.update((s, _combine(column)) for s, column in columns.items())
+            for s, terms in built.items():
+                _add_term(terms, image, spec.table.derive_monomial(s, direction), sign)
+    images.update((s, _nonzero(terms)) for s, terms in built.items())
     return images
 
 
@@ -285,9 +280,9 @@ _IDENTITIES = (
     ("mubar^2", (-2, 4)),
 )
 # The most work the walk over all 4^n monomials may take, in coefficient-term
-# products as _walk counts them.  validate ran at 180,000 to 550,000 of them a
-# second on a 2-core Xeon with Python 3.11 (n = 3 to 6, d terms of degree 0 to
-# 12, constant and 64- to 1,024-term symbolic coefficients): 4 to 12 s there.
+# products as _walk counts them (a conservative model): validate ran at 180,000
+# to 550,000 of them a second on a 2-core Xeon with Python 3.11 (n = 3 to 6, d
+# terms of degree 0 to 12, 1- to 1,024-term coefficients), 4 to 12 s there.
 MAX_WALK = 2**21
 
 
@@ -316,13 +311,14 @@ def _unit_and_generators(n: int) -> list[MultiIndex]:
 
 def _walk(spec: ManifoldSpec):
     """all_basis_monomials(n) for the integrability check, counting its work
-    in coefficient-term products: the first d of every monomial reads each
-    term of d(phi^a) and d(phi^abar) once per monomial holding that factor,
-    4^n times the coefficient terms of d in all, and d of a term c phi^m of
-    d(idx) multiplies each term of c with each coefficient term of d(phi^m)
-    and of its 2n frame derivatives.  A HarmonicaError refuses the spec once
-    the count passes MAX_WALK: before any d when the first d's alone pass
-    it, else before the d of d(idx) that would."""
+    in coefficient-term products, a conservative model of it: the first d of
+    every monomial counts each term of d(phi^a) and d(phi^abar) once per
+    monomial holding that factor, 4^n times the coefficient terms of d in
+    all (the split reads d of the first factor only), and d of a term
+    c phi^m of d(idx) counts each term of c times each coefficient term of
+    d(phi^m) and of its 2n frame derivatives.  A HarmonicaError refuses the
+    spec once the count passes MAX_WALK: before any d when the first d's
+    alone pass it, else before the d of d(idx) that would."""
     work = 4**spec.n * sum(len(c.items()) for form in spec.d_gen.values() for c in form.terms.values())
     sizes: dict = {}  # m -> the count of one term of c: 2n + coefficient terms of d(phi^m)
     for idx in all_basis_monomials(spec.n) if work <= MAX_WALK else ():

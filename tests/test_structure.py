@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harmonica.errors import HarmonicaError, ValidationError
-from harmonica.forms import Form
+from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials
 from harmonica import structure
 from harmonica.hermitian import fundamental_form
-from harmonica.library import catalog_document, load_spec
+from harmonica.library import CATALOG_NAMES, catalog_document, load_spec
 from harmonica.report import REFUTED, VERIFIED, CheckItem, VerificationReport
-from harmonica.scalars import Coefficient, Direction, GaussianRational
+from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import (
     ManifoldSpec,
     _d_squared_parts,
@@ -24,6 +24,7 @@ from harmonica.structure import (
     all_basis_monomials,
     check_almost_kahler,
     check_integrability_relations,
+    d_by_shift,
     differential_component,
     exterior_d,
     is_integrable,
@@ -396,13 +397,13 @@ class TestLeibnizOracle:
         a second pass derives nothing."""
         torus = load_spec(catalog_document("torus6"))
         seen = []
-        derive = Coefficient.derive
+        derive = DerivationTable.derive_monomial
 
-        def recording(self, direction, table):
+        def recording(self, m, direction):
             seen.append(direction)
-            return derive(self, direction, table)
+            return derive(self, m, direction)
 
-        monkeypatch.setattr(Coefficient, "derive", recording)
+        monkeypatch.setattr(DerivationTable, "derive_monomial", recording)
         g3, g33 = Coefficient.symbol("g3"), Coefficient.symbol("g33")
         form = mono(3, (2,), (1,), g3) + mono(3, (1, 3), (), g33)
         hol = {Direction(a, False) for a in (1, 2, 3)}
@@ -568,3 +569,58 @@ class TestWalkBound:
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("unsupported: spec 'walk6_4096': ")
         assert proc.stderr.count("\n") == 1
+
+
+# The split of d against the factor-by-factor Leibniz walk it replaced: d of
+# phi^idx is the sum over its factors f_k, hol then anti, of (-1)^k
+# f_1..f_(k-1) wedge d(f_k) wedge f_(k+1).., each wedge term put in the part
+# of its bidegree shift and each part summed once with forms._combine.
+
+
+def factor_walk_split(idx, spec):
+    columns = {}
+    for k in range(idx.degree):
+        if k < idx.p:
+            d_fac = spec.d_gen[idx.hol[k]]
+        else:
+            d_fac = spec.d_gen[idx.anti[k - idx.p]].conjugate(spec.table)
+        before = MultiIndex(idx.hol[:k], idx.anti[: max(k - idx.p, 0)])
+        after = MultiIndex(idx.hol[k + 1 :], idx.anti[max(k + 1 - idx.p, 0) :])
+        for middle, c in d_fac.terms.items():
+            image, s1 = _wedge_monomials(before, middle)
+            if s1:
+                image, s2 = _wedge_monomials(image, after)
+                if s2:
+                    shift = (image.p - idx.p, image.q - idx.q)
+                    columns.setdefault(shift, []).append((c, {image: (-1) ** k * s1 * s2}))
+    parts = ((b, _combine(column)) for b, column in columns.items())
+    return {b: Form(spec.n, terms) for b, terms in parts if terms}
+
+
+def assert_splits_match(spec):
+    for idx in all_basis_monomials(spec.n):
+        assert dict(d_by_shift(idx, spec)) == factor_walk_split(idx, spec), idx
+
+
+class TestSplitOracle:
+    """d_by_shift, one Leibniz step over the cached split of the monomial
+    without its first factor, gives the factor-by-factor walk's parts on
+    every monomial."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_catalog_specs(self, name):
+        assert_splits_match(load_spec(catalog_document(name)))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_specs(self, torus, data):
+        """Structure coefficients with torus6 symbols, d terms of degree 1 to 3."""
+        assert_splits_match(data.draw(random_specs(torus.table)))
+
+    @pytest.mark.parametrize("n, terms, syms", [(2, 13, 0), (2, 13, 3), (3, 42, 2)])
+    def test_a_d_that_is_not_a_2_form(self, n, terms, syms):
+        """d(phi1) holds a 0-form and 1-, 2- and 3-forms, so d(phi1 ...) has
+        parts at shifts a 2-form d never gives."""
+        spec = load_spec(_walk_document(n, terms, syms))
+        assert {idx.degree for idx in spec.d_gen[1].terms} == {0, 1, 2, 3}
+        assert_splits_match(spec)
