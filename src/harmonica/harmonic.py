@@ -148,11 +148,6 @@ class MembershipCertificate:
         return None
 
 
-def _condition_kernel(key: str, p: int, q: int, spec: ManifoldSpec):
-    """Kernel of the stacked condition blocks as Q(i) rows, and the (p,q) monomials."""
-    return _condition_subspace(key, p, q, spec).vectors(), basis_multiindices(spec.n, p, q)
-
-
 def _condition_subspace(key: str, p: int, q: int, spec: ManifoldSpec) -> Subspace:
     """Kernel of the stacked condition blocks."""
     return word_kernel(CONDITION_WORDS[key], p, q, spec)

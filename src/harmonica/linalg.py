@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(i): one sparse canonical subspace value, and list functions over it.
+"""Exact linear algebra over Q(i): one sparse canonical subspace value.
 
 A `Subspace` of Q(i)^m holds the reduced row echelon basis over the Gaussian
 integers as sparse rows (pivot column, ((column, re, im), ...)), the nonzero
@@ -7,9 +7,11 @@ positive integer and the gcd of all its integer parts is 1, with the column
 count m beside them.  That form is unique, so `==` is literal comparison of
 the rows (m is not compared: `span([])` cannot know it); rows are tuples, so
 a cached value cannot be changed.  `vectors()` gives the Q(i) rows with
-pivots 1, for output, and `rows` a dense integer view of the basis.  The
-list functions (`rref`, `right_kernel`, `subspace_intersection`, ...) take
-and return lists of GaussianRational and convert at that boundary.
+pivots 1, for output.  Sums, intersections, inclusions and equalities of
+spaces are `+`, `&`, `<=` and `==` on the value; the only list functions
+are the constructors (`span`, `kernel`) and the dense boundary of the
+Laplacian cross-check (`rref`, `is_kernel`), which take and return lists
+of GaussianRational and convert there.
 
 Every value is built by one constructor, `Subspace._of`, from sparse
 Gaussian-integer rows: `span`, `+`, `&` and `sparse_kernel` all go through
@@ -142,18 +144,6 @@ class Subspace:
                 if j != col:
                     holders[j].add(col)
         return cls(tuple(sorted(map(_normalized, pivots.values()))), ncols)
-
-    @property
-    def rows(self) -> tuple:
-        """A dense view of the basis: (pivot column, (re, im)) rows over the
-        ncols columns."""
-        out = []
-        for col, entries in self.sparse:
-            re, im = [0] * self.ncols, [0] * self.ncols
-            for j, a, b in entries:
-                re[j], im[j] = a, b
-            out.append((col, (tuple(re), tuple(im))))
-        return tuple(out)
 
     @property
     def dim(self) -> int:
@@ -321,45 +311,3 @@ def sparse_kernel(rows, ncols: int) -> Subspace:
 def rref(rows: list[Vector]) -> list[Vector]:
     """Reduced row echelon form; returns the nonzero rows, pivots normalized to 1."""
     return span(rows).vectors()
-
-
-def rank(rows: list[Vector]) -> int:
-    return span(rows).dim
-
-
-def right_kernel(rows: list[Vector], ncols: int) -> list[Vector]:
-    """Echelon basis of {x : A x = 0} for the matrix with the given rows."""
-    return kernel(rows, ncols).vectors()
-
-
-def first_outside(rows: list[Vector], basis: list[Vector]) -> int | None:
-    """Index of the first row not in span(basis), or None if all of them are."""
-    space = span(basis)
-    return next((i for i, row in enumerate(rows) if not space._contains(_to_int(row))), None)
-
-
-def is_subspace(rows: list[Vector], basis: list[Vector]) -> bool:
-    """Whether span(rows) is contained in span(basis)."""
-    return first_outside(rows, basis) is None
-
-
-def in_span(vector: Vector, basis: list[Vector]) -> bool:
-    return is_subspace([vector], basis)
-
-
-def subspace_equal(a: list[Vector], b: list[Vector]) -> bool:
-    return span(a) == span(b)
-
-
-def subspace_sum(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    return (span(a) + span(b)).vectors()
-
-
-def subspace_intersection(a: list[Vector], b: list[Vector]) -> list[Vector]:
-    """Echelon basis of span(a) ∩ span(b)."""
-    return (span(a) & span(b)).vectors()
-
-
-def is_direct_sum(parts: list[list[Vector]]) -> bool:
-    """True when the spans meet pairwise in 0 and ranks add up."""
-    return Subspace.is_direct_sum([span(p) for p in parts])

@@ -8,7 +8,8 @@ its first factor, is one Leibniz step over the cached d(phi^J), split by
 bidegree shift into mu, del, delbar and mubar parts, cached on the spec
 (d_by_shift).  _d_terms maps a term map through d or a part: constant terms
 read that split, symbolic unit terms a cached term-map image that adds the
-frame derivatives; exterior_d, differential_component and words run it.
+frame derivatives; differential_component (exterior_d is its d) and words
+run it.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ def _d_bar(a: int, spec: ManifoldSpec) -> Form:
 
 def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
     """Exterior differential via the Leibniz rule on each monomial term."""
-    _check_ambient(spec.n, form.n)
-    return _form(form.n, _d_terms(OperatorKind.D, form.terms, spec))
+    return differential_component(form, OperatorKind.D, spec)
 
 
 def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -> Form:
@@ -384,12 +384,17 @@ def is_integrable(spec: ManifoldSpec) -> bool:
     return not any(b in shifts for split in splits for b in split)
 
 
+def is_almost_kahler(spec: ManifoldSpec) -> bool:
+    """d omega = 0, computed once per spec."""
+    return spec.cached(("almost-kahler",), lambda: exterior_d(fundamental_form(spec), spec).is_zero())
+
+
 def check_almost_kahler(spec: ManifoldSpec) -> VerificationReport:
     """d omega = 0; integrability is reported as a flag, not a requirement.
-    The metric coefficients need no item: ManifoldSpec refuses any c <= 0."""
-    omega = fundamental_form(spec)
-    d_omega = exterior_d(omega, spec)
-    closed = d_omega.is_zero()
-    item = CheckItem("d omega = 0", closed, None if closed else omega, None if closed else d_omega)
+    The metric coefficients need no item: ManifoldSpec refuses any c <= 0.
+    d omega is built again only as the residual of a failing item."""
+    closed = is_almost_kahler(spec)
+    omega = None if closed else fundamental_form(spec)
+    item = CheckItem("d omega = 0", closed, omega, None if closed else exterior_d(omega, spec))
     data = {"integrable": is_integrable(spec), "almost_kahler": closed}
     return VerificationReport.from_items(f"almost-kahler:{spec.name}", [item], data=data)

@@ -26,7 +26,6 @@ from .forms import Form, format_form
 from .harmonic import HarmonicKind, harmonic_subspace, is_harmonic
 from .hermitian import (
     form_subspace,
-    fundamental_form,
     is_primitive,
     lefschetz_image,
     lefschetz_L,
@@ -35,7 +34,7 @@ from .hermitian import (
 )
 from .linalg import Subspace
 from .report import NOT_APPLICABLE, CheckItem, VerificationReport
-from .structure import ManifoldSpec, exterior_d
+from .structure import ManifoldSpec, is_almost_kahler
 
 __all__ = [
     "verify_decomp_11",
@@ -50,15 +49,8 @@ __all__ = [
 ]
 
 
-def _is_almost_kahler(spec: ManifoldSpec) -> bool:
-    """d omega = 0, computed once per spec."""
-    return spec.cached(
-        ("almost-kahler",), lambda: exterior_d(fundamental_form(spec), spec).is_zero()
-    )
-
-
 def _require_almost_kahler(spec: ManifoldSpec) -> None:
-    if not _is_almost_kahler(spec):
+    if not is_almost_kahler(spec):
         raise NotAlmostKahler(f"spec {spec.name!r} is not almost Kahler (d omega != 0)")
 
 
@@ -370,7 +362,7 @@ def check_aeppli_L_noninclusion(spec: ManifoldSpec) -> VerificationReport:
     a reported status, not an error."""
     if spec.n != 3:
         raise DimensionMismatch("stated at n = 3")
-    if not _is_almost_kahler(spec):
+    if not is_almost_kahler(spec):
         return VerificationReport(
             "aeppli-L-inclusion", NOT_APPLICABLE, notes="spec is not almost Kahler"
         )
@@ -413,7 +405,7 @@ def all_statements(spec: ManifoldSpec) -> list:
     attempt("decomp-bc-n1n1", verify_decomp_n1n1, HarmonicKind.BC)
     attempt("decomp-a-n1n1", verify_decomp_n1n1, HarmonicKind.A)
     attempt("edge-decomps", verify_edge_decomps)
-    almost_kahler = _is_almost_kahler(spec)
+    almost_kahler = is_almost_kahler(spec)
     for p in range(spec.n + 1):
         for q in range(spec.n + 1 - p):
             if almost_kahler:

@@ -26,14 +26,7 @@ from harmonica.hermitian import (
     weil_star_primitive,
 )
 from harmonica.library import catalog
-from harmonica.linalg import (
-    in_span,
-    rank,
-    rref,
-    subspace_equal,
-    subspace_intersection,
-    subspace_sum,
-)
+from harmonica.linalg import rref, span
 from harmonica.report import VERIFIED
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import (
@@ -77,7 +70,7 @@ def test_criterion_01_iwasawa_bc_21_basis(capsys):
     want = [parse_form(V1, 3), parse_form(V2, 3)]
     monomials = basis_multiindices(3, 2, 1)
     ok = ok and len(basis) == 2
-    ok = ok and subspace_equal(forms_to_rows(basis, monomials), forms_to_rows(want, monomials))
+    ok = ok and span(forms_to_rows(basis, monomials)) == span(forms_to_rows(want, monomials))
     ok = ok and rref(forms_to_rows(basis, monomials)) == forms_to_rows(want, monomials)
     with capsys.disabled():
         note(1, ok, "invariant Bott-Chern (2,1) space on iwasawa_ak is the expected 2-dim span, exactly")
@@ -100,7 +93,7 @@ def test_criterion_02_iwasawa_bc21_gap(capsys):
     # invariant part of L(H^{1,0}_BC) is exactly the expected span
     phi3_space = harmonic_space(bc, 1, 0, iw)
     lifted = [lefschetz_L(f, iw) for f in phi3_space.basis]
-    ok = subspace_equal(forms_to_rows(lifted, monomials), forms_to_rows([v1], monomials))
+    ok = span(forms_to_rows(lifted, monomials)) == span(forms_to_rows([v1], monomials))
     # the second generator is not primitive: L(v2) = -2i L(phi[2,3;2]) != 0
     lv2 = lefschetz_L(v2, iw)
     ok = ok and lv2 == lefschetz_L(mono(3, (2, 3), (2,)), iw) * G(0, -2)
@@ -122,13 +115,13 @@ def test_criterion_02_iwasawa_bc21_gap(capsys):
     monomials = basis_multiindices(3, 1, 2)
     harmonic = forms_to_rows(harmonic_space(bc, 1, 2, iw).basis, monomials)
     primitive = forms_to_rows(primitive_basis(iw, 1, 2), monomials)
-    prim_part = subspace_intersection(harmonic, primitive)
+    prim_part = span(harmonic) & span(primitive)
     lifted = [lefschetz_L(f, iw) for f in harmonic_space(bc, 0, 1, iw).basis]
-    L_part = rref(forms_to_rows(lifted, monomials))
-    total = subspace_sum(prim_part, L_part)
-    ok = ok and (len(harmonic), len(prim_part), len(L_part), len(total)) == (3, 1, 1, 2)
-    ok = ok and subspace_sum(harmonic, total) == harmonic
-    outside = [row for row in harmonic if not in_span(row, total)]
+    L_part = span(forms_to_rows(lifted, monomials))
+    total = prim_part + L_part
+    ok = ok and (len(harmonic), prim_part.dim, L_part.dim, total.dim) == (3, 1, 1, 2)
+    ok = ok and (span(harmonic) + total).vectors() == harmonic
+    outside = [row for row in harmonic if not span([row]) <= total]
     witness = rows_to_forms(outside[:1], monomials, 3)
     ok = ok and witness == [parse_form("phi[3;1,3] + (0,-1)*phi[3;2,3]", 3)]
     ok = ok and is_harmonic(bc, witness[0], iw).verdict
@@ -198,11 +191,9 @@ def test_criterion_05_primitive_relations(capsys):
     for p in range(4):
         q = 3 - p
         monomials = basis_multiindices(3, p, q)
-        prim = forms_to_rows(primitive_basis(iw, p, q), monomials)
+        prim = span(forms_to_rows(primitive_basis(iw, p, q), monomials))
         spaces = [
-            subspace_intersection(
-                forms_to_rows(harmonic_space(kind, p, q, iw).basis, monomials), prim
-            )
+            span(forms_to_rows(harmonic_space(kind, p, q, iw).basis, monomials)) & prim
             for kind in (HarmonicKind.BC, HarmonicKind.DEL, HarmonicKind.DELBAR, HarmonicKind.A)
         ]
         for other in spaces[1:]:
@@ -311,7 +302,7 @@ def test_criterion_08_primitive_round_trip_and_ranks(capsys):
                 for _ in range(h):
                     f = lefschetz_L(f, iw)
                 rows.append([f.coefficient(t).constant_value() for t in target])
-            r = rank(rows)
+            r = span(rows).dim
             if h + k <= n:
                 ok = ok and r == len(source)
             if h + k >= n:
@@ -329,10 +320,9 @@ def test_criterion_09_star_duality_of_harmonic_spaces(capsys):
             bc = harmonic_space(HarmonicKind.BC, p, q, iw)
             target = harmonic_space(HarmonicKind.A, 3 - q, 3 - p, iw)
             monomials = basis_multiindices(3, 3 - q, 3 - p)
-            ok = ok and subspace_equal(
-                forms_to_rows([hodge_star(f, iw) for f in bc.basis], monomials),
-                forms_to_rows(target.basis, monomials),
-            )
+            ok = ok and span(
+                forms_to_rows([hodge_star(f, iw) for f in bc.basis], monomials)
+            ) == span(forms_to_rows(target.basis, monomials))
     with capsys.disabled():
         note(9, ok, "star maps each invariant Bott-Chern space onto the dual Aeppli space, all 16 bidegrees")
     assert ok

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonica.errors import ParseError
+from harmonica.errors import NotHomogeneous, ParseError
 from harmonica.forms import Form, MultiIndex, basis_multiindices, format_form, parse_form
 from harmonica.hermitian import fundamental_form
 from harmonica.scalars import (
@@ -147,6 +147,15 @@ class TestBidegree:
             for part in f.homogeneous_parts().values():
                 total = total + part
             assert total == f
+
+    def test_mixed_degrees_are_refused(self):
+        mixed = mono(3, (1,)) + mono(3, (1, 2))
+        with pytest.raises(NotHomogeneous) as refused:
+            mixed.require_homogeneous_degree()
+        assert str(refused.value) == "form mixes total degrees"
+        with pytest.raises(NotHomogeneous) as refused:
+            (mono(3, (1,)) + mono(3, (), (1,))).require_bidegree()
+        assert str(refused.value) == "form mixes bidegrees"
 
     def test_basis_count(self):
         import math

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from harmonica import hermitian
-from harmonica.errors import DegreeTooHigh, NotPrimitive
+from harmonica.errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
 from harmonica.forms import Form, MultiIndex, basis_multiindices
 from harmonica.hermitian import (
+    forms_to_rows,
     fundamental_form,
     hodge_star,
     is_primitive,
@@ -17,11 +18,12 @@ from harmonica.hermitian import (
     monomial_inner_square,
     primitive_basis,
     primitive_decompose,
+    primitive_subspace,
     volume_form,
     weil_star_primitive,
 )
-from harmonica.linalg import rank
-from harmonica.scalars import GaussianRational
+from harmonica.linalg import span
+from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import ManifoldSpec, all_basis_monomials
 
 from conftest import rand_form_degree, rand_form_pq, rand_gauss
@@ -171,6 +173,11 @@ class TestLefschetz:
         with pytest.raises(DegreeTooHigh):
             is_primitive(mono(3, (1, 2), (1, 2)), iwasawa)
 
+    def test_primitive_subspace_degree_too_high(self, iwasawa):
+        with pytest.raises(DegreeTooHigh) as refused:
+            primitive_subspace(iwasawa, 2, 2)
+        assert str(refused.value) == "primitive forms need p+q <= n = 3"
+
     def test_L_rank_profile(self, iwasawa):
         # L^h injective for h+k <= n, surjective for h+k >= n
         n = 3
@@ -195,7 +202,7 @@ class TestLefschetz:
                     for _ in range(h):
                         f = lefschetz_L(f, iwasawa)
                     rows.append([f.coefficient(t).constant_value() for t in target])
-                r = rank(rows)
+                r = span(rows).dim
                 if h + k <= n:
                     assert r == len(source), (k, h)
                 if h + k >= n:
@@ -248,6 +255,17 @@ class TestWeilFormula:
     def test_rejects_non_primitive(self, iwasawa):
         with pytest.raises(NotPrimitive):
             weil_star_primitive(fundamental_form(iwasawa), 0, iwasawa)
+
+    def test_rejects_degree_above_n(self, iwasawa):
+        with pytest.raises(DegreeTooHigh) as refused:
+            weil_star_primitive(mono(3, (1, 2), (1, 2)), 0, iwasawa)
+        assert str(refused.value) == "primitive forms have degree <= n = 3"
+
+    @pytest.mark.parametrize("r", [-1, 3])
+    def test_rejects_power_out_of_range(self, iwasawa, r):
+        with pytest.raises(ValueError) as refused:
+            weil_star_primitive(mono(3, (1,), ()), r, iwasawa)
+        assert str(refused.value) == f"need 0 <= r <= n-k, got r={r}, k=1, n=3"
 
 
 class TestPrimitiveDecomposition:
@@ -326,6 +344,12 @@ class TestSymbolicMetricLayer:
         g3 = Coefficient.symbol("g3")
         f = mono(3, (1,), (2,))
         assert hodge_star(f * g3, torus) == hodge_star(f, torus) * g3
+
+    def test_rows_need_constant_coefficients(self, torus):
+        form = Form.monomial(3, (1,), (), Coefficient.symbol("g3"))
+        with pytest.raises(SymbolicCoefficients) as refused:
+            forms_to_rows([form], basis_multiindices(3, 1, 0))
+        assert str(refused.value) == "expected constant coefficients"
 
     def test_primitive_decompose_symbolic(self, torus):
         from harmonica.scalars import Coefficient

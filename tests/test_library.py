@@ -12,9 +12,11 @@ from harmonica.errors import (
     ValidationError,
 )
 from harmonica.forms import Form, parse_form
+from harmonica.cli import main
 from harmonica.library import (
     CATALOG_NAMES,
     MAX_N,
+    _golden_text,
     catalog,
     catalog_document,
     load_spec,
@@ -161,6 +163,65 @@ class TestLoader:
     def test_malformed_derivation_settings(self, field, value):
         with pytest.raises(SchemaError, match=field):
             load_spec(minimal_doc(**{field: value}))
+
+
+ONE = {"re": "1", "im": "0"}
+# (document overrides, refusal message) of spec documents that are well-formed
+# JSON objects of the right shape but semantically invalid.
+REFUSALS = {
+    "duplicate-generators": (
+        dict(n=2, generators=["phi1", "phi1"], d={}, omega=["1", "1"]),
+        "generator names must be distinct",
+    ),
+    "conjugate-undeclared": (
+        dict(symbols=["a"], conjugates={"a": "b"}),
+        "conjugate pair ('a','b') uses undeclared symbols",
+    ),
+    "derivation-of-undeclared": (
+        dict(derivations={"a": {}}),
+        "derivation entry for undeclared symbol 'a'",
+    ),
+    "direction-out-of-range": (
+        dict(symbols=["a"], derivations={"a": {"V2": ONE}}),
+        "direction 'V2' out of range for n=1",
+    ),
+    "derivation-uses-undeclared": (
+        dict(symbols=["a"], derivations={"a": {"V1": {"terms": [{"c": ONE, "syms": [["b", 1]]}]}}}),
+        "derivation of 'a' uses undeclared symbol 'b'",
+    ),
+    "d-of-unknown-generator": (
+        dict(d={"phi1": [], "phi2": []}),
+        "'d' names unknown generators: ['phi2']",
+    ),
+    "omega-count": (dict(omega=["1", "1"]), "expected 1 omega coefficients"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_load_spec_refuses(self, case):
+        overrides, message = REFUSALS[case]
+        with pytest.raises(ValidationError) as refused:
+            load_spec(minimal_doc(**overrides))
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_validate_exits_2_with_one_error_line(self, case, tmp_path, capsys):
+        overrides, message = REFUSALS[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(minimal_doc(**overrides)), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_unknown_catalog_document(self):
+        with pytest.raises(UnknownSpec) as refused:
+            catalog_document("nosuch")
+        assert str(refused.value) == "no catalog spec named 'nosuch'"
+        with pytest.raises(UnknownSpec) as refused:
+            _golden_text("nosuch")
+        assert str(refused.value) == "no catalog spec named 'nosuch'"
 
 
 def test_schema_symbol_pattern_is_the_form_grammar():

@@ -104,6 +104,28 @@ class TestCoefficient:
             assert (a * b).conjugate(table) == a.conjugate(table) * b.conjugate(table)
             assert a.conjugate(table).conjugate(table) == a
 
+    def test_refused_operations(self):
+        g3 = Coefficient.symbol("g3")
+        with pytest.raises(ZeroDivisionError) as refused:
+            C(1) / g3
+        assert str(refused.value) == "cannot divide by a symbolic coefficient"
+        assert g3 / C(2) == g3 * G(Fraction(1, 2))
+        with pytest.raises(ValueError) as refused:
+            g3 ** -1
+        assert str(refused.value) == "negative powers are not defined for Coefficient"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1], "coefficient document must be an object: [1]"),
+            ({"im": "1"}, "coefficient document needs 're'/'im' or 'terms'"),
+        ],
+    )
+    def test_malformed_json_is_refused(self, doc, message):
+        with pytest.raises(ParseError) as refused:
+            Coefficient.from_json(doc)
+        assert str(refused.value) == message
+
     def test_is_zero_canonical(self):
         a = C(1) - C(1)
         assert a.is_zero()
@@ -245,6 +267,12 @@ class TestDirection:
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.extra = 1
         assert not hasattr(d, "extra") and d == Direction(3, True)
+
+    @pytest.mark.parametrize("label", ["W1", "V0", "Vb", "v1"])
+    def test_malformed_label_is_refused(self, label):
+        with pytest.raises(ParseError) as refused:
+            Direction.from_label(label)
+        assert str(refused.value) == f"not a direction label: {label!r}"
 
 
 class TestDerivativeMemo:

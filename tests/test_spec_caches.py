@@ -251,7 +251,7 @@ class TestSparseKernels:
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
                 for key in harmonic.CONDITION_WORDS:
-                    harmonic._condition_kernel(key, p, q, spec)
+                    harmonic._condition_subspace(key, p, q, spec).vectors()
                 if p + q <= spec.n:
                     primitive_subspace(spec, p, q)
         monkeypatch.undo()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from harmonica.errors import HarmonicaError, ValidationError
 from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials
-from harmonica import structure
+from harmonica import structure, theorems
 from harmonica.hermitian import fundamental_form
 from harmonica.library import CATALOG_NAMES, catalog_document, load_spec
 from harmonica.report import REFUTED, VERIFIED, CheckItem, VerificationReport
@@ -167,6 +167,27 @@ class TestChecks:
         assert rep.data["integrable"]
         assert rep.status == REFUTED and not rep.data["almost_kahler"]
 
+    def test_d_omega_is_built_once_per_spec(self, monkeypatch):
+        """check_almost_kahler and the statements read one cached predicate;
+        d omega is built again only as the residual of a failing item."""
+        assert theorems.is_almost_kahler is structure.is_almost_kahler
+        calls = []
+        d = structure.exterior_d
+        monkeypatch.setattr(structure, "exterior_d", lambda f, spec: calls.append(f) or d(f, spec))
+        for name, closed in (("iwasawa_ak", True), ("iwasawa_cplx", False)):
+            spec = load_spec(catalog_document(name))
+            omega = fundamental_form(spec)
+            calls.clear()
+            reports = [check_almost_kahler(spec) for _ in range(2)]
+            assert structure.is_almost_kahler(spec) is closed
+            assert calls == [omega] * (1 if closed else 3)
+            for rep in reports:
+                (item,) = rep.items
+                assert item.ok is closed and rep.data["almost_kahler"] is closed
+                assert item.witness == (None if closed else omega)
+                assert item.residual == (None if closed else d(omega, spec))
+                assert closed or not item.residual.is_zero()
+
     def test_mutated_constant_fails(self, iwasawa):
         mutated = {a: f for a, f in iwasawa.d_gen.items()}
         mutated[1] = mutated[1] + Form.monomial(3, (1, 3), (), G(Fraction(1, 4)))
@@ -189,6 +210,23 @@ class TestChecks:
                 d_gen={},
                 omega_coeffs=(0,),
             )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(n=0, generators=[], omega_coeffs=()), "n must be >= 1"),
+            (dict(n=2, generators=["phi1"], omega_coeffs=(1, 1)), "need exactly 2 generator names"),
+            (dict(n=2, generators=["phi1", "phi2"], omega_coeffs=(1,)), "need exactly 2 omega coefficients"),
+            (
+                dict(n=1, generators=["phi1"], omega_coeffs=(1,), d_gen={1: Form.zero(2)}),
+                "d(gen 1) lives in the wrong ambient algebra",
+            ),
+        ],
+    )
+    def test_spec_fields_are_checked(self, fields, message):
+        with pytest.raises(ValidationError) as refused:
+            ManifoldSpec(**{"name": "bad", "d_gen": {}, **fields})
+        assert str(refused.value) == message
 
     def test_d_omega_zero_on_ak_specs(self, iwasawa, torus, flat):
         for spec in (iwasawa, torus, flat):

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+from harmonica import theorems
 from harmonica.errors import BidegreeOutOfRange, DimensionMismatch, NotAlmostKahler
 from harmonica.forms import Form, basis_multiindices, format_form, parse_form
 from harmonica.harmonic import (
@@ -13,7 +15,7 @@ from harmonica.harmonic import (
 )
 from harmonica.hermitian import fundamental_form, is_primitive, lefschetz_L, subspace_forms
 from harmonica.library import catalog_document, load_spec
-from harmonica.linalg import Subspace, in_span, subspace_equal
+from harmonica.linalg import Subspace, rref, span
 from harmonica.report import NOT_APPLICABLE, REFUTED, VERIFIED
 from harmonica.structure import ManifoldSpec
 from harmonica.theorems import (
@@ -61,6 +63,18 @@ class TestDecompositions:
         with pytest.raises(NotAlmostKahler):
             verify_decomp_11(cplx, HarmonicKind.BC)
 
+    @pytest.mark.parametrize("verify", [verify_decomp_11, verify_decomp_n1n1])
+    def test_stated_for_bc_and_a_only(self, flat, verify):
+        with pytest.raises(ValueError) as refused:
+            verify(flat, HarmonicKind.D)
+        assert str(refused.value) == "decomposition stated for BC and A only"
+
+    def test_n1n1_needs_n_at_least_2(self):
+        flat2 = ManifoldSpec(name="flat2", n=1, generators=["phi1"], d_gen={}, omega_coeffs=(1,))
+        with pytest.raises(DimensionMismatch) as refused:
+            verify_decomp_n1n1(flat2, HarmonicKind.BC)
+        assert str(refused.value) == "needs n >= 2"
+
     def test_edge_decomps(self, iwasawa, flat):
         for spec in (iwasawa, flat):
             assert verify_edge_decomps(spec).status == VERIFIED
@@ -73,9 +87,7 @@ class TestDecompositions:
             lifted.append(omega.wedge(omega.wedge(f)))
         monomials = basis_multiindices(3, 3, 2)
         target = harmonic_space(HarmonicKind.A, 3, 2, iwasawa)
-        assert subspace_equal(
-            forms_to_rows(lifted, monomials), forms_to_rows(target.basis, monomials)
-        )
+        assert span(forms_to_rows(lifted, monomials)) == span(forms_to_rows(target.basis, monomials))
 
 
 class TestRelations:
@@ -104,15 +116,15 @@ class TestRelations:
             bc = harmonic_space(HarmonicKind.BC, 1, 1, spec)
             ae = harmonic_space(HarmonicKind.A, 1, 1, spec)
             monomials = basis_multiindices(3, 1, 1)
-            ae_rows = forms_to_rows(ae.basis, monomials)
+            ae_span = span(forms_to_rows(ae.basis, monomials))
             for row in forms_to_rows(bc.basis, monomials):
-                assert in_span(row, ae_rows)
+                assert span([row]) <= ae_span
             bc22 = harmonic_space(HarmonicKind.BC, 2, 2, spec)
             ae22 = harmonic_space(HarmonicKind.A, 2, 2, spec)
             monomials = basis_multiindices(3, 2, 2)
-            bc_rows = forms_to_rows(bc22.basis, monomials)
+            bc_span = span(forms_to_rows(bc22.basis, monomials))
             for row in forms_to_rows(ae22.basis, monomials):
-                assert in_span(row, bc_rows)
+                assert span([row]) <= bc_span
 
 
 class TestTorusCounterexamples:
@@ -155,9 +167,23 @@ class TestBc21Gap:
         lifted = lefschetz_L(harmonic_space(HarmonicKind.BC, 1, 0, iwasawa).basis[0], iwasawa)
         monomials = basis_multiindices(3, 2, 1)
         want = parse_form("phi[1,3;1] + phi[2,3;2]", 3)
-        assert subspace_equal(
-            forms_to_rows([lifted], monomials), forms_to_rows([want], monomials)
-        )
+        assert span(forms_to_rows([lifted], monomials)) == span(forms_to_rows([want], monomials))
+
+    def test_witness_recheck_runs(self, monkeypatch):
+        """With the primitive part forced to 0 the sum is strict, and the
+        witness re-check holds: the witness is harmonic, outside the sum, and
+        L(w) is its residual."""
+        spec = load_spec(catalog_document("iwasawa_ak"))
+        monkeypatch.setattr(theorems, "_harmonic_primitive", lambda *args: Subspace())
+        report = verify_bc21_gap(spec)
+        assert report.data["equality"] is False and report.data["dim_primitive_part"] == 0
+        (w,) = report.witnesses
+        recheck = report.items[-1]
+        assert recheck.name == "witness is harmonic but outside the direct sum"
+        assert recheck.ok and recheck.witness == w
+        assert recheck.residual == lefschetz_L(w, spec) and not recheck.residual.is_zero()
+        assert is_harmonic(HarmonicKind.BC, w, spec).verdict
+        assert report.status == VERIFIED
 
     def test_flat_equality(self, flat):
         report = verify_bc21_gap(flat)
@@ -196,6 +222,26 @@ class TestAeppliNonInclusion:
             w = report.witnesses[0]
             assert not is_harmonic(HarmonicKind.A, w, iwasawa).verdict
 
+    def test_witness_recheck_catches_a_false_witness(self, monkeypatch):
+        """With H^{2,1}_a forced to 0 the first L-image becomes a witness,
+        but it is Aeppli harmonic on the flat spec, so the re-check fails."""
+        spec = load_spec(catalog_document("flat_kahler6"))
+        space = theorems.harmonic_subspace
+
+        def zero_a21(kind, p, q, spec):
+            if (kind, p, q) == (HarmonicKind.A, 2, 1):
+                return Subspace()
+            return space(kind, p, q, spec)
+
+        monkeypatch.setattr(theorems, "harmonic_subspace", zero_a21)
+        report = check_aeppli_L_noninclusion(spec)
+        (w,) = report.witnesses
+        assert is_harmonic(HarmonicKind.A, w, spec).verdict
+        recheck = report.items[-1]
+        assert recheck.name == "witness re-check: not Aeppli harmonic"
+        assert not recheck.ok and recheck.witness == w and recheck.residual is None
+        assert report.status == REFUTED and report.data["inclusion_holds"] is False
+
     def test_not_applicable_without_dw0(self, cplx):
         assert check_aeppli_L_noninclusion(cplx).status == NOT_APPLICABLE
 
@@ -216,17 +262,19 @@ class TestAllStatements:
 
 class TestSparseStatements:
     """The statements read the sparse rows of their subspace values and never
-    build the dense `Subspace.rows` view."""
+    build the dense `Subspace.vectors` view; only `rref`, the dense boundary
+    of the Laplacian cross-check, does."""
 
     def test_statements_never_read_the_dense_view(self, monkeypatch):
         reads = []
-        view = Subspace.rows
+        view = Subspace.vectors
 
         def counted(space):
-            reads.append(space.dim)
-            return view.fget(space)
+            if sys._getframe(1).f_code is not rref.__code__:
+                reads.append(space.dim)
+            return view(space)
 
-        monkeypatch.setattr(Subspace, "rows", property(counted))
+        monkeypatch.setattr(Subspace, "vectors", counted)
         flat8 = ManifoldSpec(
             name="flat8",
             n=4,
