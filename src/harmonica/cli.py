@@ -9,7 +9,9 @@ dimension, n above library.MAX_N, an exponent above scalars.MAX_EXPONENT,
 an integrability walk above structure.MAX_WALK, bidegree out of range, and
 similar).
 Output is deterministic given the spec bytes and the command line; printed
-forms always use the `phi[...]` syntax and re-parse bit-exactly.
+forms always use the `phi[...]` syntax and re-parse bit-exactly.  The
+argument parser is built by the first `main` call of a process, not at
+import, and reused by later calls.
 """
 
 from __future__ import annotations
@@ -284,9 +286,14 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     args.ascii = args.ascii or os.environ.get("HARMONICA_ASCII") == "1"
     out = print
     try:

@@ -115,13 +115,20 @@ def _check_ambient(n: int, other: int) -> None:
         raise ValueError(f"ambient mismatch: n={n} vs n={other}")
 
 
+_BASES: dict = {}  # (n, p, q) -> the (p,q) monomials as a tuple, built once per process
+
+
 def basis_multiindices(n: int, p: int, q: int) -> list[MultiIndex]:
-    """All (p,q) monomials in canonical order (lexicographic hol, then anti)."""
-    return [
-        MultiIndex(hol, anti)
-        for hol in itertools.combinations(range(1, n + 1), p)
-        for anti in itertools.combinations(range(1, n + 1), q)
-    ]
+    """All (p,q) monomials in canonical order (lexicographic hol, then anti),
+    as a new list of the basis built once per (n, p, q)."""
+    basis = _BASES.get((n, p, q))
+    if basis is None:
+        basis = _BASES[n, p, q] = tuple(
+            MultiIndex(hol, anti)
+            for hol in itertools.combinations(range(1, n + 1), p)
+            for anti in itertools.combinations(range(1, n + 1), q)
+        )
+    return list(basis)
 
 
 class Form:

@@ -203,8 +203,8 @@ def _harmonic_kernel(kind, p, q, spec) -> Subspace:
 
 def is_harmonic(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> MembershipCertificate:
     """Exact membership certificate; works for symbolic coefficients too."""
-    conditions = []
-    for word in CONDITION_WORDS[kind.value]:
+    label, conditions = kind.value, []
+    for word in CONDITION_WORDS[label]:
         residual = apply_word(word, form, spec)
         conditions.append(ConditionResult(" ".join(word) + " a", residual, residual.is_zero()))
-    return MembershipCertificate(form, kind.value, conditions)
+    return MembershipCertificate(form, label, conditions)

@@ -14,14 +14,15 @@ Laplacian cross-check (`rref`, `is_kernel`), which take and return lists
 of GaussianRational and convert there.
 
 Every value is built by one constructor, `Subspace._of`, from sparse
-Gaussian-integer rows: `span`, `+`, `&` and `sparse_kernel` all go through
-it.  `_of` reduces the rows as they are, sparse, with no dense copy: it
-keeps pivot rows that are zero at every other pivot column, reduces each
-incoming row at the pivot columns it touches, makes what is left a pivot
-row at its smallest column and reduces the older pivot rows that hold that
-column.  A reduction combines two rows only where they share a column, so
-operator matrices, which fall apart into small blocks, are reduced block by
-block without being split.  Membership needs no elimination: v lies in the
+Gaussian-integer rows, or read off its result: `span`, `+` and `&` go
+through it, and `sparse_kernel` reads the kernel off one `_of` of the
+matrix's rows.  `_of` reduces the rows as they are, sparse, with no dense
+copy: it keeps pivot rows that are zero at every other pivot column,
+reduces each incoming row at the pivot columns it touches, makes what is
+left a pivot row at its smallest column and reduces the older pivot rows
+that hold that column.  A reduction combines two rows only where they
+share a column, so operator matrices, which fall apart into small blocks,
+are reduced block by block without being split.  Membership needs no elimination: v lies in the
 space exactly when v = sum_c (v[c]/p_c) row_c over the pivot columns c that
 v touches, p_c the pivot entries.  Two identities of canonical values need
 no row work at all: a value lies in any value equal to it (`first_outside`
@@ -31,13 +32,15 @@ Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
 the gcd of all its integer parts, so no rational number is formed.
 
-`sparse_kernel` reads the kernel from the canonical rows of a sparse matrix,
-and `kernel` of a dense one is `sparse_kernel` of its nonzero entries.  The
-Laplacian cross-check reads no second kernel: `is_kernel` decides whether a
-space is the kernel of a matrix from the matrix's reduced rows, by rank and
-annihilation, so the condition kernel and the Laplacian are compared on
-different matrices by different routes; the reduction they share is checked
-against sympy in the tests.
+`sparse_kernel` reduces a sparse matrix's rows once with each pivot at its
+row's largest column (the columns mirrored for `_of`); each free column
+then gives one kernel vector that is already a canonical row, so there is
+no second elimination.  `kernel` of a dense matrix is `sparse_kernel` of
+its nonzero entries.  The Laplacian cross-check reads no second kernel:
+`is_kernel` decides whether a space is the kernel of a matrix from the
+matrix's reduced rows, by rank and annihilation, so the condition kernel
+and the Laplacian are compared on different matrices by different routes;
+the reduction they share is checked against sympy in the tests.
 """
 
 from __future__ import annotations
@@ -284,28 +287,34 @@ def sparse_rows(columns: list[dict]) -> list[dict]:
 
 def sparse_kernel(rows, ncols: int) -> Subspace:
     """{x : A x = 0} for the matrix with these sparse Q(i) rows {column
-    index: value}, read from the canonical rows of its row space: each free
-    column f gives L e_f - sum_r (L / p_r) row_r[f] e_{pc_r} over the rows r
-    with row_r[f] != 0, with pivot column pc_r and pivot entry p_r, L the
-    lcm of those p_r.  A column that no row touches gives e_f."""
-    space = sparse_span(rows, ncols)
+    index: value}, by one reduction with each pivot at its row's largest
+    column (the span of the mirrored columns).  Each free column f gives
+    L e_f - sum_r (L / p_r) row_r[f] e_{pc_r} over the rows r with
+    row_r[f] != 0, with pivot column pc_r and pivot entry p_r, L the lcm of
+    those p_r.  Every such pc_r is larger than f, so f is the vector's
+    smallest column and no other free column is in it: normalized, the
+    vectors in order of f are the canonical rows of the kernel.  A column
+    that no row touches gives e_f."""
+    last = ncols - 1
+    mirrored = sparse_span([{last - j: x for j, x in row.items()} for row in rows], ncols)
     hits: dict = {}
-    for col, entries in space.sparse:
+    pivots = set()
+    for col, entries in mirrored.sparse:
         p = entries[0][1]
+        pivots.add(last - col)
         for j, a, b in entries[1:]:
-            hits.setdefault(j, []).append((col, p, a, b))
-    pivots = space._by_pivot
+            hits.setdefault(last - j, []).append((last - col, p, a, b))
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
         terms = hits.get(f, ())
         scale = lcm(*(p for _, p, _, _ in terms))
-        vector = [(f, scale, 0)]
+        vector = {f: (scale, 0)}
         for col, p, a, b in terms:
-            vector.append((col, -(scale // p) * a, -(scale // p) * b))
-        basis.append(vector)
-    return Subspace._of(basis, ncols)
+            vector[col] = (-(scale // p) * a, -(scale // p) * b)
+        basis.append(_normalized(vector))
+    return Subspace(tuple(basis), ncols)
 
 
 def rref(rows: list[Vector]) -> list[Vector]:

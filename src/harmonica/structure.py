@@ -84,6 +84,7 @@ class ManifoldSpec:
     table: DerivationTable = field(default_factory=DerivationTable)
     _cache: dict = field(init=False, repr=False, compare=False)
     _d_active: frozenset = field(init=False, repr=False, compare=False)  # the a with d(phi^a) != 0
+    _symbolic: bool = field(init=False, repr=False, compare=False)  # some d(phi^a) has a symbol
 
     def __post_init__(self):
         if self.n < 1:
@@ -110,6 +111,9 @@ class ManifoldSpec:
         object.__setattr__(self, "table", ReadOnlyTable(self.table))
         object.__setattr__(self, "_cache", {})
         object.__setattr__(self, "_d_active", frozenset(a for a, form in d_gen.items() if form))
+        object.__setattr__(
+            self, "_symbolic", any(not f.is_constant_coefficients() for f in d_gen.values())
+        )
 
     def cached(self, key: tuple, build, *args):
         """build(*args), computed once per key for the life of this spec."""
@@ -124,7 +128,7 @@ class ManifoldSpec:
         return self.d_gen[index]
 
     def has_symbolic_structure(self) -> bool:
-        return any(not f.is_constant_coefficients() for f in self.d_gen.values())
+        return self._symbolic
 
     def with_omega(self, coeffs) -> "ManifoldSpec":
         return replace(self, omega_coeffs=tuple(Fraction(c) for c in coeffs))

@@ -369,6 +369,56 @@ class TestEntryPoint:
         assert "almost Kahler: yes" in proc.stdout
 
 
+class TestOneParserPerProcess:
+    """Consecutive main calls share one parser and answer as fresh
+    processes do: same stdout, stderr and exit code, an argparse usage
+    error and --help included."""
+
+    def test_consecutive_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        from harmonica import cli
+
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        calls = [
+            ["harmonics", "iwasawa_ak", "--laplacian", "bc", "--bidegree", "2,1"],
+            ["report", "iwasawa_cplx", "--json", str(tmp_path / "report.json")],
+            ["harmonics", "iwasawa_ak", "--laplacian", "bc"],
+            ["--help"],
+            ["harmonics", "iwasawa_ak", "--laplacian", "bc", "--bidegree", "2,1"],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert built == [1]
+        assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
+        for argv, result in zip(calls, in_process):
+            proc = subprocess.run(
+                [sys.executable, "-m", "harmonica.cli", *argv], capture_output=True, text=True
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == result, argv
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from harmonica import cli; print(cli._parser)"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "None\n")
+
+
 class TestValidationGate:
     def test_computing_on_broken_spec_refused(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -164,6 +165,25 @@ class TestBidegree:
             for p in range(n + 1):
                 for q in range(n + 1):
                     assert len(basis_multiindices(n, p, q)) == math.comb(n, p) * math.comb(n, q)
+
+    def test_basis_is_a_new_list_each_time(self):
+        """Each call returns a new list equal to the itertools enumeration,
+        so a caller that changes it changes no later call."""
+        for n in range(1, 5):
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    expected = [
+                        MultiIndex(hol, anti)
+                        for hol in itertools.combinations(range(1, n + 1), p)
+                        for anti in itertools.combinations(range(1, n + 1), q)
+                    ]
+                    basis = basis_multiindices(n, p, q)
+                    assert type(basis) is list and basis == expected
+                    assert basis_multiindices(n, p, q) is not basis
+                    basis.reverse()
+                    basis.append(MultiIndex((1,), ()))
+                    basis.pop(0)
+                    assert basis_multiindices(n, p, q) == expected
 
 
 class TestSyntax:

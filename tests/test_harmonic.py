@@ -27,6 +27,7 @@ from harmonica.hermitian import (
     block_rows,
     fundamental_form,
     hodge_star,
+    lefschetz_lambda,
     monomial_inner_square,
     operator_columns,
     primitive_basis,
@@ -472,14 +473,14 @@ def _times_torus(name, k):
 @pytest.mark.parametrize(
     "name, k",
     [pytest.param(name, 2, id=name) for name in ("iwasawa_ak", "iwasawa_cplx", "flat_kahler6")]
-    + [pytest.param("iwasawa_cplx", 3, id="iwasawa_cplx-k3")],
+    + [pytest.param(name, 3, id=f"{name}-k3") for name in ("iwasawa_cplx", "flat_kahler6")],
 )
 def test_tables_of_a_product_with_a_4_torus(name, k):
-    """Kunneth at k = 2, and at k = 3 (n = 6) on iwasawa_cplx, the n = 6
-    product with the cheapest report: the (a,b) parts of the invariant
-    complex of T^2k have dimension C(k,a) C(k,b), so every harmonic table
-    of X x T^2k is h^{p,q}(X x T^2k) = sum over a, b in {0, ..., k} of
-    C(k,a) C(k,b) h^{p-a,q-b}(X)."""
+    """Kunneth at k = 2, and at k = 3 (n = 6) on iwasawa_cplx and
+    flat_kahler6, the n = 6 products with the cheapest reports: the (a,b)
+    parts of the invariant complex of T^2k have dimension C(k,a) C(k,b), so
+    every harmonic table of X x T^2k is h^{p,q}(X x T^2k) = sum over a, b in
+    {0, ..., k} of C(k,a) C(k,b) h^{p-a,q-b}(X)."""
     base = load_spec(catalog_document(name))
     product = _times_torus(name, k)
     n = base.n
@@ -498,6 +499,23 @@ def test_tables_of_a_product_with_a_4_torus(name, k):
                     for b in range(k + 1)
                 )
                 assert harmonic_subspace(kind, p, q, product).dim == expected, (kind, p, q)
+
+
+def test_primitive_dimensions_at_n6():
+    """Lambda maps the (p,q)-forms onto the (p-1,q-1)-forms when p + q <= n,
+    for any Hermitian metric (the Lefschetz decomposition at a point), so
+    the primitive (p,q)-forms have dimension C(n,p) C(n,q) - C(n,p-1)
+    C(n,q-1), and Lambda annihilates each basis form.  At n = 6, with
+    unequal metric weights, that checks kernels of blocks up to 400
+    columns wide."""
+    spec = _times_torus("flat_kahler6", 3).with_omega(("1", "2", "1/3", "5", "3/7", "1"))
+    n = spec.n
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            image = math.comb(n, p - 1) * math.comb(n, q - 1) if p and q else 0
+            basis = primitive_basis(spec, p, q)
+            assert len(basis) == math.comb(n, p) * math.comb(n, q) - image, (p, q)
+            assert all(lefschetz_lambda(form, spec).is_zero() for form in basis), (p, q)
 
 
 def _relabelled_terms(terms, relabel):

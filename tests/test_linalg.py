@@ -405,10 +405,34 @@ def test_sparse_span_and_kernel_match_sympy(case):
         assert space.vectors() == _oracle_rref(dense, n)
     null = sparse_kernel(rows, n)
     _assert_view(null, n)
+    assert null.vectors() == _oracle_kernel(dense, n)
     assert null.dim == n - _oracle_rank(dense, n)
     for x in null.vectors():
         for r in dense:
             assert sum((a * b for a, b in zip(r, x)), _ZERO).is_zero()
+
+
+@PROPERTY
+@given(bridged_sparse_matrices())
+def test_sparse_kernel_is_one_reduction(case):
+    """sparse_kernel and kernel reduce the rows once, by one `Subspace._of`,
+    and read the kernel's canonical rows off that reduction (checked
+    against sympy above)."""
+    n, rows = case
+    calls = []
+    of = Subspace.__dict__["_of"]
+
+    def counting_of(cls, rows, ncols):
+        calls.append(ncols)
+        return of.__func__(cls, rows, ncols)
+
+    Subspace._of = classmethod(counting_of)
+    try:
+        sparse_kernel(rows, n)
+        kernel(_dense(rows, n), n)
+    finally:
+        Subspace._of = of
+    assert calls == [n, n]
 
 
 @PROPERTY

@@ -175,6 +175,17 @@ class TestSpecOwnsCaches:
         assert primitive_basis(renamed, 1, 1) == before
         assert primitive_basis(rescaled, 1, 1) != before
 
+    def test_derived_specs_read_their_own_d_for_symbols(self, iwasawa, torus):
+        """Whether d has symbolic coefficients is read once per spec, from
+        that spec's d: a spec from dataclasses.replace reads it again."""
+        assert torus.has_symbolic_structure() and not iwasawa.has_symbolic_structure()
+        constant = dataclasses.replace(torus, d_gen={})
+        symbolic = dataclasses.replace(iwasawa, d_gen=torus.d_gen, table=torus.table)
+        assert not constant.has_symbolic_structure()
+        assert symbolic.has_symbolic_structure()
+        assert not dataclasses.replace(iwasawa, name="renamed").has_symbolic_structure()
+        assert torus.has_symbolic_structure() and not iwasawa.has_symbolic_structure()
+
 
 class TestImagesOnDemand:
     """Star and L images of a unit monomial are closed forms, built when a
