@@ -9,6 +9,10 @@ kernel K against the nullspace of the assembled Laplacian matrix.  That
 nullspace is not read as a kernel: the reduced rows of the Laplacian give
 its rank, and K = ker Delta exactly when those rows annihilate K and
 dim K = m - rank Delta over the m monomials of the block (linalg.is_kernel).
+
+Spaces are Subspace values in (p,q) coordinates, built from sparse rows;
+hermitian.subspace_forms gives their Forms.  The assembled Laplacian is
+the one dense matrix (block_rows, rref), read only by the cross-check.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from .hermitian import (
     adjoint,
     apply_word,
     block_rows,
-    forms_to_rows,
     operator_columns,
-    rows_to_forms,
     subspace_forms,
     word_kernel,
 )
@@ -42,8 +44,6 @@ __all__ = [
     "SubspaceBasis",
     "MembershipCertificate",
     "ConditionResult",
-    "forms_to_rows",
-    "rows_to_forms",
 ]
 
 

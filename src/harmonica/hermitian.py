@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegreeTooHigh, DepthExceeded, NotPrimitive, SymbolicCoefficients
-from .forms import (
-    Form, MultiIndex, _add_term, _check_ambient, _combine, _form, _nonzero, _wedge_monomials,
-    basis_multiindices,
+from .errors import (
+    DegreeTooHigh, DepthExceeded, NotHomogeneous, NotPrimitive, SymbolicCoefficients,
 )
-from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span, span
+from .forms import (
+    Form, MultiIndex, _add_term, _check_ambient, _combine, _form, _format_multiindex, _nonzero,
+    _wedge_monomials, basis_multiindices,
+)
+from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span
 from .scalars import Coefficient, Fraction, GaussianRational
 from .structure import ManifoldSpec, OperatorKind, _d_terms, d_by_shift, fundamental_form
 
@@ -44,8 +46,6 @@ __all__ = [
     "lefschetz_image",
     "subspace_forms",
     "form_subspace",
-    "forms_to_rows",
-    "rows_to_forms",
     "operator_columns",
     "word_kernel",
     "block_rows",
@@ -266,10 +266,8 @@ def _primitive_kernel(spec: ManifoldSpec, p: int, q: int) -> Subspace:
 def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec) -> Subspace:
     """L^r of a space of (p,q)-forms, as a space of (p+r,q+r)-forms."""
     columns = operator_columns([("L",) * r], p, q, spec)
-    targets = {m: k for k, m in enumerate(basis_multiindices(spec.n, p + r, q + r))}
-    images = (_combine((x, columns[j]) for j, x in row) for row in space.sparse_vectors())
-    rows = [{targets[m]: x for m, x in image.items()} for image in images]
-    return sparse_span(rows, len(targets))
+    images = [_combine((x, columns[j]) for j, x in row) for row in space.sparse_vectors()]
+    return _coordinate_span(images, p + r, q + r, spec)
 
 
 # Operator matrices and coordinates.  _word_image is the one memoised image
@@ -293,7 +291,9 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # Lefschetz ladder are sums of it, and only a DepthExceeded sends apply_word
 # to _word_pass over the whole Form.  Each entry point that takes words checks
 # their names first (_check_words).  subspace_forms and form_subspace are the
-# one Subspace <-> Form pair.
+# one Subspace <-> Form pair; form_subspace and lefschetz_image reach (p,q)
+# coordinates through _coordinate_span, which spans sparse rows.  Only the
+# Laplacian cross-check builds dense rows (block_rows).
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -306,29 +306,31 @@ def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[
 
 
 def form_subspace(forms, p: int, q: int, spec: ManifoldSpec) -> Subspace:
-    """The span of constant-coefficient (p,q)-forms."""
-    return span(forms_to_rows(forms, basis_multiindices(spec.n, p, q)))
+    """The span of constant-coefficient (p,q)-forms over the spec's algebra."""
+    vectors = []
+    for form in forms:
+        _check_ambient(spec.n, form.n)
+        vector = {m: c.constant_value() for m, c in form.terms.items()}
+        if any(x is None for x in vector.values()):
+            raise SymbolicCoefficients("expected constant coefficients")
+        vectors.append(vector)
+    return _coordinate_span(vectors, p, q, spec)
 
 
-def forms_to_rows(forms, monomials):
-    """Coordinate rows of constant-coefficient forms over a monomial basis."""
+def _coordinate_span(vectors, p: int, q: int, spec: ManifoldSpec) -> Subspace:
+    """The span of {monomial: Q(i) value} vectors in (p,q) coordinates,
+    refusing a monomial outside the (p,q) basis."""
+    monomials = basis_multiindices(spec.n, p, q)
+    index = {m: k for k, m in enumerate(monomials)}
     rows = []
-    for f in forms:
-        row = []
-        for m in monomials:
-            value = f.coefficient(m).constant_value()
-            if value is None:
-                raise SymbolicCoefficients("expected constant coefficients")
-            row.append(value)
+    for vector in vectors:
+        row = {}
+        for m, x in vector.items():
+            if m not in index:
+                raise NotHomogeneous(f"{_format_multiindex(m)} is not a ({p},{q}) monomial")
+            row[index[m]] = x
         rows.append(row)
-    return rows
-
-
-def rows_to_forms(rows, monomials, n: int):
-    return [
-        Form(n, {m: Coefficient({(): x}) for m, x in zip(monomials, row) if not x.is_zero()})
-        for row in rows
-    ]
+    return sparse_span(rows, len(monomials))
 
 
 def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:

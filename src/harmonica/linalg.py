@@ -6,12 +6,13 @@ entries in column order, each row scaled so that its pivot entry is a
 positive integer and the gcd of all its integer parts is 1, with the column
 count m beside them.  That form is unique, so `==` is literal comparison of
 the rows (m is not compared: `span([])` cannot know it); rows are tuples, so
-a cached value cannot be changed.  `vectors()` gives the Q(i) rows with
-pivots 1, for output.  Sums, intersections, inclusions and equalities of
-spaces are `+`, `&`, `<=` and `==` on the value; the only list functions
-are the constructors (`span`, `kernel`) and the dense boundary of the
-Laplacian cross-check (`rref`, `is_kernel`), which take and return lists
-of GaussianRational and convert there.
+a cached value cannot be changed.  Sums, intersections, inclusions and
+equalities of spaces are `+`, `&`, `<=` and `==` on the value.  Values are
+built from sparse rows {column: Q(i) value} (`sparse_span`, `sparse_kernel`,
+with `sparse_rows` to turn sparse columns into rows).  The only dense-list
+code is the boundary of the Laplacian cross-check: `span` and `rref` take
+lists of GaussianRational, `is_kernel` reads reduced dense rows, `_to_int`
+converts such a row, and `vectors()` gives the dense Q(i) rows with pivots 1.
 
 Every value is built by one constructor, `Subspace._of`, from sparse
 Gaussian-integer rows, or read off its result: `span`, `+` and `&` go
@@ -35,8 +36,7 @@ the gcd of all its integer parts, so no rational number is formed.
 `sparse_kernel` reduces a sparse matrix's rows once with each pivot at its
 row's largest column (the columns mirrored for `_of`); each free column
 then gives one kernel vector that is already a canonical row, so there is
-no second elimination.  `kernel` of a dense matrix is `sparse_kernel` of
-its nonzero entries.  The Laplacian cross-check reads no second kernel:
+no second elimination.  The Laplacian cross-check reads no second kernel:
 `is_kernel` decides whether a space is the kernel of a matrix from the
 matrix's reduced rows, by rank and annihilation, so the condition kernel
 and the Laplacian are compared on different matrices by different routes;
@@ -52,12 +52,10 @@ from math import gcd, lcm
 
 from .scalars import GaussianRational
 
-Vector = list
-
 _ZERO = GaussianRational(0)
 
 
-def _to_int(row: Vector) -> list:
+def _to_int(row: list) -> list:
     """A dense Q(i) row as sparse (column, re, im) Gaussian-integer entries
     over its common denominator."""
     return _sparse_to_int([(j, x) for j, x in enumerate(row) if x.re_num or x.im_num])
@@ -111,7 +109,8 @@ class Subspace:
     """A subspace of Q(i)^ncols in its canonical form: sparse (pivot column,
     ((column, re, im), ...)) rows of the reduced echelon basis over Z[i],
     each with a positive integer pivot entry and integer content 1.  Build
-    it with `span`, `sparse_span`, `kernel` or `sparse_kernel`."""
+    it with `sparse_span` or `sparse_kernel` (`span` for the dense rows of
+    the Laplacian cross-check)."""
 
     sparse: tuple = ()
     ncols: int = field(default=0, compare=False)
@@ -159,7 +158,7 @@ class Subspace:
             for _, entries in self.sparse
         ]
 
-    def vectors(self) -> list[Vector]:
+    def vectors(self) -> list[list]:
         """The basis as dense Q(i) rows with pivot entries 1, zero entries shared."""
         out = []
         for row in self.sparse_vectors():
@@ -234,7 +233,7 @@ class Subspace:
         return sum(parts, Subspace()).dim == sum(p.dim for p in parts)
 
 
-def span(rows: list[Vector]) -> Subspace:
+def span(rows: list[list]) -> Subspace:
     """The span of dense Q(i) rows."""
     return Subspace._of([_to_int(r) for r in rows], len(rows[0]) if rows else 0)
 
@@ -247,13 +246,7 @@ def sparse_span(rows, ncols: int) -> Subspace:
     )
 
 
-def kernel(rows: list[Vector], ncols: int) -> Subspace:
-    """{x : A x = 0} for the matrix with the given dense rows, as
-    `sparse_kernel` of their nonzero entries."""
-    return sparse_kernel([{j: x for j, x in enumerate(r) if x} for r in rows], ncols)
-
-
-def is_kernel(space: Subspace, reduced: list[Vector], ncols: int) -> bool:
+def is_kernel(space: Subspace, reduced: list[list], ncols: int) -> bool:
     """Whether space = {x : A x = 0} for the matrix A with these reduced
     echelon rows (as from `rref`), decided without the kernel of A: exactly
     when every row of A annihilates every basis vector of the space (so the
@@ -317,6 +310,6 @@ def sparse_kernel(rows, ncols: int) -> Subspace:
     return Subspace(tuple(basis), ncols)
 
 
-def rref(rows: list[Vector]) -> list[Vector]:
+def rref(rows: list[list]) -> list[list]:
     """Reduced row echelon form; returns the nonzero rows, pivots normalized to 1."""
     return span(rows).vectors()

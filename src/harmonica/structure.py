@@ -122,11 +122,6 @@ class ManifoldSpec:
             value = self._cache[key] = build(*args)
         return value
 
-    def d_generator(self, index: int, bar: bool) -> Form:
-        if bar:
-            return self.d_gen[index].conjugate(self.table)
-        return self.d_gen[index]
-
     def has_symbolic_structure(self) -> bool:
         return self._symbolic
 

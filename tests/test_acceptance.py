@@ -10,23 +10,19 @@ from fractions import Fraction
 
 from harmonica.cli import main
 from harmonica.forms import Form, basis_multiindices, parse_form
-from harmonica.harmonic import (
-    HarmonicKind,
-    forms_to_rows,
-    harmonic_space,
-    is_harmonic,
-    rows_to_forms,
-)
+from harmonica.harmonic import HarmonicKind, harmonic_space, is_harmonic
 from harmonica.hermitian import (
+    form_subspace,
     hodge_star,
     is_primitive,
     lefschetz_L,
     primitive_basis,
     primitive_decompose,
+    subspace_forms,
     weil_star_primitive,
 )
 from harmonica.library import catalog
-from harmonica.linalg import rref, span
+from harmonica.linalg import span
 from harmonica.report import VERIFIED
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import (
@@ -68,10 +64,10 @@ def test_criterion_01_iwasawa_bc_21_basis(capsys):
     ok = code == 0 and "dimension 2" in out
     basis = [parse_form(l.strip(), 3) for l in out.splitlines() if l.startswith("  ")]
     want = [parse_form(V1, 3), parse_form(V2, 3)]
-    monomials = basis_multiindices(3, 2, 1)
+    iw = catalog("iwasawa_ak")
     ok = ok and len(basis) == 2
-    ok = ok and span(forms_to_rows(basis, monomials)) == span(forms_to_rows(want, monomials))
-    ok = ok and rref(forms_to_rows(basis, monomials)) == forms_to_rows(want, monomials)
+    ok = ok and form_subspace(basis, 2, 1, iw) == form_subspace(want, 2, 1, iw)
+    ok = ok and subspace_forms(form_subspace(basis, 2, 1, iw), 2, 1, iw) == want
     with capsys.disabled():
         note(1, ok, "invariant Bott-Chern (2,1) space on iwasawa_ak is the expected 2-dim span, exactly")
     assert ok
@@ -88,12 +84,11 @@ def test_criterion_02_iwasawa_bc21_gap(capsys):
     """
     iw = catalog("iwasawa_ak")
     bc = HarmonicKind.BC
-    monomials = basis_multiindices(3, 2, 1)
     v1, v2 = parse_form(V1, 3), parse_form(V2, 3)
     # invariant part of L(H^{1,0}_BC) is exactly the expected span
     phi3_space = harmonic_space(bc, 1, 0, iw)
     lifted = [lefschetz_L(f, iw) for f in phi3_space.basis]
-    ok = span(forms_to_rows(lifted, monomials)) == span(forms_to_rows([v1], monomials))
+    ok = form_subspace(lifted, 2, 1, iw) == form_subspace([v1], 2, 1, iw)
     # the second generator is not primitive: L(v2) = -2i L(phi[2,3;2]) != 0
     lv2 = lefschetz_L(v2, iw)
     ok = ok and lv2 == lefschetz_L(mono(3, (2, 3), (2,)), iw) * G(0, -2)
@@ -112,17 +107,17 @@ def test_criterion_02_iwasawa_bc21_gap(capsys):
     ok = ok and parts == [(0, v2 + v1 * G(0, 1)), (1, mono(3, (3,)))]
     ok = ok and all(is_harmonic(bc, beta, iw).verdict for _, beta in parts)
     # (1,2): strict, 3 > 1 + 1, with a non-primitive harmonic witness
-    monomials = basis_multiindices(3, 1, 2)
-    harmonic = forms_to_rows(harmonic_space(bc, 1, 2, iw).basis, monomials)
-    primitive = forms_to_rows(primitive_basis(iw, 1, 2), monomials)
-    prim_part = span(harmonic) & span(primitive)
+    basis = harmonic_space(bc, 1, 2, iw).basis
+    harmonic = form_subspace(basis, 1, 2, iw)
+    primitive = form_subspace(primitive_basis(iw, 1, 2), 1, 2, iw)
+    prim_part = harmonic & primitive
     lifted = [lefschetz_L(f, iw) for f in harmonic_space(bc, 0, 1, iw).basis]
-    L_part = span(forms_to_rows(lifted, monomials))
+    L_part = form_subspace(lifted, 1, 2, iw)
     total = prim_part + L_part
-    ok = ok and (len(harmonic), prim_part.dim, L_part.dim, total.dim) == (3, 1, 1, 2)
-    ok = ok and (span(harmonic) + total).vectors() == harmonic
-    outside = [row for row in harmonic if not span([row]) <= total]
-    witness = rows_to_forms(outside[:1], monomials, 3)
+    ok = ok and (len(basis), prim_part.dim, L_part.dim, total.dim) == (3, 1, 1, 2)
+    ok = ok and subspace_forms(harmonic + total, 1, 2, iw) == basis
+    outside = [f for f in basis if not form_subspace([f], 1, 2, iw) <= total]
+    witness = outside[:1]
     ok = ok and witness == [parse_form("phi[3;1,3] + (0,-1)*phi[3;2,3]", 3)]
     ok = ok and is_harmonic(bc, witness[0], iw).verdict
     ok = ok and not lefschetz_L(witness[0], iw).is_zero()
@@ -190,10 +185,9 @@ def test_criterion_05_primitive_relations(capsys):
     prim_monoms = {}
     for p in range(4):
         q = 3 - p
-        monomials = basis_multiindices(3, p, q)
-        prim = span(forms_to_rows(primitive_basis(iw, p, q), monomials))
+        prim = form_subspace(primitive_basis(iw, p, q), p, q, iw)
         spaces = [
-            span(forms_to_rows(harmonic_space(kind, p, q, iw).basis, monomials)) & prim
+            form_subspace(harmonic_space(kind, p, q, iw).basis, p, q, iw) & prim
             for kind in (HarmonicKind.BC, HarmonicKind.DEL, HarmonicKind.DELBAR, HarmonicKind.A)
         ]
         for other in spaces[1:]:
@@ -319,10 +313,10 @@ def test_criterion_09_star_duality_of_harmonic_spaces(capsys):
         for q in range(4):
             bc = harmonic_space(HarmonicKind.BC, p, q, iw)
             target = harmonic_space(HarmonicKind.A, 3 - q, 3 - p, iw)
-            monomials = basis_multiindices(3, 3 - q, 3 - p)
-            ok = ok and span(
-                forms_to_rows([hodge_star(f, iw) for f in bc.basis], monomials)
-            ) == span(forms_to_rows(target.basis, monomials))
+            starred = [hodge_star(f, iw) for f in bc.basis]
+            ok = ok and form_subspace(starred, 3 - q, 3 - p, iw) == form_subspace(
+                target.basis, 3 - q, 3 - p, iw
+            )
     with capsys.disabled():
         note(9, ok, "star maps each invariant Bott-Chern space onto the dual Aeppli space, all 16 bidegrees")
     assert ok

@@ -17,14 +17,13 @@ from harmonica.harmonic import (
     HarmonicKind,
     _condition_subspace,
     adjoint,
-    forms_to_rows,
     harmonic_space,
     harmonic_subspace,
     is_harmonic,
     laplacian_apply,
 )
 from harmonica.hermitian import (
-    block_rows,
+    form_subspace,
     fundamental_form,
     hodge_star,
     lefschetz_lambda,
@@ -34,7 +33,7 @@ from harmonica.hermitian import (
     volume_form,
 )
 from harmonica.library import catalog_document, load_spec
-from harmonica.linalg import kernel, rref, span
+from harmonica.linalg import sparse_kernel, sparse_rows
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import OperatorKind, all_basis_monomials, differential_component
 from harmonica.theorems import all_statements
@@ -164,10 +163,8 @@ class TestHarmonicSpace:
         space = harmonic_space(HarmonicKind.BC, 1, 0, iwasawa)
         assert space.basis == [mono(3, (3,))]
         lifted = fundamental_form(iwasawa).wedge(space.basis[0])
-        monomials = basis_multiindices(3, 2, 1)
-        span = rref(forms_to_rows([lifted], monomials))
-        want = rref(forms_to_rows([parse_form("phi[1,3;1] + phi[2,3;2]", 3)], monomials))
-        assert span == want
+        want = parse_form("phi[1,3;1] + phi[2,3;2]", 3)
+        assert form_subspace([lifted], 2, 1, iwasawa) == form_subspace([want], 2, 1, iwasawa)
 
     def test_flat_every_space_full(self, flat):
         for kind in HarmonicKind:
@@ -191,15 +188,12 @@ class TestHarmonicSpace:
     def test_flat_kahler_all_kinds_agree(self, flat):
         for p in range(4):
             for q in range(4):
-                bases = [
-                    forms_to_rows(
-                        harmonic_space(kind, p, q, flat).basis,
-                        basis_multiindices(3, p, q),
-                    )
+                spaces = [
+                    form_subspace(harmonic_space(kind, p, q, flat).basis, p, q, flat)
                     for kind in HarmonicKind
                 ]
-                for rows in bases[1:]:
-                    assert span(bases[0]) == span(rows)
+                for space in spaces[1:]:
+                    assert spaces[0] == space
 
     def test_star_duality_bc_a(self, iwasawa, flat):
         for spec in (iwasawa, flat):
@@ -207,27 +201,25 @@ class TestHarmonicSpace:
                 for q in range(4):
                     bc = harmonic_space(HarmonicKind.BC, p, q, spec)
                     a = harmonic_space(HarmonicKind.A, 3 - q, 3 - p, spec)
-                    monomials = basis_multiindices(3, 3 - q, 3 - p)
-                    starred = forms_to_rows(
-                        [hodge_star(f, spec) for f in bc.basis], monomials
+                    starred = [hodge_star(f, spec) for f in bc.basis]
+                    assert form_subspace(starred, 3 - q, 3 - p, spec) == form_subspace(
+                        a.basis, 3 - q, 3 - p, spec
                     )
-                    assert span(starred) == span(forms_to_rows(a.basis, monomials))
 
     def test_conjugation_symmetry_bc_bc2(self, iwasawa):
         # conj maps ker Delta_BC onto the kernel of the conjugated system
         for p in range(4):
             for q in range(4):
-                monomials2 = basis_multiindices(3, q, p)
                 bc = harmonic_space(HarmonicKind.BC, p, q, iwasawa)
-                conjugated = forms_to_rows(
-                    [f.conjugate(iwasawa.table) for f in bc.basis], monomials2
+                conjugated = [f.conjugate(iwasawa.table) for f in bc.basis]
+                assert form_subspace(conjugated, q, p, iwasawa) == _condition_subspace(
+                    "bc2", q, p, iwasawa
                 )
-                assert span(conjugated) == _condition_subspace("bc2", q, p, iwasawa)
                 a = harmonic_space(HarmonicKind.A, p, q, iwasawa)
-                conjugated = forms_to_rows(
-                    [f.conjugate(iwasawa.table) for f in a.basis], monomials2
+                conjugated = [f.conjugate(iwasawa.table) for f in a.basis]
+                assert form_subspace(conjugated, q, p, iwasawa) == _condition_subspace(
+                    "a2", q, p, iwasawa
                 )
-                assert span(conjugated) == _condition_subspace("a2", q, p, iwasawa)
 
     @pytest.mark.parametrize("name", ["iwasawa_ak", "flat_kahler6", "iwasawa_cplx"])
     def test_conjugation_property(self, name):
@@ -238,11 +230,10 @@ class TestHarmonicSpace:
 
         def conjugated(kind, p, q):
             basis = [f.conjugate(spec.table) for f in harmonic_space(kind, p, q, spec).basis]
-            return span(forms_to_rows(basis, basis_multiindices(3, q, p)))
+            return form_subspace(basis, q, p, spec)
 
         def space(kind, p, q):
-            basis = harmonic_space(kind, p, q, spec).basis
-            return span(forms_to_rows(basis, basis_multiindices(3, p, q)))
+            return form_subspace(harmonic_space(kind, p, q, spec).basis, p, q, spec)
 
         for p in range(4):
             for q in range(4):
@@ -259,10 +250,13 @@ _ZERO = GaussianRational(0)
 def assert_block_matches_forms(columns, images):
     """The sparse block columns are exactly the coordinates of the Form images."""
     assert len(columns) == len(images)
-    targets = sorted({m for c in columns for m in c} | {m for f in images for m in f.terms})
-    dense = [[c.get(m, _ZERO) for m in targets] for c in columns]
-    assert dense == forms_to_rows(images, targets)
+    assert columns == [coordinates(f) for f in images]
     assert all(not x.is_zero() for c in columns for x in c.values())
+
+
+def coordinates(form):
+    """{monomial: Q(i) value} of a Form's terms, None for a symbolic one."""
+    return {m: c.constant_value() for m, c in form.terms.items()}
 
 
 def units(p, q):
@@ -327,8 +321,7 @@ class TestOperatorBlocks:
             for m, x in column.items():
                 combined[m] = combined.get(m, _ZERO) + c * x
         image = laplacian_apply(kind, form, spec)
-        targets = sorted(set(combined) | set(image.terms))
-        assert forms_to_rows([image], targets)[0] == [combined.get(m, _ZERO) for m in targets]
+        assert coordinates(image) == {m: x for m, x in combined.items() if not x.is_zero()}
 
 
 class TestCachedResults:
@@ -683,7 +676,7 @@ class TestCrossCheckDecision:
             for p, q in ((1, 0), (0, 1)):
                 columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
                 condition = _condition_subspace(kind.value, p, q, spec)
-                assert (condition.dim, kernel(block_rows(columns), 1).dim) == (0, 1)
+                assert (condition.dim, sparse_kernel(sparse_rows(columns), 1).dim) == (0, 1)
 
 
 class TestSymbolicDImages:

@@ -4,21 +4,27 @@ from fractions import Fraction
 
 import pytest
 
-from harmonica import hermitian
-from harmonica.errors import DegreeTooHigh, NotPrimitive, SymbolicCoefficients
-from harmonica.forms import Form, MultiIndex, basis_multiindices
+from harmonica import catalog, hermitian
+from harmonica.errors import (
+    DegreeTooHigh, HarmonicaError, NotHomogeneous, NotPrimitive, SymbolicCoefficients,
+)
+from harmonica.forms import Form, MultiIndex, basis_multiindices, parse_form
+from harmonica.harmonic import HarmonicKind, harmonic_subspace
 from harmonica.hermitian import (
-    forms_to_rows,
+    apply_word,
+    form_subspace,
     fundamental_form,
     hodge_star,
     is_primitive,
     j_on_forms,
+    lefschetz_image,
     lefschetz_L,
     lefschetz_lambda,
     monomial_inner_square,
     primitive_basis,
     primitive_decompose,
     primitive_subspace,
+    subspace_forms,
     volume_form,
     weil_star_primitive,
 )
@@ -348,7 +354,7 @@ class TestSymbolicMetricLayer:
     def test_rows_need_constant_coefficients(self, torus):
         form = Form.monomial(3, (1,), (), Coefficient.symbol("g3"))
         with pytest.raises(SymbolicCoefficients) as refused:
-            forms_to_rows([form], basis_multiindices(3, 1, 0))
+            form_subspace([form], 1, 0, torus)
         assert str(refused.value) == "expected constant coefficients"
 
     def test_primitive_decompose_symbolic(self, torus):
@@ -459,3 +465,55 @@ class TestClosedFormImages:
             want = {m: c.constant_value() for m, c in wedge.terms.items()}
             assert hermitian._image("L", idx, spec) == want
 
+
+
+class TestFormSubspace:
+    """form_subspace spans constant-coefficient (p,q)-forms of the spec's own
+    algebra and refuses anything else instead of dropping it."""
+
+    def test_term_outside_the_bidegree_is_refused(self, iwasawa):
+        with pytest.raises(NotHomogeneous) as refused:
+            form_subspace([parse_form("phi[1;] + phi[;1]", 3)], 1, 0, iwasawa)
+        assert str(refused.value) == "phi[;1] is not a (1,0) monomial"
+
+    def test_form_of_another_bidegree_is_refused(self, iwasawa):
+        with pytest.raises(NotHomogeneous) as refused:
+            form_subspace([parse_form("phi[;1]", 3)], 1, 0, iwasawa)
+        assert str(refused.value) == "phi[;1] is not a (1,0) monomial"
+
+    def test_foreign_ambient_algebra_is_refused(self, iwasawa):
+        with pytest.raises(ValueError) as refused:
+            form_subspace([parse_form("phi[1;]", 4)], 1, 0, iwasawa)
+        assert str(refused.value) == "ambient mismatch: n=3 vs n=4"
+
+    def test_symbolic_term_outside_the_basis_is_refused(self, iwasawa):
+        with pytest.raises(HarmonicaError):
+            form_subspace([parse_form("g*phi[;2]", 3)], 1, 0, iwasawa)
+
+
+@pytest.mark.parametrize("name", ["iwasawa_ak", "flat_kahler6", "iwasawa_cplx"])
+def test_lefschetz_image_matches_the_form_route(name):
+    """L^r of every primitive space and of the BC and A harmonic spaces,
+    from the operator columns, equals the span of L^r applied to each basis
+    Form by apply_word, for every r with p+r, q+r <= n."""
+    spec = catalog(name)
+    n = spec.n
+    spaces = [
+        (space, p, q)
+        for p in range(n + 1)
+        for q in range(n + 1)
+        for space in (
+            *([primitive_subspace(spec, p, q)] if p + q <= n else []),
+            harmonic_subspace(HarmonicKind.BC, p, q, spec),
+            harmonic_subspace(HarmonicKind.A, p, q, spec),
+        )
+    ]
+    checked = 0
+    for space, p, q in spaces:
+        for r in range(n - max(p, q) + 1):
+            image = lefschetz_image(space, p, q, r, spec)
+            forms = [apply_word(("L",) * r, f, spec) for f in subspace_forms(space, p, q, spec)]
+            assert image == form_subspace(forms, p + r, q + r, spec), (p, q, r)
+            assert image.ncols == len(basis_multiindices(n, p + r, q + r))
+            checked += 1
+    assert checked == 83

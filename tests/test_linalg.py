@@ -1,6 +1,6 @@
 """Property tests of the exact linear-algebra core against sympy as an oracle:
 the canonical Subspace value, its constructors (`span`, `sparse_span`,
-`kernel`, `sparse_kernel`) and operations (`+`, `&`, `<=`, `==`), and the
+`sparse_kernel`) and operations (`+`, `&`, `<=`, `==`), and the
 dense boundary of the Laplacian cross-check (`rref`, `is_kernel`).
 
 Matrices are small Q(i) matrices with zero rows, repeated rows, rows that are
@@ -21,7 +21,6 @@ from harmonica import linalg
 from harmonica.linalg import (
     Subspace,
     is_kernel,
-    kernel,
     rref,
     sparse_kernel,
     sparse_rows,
@@ -153,7 +152,7 @@ def test_rref_matches_sympy(case):
 @given(one_matrix())
 def test_right_kernel_annihilates_rows(case):
     n, rows = case
-    null = kernel(rows, n).vectors()
+    null = sparse_kernel(_sparse(rows), n).vectors()
     assert len(null) == n - _oracle_rank(rows, n)
     assert rref(null) == null
     for x in null:
@@ -325,7 +324,7 @@ def test_sparse_kernel_equals_dense_kernel(case):
     n, rows = case
     dense = [[row.get(j, _ZERO) for j in range(n)] for row in rows]
     oracle = _oracle_kernel(dense, n)
-    for space in (sparse_kernel(rows, n), kernel(dense, n)):
+    for space in (sparse_kernel(rows, n), sparse_kernel(_sparse(dense), n)):
         _assert_view(space, n)
         assert space.vectors() == oracle
 
@@ -352,6 +351,11 @@ def test_sparse_rows_transpose_columns(case):
 
 def _dense(rows, n):
     return [[row.get(j, _ZERO) for j in range(n)] for row in rows]
+
+
+def _sparse(rows):
+    """Dense rows as sparse rows {column: value}, their zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
 
 
 small_nonzero = st.builds(GaussianRational, small.filter(bool), small)
@@ -415,9 +419,9 @@ def test_sparse_span_and_kernel_match_sympy(case):
 @PROPERTY
 @given(bridged_sparse_matrices())
 def test_sparse_kernel_is_one_reduction(case):
-    """sparse_kernel and kernel reduce the rows once, by one `Subspace._of`,
-    and read the kernel's canonical rows off that reduction (checked
-    against sympy above)."""
+    """sparse_kernel reduces the rows once, by one `Subspace._of`, whether
+    they are sparse or hold explicit zeros, and reads the kernel's canonical
+    rows off that reduction (checked against sympy above)."""
     n, rows = case
     calls = []
     of = Subspace.__dict__["_of"]
@@ -429,7 +433,7 @@ def test_sparse_kernel_is_one_reduction(case):
     Subspace._of = classmethod(counting_of)
     try:
         sparse_kernel(rows, n)
-        kernel(_dense(rows, n), n)
+        sparse_kernel(_sparse(_dense(rows, n)), n)
     finally:
         Subspace._of = of
     assert calls == [n, n]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import harmonica
-from harmonica import harmonic, hermitian, linalg
+from harmonica import harmonic, hermitian, linalg, structure
 from harmonica.forms import Form, format_form, parse_form
 from harmonica.cli import _dimension_tables
 from harmonica.errors import DepthExceeded
@@ -129,11 +129,10 @@ class TestReadOnlyStructureEquations:
                 form.terms = {}
             with pytest.raises(AttributeError):
                 form.n = 4
+        conjugate = structure._d_bar(1, spec)  # the conjugate d(phi^1bar) every monomial reads
         with pytest.raises(AttributeError):
-            spec.d_generator(1, False).terms.clear()
-        conjugate = spec.d_generator(1, True)  # a new Form on every call
-        conjugate.terms.clear()
-        assert spec.d_generator(1, True) == spec.d_gen[1].conjugate(spec.table) != conjugate
+            conjugate.terms.clear()
+        assert structure._d_bar(1, spec) == spec.d_gen[1].conjugate(spec.table) == conjugate
 
     def test_constructor_copies_the_forms(self):
         value = Form.monomial(1, (), (1,))
@@ -617,3 +616,50 @@ def test_theorems_works_on_subspace_values():
             continue
         offenders += [f"theorems.py:{node.lineno}: {name}" for name in names & banned]
     assert offenders == []
+
+
+
+def test_dense_rows_serve_only_the_laplacian_cross_check():
+    """The dense-list code (`span`, `rref`, `is_kernel`, `block_rows`,
+    `_to_int` and `Subspace.vectors`) is reached only from its own
+    definitions and from the Laplacian cross-check,
+    `harmonic._laplacian_nullspace` and `harmonic._harmonic_kernel`, whose
+    module alone imports it: every other function of src/harmonica works on
+    sparse rows.  A name, an import or an attribute of one counts, and for
+    the method only an attribute `.vectors`."""
+    functions = {"span", "rref", "is_kernel", "block_rows", "_to_int"}
+    definitions = {
+        "linalg._to_int",
+        "linalg.span",
+        "linalg.is_kernel",
+        "linalg.rref",
+        "linalg.Subspace.vectors",
+        "hermitian.block_rows",
+    }
+    cross_check = {"harmonic", "harmonic._laplacian_nullspace", "harmonic._harmonic_kernel"}
+    users, offenders = set(), []
+
+    def scan(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Name):
+                names = {child.id} & functions
+            elif isinstance(child, ast.Attribute):
+                names = {child.attr} & (functions | {"vectors"})
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in child.names} & functions
+            else:
+                names = set()
+            for name in sorted(names):
+                if where in definitions | cross_check:
+                    users.add(where)
+                else:
+                    offenders.append(f"{where}:{child.lineno}: {name}")
+            scan(child, where)
+
+    for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert offenders == []
+    assert users == {"linalg.span", "linalg.is_kernel", "linalg.rref"} | cross_check

@@ -5,17 +5,17 @@ import pytest
 
 from harmonica import theorems
 from harmonica.errors import BidegreeOutOfRange, DimensionMismatch, NotAlmostKahler
-from harmonica.forms import Form, basis_multiindices, format_form, parse_form
-from harmonica.harmonic import (
-    HarmonicKind,
-    forms_to_rows,
-    harmonic_space,
-    harmonic_subspace,
-    is_harmonic,
+from harmonica.forms import Form, format_form, parse_form
+from harmonica.harmonic import HarmonicKind, harmonic_space, harmonic_subspace, is_harmonic
+from harmonica.hermitian import (
+    form_subspace,
+    fundamental_form,
+    is_primitive,
+    lefschetz_L,
+    subspace_forms,
 )
-from harmonica.hermitian import fundamental_form, is_primitive, lefschetz_L, subspace_forms
 from harmonica.library import catalog_document, load_spec
-from harmonica.linalg import Subspace, rref, span
+from harmonica.linalg import Subspace, rref
 from harmonica.report import NOT_APPLICABLE, REFUTED, VERIFIED
 from harmonica.structure import ManifoldSpec
 from harmonica.theorems import (
@@ -85,9 +85,8 @@ class TestDecompositions:
         omega = fundamental_form(iwasawa)
         for f in bc.basis:
             lifted.append(omega.wedge(omega.wedge(f)))
-        monomials = basis_multiindices(3, 3, 2)
         target = harmonic_space(HarmonicKind.A, 3, 2, iwasawa)
-        assert span(forms_to_rows(lifted, monomials)) == span(forms_to_rows(target.basis, monomials))
+        assert form_subspace(lifted, 3, 2, iwasawa) == form_subspace(target.basis, 3, 2, iwasawa)
 
 
 class TestRelations:
@@ -115,16 +114,14 @@ class TestRelations:
         for spec in (iwasawa, flat):
             bc = harmonic_space(HarmonicKind.BC, 1, 1, spec)
             ae = harmonic_space(HarmonicKind.A, 1, 1, spec)
-            monomials = basis_multiindices(3, 1, 1)
-            ae_span = span(forms_to_rows(ae.basis, monomials))
-            for row in forms_to_rows(bc.basis, monomials):
-                assert span([row]) <= ae_span
+            ae_span = form_subspace(ae.basis, 1, 1, spec)
+            for f in bc.basis:
+                assert form_subspace([f], 1, 1, spec) <= ae_span
             bc22 = harmonic_space(HarmonicKind.BC, 2, 2, spec)
             ae22 = harmonic_space(HarmonicKind.A, 2, 2, spec)
-            monomials = basis_multiindices(3, 2, 2)
-            bc_span = span(forms_to_rows(bc22.basis, monomials))
-            for row in forms_to_rows(ae22.basis, monomials):
-                assert span([row]) <= bc_span
+            bc_span = form_subspace(bc22.basis, 2, 2, spec)
+            for f in ae22.basis:
+                assert form_subspace([f], 2, 2, spec) <= bc_span
 
 
 class TestTorusCounterexamples:
@@ -165,9 +162,8 @@ class TestBc21Gap:
 
     def test_L_part_is_known_span(self, iwasawa):
         lifted = lefschetz_L(harmonic_space(HarmonicKind.BC, 1, 0, iwasawa).basis[0], iwasawa)
-        monomials = basis_multiindices(3, 2, 1)
         want = parse_form("phi[1,3;1] + phi[2,3;2]", 3)
-        assert span(forms_to_rows([lifted], monomials)) == span(forms_to_rows([want], monomials))
+        assert form_subspace([lifted], 2, 1, iwasawa) == form_subspace([want], 2, 1, iwasawa)
 
     def test_witness_recheck_runs(self, monkeypatch):
         """With the primitive part forced to 0 the sum is strict, and the
