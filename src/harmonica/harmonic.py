@@ -104,7 +104,7 @@ CONDITION_WORDS = {
 
 def laplacian_apply(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> Form:
     """Exact evaluation of the requested Laplacian: the sum of its words,
-    as one term map over the cached unit-term images of apply_word."""
+    as one term map over the cached term images of apply_word."""
     if kind is not HarmonicKind.D:
         form.require_bidegree()
     return _apply_words(LAPLACIAN_WORDS[kind.value], form, spec)

@@ -216,7 +216,7 @@ def primitive_decompose(form: Form, spec: ManifoldSpec) -> PrimitiveComponents:
     """Unique primitive decomposition of a homogeneous form, by the
     Lambda ladder: the deepest component is solved from Lambda^r, subtracted,
     and the process repeats with decreasing r.  The ladder runs on term
-    maps, over the cached unit-term images of Lambda^r and L^r that
+    maps, over the cached term images (_term_image) of Lambda^r and L^r that
     apply_word and is_primitive read too; each part's Form is built once.
 
     Uses Lambda L^j = L^j Lambda + j(n - s - j + 1) L^(j-1) on degree-s forms,

@@ -83,6 +83,7 @@ def load_spec(document) -> ManifoldSpec:
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
     for a, b in document["conjugates"].items():
+        _expect(isinstance(b, str), f"the conjugate of {a!r} must be a symbol name")
         if a not in table.symbols or b not in table.symbols:
             raise ValidationError(f"conjugate pair ({a!r},{b!r}) uses undeclared symbols")
         table.conjugates[a] = b

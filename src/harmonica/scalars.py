@@ -105,9 +105,9 @@ class GaussianRational:
     The form is normal: den > 0 and gcd(re_num, im_num, den) == 1, so equal
     values have equal fields and `==` compares them literally.  Arithmetic
     works on the ints alone, with one gcd per result; `Fraction` appears only
-    at the boundary (the constructor's arguments, `.re`/`.im`, text and
-    `hash`, which equals hash((re, im)) of the two rational parts).  The
-    fields are read-only by convention: values are shared by caches.
+    at the boundary (the constructor's arguments, `.re`/`.im`, text, and the
+    hash of a real value, that of its Fraction).  Values are shared by caches,
+    so the fields are read-only by convention.
     """
 
     __slots__ = ("re_num", "im_num", "den")
@@ -210,7 +210,9 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.im_num:
+            return hash((self.re_num, self.im_num, self.den))
+        return hash(Fraction(self.re_num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -286,7 +288,7 @@ class DerivationTable:
     declared one is fabricated as a fresh symbol when ``auto_fresh`` is on;
     derivations past the limit raise DepthExceeded.  Iterated derivatives are
     independent symbols: no commutation relations are imposed beyond what the
-    table declares explicitly.
+    table declares explicitly; the table memoizes no derivative.
     """
 
     symbols: set = field(default_factory=set)
@@ -294,15 +296,11 @@ class DerivationTable:
     entries: dict = field(default_factory=dict)
     depth_limit: int = 3
     auto_fresh: bool = True
-    # (symbol monomial, direction) -> derivative of that unit monomial, filled
-    # by derive_monomial and cleared whenever a declaration changes.
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def declare_symbol(self, name: str, conjugate: str | None = None) -> None:
         """Declare a symbol, and its conjugate partner if given.  A declared
         name is an identifier of form text other than phi: brackets are
         reserved for derived symbols."""
-        self._derived.clear()
         for s in (name,) if conjugate is None else (name, conjugate):
             if not _re.fullmatch(SYMBOL_NAME, s) or s == "phi":
                 raise ValueError(f"symbol name {s!r} is not an identifier other than 'phi'")
@@ -313,7 +311,6 @@ class DerivationTable:
             self.conjugates[conjugate] = name
 
     def declare_derivative(self, name: str, direction: Direction, value) -> None:
-        self._derived.clear()
         self.entries[(name, direction)] = Coefficient.coerce(value)
 
     def depth(self, symbol: str) -> int:
@@ -352,22 +349,19 @@ class DerivationTable:
 
     def derive_monomial(self, m: "Monomial", direction: Direction) -> "Coefficient":
         """The frame derivative of the unit monomial m, by the Leibniz rule,
-        computed once per table (a failure is raised again on every call);
-        shared, so read-only."""
-        derived = self._derived.get((m, direction))
-        if derived is None:
-            derived = Coefficient.zero()
-            for k, (s, e) in enumerate(m):  # m with one factor s taken out
-                rest = m[:k] + (((s, e - 1),) if e > 1 else ()) + m[k + 1 :]
-                derived += Coefficient({rest: GaussianRational(e)}) * self.derive_symbol(s, direction)
-            self._derived[(m, direction)] = derived
+        as a new Coefficient read from the table as it is now; a spec
+        memoizes it per (m, direction) through ManifoldSpec.cached."""
+        derived = Coefficient.zero()
+        for k, (s, e) in enumerate(m):  # m with one factor s taken out
+            rest = m[:k] + (((s, e - 1),) if e > 1 else ()) + m[k + 1 :]
+            derived += Coefficient({rest: GaussianRational(e)}) * self.derive_symbol(s, direction)
         return derived
 
 
 class ReadOnlyTable(DerivationTable):
     """A copy of a DerivationTable whose declarations, settings and symbol,
     conjugate and entry collections refuse writes, for the table a spec
-    shares with its callers; only the private derivative memo fills."""
+    shares with its callers; it holds no state that fills later."""
 
     def __init__(self, table: DerivationTable):
         self.__dict__.update(
@@ -376,7 +370,6 @@ class ReadOnlyTable(DerivationTable):
             entries=MappingProxyType(dict(table.entries)),
             depth_limit=table.depth_limit,
             auto_fresh=table.auto_fresh,
-            _derived={},
         )
 
     def __setattr__(self, name, value):
@@ -552,8 +545,8 @@ class Coefficient:
         return Coefficient(terms)
 
     def derive(self, direction: Direction, table: DerivationTable) -> "Coefficient":
-        """Frame derivative: the sum of c times the derivative of the unit
-        monomial m over the terms c m, from the table's memo."""
+        """Frame derivative: the sum of c times the table's derivative of the
+        unit monomial m over the terms c m."""
         terms: dict = {}
         for m, c in self._terms.items():
             for m2, x in table.derive_monomial(m, direction)._terms.items():
@@ -568,7 +561,8 @@ class Coefficient:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        value = self.constant_value()  # a constant hashes as the Q(i) value it equals
+        return hash(frozenset(self._terms.items()) if value is None else value)
 
     def __bool__(self):
         return not self.is_zero()

@@ -7,9 +7,9 @@ the conjugate of d on the unbarred ones.  d of each unit monomial f phi^J, f
 its first factor, is one Leibniz step over the cached d(phi^J), split by
 bidegree shift into mu, del, delbar and mubar parts, cached on the spec
 (d_by_shift).  _d_terms maps a term map through d or a part: constant terms
-read that split, symbolic unit terms a cached term-map image that adds the
-frame derivatives; differential_component (exterior_d is its d) and words
-run it.
+read that split, symbolic unit terms add the frame derivatives of their
+symbol monomial, cached per direction; differential_component (exterior_d
+is its d) and words run it.  ManifoldSpec.cached is a spec's one memo.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class ManifoldSpec:
     with a read-only copy of the symbol table passed in.
 
     Identity-hashable.  Each spec owns the cache of everything derived from
-    it (operator images, kernels, the split of d), so a derived spec from
-    `dataclasses.replace` or `with_omega` starts empty and a spec's cache is
-    freed with it.
+    it (operator images, kernels, the split of d, derivatives of symbols),
+    so a derived spec from `dataclasses.replace` or `with_omega` starts
+    empty and a spec's cache is freed with it.
     """
 
     name: str
@@ -198,8 +198,8 @@ def _split_d(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
 def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
     """A term map through d or one of its parts.  A constant term x m gives
     x times the kind's parts of d(m), read from the cached split d_by_shift;
-    a term x s m with a symbol monomial s gives x times the cached image of
-    the unit term s m (_unit_term_images).  A value that cancelled to 0 is
+    a term x s m with a symbol monomial s gives x times the image of the
+    unit term s m (_unit_term_images).  A value that cancelled to 0 is
     skipped, as a Form would not hold it."""
     shift = kind.shift
     out: dict = {}
@@ -225,32 +225,30 @@ def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
 
 def _unit_term_images(kind: OperatorKind, idx: MultiIndex, coeff, parts, spec: ManifoldSpec) -> dict:
     """{s: image of the unit term s phi^idx under the kind, a term map} for
-    the symbol monomials s of coeff, from a dict cached on the spec per
-    (kind, idx) and filled on demand; shared, so read-only.  The image is s
-    times the kind's parts of d(phi^idx), plus, for each frame direction of
-    the kind (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and
-    mubar), the table's derivative of s along it times phi^a or phi^abar
-    wedge phi^idx.  The missing images are built direction by direction, so
-    the first derivative that fails is the one a derivative of coeff meets."""
-    images = spec.cached(("unit-term", kind.value, idx), dict)
-    missing = [s for s, x in coeff.items() if s and (x.re_num or x.im_num) and s not in images]
-    if not missing:
-        return images
+    the symbol monomials s of coeff, in a new dict.  The image is s times
+    the kind's parts of d(phi^idx), plus, for each frame direction of the
+    kind (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and
+    mubar), the derivative of s along it, cached on the spec per (s,
+    direction), times phi^a or phi^abar wedge phi^idx.  The images are built
+    direction by direction, so the first derivative that fails is the one a
+    derivative of coeff meets."""
     built = {}
-    for s in missing:
-        # the parts' monomials are distinct, and so are the products s * s1
-        built[s] = {
-            m: {_mono_mul(s, s1) if s1 else s: y for s1, y in c.items()}
-            for part in parts
-            for m, c in part.items()
-        }
+    for s, x in coeff.items():
+        if s and (x.re_num or x.im_num):
+            # the parts' monomials are distinct, and so are the products s * s1
+            built[s] = {
+                m: {_mono_mul(s, s1) if s1 else s: y for s1, y in c.items()}
+                for part in parts
+                for m, c in part.items()
+            }
     bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(kind.shift, ())
+    derive = spec.table.derive_monomial
     for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
         if direction.bar in bars:
             for s, terms in built.items():
-                _add_term(terms, image, spec.table.derive_monomial(s, direction), sign)
-    images.update((s, _nonzero(terms)) for s, terms in built.items())
-    return images
+                derived = spec.cached(("derivative", s, direction), derive, s, direction)
+                _add_term(terms, image, derived, sign)
+    return {s: _nonzero(terms) for s, terms in built.items()}
 
 
 def _frame(idx: MultiIndex, spec: ManifoldSpec) -> tuple:

@@ -550,6 +550,18 @@ class TestUserInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("partner", [["gc"], {"x": 1}], ids=["list", "object"])
+    def test_conjugate_that_is_not_a_name_exits_2(self, capsys, tmp_path, partner):
+        doc = {
+            "name": "line", "n": 1, "generators": ["phi1"], "d": {}, "omega": ["1"],
+            "symbols": ["g", "gc"], "conjugates": {"g": partner, "gc": "g"}, "derivations": {},
+        }
+        path = tmp_path / "conjugate.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: the conjugate of 'g' must be a symbol name\n"
+
     def test_boolean_n_exits_2(self, capsys, tmp_path):
         doc = {
             "name": "line", "n": True, "generators": ["phi1"], "d": {}, "omega": ["1"],

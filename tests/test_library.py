@@ -140,6 +140,13 @@ class TestLoader:
         with pytest.raises(ValidationError):
             load_spec(doc)
 
+    @pytest.mark.parametrize("partner", [["g3c"], {"x": 1}, 1], ids=["list", "object", "number"])
+    def test_conjugate_must_be_a_name(self, partner):
+        doc = minimal_doc(symbols=["g3", "g3c"], conjugates={"g3": partner, "g3c": "g3"})
+        with pytest.raises(SchemaError) as refused:
+            load_spec(doc)
+        assert str(refused.value) == "the conjugate of 'g3' must be a symbol name"
+
     def test_wrong_generator_count(self):
         with pytest.raises(ValidationError):
             load_spec(minimal_doc(generators=["phi1", "phi2"]))

@@ -22,6 +22,7 @@ from harmonica.scalars import (
     format_rational,
     parse_rational,
 )
+from harmonica.structure import OperatorKind, differential_component
 
 from conftest import rand_gauss
 
@@ -276,8 +277,9 @@ class TestDirection:
 
 
 class TestDerivativeMemo:
-    """Coefficient.derive computes the derivative of each unit symbol
-    monomial once per table and direction; a declaration clears that."""
+    """A table keeps no memo: each derivative reads the declarations and
+    settings as they are.  A spec computes the derivative of each unit symbol
+    monomial once per direction, through ManifoldSpec.cached."""
 
     def test_declared_derivative_replaces_the_remembered_one(self, table):
         g3, direction = Coefficient.symbol("g3"), Direction(1, False)
@@ -287,10 +289,30 @@ class TestDerivativeMemo:
         table.declare_symbol("h")
         assert (g3 * g3).derive(direction, table) == C(4, 2) * g3
 
-    def test_repeated_derive_asks_the_table_nothing(self, table, monkeypatch):
-        c = C(1, 2) * Coefficient.symbol("g3") ** 2 * Coefficient.symbol("g3c") + C(3)
-        direction = Direction(3, False)
-        first = c.derive(direction, table)
+    def test_a_later_setting_or_entry_is_read(self):
+        """A derivative computed once does not outlive a change of the table."""
+        g, direction = (("g", 1),), Direction(1)
+
+        def derived_once():
+            t = DerivationTable()
+            t.declare_symbol("g")
+            assert t.derive_monomial(g, direction) == Coefficient.symbol("V1[g]")
+            return t
+
+        t = derived_once()
+        t.depth_limit = 0
+        with pytest.raises(DepthExceeded):
+            t.derive_monomial(g, direction)
+        with pytest.raises(DepthExceeded):
+            Coefficient.symbol("g").derive(direction, t)
+        t = derived_once()
+        t.entries[("g", direction)] = C(2)
+        assert t.derive_monomial(g, direction) == C(2)
+        assert Coefficient.symbol("g").derive(direction, t) == C(2)
+
+    def test_repeated_derive_asks_the_table_nothing(self, monkeypatch):
+        spec = load_spec(catalog_document("torus6"))
+        form = parse_form("(1,2)*g3^2*g3c*phi[1;] + 3*phi[2;] + g3c*phi[1,3;2]", 3)
         asked = []
         original = DerivationTable.derive_symbol
 
@@ -299,7 +321,10 @@ class TestDerivativeMemo:
             return original(self, symbol, d)
 
         monkeypatch.setattr(DerivationTable, "derive_symbol", counting)
-        assert c.derive(direction, table) == first
+        first = differential_component(form, OperatorKind.D, spec)
+        assert asked
+        asked.clear()
+        assert differential_component(form, OperatorKind.D, spec) == first
         assert asked == []
 
     def test_depth_exceeded_on_every_repeat(self, table):
@@ -395,7 +420,7 @@ class TestAgainstFractionPairs:
     def test_equality_hash_and_text(self, x, y):
         a, b = GaussianRational(*x), GaussianRational(*y)
         assert (a == b) == (x == y)
-        assert hash(a) == hash(x)
+        assert hash(a) == (hash(x[0]) if x[1] == 0 else hash((a.re_num, a.im_num, a.den)))
         assert (a == x[0]) == (x[1] == 0)
         if x[0].denominator == 1:
             assert (a == x[0].numerator) == (x[1] == 0)
@@ -409,6 +434,22 @@ class TestAgainstFractionPairs:
     @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9), st.integers(1, 10**9))
     def test_from_ints(self, re, im, den):
         assert_is(GaussianRational.from_ints(re, im, den), (Fraction(re, den), Fraction(im, den)))
+
+    @pytest.mark.parametrize(
+        "value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3), (Fraction(1, 2), 1), (0, -1)]
+    )
+    def test_equal_values_hash_equal(self, value):
+        """An int, a Fraction, a GaussianRational and a constant Coefficient
+        that are == hash equal, so sets and dict keys treat them as one."""
+        re, im = value if isinstance(value, tuple) else (value, 0)
+        values = [GaussianRational(re, im), Coefficient.gauss(re, im)]
+        if not im:
+            values += [Fraction(re)] + ([re] if isinstance(re, int) else [])
+        for a in values:
+            for b in values:
+                assert a == b and hash(a) == hash(b)
+        assert len(set(values)) == 1
+        assert {values[-1]: "x"}.get(GaussianRational(re, im)) == "x"
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):

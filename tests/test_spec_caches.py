@@ -1,16 +1,19 @@
 """A ManifoldSpec is immutable and owns every cache derived from it."""
 
 import ast
+import copy
+import copyreg
 import dataclasses
 import gc
 import weakref
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import harmonica
 from harmonica import harmonic, hermitian, linalg, structure
-from harmonica.forms import Form, format_form, parse_form
+from harmonica.forms import Form, ReadOnlyForm, format_form, parse_form
 from harmonica.cli import _dimension_tables
 from harmonica.errors import DepthExceeded
 from harmonica.harmonic import (
@@ -331,7 +334,8 @@ class TestOneSplitOfD:
 
     def test_the_split_is_the_one_cache_of_d(self):
         """Constant terms read the split; only a term with a symbol monomial
-        has a cached image of its own."""
+        adds cached entries of its own: the frame derivatives of that
+        monomial."""
         spec = load_spec(catalog_document("iwasawa_ak"))
         check_integrability_relations(spec)
         assert any(key[0] == "d_parts" for key in spec._cache)
@@ -340,13 +344,13 @@ class TestOneSplitOfD:
         form = parse_form("(1,2)*phi[1;2] + phi[1,3;2] - 3*phi[2;] + phi[;3]", 3)
         for kind in HarmonicKind:
             is_harmonic(kind, form, spec)
-        assert not [key for key in spec._cache if key[0] in ("d", "unit-term")]
+        assert not [key for key in spec._cache if key[0] in ("d", "derivative")]
         torus = load_spec(catalog_document("torus6"))
         form = parse_form("(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] + g3*g3c*phi[1;1] + phi[2;]", 3)
         for kind in HarmonicKind:
             is_harmonic(kind, form, torus)
-        entries = [s for key, images in torus._cache.items() if key[0] == "unit-term" for s in images]
-        assert entries and all(entries)
+        entries = [key[1:] for key in torus._cache if key[0] == "derivative"]
+        assert entries and all(s and isinstance(direction, Direction) for s, direction in entries)
 
 
 class TestReturnedFormsAreNew:
@@ -514,7 +518,73 @@ class TestUnderivableTerms:
                 with pytest.raises(DepthExceeded):
                     hermitian._term_image(("d", "Lambda"), idx, s, shallow)
         assert not [key for key in shallow._cache if key[0] == "term-image"]
-        assert not [key for key, images in shallow._cache.items() if key[0] == "unit-term" and images]
+        assert not [key for key in shallow._cache if key[0] == "derivative"]
+
+
+class TestEntriesAreFixed:
+    """ManifoldSpec.cached is the one memo of a spec, and an entry is never
+    changed once built: later work on the same phi-monomials, with new
+    symbol monomials on torus6 and new values on iwasawa_ak, adds keys and
+    leaves every earlier value as it was."""
+
+    CASES = {
+        "torus6": (
+            "g3*phi[1,3;2] + g3c*phi[2,3;1]",
+            ["g33*phi[1,3;2] + g3b3*phi[2,3;1]", "g3*g3c*phi[1,3;2] + g33c*phi[1,2;3]"],
+        ),
+        "iwasawa_ak": (
+            "(1,2)*phi[1,3;2] + phi[2,3;1]",
+            ["3*phi[1,3;2] - phi[1,2;3]", "phi[1,2;1] + (0,1)*phi[2,3;2]"],
+        ),
+    }
+
+    @staticmethod
+    def certify(text, spec):
+        form = parse_form(text, spec.n)
+        for kind in HarmonicKind:
+            is_harmonic(kind, form, spec)
+        primitive_decompose(form, spec)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_later_work_changes_no_earlier_entry(self, name, monkeypatch):
+        # the read-only views a cache holds, deep-copied through a plain dict and Form
+        monkeypatch.setitem(
+            copyreg.dispatch_table, MappingProxyType, lambda m: (MappingProxyType, (dict(m),))
+        )
+        monkeypatch.setitem(
+            copyreg.dispatch_table, ReadOnlyForm, lambda f: (ReadOnlyForm, (Form(f.n, dict(f.terms)),))
+        )
+        first, later = self.CASES[name]
+        spec = load_spec(catalog_document(name))
+        self.certify(first, spec)
+        before = dict(spec._cache)
+        snapshot = copy.deepcopy(before)
+        for text in later:
+            self.certify(text, spec)
+        assert len(spec._cache) > len(before)
+        changed = [key for key, value in before.items() if spec._cache[key] is not value]
+        changed += [key for key, value in snapshot.items() if spec._cache[key] != value]
+        assert changed == []
+
+
+def test_no_cache_entry_is_filled_or_cleared_in_place():
+    """No `.cached(...)` builds an empty container to fill later (its build
+    argument is never dict, list, set or defaultdict), and no module calls
+    `.clear()`: a memo outside ManifoldSpec.cached would be both."""
+    containers = {"dict", "list", "set", "defaultdict"}
+    offenders = []
+    for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "clear":
+                offenders.append(f"{path.name}:{node.lineno}: .clear()")
+            elif node.func.attr == "cached" and len(node.args) > 1:
+                build = node.args[1]
+                name = build.id if isinstance(build, ast.Name) else getattr(build, "attr", None)
+                if name in containers:
+                    offenders.append(f"{path.name}:{node.lineno}: .cached(..., {name})")
+    assert offenders == []
 
 
 def test_no_function_caches_in_the_package():

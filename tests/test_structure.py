@@ -430,10 +430,9 @@ class TestLeibnizOracle:
 
     def test_components_derive_only_along_their_directions(self, monkeypatch):
         """del differentiates coefficients along V_1..V_n only, delbar along
-        their conjugates, mu and mubar along none.  The images of the
-        symbolic unit terms are cached on the spec, so the spec is fresh and
-        a second pass derives nothing."""
-        torus = load_spec(catalog_document("torus6"))
+        their conjugates, mu and mubar along none.  The derivatives are
+        cached on the spec and shared by the kinds, so each kind gets a
+        fresh spec, and a second pass derives nothing."""
         seen = []
         derive = DerivationTable.derive_monomial
 
@@ -454,13 +453,13 @@ class TestLeibnizOracle:
             OperatorKind.MUBAR: set(),
         }
         for kind, directions in expected.items():
+            torus = load_spec(catalog_document("torus6"))
             seen.clear()
             differential_component(form, kind, torus)
             assert set(seen) == directions, kind
-        seen.clear()
-        for kind in expected:
+            seen.clear()
             differential_component(form, kind, torus)
-        assert seen == []
+            assert seen == [], kind
 
 
 # The integrability gate evaluates only 1 and the phi^a, phi^abar when every
