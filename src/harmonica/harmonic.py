@@ -6,13 +6,13 @@ del delbar * a = 0).  The engine computes kernels from those systems on the
 invariant complex — where the compactness argument still applies, since all
 operators preserve invariance — and cross-checks every constant-coefficient
 kernel K against the nullspace of the assembled Laplacian matrix.  That
-nullspace is not read as a kernel: the reduced rows of the Laplacian give
-its rank, and K = ker Delta exactly when those rows annihilate K and
-dim K = m - rank Delta over the m monomials of the block (linalg.is_kernel).
+nullspace is not read as a kernel: linalg.rref reduces the Laplacian's
+sparse rows to a value whose dim is rank Delta, and K = ker Delta exactly
+when its canonical rows annihilate K and dim K = m - rank Delta over the m
+monomials of the block (linalg.is_kernel).
 
 Spaces are Subspace values in (p,q) coordinates, built from sparse rows;
-hermitian.subspace_forms gives their Forms.  The assembled Laplacian is
-the one dense matrix (block_rows, rref), read only by the cross-check.
+hermitian.subspace_forms gives their Forms.
 """
 
 from __future__ import annotations
@@ -21,17 +21,11 @@ import enum
 from dataclasses import dataclass
 
 from .errors import BidegreeOutOfRange, CrossCheckFailed, ParseError, SymbolicCoefficients
-from .forms import Form, basis_multiindices
+from .forms import Form
 from .hermitian import (
-    _apply_words,
-    adjoint,
-    apply_word,
-    block_rows,
-    operator_columns,
-    subspace_forms,
-    word_kernel,
+    _apply_words, adjoint, apply_word, operator_columns, subspace_forms, word_kernel,
 )
-from .linalg import Subspace, is_kernel, rref
+from .linalg import Subspace, is_kernel, rref, sparse_rows
 from .structure import ManifoldSpec
 
 __all__ = [
@@ -153,11 +147,12 @@ def _condition_subspace(key: str, p: int, q: int, spec: ManifoldSpec) -> Subspac
     return word_kernel(CONDITION_WORDS[key], p, q, spec)
 
 
-def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec):
+def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> Subspace:
     """The nullspace of the assembled Laplacian on the (p,q) monomials, given
-    by the reduced echelon rows of its matrix.  For the d-Laplacian, which
-    mixes the bidegrees of one total degree, this is ker Delta_d restricted
-    to forms supported on the (p,q) block."""
+    by the reduced echelon rows of its matrix: the rref of its sparse rows,
+    one column per monomial.  For the d-Laplacian, which mixes the
+    bidegrees of one total degree, this is ker Delta_d restricted to forms
+    supported on the (p,q) block."""
     columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
     mixed = kind is HarmonicKind.D
     stray = [m for c in columns for m in c if m.degree != p + q or (m.p != p and not mixed)]
@@ -166,7 +161,7 @@ def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec)
             f"Laplacian image leaves the expected space for {kind.value} "
             f"at ({p},{q}) on {spec.name!r}: {stray}"
         )
-    return rref(block_rows(columns))
+    return rref(sparse_rows(columns), len(columns))
 
 
 def harmonic_space(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> SubspaceBasis:
@@ -192,8 +187,7 @@ def _harmonic_kernel(kind, p, q, spec) -> Subspace:
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         raise BidegreeOutOfRange(f"bidegree ({p},{q}) out of range for n={spec.n}")
     space = _condition_subspace(kind.value, p, q, spec)
-    monomials = basis_multiindices(spec.n, p, q)
-    if not is_kernel(space, _laplacian_nullspace(kind, p, q, spec), len(monomials)):
+    if not is_kernel(space, _laplacian_nullspace(kind, p, q, spec)):
         raise CrossCheckFailed(
             f"condition kernel and Laplacian nullspace disagree for "
             f"{kind.value} at ({p},{q}) on {spec.name!r}"

@@ -23,7 +23,7 @@ from .forms import (
     Form, MultiIndex, _add_term, _check_ambient, _combine, _form, _format_multiindex, _nonzero,
     _wedge_monomials, basis_multiindices,
 )
-from .linalg import Subspace, sparse_kernel, sparse_rows, sparse_span
+from .linalg import Subspace, rref, sparse_kernel, sparse_rows
 from .scalars import Coefficient, Fraction, GaussianRational
 from .structure import ManifoldSpec, OperatorKind, _d_terms, d_by_shift, fundamental_form
 
@@ -48,10 +48,8 @@ __all__ = [
     "form_subspace",
     "operator_columns",
     "word_kernel",
-    "block_rows",
 ]
 
-_ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 # The operator names of a word (see apply_word) other than "*", "L" and
 # "Lambda": each part of d maps to (its kind, False), and each adjoint
@@ -292,8 +290,9 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # to _word_pass over the whole Form.  Each entry point that takes words checks
 # their names first (_check_words).  subspace_forms and form_subspace are the
 # one Subspace <-> Form pair; form_subspace and lefschetz_image reach (p,q)
-# coordinates through _coordinate_span, which spans sparse rows.  Only the
-# Laplacian cross-check builds dense rows (block_rows).
+# coordinates through _coordinate_span.  Every matrix is sparse rows, and
+# linalg.rref is its one reduction: _coordinate_span and word_kernel (through
+# sparse_kernel) here, and the Laplacian cross-check in harmonic.
 
 
 def subspace_forms(space: Subspace, p: int, q: int, spec: ManifoldSpec) -> list[Form]:
@@ -330,7 +329,7 @@ def _coordinate_span(vectors, p: int, q: int, spec: ManifoldSpec) -> Subspace:
                 raise NotHomogeneous(f"{_format_multiindex(m)} is not a ({p},{q}) monomial")
             row[index[m]] = x
         rows.append(row)
-    return sparse_span(rows, len(monomials))
+    return rref(rows, len(monomials))
 
 
 def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:
@@ -371,12 +370,6 @@ def word_kernel(words, p: int, q: int, spec: ManifoldSpec) -> Subspace:
     blocks = ([_column((word,), m, spec) for m in monomials] for word in words)
     rows = [row for columns in blocks for row in sparse_rows(columns)]
     return sparse_kernel(rows, len(monomials))
-
-
-def block_rows(columns: list[dict]) -> list[list]:
-    """The rows of the matrix with these columns, one per output monomial hit."""
-    hit = dict.fromkeys(m for column in columns for m in column)
-    return [[column.get(m, _ZERO) for column in columns] for m in hit]
 
 
 def _word_image(word: tuple, idx: MultiIndex, spec: ManifoldSpec) -> dict:

@@ -5,19 +5,16 @@ integers as sparse rows (pivot column, ((column, re, im), ...)), the nonzero
 entries in column order, each row scaled so that its pivot entry is a
 positive integer and the gcd of all its integer parts is 1, with the column
 count m beside them.  That form is unique, so `==` is literal comparison of
-the rows (m is not compared: `span([])` cannot know it); rows are tuples, so
-a cached value cannot be changed.  Sums, intersections, inclusions and
-equalities of spaces are `+`, `&`, `<=` and `==` on the value.  Values are
-built from sparse rows {column: Q(i) value} (`sparse_span`, `sparse_kernel`,
-with `sparse_rows` to turn sparse columns into rows).  The only dense-list
-code is the boundary of the Laplacian cross-check: `span` and `rref` take
-lists of GaussianRational, `is_kernel` reads reduced dense rows, `_to_int`
-converts such a row, and `vectors()` gives the dense Q(i) rows with pivots 1.
+the rows (m is not compared, so the empty `Subspace()` equals every zero
+space); rows are tuples, so a cached value cannot be changed.  Sums,
+intersections, inclusions and equalities of spaces are `+`, `&`, `<=` and
+`==` on the value.  Values are built from sparse rows {column: Q(i) value}:
+`rref` is the one entry that reduces them, and `sparse_kernel` reads a
+kernel off it (`sparse_rows` turns sparse columns into rows).
 
 Every value is built by one constructor, `Subspace._of`, from sparse
-Gaussian-integer rows, or read off its result: `span`, `+` and `&` go
-through it, and `sparse_kernel` reads the kernel off one `_of` of the
-matrix's rows.  `_of` reduces the rows as they are, sparse, with no dense
+Gaussian-integer rows, or read off its result: `rref`, `+` and `&` go
+through it.  `_of` reduces the rows as they are, sparse, with no dense
 copy: it keeps pivot rows that are zero at every other pivot column,
 reduces each incoming row at the pivot columns it touches, makes what is
 left a pivot row at its smallest column and reduces the older pivot rows
@@ -31,14 +28,18 @@ returns None), and a value meets an equal value in itself (`a & a` is a).
 
 Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
-the gcd of all its integer parts, so no rational number is formed.
+the gcd of all its integer parts, so no rational number is formed.  A row
+is made real and positive at its pivot when it becomes a pivot row (times
+the conjugate of its pivot entry, then divided by its integer content), so
+every p is a positive integer and no Gaussian-integer factor builds up in
+the rows (cf. Bareiss, Math. Comp. 22, 1968).
 
 `sparse_kernel` reduces a sparse matrix's rows once with each pivot at its
-row's largest column (the columns mirrored for `_of`); each free column
+row's largest column (the columns mirrored for `rref`); each free column
 then gives one kernel vector that is already a canonical row, so there is
 no second elimination.  The Laplacian cross-check reads no second kernel:
 `is_kernel` decides whether a space is the kernel of a matrix from the
-matrix's reduced rows, by rank and annihilation, so the condition kernel
+matrix's reduction, by rank and annihilation, so the condition kernel
 and the Laplacian are compared on different matrices by different routes;
 the reduction they share is checked against sympy in the tests.
 """
@@ -52,14 +53,6 @@ from math import gcd, lcm
 
 from .scalars import GaussianRational
 
-_ZERO = GaussianRational(0)
-
-
-def _to_int(row: list) -> list:
-    """A dense Q(i) row as sparse (column, re, im) Gaussian-integer entries
-    over its common denominator."""
-    return _sparse_to_int([(j, x) for j, x in enumerate(row) if x.re_num or x.im_num])
-
 
 def _sparse_to_int(entries: list) -> list:
     """(column, re, im) Gaussian-integer parts of nonzero (column, Q(i) value)
@@ -68,16 +61,29 @@ def _sparse_to_int(entries: list) -> list:
     return [(j, x.re_num * (den // x.den), x.im_num * (den // x.den)) for j, x in entries]
 
 
+def _content_free(row: dict) -> dict:
+    """A sparse row {column: (re, im)} divided by the gcd of its integer parts."""
+    g = gcd(*(x for entry in row.values() for x in entry))
+    return {j: (a // g, b // g) for j, (a, b) in row.items()} if g > 1 else row
+
+
+def _real_at(row: dict, col: int) -> dict:
+    """The row times the conjugate of its entry in `col`, divided by its
+    integer content: real and positive in `col`."""
+    pr, pi = row[col]
+    return _content_free({j: (a * pr + b * pi, b * pr - a * pi) for j, (a, b) in row.items()})
+
+
 def _reduce(row: dict, pivot: dict, col: int) -> dict:
     """p*row - f*pivot, zero in column `col`, with its integer content divided
-    out; p is the pivot's entry in `col` and f the row's, both first divided
-    by their common integer factor.  Rows are {column: (re, im)} of nonzero
-    Gaussian-integer entries."""
-    pr, pi = pivot[col]
+    out; p is the pivot's entry in `col`, a positive integer, and f the
+    row's, both first divided by their common integer factor.  Rows are
+    {column: (re, im)} of nonzero Gaussian-integer entries."""
+    p = pivot[col][0]
     fr, fi = row[col]
-    g = gcd(pr, pi, fr, fi)
-    pr, pi, fr, fi = pr // g, pi // g, fr // g, fi // g
-    out = {j: (pr * a - pi * b, pr * b + pi * a) for j, (a, b) in row.items()}
+    g = gcd(p, fr, fi)
+    p, fr, fi = p // g, fr // g, fi // g
+    out = {j: (p * a, p * b) for j, (a, b) in row.items()}
     for j, (c, d) in pivot.items():
         a, b = out.get(j, (0, 0))
         a, b = a - fr * c + fi * d, b - fr * d - fi * c
@@ -85,23 +91,15 @@ def _reduce(row: dict, pivot: dict, col: int) -> dict:
             out[j] = (a, b)
         else:
             del out[j]
-    g = gcd(*(x for entry in out.values() for x in entry))
-    if g > 1:
-        out = {j: (a // g, b // g) for j, (a, b) in out.items()}
-    return out
+    return _content_free(out)
 
 
 def _normalized(row: dict) -> tuple:
-    """(pivot column, entries) of a nonzero sparse row {column: (re, im)}:
-    its entries in column order, times the conjugate of the first and
-    divided by their integer content."""
+    """(pivot column, entries) of a nonzero sparse row {column: (re, im)}
+    with integer content 1, real and positive at its smallest column: its
+    entries in column order."""
     entries = sorted(row.items())
-    col, (pr, pi) = entries[0]
-    out = [(j, a * pr + b * pi, b * pr - a * pi) for j, (a, b) in entries]
-    g = gcd(*(x for _, a, b in out for x in (a, b)))
-    if g > 1:
-        out = [(j, a // g, b // g) for j, a, b in out]
-    return col, tuple(out)
+    return entries[0][0], tuple((j, a, b) for j, (a, b) in entries)
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,7 @@ class Subspace:
     """A subspace of Q(i)^ncols in its canonical form: sparse (pivot column,
     ((column, re, im), ...)) rows of the reduced echelon basis over Z[i],
     each with a positive integer pivot entry and integer content 1.  Build
-    it with `sparse_span` or `sparse_kernel` (`span` for the dense rows of
-    the Laplacian cross-check)."""
+    it with `rref` or `sparse_kernel`."""
 
     sparse: tuple = ()
     ncols: int = field(default=0, compare=False)
@@ -122,9 +119,11 @@ class Subspace:
         rows themselves.  The pivot rows {column: (re, im)}, keyed by pivot
         column, are zero at every other pivot column, so an incoming row is
         reduced once at each pivot column it touches.  What is left, if
-        anything, becomes a pivot row at its smallest column, and the older
-        pivot rows that hold that column are reduced at it; `holders` maps
-        each non-pivot column to the pivot columns of the rows holding it."""
+        anything, becomes a pivot row at its smallest column, real and
+        positive there, and the older pivot rows that hold that column are
+        reduced at it, which keeps their own pivot entries positive
+        integers; `holders` maps each non-pivot column to the pivot columns
+        of the rows holding it."""
         pivots: dict = {}
         holders = defaultdict(set)
         for entries in rows:
@@ -134,6 +133,7 @@ class Subspace:
             if not row:
                 continue
             col = min(row)
+            row = _real_at(row, col)
             for other in holders.pop(col, ()):
                 old = pivots[other]
                 new = pivots[other] = _reduce(old, row, col)
@@ -157,16 +157,6 @@ class Subspace:
             [(j, GaussianRational.from_ints(a, b, entries[0][1])) for j, a, b in entries]
             for _, entries in self.sparse
         ]
-
-    def vectors(self) -> list[list]:
-        """The basis as dense Q(i) rows with pivot entries 1, zero entries shared."""
-        out = []
-        for row in self.sparse_vectors():
-            v = [_ZERO] * self.ncols
-            for j, x in row:
-                v[j] = x
-            out.append(v)
-        return out
 
     @cached_property
     def _by_pivot(self) -> dict:
@@ -233,28 +223,24 @@ class Subspace:
         return sum(parts, Subspace()).dim == sum(p.dim for p in parts)
 
 
-def span(rows: list[list]) -> Subspace:
-    """The span of dense Q(i) rows."""
-    return Subspace._of([_to_int(r) for r in rows], len(rows[0]) if rows else 0)
-
-
-def sparse_span(rows, ncols: int) -> Subspace:
-    """The span of sparse Q(i) rows {column index: value} over ncols columns."""
+def rref(rows: list, ncols: int) -> Subspace:
+    """The span of sparse Q(i) rows {column index: value} over ncols columns,
+    by one reduction: the reduced echelon rows in canonical form."""
     return Subspace._of(
         [_sparse_to_int([(j, x) for j, x in row.items() if x.re_num or x.im_num]) for row in rows],
         ncols,
     )
 
 
-def is_kernel(space: Subspace, reduced: list[list], ncols: int) -> bool:
-    """Whether space = {x : A x = 0} for the matrix A with these reduced
-    echelon rows (as from `rref`), decided without the kernel of A: exactly
-    when every row of A annihilates every basis vector of the space (so the
-    space lies in ker A) and dim space = ncols - rank A, rank A being the
-    number of reduced rows."""
-    if space.dim != ncols - len(reduced):
+def is_kernel(space: Subspace, reduced: Subspace) -> bool:
+    """Whether space = {x : A x = 0} for the matrix A whose reduction (from
+    `rref`) is given, decided without the kernel of A: exactly when every
+    canonical row of A's reduction annihilates every basis vector of the
+    space (so the space lies in ker A) and dim space = m - rank A, over the
+    m = reduced.ncols columns of A, rank A being reduced.dim."""
+    if space.dim != reduced.ncols - reduced.dim:
         return False
-    rows = [{j: (a, b) for j, a, b in _to_int(r)} for r in reduced]
+    rows = [{j: (a, b) for j, a, b in entries} for _, entries in reduced.sparse]
     for _, entries in space.sparse:
         for row in rows:
             re = im = 0
@@ -289,7 +275,7 @@ def sparse_kernel(rows, ncols: int) -> Subspace:
     vectors in order of f are the canonical rows of the kernel.  A column
     that no row touches gives e_f."""
     last = ncols - 1
-    mirrored = sparse_span([{last - j: x for j, x in row.items()} for row in rows], ncols)
+    mirrored = rref([{last - j: x for j, x in row.items()} for row in rows], ncols)
     hits: dict = {}
     pivots = set()
     for col, entries in mirrored.sparse:
@@ -306,10 +292,5 @@ def sparse_kernel(rows, ncols: int) -> Subspace:
         vector = {f: (scale, 0)}
         for col, p, a, b in terms:
             vector[col] = (-(scale // p) * a, -(scale // p) * b)
-        basis.append(_normalized(vector))
+        basis.append(_normalized(_content_free(vector)))
     return Subspace(tuple(basis), ncols)
-
-
-def rref(rows: list[list]) -> list[list]:
-    """Reduced row echelon form; returns the nonzero rows, pivots normalized to 1."""
-    return span(rows).vectors()

@@ -382,16 +382,22 @@ def is_integrable(spec: ManifoldSpec) -> bool:
 
 
 def is_almost_kahler(spec: ManifoldSpec) -> bool:
-    """d omega = 0, computed once per spec."""
-    return spec.cached(("almost-kahler",), lambda: exterior_d(fundamental_form(spec), spec).is_zero())
+    """d omega = 0."""
+    return _d_omega(spec).is_zero()
+
+
+def _d_omega(spec: ManifoldSpec) -> Form:
+    """d omega, computed once per spec; read-only, as it is shared."""
+    return spec.cached(("d-omega",), lambda: ReadOnlyForm(exterior_d(fundamental_form(spec), spec)))
 
 
 def check_almost_kahler(spec: ManifoldSpec) -> VerificationReport:
     """d omega = 0; integrability is reported as a flag, not a requirement.
     The metric coefficients need no item: ManifoldSpec refuses any c <= 0.
-    d omega is built again only as the residual of a failing item."""
-    closed = is_almost_kahler(spec)
+    A failing item's residual is the spec's read-only d omega."""
+    residual = _d_omega(spec)
+    closed = residual.is_zero()
     omega = None if closed else fundamental_form(spec)
-    item = CheckItem("d omega = 0", closed, omega, None if closed else exterior_d(omega, spec))
+    item = CheckItem("d omega = 0", closed, omega, None if closed else residual)
     data = {"integrable": is_integrable(spec), "almost_kahler": closed}
     return VerificationReport.from_items(f"almost-kahler:{spec.name}", [item], data=data)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmonica import catalog
+from harmonica import catalog, linalg
 from harmonica.forms import Form, basis_multiindices
 from harmonica.scalars import GaussianRational
 from harmonica.structure import all_basis_monomials
@@ -65,3 +65,18 @@ def rand_form_any(n, rng, density=0.3):
         if rng.random() < density:
             out = out + Form.monomial(n, idx.hol, idx.anti, rand_gauss(rng))
     return out
+
+
+def fail_on_swell(monkeypatch, bits):
+    """Spy on `linalg._reduce` that fails as soon as a reduced row holds an
+    integer part of more than `bits` bits, so that coefficient swell in an
+    elimination fails fast instead of running on."""
+    reduce = linalg._reduce
+
+    def spy(row, pivot, col):
+        out = reduce(row, pivot, col)
+        largest = max((max(abs(a), abs(b)).bit_length() for a, b in out.values()), default=0)
+        assert largest <= bits, f"a reduced row holds a {largest}-bit integer"
+        return out
+
+    monkeypatch.setattr(linalg, "_reduce", spy)

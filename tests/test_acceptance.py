@@ -22,7 +22,7 @@ from harmonica.hermitian import (
     weil_star_primitive,
 )
 from harmonica.library import catalog
-from harmonica.linalg import span
+from harmonica.linalg import rref
 from harmonica.report import VERIFIED
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import (
@@ -295,8 +295,8 @@ def test_criterion_08_primitive_round_trip_and_ranks(capsys):
                 f = mono(n, idx.hol, idx.anti)
                 for _ in range(h):
                     f = lefschetz_L(f, iw)
-                rows.append([f.coefficient(t).constant_value() for t in target])
-            r = span(rows).dim
+                rows.append({j: f.coefficient(t).constant_value() for j, t in enumerate(target)})
+            r = rref(rows, len(target)).dim
             if h + k <= n:
                 ok = ok and r == len(source)
             if h + k >= n:

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from harmonica import errors, harmonic
 from harmonica.cli import _pretty, main
-from harmonica.forms import format_form, parse_form
+from harmonica.forms import basis_multiindices, format_form, parse_form
 from harmonica.library import catalog_document
+from harmonica.linalg import Subspace
 from harmonica.structure import check_integrability_relations
 
 
@@ -121,7 +122,9 @@ class TestCrossCheckFailure:
         return run_cli(capsys, "harmonics", str(path), "--laplacian", "bc", "--bidegree", "2,1")
 
     def test_wrong_laplacian_kernel(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(harmonic, "_laplacian_nullspace", lambda kind, p, q, spec: [])
+        m = len(basis_multiindices(3, 2, 1))
+        zero = lambda kind, p, q, spec: Subspace((), m)  # the reduction of the zero matrix
+        monkeypatch.setattr(harmonic, "_laplacian_nullspace", zero)
         code, out, err = self._run(capsys, tmp_path)
         assert code == 1
         assert out == ""

@@ -28,7 +28,7 @@ from harmonica.hermitian import (
     volume_form,
     weil_star_primitive,
 )
-from harmonica.linalg import span
+from harmonica.linalg import rref
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import ManifoldSpec, all_basis_monomials
 
@@ -207,8 +207,8 @@ class TestLefschetz:
                     f = mono(n, idx.hol, idx.anti)
                     for _ in range(h):
                         f = lefschetz_L(f, iwasawa)
-                    rows.append([f.coefficient(t).constant_value() for t in target])
-                r = span(rows).dim
+                    rows.append({j: f.coefficient(t).constant_value() for j, t in enumerate(target)})
+                r = rref(rows, len(target)).dim
                 if h + k <= n:
                     assert r == len(source), (k, h)
                 if h + k >= n:

@@ -1,22 +1,27 @@
 """Property tests of the exact linear-algebra core against sympy as an oracle:
-the canonical Subspace value, its constructors (`span`, `sparse_span`,
-`sparse_kernel`) and operations (`+`, `&`, `<=`, `==`), and the
-dense boundary of the Laplacian cross-check (`rref`, `is_kernel`).
+the canonical Subspace value, its constructors (`rref`, the one entry that
+reduces sparse rows, and `sparse_kernel`), its operations (`+`, `&`, `<=`,
+`==`), and the kernel decision of the Laplacian cross-check (`is_kernel`).
+Values are compared with sympy's dense reduced rows through `_vectors`, a
+dense view built here.
 
 Matrices are small Q(i) matrices with zero rows, repeated rows, rows that are
 combinations of earlier rows, and entries with large denominators.
 """
 
+import ast
 import dataclasses
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import harmonica
 from harmonica import linalg
 from harmonica.linalg import (
     Subspace,
@@ -24,10 +29,10 @@ from harmonica.linalg import (
     rref,
     sparse_kernel,
     sparse_rows,
-    sparse_span,
-    span,
 )
 from harmonica.scalars import GaussianRational
+
+from conftest import fail_on_swell
 
 sp = pytest.importorskip("sympy")
 
@@ -139,22 +144,58 @@ def _oracle_intersection(a, b, n):
     return _oracle_rref(rows, n)
 
 
+def _sparse(rows):
+    """Dense rows as sparse rows {column: value}, their zero entries kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def _span(rows, n):
+    """The value of dense rows over n columns, through the one sparse entry."""
+    return rref(_sparse(rows), n)
+
+
+def _vectors(space):
+    """The basis as dense Q(i) rows with pivot entries 1."""
+    out = []
+    for row in space.sparse_vectors():
+        v = [_ZERO] * space.ncols
+        for j, x in row:
+            v[j] = x
+        out.append(v)
+    return out
+
+
+def _canonical(reduced, n):
+    """The Subspace of dense reduced echelon rows with pivot entries 1 (as
+    sympy gives them), each scaled here to the canonical Z[i] form: times the
+    lcm of its denominators, then divided by the gcd of its integer parts."""
+    rows = []
+    for row in reduced:
+        entries = [(j, x) for j, x in enumerate(row) if not x.is_zero()]
+        den = math.lcm(*(x.den for _, x in entries))
+        ints = [(j, x.re_num * (den // x.den), x.im_num * (den // x.den)) for j, x in entries]
+        g = math.gcd(*(v for _, a, b in ints for v in (a, b)))
+        rows.append((ints[0][0], tuple((j, a // g, b // g) for j, a, b in ints)))
+    return Subspace(tuple(rows), n)
+
+
 @PROPERTY
 @given(one_matrix())
 def test_rref_matches_sympy(case):
     n, rows = case
-    reduced = rref(rows)
-    assert reduced == _oracle_rref(rows, n)
-    assert span(rows).dim == len(reduced)
+    reduced = _span(rows, n)
+    oracle = _oracle_rref(rows, n)
+    assert _vectors(reduced) == oracle
+    assert reduced == _canonical(oracle, n) and reduced.ncols == n
 
 
 @PROPERTY
 @given(one_matrix())
 def test_right_kernel_annihilates_rows(case):
     n, rows = case
-    null = sparse_kernel(_sparse(rows), n).vectors()
+    null = _vectors(sparse_kernel(_sparse(rows), n))
     assert len(null) == n - _oracle_rank(rows, n)
-    assert rref(null) == null
+    assert _vectors(_span(null, n)) == null
     for x in null:
         for r in rows:
             assert sum((a * b for a, b in zip(r, x)), _ZERO).is_zero()
@@ -165,15 +206,16 @@ def test_right_kernel_annihilates_rows(case):
 def test_sum_and_intersection_match_sympy(case):
     n, a, b = case
     ra, rb, rs = _oracle_rank(a, n), _oracle_rank(b, n), _oracle_rank(a + b, n)
-    total = (span(a) + span(b)).vectors()
-    meet = (span(a) & span(b)).vectors()
+    sa, sb = _span(a, n), _span(b, n)
+    total = _vectors(sa + sb)
+    meet = _vectors(sa & sb)
     assert len(total) == rs
     assert len(meet) == ra + rb - rs
     assert total == _oracle_rref(a + b, n)
     assert meet == _oracle_intersection(a, b, n)
-    assert span(meet) <= span(a) and span(meet) <= span(b)
-    assert Subspace.is_direct_sum([span(a), span(b)]) == (ra + rb == rs)
-    assert span(b) + span(a) == span(a + b)
+    assert _span(meet, n) <= sa and _span(meet, n) <= sb
+    assert Subspace.is_direct_sum([sa, sb]) == (ra + rb == rs)
+    assert sb + sa == _span(a + b, n)
 
 
 @PROPERTY
@@ -182,9 +224,9 @@ def test_containment_matches_rank_criterion(case):
     n, rows, basis = case
     base_rank = _oracle_rank(basis, n)
     inside = [_oracle_rank(basis + [r], n) == base_rank for r in rows]
-    assert [span([r]) <= span(basis) for r in rows] == inside
-    assert (span(rows) <= span(basis)) == all(inside)
-    assert (span(rows) <= span(basis)) == (_oracle_rank(basis + rows, n) == base_rank)
+    assert [_span([r], n) <= _span(basis, n) for r in rows] == inside
+    assert (_span(rows, n) <= _span(basis, n)) == all(inside)
+    assert (_span(rows, n) <= _span(basis, n)) == (_oracle_rank(basis + rows, n) == base_rank)
 
 
 nonzero = entries.filter(lambda x: not x.is_zero())
@@ -229,11 +271,11 @@ def _assert_canonical(space):
 @given(respanned())
 def test_any_spanning_set_gives_an_equal_value(case):
     n, rows, other = case
-    space = span(rows)
+    space = _span(rows, n)
     _assert_canonical(space)
-    assert span(other) == space
-    assert span(other).sparse == space.sparse and hash(span(other)) == hash(space)
-    assert space.vectors() == _oracle_rref(rows, n)
+    assert _span(other, n) == space
+    assert _span(other, n).sparse == space.sparse and hash(_span(other, n)) == hash(space)
+    assert _vectors(space) == _oracle_rref(rows, n)
     assert space.dim == _oracle_rank(rows, n)
 
 
@@ -241,11 +283,11 @@ def test_any_spanning_set_gives_an_equal_value(case):
 @given(two_matrices())
 def test_subspace_operations_match_sympy(case):
     n, a, b = case
-    sa, sb = span(a), span(b)
+    sa, sb = _span(a, n), _span(b, n)
     for value in (sa + sb, sa & sb):
         _assert_canonical(value)
-    assert (sa + sb).vectors() == _oracle_rref(a + b, n)
-    assert (sa & sb).vectors() == _oracle_intersection(a, b, n)
+    assert _vectors(sa + sb) == _oracle_rref(a + b, n)
+    assert _vectors(sa & sb) == _oracle_intersection(a, b, n)
     base_rank = _oracle_rank(b, n)
     inside = [_oracle_rank(b + [r], n) == base_rank for r in _oracle_rref(a, n)]
     assert (sa <= sb) == all(inside)
@@ -261,7 +303,7 @@ def test_equal_values_need_no_row_work(case):
     """For b == a built apart, a <= b, b <= a and a & b make no membership
     test and no elimination, and a & b == a."""
     n, rows, other = case
-    a, b = span(rows), span(other)
+    a, b = _span(rows, n), _span(other, n)
     assert b == a and b is not a
     calls = []
     contains, of = Subspace.__dict__["_contains"], Subspace.__dict__["_of"]
@@ -285,14 +327,14 @@ def test_equal_values_need_no_row_work(case):
 
 
 def test_value_is_immutable():
-    space = span([[GaussianRational(1), GaussianRational(0, 2)]])
+    space = rref([{0: GaussianRational(1), 1: GaussianRational(0, 2)}], 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         space.sparse = ()
     with pytest.raises(TypeError):
         space.sparse[0][1][0] = (0, 5, 0)
-    vectors = space.vectors()
-    vectors[0][0] = _ZERO
-    assert space.vectors()[0][0] == GaussianRational(1)
+    vectors = space.sparse_vectors()
+    vectors[0][0] = (0, _ZERO)
+    assert space.sparse_vectors()[0][0] == (0, GaussianRational(1))
 
 
 @st.composite
@@ -326,12 +368,12 @@ def test_sparse_kernel_equals_dense_kernel(case):
     oracle = _oracle_kernel(dense, n)
     for space in (sparse_kernel(rows, n), sparse_kernel(_sparse(dense), n)):
         _assert_view(space, n)
-        assert space.vectors() == oracle
+        assert _vectors(space) == oracle
 
 
 def test_sparse_kernel_of_no_rows_is_everything():
     identity = [[GaussianRational(int(i == j)) for j in range(3)] for i in range(3)]
-    assert sparse_kernel([], 3) == span(identity)
+    assert sparse_kernel([], 3) == _span(identity, 3)
     assert sparse_kernel([], 0) == Subspace()
 
 
@@ -351,11 +393,6 @@ def test_sparse_rows_transpose_columns(case):
 
 def _dense(rows, n):
     return [[row.get(j, _ZERO) for j in range(n)] for row in rows]
-
-
-def _sparse(rows):
-    """Dense rows as sparse rows {column: value}, their zero entries kept."""
-    return [dict(enumerate(row)) for row in rows]
 
 
 small_nonzero = st.builds(GaussianRational, small.filter(bool), small)
@@ -404,14 +441,14 @@ def _assert_view(space, n):
 def test_sparse_span_and_kernel_match_sympy(case):
     n, rows = case
     dense = _dense(rows, n)
-    for space in (span(dense), sparse_span(rows, n)):
+    for space in (_span(dense, n), rref(rows, n)):
         _assert_view(space, n)
-        assert space.vectors() == _oracle_rref(dense, n)
+        assert _vectors(space) == _oracle_rref(dense, n)
     null = sparse_kernel(rows, n)
     _assert_view(null, n)
-    assert null.vectors() == _oracle_kernel(dense, n)
+    assert _vectors(null) == _oracle_kernel(dense, n)
     assert null.dim == n - _oracle_rank(dense, n)
-    for x in null.vectors():
+    for x in _vectors(null):
         for r in dense:
             assert sum((a * b for a, b in zip(r, x)), _ZERO).is_zero()
 
@@ -444,11 +481,11 @@ def test_sparse_kernel_is_one_reduction(case):
 def test_sparse_subspace_operations_match_sympy(case):
     n, a, b = case
     da, db = _dense(a, n), _dense(b, n)
-    sa, sb = sparse_span(a, n), sparse_span(b, n)
+    sa, sb = rref(a, n), rref(b, n)
     for value in (sa + sb, sa & sb, sb & sa):
         _assert_view(value, n)
-    assert (sa + sb).vectors() == _oracle_rref(da + db, n)
-    assert (sa & sb).vectors() == (sb & sa).vectors() == _oracle_intersection(da, db, n)
+    assert _vectors(sa + sb) == _oracle_rref(da + db, n)
+    assert _vectors(sa & sb) == _vectors(sb & sa) == _oracle_intersection(da, db, n)
     for x, y, dx, dy in ((sa, sb, da, db), (sb, sa, db, da)):
         base_rank = _oracle_rank(dy, n)
         inside = [_oracle_rank(dy + [r], n) == base_rank for r in _oracle_rref(dx, n)]
@@ -463,22 +500,23 @@ def test_sparse_subspace_operations_match_sympy(case):
 
 def test_empty_spaces_are_neutral():
     rows = [{0: GaussianRational(1), 2: GaussianRational(0, 3)}]
-    space = sparse_span(rows, 4)
-    for empty in (Subspace(), span([]), sparse_span([], 4), sparse_kernel([], 0)):
+    space = rref(rows, 4)
+    for empty in (Subspace(), rref([], 0), rref([], 4), sparse_kernel([], 0)):
         assert empty == Subspace() and hash(empty) == hash(Subspace())
-        assert empty.sparse == () and empty.vectors() == []
+        assert empty.sparse == () and empty.sparse_vectors() == []
         assert space + empty == empty + space == space
         assert empty.first_outside(space) is None
-    assert sparse_span([{1: _ZERO}], 4) == Subspace()
+    assert rref([{1: _ZERO}], 4) == Subspace()
 
 
 @PROPERTY
 @given(bridged_sparse_matrices(), st.data())
 def test_rank_and_annihilation_decide_the_kernel(case, data):
-    """is_kernel(K, rref(A), m) holds exactly when K is ker A, for K the
-    kernel itself and for candidates next to it: the kernel with one basis
-    row dropped, with one entry of a basis row changed, and with one more
-    vector.  rref(A) and ker A both come from sympy."""
+    """is_kernel(K, R) holds exactly when K is ker A, for R the reduction of
+    A and K the kernel itself or candidates next to it: the kernel with one
+    basis row dropped, with one entry of a basis row changed, and with one
+    more vector.  R and ker A both come from sympy: R is sympy's RREF of A
+    scaled to the canonical form here, not built by `rref`."""
     n, rows = case
     dense = _dense(rows, n)
     null = _oracle_kernel(dense, n)
@@ -492,10 +530,10 @@ def test_rank_and_annihilation_decide_the_kernel(case, data):
     if n:
         cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
         candidates.append(basis + [{j: data.draw(small_nonzero) for j in cols}])
-    reduced = _oracle_rref(dense, n)
+    reduced = _canonical(_oracle_rref(dense, n), n)
     for candidate in candidates:
-        space = sparse_span(candidate, n)
-        assert is_kernel(space, reduced, n) == (space.vectors() == null)
+        space = rref(candidate, n)
+        assert is_kernel(space, reduced) == (_vectors(space) == null)
 
 
 @pytest.mark.parametrize("blocks", [1, 3, 8])
@@ -522,8 +560,79 @@ def test_reduction_combines_rows_of_one_block_only(monkeypatch, blocks):
         return reduce(row, pivot, col)
 
     monkeypatch.setattr(linalg, "_reduce", spy)
-    space = sparse_span(rows, n)
+    space = rref(rows, n)
     assert all(len(touched) == 1 for touched in reductions)
     assert 0 < len(reductions) <= 2 * blocks
     assert space.dim == n
-    assert space.vectors() == _oracle_rref(_dense(rows, n), n)
+    assert _vectors(space) == _oracle_rref(_dense(rows, n), n)
+
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pivot_rows_build_up_no_gaussian_factor(monkeypatch, seed):
+    """Seeded random 8x10 Gaussian-integer rows, re, im in [-9, 9]: each
+    pivot row is made real at its pivot, so no common Gaussian-integer
+    factor (a power of 2 + i, say) builds up in the rows.  Dividing out only
+    the integer content lets such a matrix reach integers of about 10^5
+    bits; here no reduction passes 256, and the value is sympy's RREF."""
+    rng = random.Random(seed)
+    rows = [
+        {j: GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for j in range(10)}
+        for _ in range(8)
+    ]
+    fail_on_swell(monkeypatch, 256)
+    space = rref(rows, 10)
+    _assert_view(space, 10)
+    assert _vectors(space) == _oracle_rref(_dense(rows, 10), 10)
+
+
+def test_a_common_gaussian_factor_leaves_the_value_alone(monkeypatch):
+    """16x18 random rows, with and without the factor (2 + i)^10 on every
+    row: no reduction passes 256 bits, and the two values are equal."""
+    rng = random.Random(16)
+    rows = [
+        {j: GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)) for j in range(18)}
+        for _ in range(16)
+    ]
+    factor = math.prod([GaussianRational(2, 1)] * 10, start=GaussianRational(1))
+    fail_on_swell(monkeypatch, 256)
+    plain = rref(rows, 18)
+    scaled = rref([{j: factor * x for j, x in row.items()} for row in rows], 18)
+    assert scaled == plain and scaled.dim == 16
+
+
+def test_one_elimination_entry():
+    """`rref` is the one entry that reduces rows: over src/harmonica, no
+    `span`, `sparse_span`, `block_rows`, `_to_int` or `vectors` is defined
+    (by def or class, or by an assignment in a module or class body, so no
+    alias either), `Subspace._of` is called only from
+    `rref`, `Subspace.__add__` and `Subspace.__and__`, and `_sparse_to_int`
+    only from `rref`."""
+    gone = {"span", "sparse_span", "block_rows", "_to_int", "vectors"}
+    allowed = {
+        "_of": {"linalg.rref", "linalg.Subspace.__add__", "linalg.Subspace.__and__"},
+        "_sparse_to_int": {"linalg.rref"},
+    }
+    defined, callers = [], {name: set() for name in allowed}
+
+    def scan(node, where, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name in gone:
+                    defined.append(f"{where}.{child.name}")
+                scan(child, f"{where}.{child.name}", not isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store) and not local:
+                if child.id in gone:
+                    defined.append(f"{where}: {child.id} =")
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in callers:
+                    callers[name].add(where)
+            scan(child, where, local)
+
+    for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    assert defined == []
+    assert callers == allowed

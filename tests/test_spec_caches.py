@@ -248,27 +248,32 @@ class TestSparseKernels:
     operator blocks are sums of memoised word images."""
 
     def test_condition_and_primitive_kernels_build_no_dense_row(self, monkeypatch):
+        """No dense-row helper is left, and every row that the condition and
+        primitive kernels reduce reaches `linalg.rref`, the one elimination
+        entry, as a sparse dict of nonzero values inside its columns."""
+        dense = ((hermitian, "block_rows"), (harmonic, "block_rows"), (linalg, "_to_int"),
+                 (linalg, "span"), (linalg.Subspace, "vectors"))
+        assert [name for owner, name in dense if hasattr(owner, name)] == []
         spec = load_spec(catalog_document("iwasawa_ak"))
-        calls = []
+        rows = []
+        reduce = linalg.rref
 
-        def counting(name, original):
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
+        def recording(matrix, ncols):
+            rows.extend((row, ncols) for row in matrix)
+            return reduce(matrix, ncols)
 
-            return wrapper
-
-        dense = ((hermitian, "block_rows"), (harmonic, "block_rows"), (linalg, "_to_int"))
-        for module, name in dense:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(linalg, "rref", recording)
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
                 for key in harmonic.CONDITION_WORDS:
-                    harmonic._condition_subspace(key, p, q, spec).vectors()
+                    harmonic._condition_subspace(key, p, q, spec)
                 if p + q <= spec.n:
                     primitive_subspace(spec, p, q)
         monkeypatch.undo()
-        assert calls == []
+        assert rows
+        for row, ncols in rows:
+            assert isinstance(row, dict) and row
+            assert all(0 <= j < ncols and not x.is_zero() for j, x in row.items())
 
     def test_laplacian_block_multiplies_nothing_by_one(self, monkeypatch):
         """Once the images of the words' parts are built, composing the
@@ -690,46 +695,29 @@ def test_theorems_works_on_subspace_values():
 
 
 def test_dense_rows_serve_only_the_laplacian_cross_check():
-    """The dense-list code (`span`, `rref`, `is_kernel`, `block_rows`,
-    `_to_int` and `Subspace.vectors`) is reached only from its own
-    definitions and from the Laplacian cross-check,
-    `harmonic._laplacian_nullspace` and `harmonic._harmonic_kernel`, whose
-    module alone imports it: every other function of src/harmonica works on
-    sparse rows.  A name, an import or an attribute of one counts, and for
-    the method only an attribute `.vectors`."""
-    functions = {"span", "rref", "is_kernel", "block_rows", "_to_int"}
-    definitions = {
-        "linalg._to_int",
-        "linalg.span",
-        "linalg.is_kernel",
-        "linalg.rref",
-        "linalg.Subspace.vectors",
-        "hermitian.block_rows",
-    }
-    cross_check = {"harmonic", "harmonic._laplacian_nullspace", "harmonic._harmonic_kernel"}
-    users, offenders = set(), []
-
-    def scan(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scan(child, f"{where}.{child.name}")
-                continue
-            if isinstance(child, ast.Name):
-                names = {child.id} & functions
-            elif isinstance(child, ast.Attribute):
-                names = {child.attr} & (functions | {"vectors"})
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                names = {alias.name.rsplit(".", 1)[-1] for alias in child.names} & functions
-            else:
-                names = set()
-            for name in sorted(names):
-                if where in definitions | cross_check:
-                    users.add(where)
-                else:
-                    offenders.append(f"{where}:{child.lineno}: {name}")
-            scan(child, where)
-
+    """No dense-list code is left in src/harmonica: the Laplacian cross-check
+    reduces sparse rows like every other caller, so no definition, name,
+    import or attribute of `span`, `sparse_span`, `block_rows` or `_to_int`
+    appears in any module, nor a definition or attribute `vectors` (the
+    dense view of a Subspace), and the cross-check's reduction is a
+    Subspace value that `is_kernel` reads."""
+    functions = {"span", "sparse_span", "block_rows", "_to_int"}
+    offenders = []
     for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
-        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id} & functions
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names} & functions
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & (functions | {"vectors"})
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name} & (functions | {"vectors"})
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names)]
     assert offenders == []
-    assert users == {"linalg.span", "linalg.is_kernel", "linalg.rref"} | cross_check
+    spec = load_spec(catalog_document("iwasawa_ak"))
+    reduced = harmonic._laplacian_nullspace(harmonic.HarmonicKind.BC, 1, 1, spec)
+    assert isinstance(reduced, linalg.Subspace) and reduced.ncols == 9
+    assert linalg.is_kernel(harmonic._condition_subspace("bc", 1, 1, spec), reduced)

@@ -14,7 +14,7 @@ from harmonica.errors import HarmonicaError, ValidationError
 from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials
 from harmonica import structure, theorems
 from harmonica.hermitian import fundamental_form
-from harmonica.library import CATALOG_NAMES, catalog_document, load_spec
+from harmonica.library import CATALOG_NAMES, catalog, catalog_document, load_spec
 from harmonica.report import REFUTED, VERIFIED, CheckItem, VerificationReport
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import (
@@ -168,8 +168,8 @@ class TestChecks:
         assert rep.status == REFUTED and not rep.data["almost_kahler"]
 
     def test_d_omega_is_built_once_per_spec(self, monkeypatch):
-        """check_almost_kahler and the statements read one cached predicate;
-        d omega is built again only as the residual of a failing item."""
+        """check_almost_kahler and the statements read one cached d omega,
+        which is also the residual of a failing item."""
         assert theorems.is_almost_kahler is structure.is_almost_kahler
         calls = []
         d = structure.exterior_d
@@ -180,13 +180,37 @@ class TestChecks:
             calls.clear()
             reports = [check_almost_kahler(spec) for _ in range(2)]
             assert structure.is_almost_kahler(spec) is closed
-            assert calls == [omega] * (1 if closed else 3)
+            assert calls == [omega]
             for rep in reports:
                 (item,) = rep.items
                 assert item.ok is closed and rep.data["almost_kahler"] is closed
                 assert item.witness == (None if closed else omega)
                 assert item.residual == (None if closed else d(omega, spec))
                 assert closed or not item.residual.is_zero()
+
+    def test_d_omega_of_a_spec_that_is_not_almost_kahler_is_built_once(self, monkeypatch):
+        spec = catalog("iwasawa_ak").with_omega([1, 2, 3])
+        calls = []
+        d = structure.exterior_d
+        monkeypatch.setattr(structure, "exterior_d", lambda f, spec: calls.append(f) or d(f, spec))
+        report = check_almost_kahler(spec)
+        assert report.status == REFUTED and not structure.is_almost_kahler(spec)
+        assert calls == [fundamental_form(spec)]
+
+    def test_the_residual_refuses_writes(self):
+        """The residual is the spec's cached d omega, so it is read-only."""
+        spec = catalog("iwasawa_ak").with_omega([1, 2, 3])
+        (item,) = check_almost_kahler(spec).items
+        residual = item.residual
+        expected = exterior_d(fundamental_form(spec), spec)
+        assert residual == expected and not residual.is_zero()
+        idx, c = next(iter(residual.terms.items()))
+        with pytest.raises(TypeError):
+            residual.terms[idx] = c + c
+        with pytest.raises(AttributeError):
+            residual.terms = {}
+        (again,) = check_almost_kahler(spec).items
+        assert again.residual == residual == expected
 
     def test_mutated_constant_fails(self, iwasawa):
         mutated = {a: f for a, f in iwasawa.d_gen.items()}
