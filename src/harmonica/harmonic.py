@@ -61,8 +61,7 @@ class HarmonicKind(enum.Enum):
 
 # Each Laplacian is the sum of its words, each condition system the list of
 # its words (as in apply_word); both the block-matrix path and the Form path
-# read these tables.  "bc2"/"a2" are the conjugated systems from the other
-# order of del and delbar, only exposed for symmetry checks.
+# read these tables.
 LAPLACIAN_WORDS = {
     "d": (("d", "d*"), ("d*", "d")),
     "del": (("del", "del*"), ("del*", "del")),
@@ -91,8 +90,6 @@ CONDITION_WORDS = {
     "delbar": (("delbar",), ("del", "*")),
     "bc": (("del",), ("delbar",), ("del", "delbar", "*")),
     "a": (("del", "*"), ("delbar", "*"), ("del", "delbar")),
-    "bc2": (("del",), ("delbar",), ("delbar", "del", "*")),
-    "a2": (("del", "*"), ("delbar", "*"), ("delbar", "del")),
 }
 
 
@@ -142,11 +139,6 @@ class MembershipCertificate:
         return None
 
 
-def _condition_subspace(key: str, p: int, q: int, spec: ManifoldSpec) -> Subspace:
-    """Kernel of the stacked condition blocks."""
-    return word_kernel(CONDITION_WORDS[key], p, q, spec)
-
-
 def _laplacian_nullspace(kind: HarmonicKind, p: int, q: int, spec: ManifoldSpec) -> Subspace:
     """The nullspace of the assembled Laplacian on the (p,q) monomials, given
     by the reduced echelon rows of its matrix: the rref of its sparse rows,
@@ -186,7 +178,7 @@ def _harmonic_kernel(kind, p, q, spec) -> Subspace:
         )
     if not (0 <= p <= spec.n and 0 <= q <= spec.n):
         raise BidegreeOutOfRange(f"bidegree ({p},{q}) out of range for n={spec.n}")
-    space = _condition_subspace(kind.value, p, q, spec)
+    space = word_kernel(CONDITION_WORDS[kind.value], p, q, spec)
     if not is_kernel(space, _laplacian_nullspace(kind, p, q, spec)):
         raise CrossCheckFailed(
             f"condition kernel and Laplacian nullspace disagree for "

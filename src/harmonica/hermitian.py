@@ -24,13 +24,12 @@ from .forms import (
     _wedge_monomials, basis_multiindices,
 )
 from .linalg import Subspace, rref, sparse_kernel, sparse_rows
-from .scalars import Coefficient, Fraction, GaussianRational
+from .scalars import Coefficient, GaussianRational
 from .structure import ManifoldSpec, OperatorKind, _d_terms, d_by_shift, fundamental_form
 
 __all__ = [
     "fundamental_form",
     "volume_form",
-    "monomial_inner_square",
     "hodge_star",
     "adjoint",
     "apply_word",
@@ -63,11 +62,6 @@ def volume_form(spec: ManifoldSpec) -> Form:
     """vol = omega^n / n!, a multiple of the top monomial."""
     full = tuple(range(1, spec.n + 1))
     return Form.monomial(spec.n, full, full, _volume_top(spec))
-
-
-def monomial_inner_square(idx: MultiIndex, spec: ManifoldSpec) -> Fraction:
-    """<phi^{I,J}, phi^{I,J}>; distinct monomials are orthogonal."""
-    return _inner_square(idx, spec).re
 
 
 def _inner_square(idx: MultiIndex, spec: ManifoldSpec) -> GaussianRational:

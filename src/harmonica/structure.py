@@ -6,10 +6,11 @@ coefficients, and the symbol tables.  d on barred generators is forced to be
 the conjugate of d on the unbarred ones.  d of each unit monomial f phi^J, f
 its first factor, is one Leibniz step over the cached d(phi^J), split by
 bidegree shift into mu, del, delbar and mubar parts, cached on the spec
-(d_by_shift).  _d_terms maps a term map through d or a part: constant terms
-read that split, symbolic unit terms add the frame derivatives of their
-symbol monomial, cached per direction; differential_component (exterior_d
-is its d) and words run it.  ManifoldSpec.cached is a spec's one memo.
+(d_by_shift).  _d_terms maps a term map through d or a part in one pass:
+every term reads that split, and symbolic terms add the frame derivatives
+of their symbol monomials, cached per direction; differential_component
+(exterior_d is its d) and words run it.  ManifoldSpec.cached is a spec's
+one memo.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping
 
 from .errors import HarmonicaError, ValidationError
 from .forms import (
-    Form, MultiIndex, ReadOnlyForm, _add_term, _check_ambient, _form, _nonzero, _wedge_monomials,
+    Form, MultiIndex, ReadOnlyForm, _add_term, _check_ambient, _form, _wedge_monomials,
     basis_multiindices,
 )
 from .report import CheckItem, VerificationReport
@@ -41,7 +42,10 @@ __all__ = [
 
 class OperatorKind(enum.Enum):
     """The four bidegree components of d, plus d itself.  A member's shift
-    (None for d) and conjugate kind are plain attributes, set once below."""
+    (None for d), conjugate kind and bars, the Direction.bar values of the
+    frame directions along which it differentiates a coefficient (V_a for
+    del, Vbar_a for delbar, all 2n for d, none for mu and mubar), are plain
+    attributes, set once below."""
 
     D = "d"
     MU = "mu"
@@ -50,16 +54,17 @@ class OperatorKind(enum.Enum):
     MUBAR = "mubar"
 
 
-for _kind, _shift, _conjugate in (
-    ("d", None, "d"),
-    ("mu", (2, -1), "mubar"),
-    ("del", (1, 0), "delbar"),
-    ("delbar", (0, 1), "del"),
-    ("mubar", (-1, 2), "mu"),
+for _kind, _shift, _conjugate, _bars in (
+    ("d", None, "d", (False, True)),
+    ("mu", (2, -1), "mubar", ()),
+    ("del", (1, 0), "delbar", (False,)),
+    ("delbar", (0, 1), "del", (True,)),
+    ("mubar", (-1, 2), "mu", ()),
 ):
     OperatorKind(_kind).shift = _shift
     OperatorKind(_kind).conjugate = OperatorKind(_conjugate)
-del _kind, _shift, _conjugate
+    OperatorKind(_kind).bars = _bars
+del _kind, _shift, _conjugate, _bars
 
 _MISSING = object()
 _NO_PARTS = MappingProxyType({})
@@ -141,11 +146,8 @@ def exterior_d(form: Form, spec: ManifoldSpec) -> Form:
 
 
 def differential_component(form: Form, kind: OperatorKind, spec: ManifoldSpec) -> Form:
-    """d, or its mu, del, delbar or mubar part: c * phi^I gives c times the
-    part of d(phi^I) at the kind's shift (every part for d), plus, for each
-    frame direction of the kind (V_a for del, Vbar_a for delbar, all 2n for
-    d, none for mu and mubar), the derivative of c along it times phi^a or
-    phi^abar wedge phi^I.  One _d_terms pass over the Form's term map."""
+    """d, or its mu, del, delbar or mubar part, of a Form: one _d_terms pass
+    over its term map."""
     _check_ambient(spec.n, form.n)
     return _form(form.n, _d_terms(kind, form.terms, spec))
 
@@ -196,59 +198,49 @@ def _split_d(idx: MultiIndex, spec: ManifoldSpec) -> Mapping:
 
 
 def _d_terms(kind: OperatorKind, terms, spec: ManifoldSpec) -> dict:
-    """A term map through d or one of its parts.  A constant term x m gives
-    x times the kind's parts of d(m), read from the cached split d_by_shift;
-    a term x s m with a symbol monomial s gives x times the image of the
-    unit term s m (_unit_term_images).  A value that cancelled to 0 is
-    skipped, as a Form would not hold it."""
-    shift = kind.shift
+    """A term map through d or one of its parts, monomial by monomial.  Each
+    term x s m (s a symbol monomial, () for a constant) adds x s times the
+    kind's parts of d(m), read from the cached split d_by_shift.  If some s
+    is not (), each frame direction of the kind (kind.bars) then adds, for
+    those terms in coefficient order, x times the derivative of s along it,
+    cached per (s, direction), times phi^a or phi^abar wedge phi^m; so the
+    first derivative that fails is the one a derivative of the coefficient
+    meets.  A value that cancelled to 0 is skipped, as a Form holds none."""
+    shift, bars = kind.shift, kind.bars
     out: dict = {}
     for idx, coeff in terms.items():
-        parts = images = None
+        split = None
+        symbolic = False
         for s, x in coeff.items():
             if not (x.re_num or x.im_num):
                 continue
-            if parts is None:
+            if split is None:
                 split = d_by_shift(idx, spec)
-                parts = [part.terms for b, part in split.items() if shift is None or b == shift]
+            for b, part in split.items():
+                if shift is None or b == shift:
+                    for m, c in part.terms.items():
+                        if not s:
+                            _add_term(out, m, c, x)
+                            continue
+                        target = out.get(m)
+                        if target is None:
+                            target = out[m] = {}
+                        for s1, y in c.items():  # x s y s1 is x y (s s1)
+                            key = _mono_mul(s, s1) if s1 else s
+                            v = x * y
+                            target[key] = target[key] + v if key in target else v
             if s:
-                if images is None:
-                    images = _unit_term_images(kind, idx, coeff, parts, spec)
-                columns = (images[s],)
-            else:
-                columns = parts
-            for column in columns:
-                for m, c in column.items():
-                    _add_term(out, m, c, x)
+                symbolic = True
+        if symbolic and bars:
+            derive = spec.table.derive_monomial
+            for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
+                if direction.bar in bars:
+                    for s, x in coeff.items():
+                        if s and (x.re_num or x.im_num):
+                            derived = spec.cached(("derivative", s, direction), derive, s, direction)
+                            if not derived.is_zero():  # no empty monomial in a cached image
+                                _add_term(out, image, derived, x if sign > 0 else -x)
     return out
-
-
-def _unit_term_images(kind: OperatorKind, idx: MultiIndex, coeff, parts, spec: ManifoldSpec) -> dict:
-    """{s: image of the unit term s phi^idx under the kind, a term map} for
-    the symbol monomials s of coeff, in a new dict.  The image is s times
-    the kind's parts of d(phi^idx), plus, for each frame direction of the
-    kind (V_a for del, Vbar_a for delbar, all 2n for d, none for mu and
-    mubar), the derivative of s along it, cached on the spec per (s,
-    direction), times phi^a or phi^abar wedge phi^idx.  The images are built
-    direction by direction, so the first derivative that fails is the one a
-    derivative of coeff meets."""
-    built = {}
-    for s, x in coeff.items():
-        if s and (x.re_num or x.im_num):
-            # the parts' monomials are distinct, and so are the products s * s1
-            built[s] = {
-                m: {_mono_mul(s, s1) if s1 else s: y for s1, y in c.items()}
-                for part in parts
-                for m, c in part.items()
-            }
-    bars = {None: (False, True), (1, 0): (False,), (0, 1): (True,)}.get(kind.shift, ())
-    derive = spec.table.derive_monomial
-    for direction, image, sign in spec.cached(("frame", idx), _frame, idx, spec):
-        if direction.bar in bars:
-            for s, terms in built.items():
-                derived = spec.cached(("derivative", s, direction), derive, s, direction)
-                _add_term(terms, image, derived, sign)
-    return {s: _nonzero(terms) for s, terms in built.items()}
 
 
 def _frame(idx: MultiIndex, spec: ManifoldSpec) -> tuple:

@@ -177,9 +177,11 @@ _FIVE_KINDS = tuple(HarmonicKind)
 def verify_relations(spec: ManifoldSpec, p: int, q: int) -> VerificationReport:
     """The primitive-harmonic relations at (p,q), p+q <= n: the Bott-Chern
     space is the del/delbar intersection, delbar sits inside Aeppli, and at
-    p+q = n all four coincide.  Also reports the observed inclusion lattice."""
+    p+q = n all four coincide.  Also reports the observed inclusion lattice.
+    The relations assume d omega = 0, so any other spec is refused."""
     if p + q > spec.n:
         raise BidegreeOutOfRange(f"need p+q <= n = {spec.n}, got ({p},{q})")
+    _require_almost_kahler(spec)
     prim = {k: _harmonic_primitive(spec, k, p, q) for k in _FIVE_KINDS}
     bc = prim[HarmonicKind.BC]
     de = prim[HarmonicKind.DEL]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +40,12 @@ def rand_gauss(rng, span=4):
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
         Fraction(rng.randint(-span, span), rng.randint(1, 3)),
     )
+
+
+def inner_square(idx, spec):
+    """|phi^{I,J}|^2, the product of 1/c_a over I and over J, from the spec's
+    omega coefficients c_a; distinct monomials are orthogonal."""
+    return math.prod(Fraction(1) / spec.omega_coeffs[a - 1] for a in idx.hol + idx.anti)
 
 
 def rand_form_pq(n, p, q, rng, density=0.6):

@@ -176,6 +176,15 @@ class TestRelations:
         code, _, err = run_cli(capsys, "relations", "iwasawa_ak", "--bidegree", "3,3")
         assert code == 3
 
+    @pytest.mark.parametrize("bidegree", ["0,2", "1,1"])
+    def test_not_almost_kahler(self, capsys, bidegree):
+        """A spec with d omega != 0 is unsupported: exit 3, no stdout, and
+        one stderr line, at a bidegree that read refuted and one that read
+        verified."""
+        code, out, err = run_cli(capsys, "relations", "iwasawa_cplx", "--bidegree", bidegree)
+        assert (code, out) == (3, "")
+        assert err == "unsupported: spec 'iwasawa_cplx' is not almost Kahler (d omega != 0)\n"
+
 
 class TestPrimitive:
     def test_decomposition_output(self, capsys):

@@ -15,7 +15,6 @@ from harmonica.harmonic import (
     CONDITION_WORDS,
     LAPLACIAN_WORDS,
     HarmonicKind,
-    _condition_subspace,
     adjoint,
     harmonic_space,
     harmonic_subspace,
@@ -27,10 +26,10 @@ from harmonica.hermitian import (
     fundamental_form,
     hodge_star,
     lefschetz_lambda,
-    monomial_inner_square,
     operator_columns,
     primitive_basis,
     volume_form,
+    word_kernel,
 )
 from harmonica.library import catalog_document, load_spec
 from harmonica.linalg import sparse_kernel, sparse_rows
@@ -44,11 +43,20 @@ from harmonica.structure import (
 )
 from harmonica.theorems import all_statements
 
-from conftest import fail_on_swell, rand_form_pq
+from conftest import fail_on_swell, inner_square, rand_form_pq
 
 
 def G(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+# The conjugated condition systems, from the other order of del and delbar:
+# the conjugates of the Bott-Chern and Aeppli spaces at (p,q) are their
+# kernels at (q,p).
+CONJUGATED_WORDS = {
+    "bc2": (("del",), ("delbar",), ("delbar", "del", "*")),
+    "a2": (("del", "*"), ("delbar", "*"), ("delbar", "del")),
+}
 
 
 def mono(n, hol=(), anti=(), c=1):
@@ -60,9 +68,7 @@ def hermitian_inner(a, b, spec):
     for idx, ca in a.terms.items():
         cb = b.coefficient(idx).constant_value()
         if cb is not None and not cb.is_zero():
-            total = total + ca.constant_value() * cb.conjugate() * Fraction(
-                monomial_inner_square(idx, spec)
-            )
+            total = total + ca.constant_value() * cb.conjugate() * inner_square(idx, spec)
     return total
 
 
@@ -218,13 +224,13 @@ class TestHarmonicSpace:
             for q in range(4):
                 bc = harmonic_space(HarmonicKind.BC, p, q, iwasawa)
                 conjugated = [f.conjugate(iwasawa.table) for f in bc.basis]
-                assert form_subspace(conjugated, q, p, iwasawa) == _condition_subspace(
-                    "bc2", q, p, iwasawa
+                assert form_subspace(conjugated, q, p, iwasawa) == word_kernel(
+                    CONJUGATED_WORDS["bc2"], q, p, iwasawa
                 )
                 a = harmonic_space(HarmonicKind.A, p, q, iwasawa)
                 conjugated = [f.conjugate(iwasawa.table) for f in a.basis]
-                assert form_subspace(conjugated, q, p, iwasawa) == _condition_subspace(
-                    "a2", q, p, iwasawa
+                assert form_subspace(conjugated, q, p, iwasawa) == word_kernel(
+                    CONJUGATED_WORDS["a2"], q, p, iwasawa
                 )
 
     @pytest.mark.parametrize("name", ["iwasawa_ak", "flat_kahler6", "iwasawa_cplx"])
@@ -246,8 +252,9 @@ class TestHarmonicSpace:
                 k = HarmonicKind
                 assert conjugated(k.DEL, p, q) == space(k.DELBAR, q, p), (p, q)
                 assert conjugated(k.D, p, q) == space(k.D, q, p), (p, q)
-                assert conjugated(k.BC, p, q) == _condition_subspace("bc2", q, p, spec), (p, q)
-                assert conjugated(k.A, p, q) == _condition_subspace("a2", q, p, spec), (p, q)
+                for kind, key in ((k.BC, "bc2"), (k.A, "a2")):
+                    words = CONJUGATED_WORDS[key]
+                    assert conjugated(kind, p, q) == word_kernel(words, q, p, spec), (p, q)
 
 BLOCK_SPECS = ("iwasawa_ak", "flat_kahler6", "iwasawa_cplx")
 _ZERO = GaussianRational(0)
@@ -736,7 +743,7 @@ class TestCrossCheckDecision:
         for kind in HarmonicKind:
             for p, q in ((1, 0), (0, 1)):
                 columns = operator_columns(LAPLACIAN_WORDS[kind.value], p, q, spec)
-                condition = _condition_subspace(kind.value, p, q, spec)
+                condition = word_kernel(CONDITION_WORDS[kind.value], p, q, spec)
                 assert (condition.dim, sparse_kernel(sparse_rows(columns), 1).dim) == (0, 1)
 
 

@@ -20,7 +20,6 @@ from harmonica.hermitian import (
     lefschetz_image,
     lefschetz_L,
     lefschetz_lambda,
-    monomial_inner_square,
     primitive_basis,
     primitive_decompose,
     primitive_subspace,
@@ -32,7 +31,7 @@ from harmonica.linalg import rref
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import ManifoldSpec, all_basis_monomials
 
-from conftest import rand_form_degree, rand_form_pq, rand_gauss
+from conftest import inner_square, rand_form_degree, rand_form_pq, rand_gauss
 
 
 def G(re, im=0):
@@ -97,7 +96,7 @@ class TestHodgeStar:
                             fb = mono(3, b.hol, b.anti)
                             lhs = fa.wedge(hodge_star(fb.conjugate(spec.table), spec))
                             if a == b:
-                                assert lhs == vol * Fraction(monomial_inner_square(a, spec))
+                                assert lhs == vol * inner_square(a, spec)
                             else:
                                 assert lhs.is_zero()
 
@@ -373,7 +372,7 @@ def hermitian_inner(a, b, spec):
     total = GaussianRational(0)
     for idx, ca in a.terms.items():
         cb = b.coefficient(idx).constant_value()
-        total = total + ca.constant_value() * cb.conjugate() * monomial_inner_square(idx, spec)
+        total = total + ca.constant_value() * cb.conjugate() * inner_square(idx, spec)
     return total
 
 
@@ -427,7 +426,7 @@ def reference_star_table(spec):
         hol_c = tuple(a for a in full if a not in idx.anti)
         anti_c = tuple(a for a in full if a not in idx.hol)
         pairing = mono(n, idx.anti, idx.hol).wedge(mono(n, hol_c, anti_c))
-        weight = G(monomial_inner_square(idx, spec))
+        weight = G(inner_square(idx, spec))
         t = weight * (-1) ** (idx.p * idx.q) * vol_coeff / top_coefficient(pairing)
         table[idx] = {MultiIndex(hol_c, anti_c): t}
     return table

@@ -25,6 +25,7 @@ from harmonica.scalars import (
 from harmonica.structure import OperatorKind, differential_component
 
 from conftest import rand_gauss
+from test_harmonic import CONJUGATED_WORDS
 
 
 def G(re, im=0):
@@ -496,7 +497,8 @@ def test_no_fraction_on_the_arithmetic_path(monkeypatch):
     torus = load_spec(catalog_document("torus6"))
     forms = _symbolic_forms(10)
     words = list(LAPLACIAN_WORDS.values())
-    words += [(word,) for system in CONDITION_WORDS.values() for word in system]
+    systems = [*CONDITION_WORDS.values(), *CONJUGATED_WORDS.values()]
+    words += [(word,) for system in systems for word in system]
     made = []
     original = fractions.Fraction.__new__
 

@@ -47,6 +47,8 @@ from harmonica.structure import (
     exterior_d,
 )
 
+from test_harmonic import CONJUGATED_WORDS
+
 
 class TestImmutableSpec:
     def test_fields_cannot_be_assigned(self):
@@ -265,8 +267,8 @@ class TestSparseKernels:
         monkeypatch.setattr(linalg, "rref", recording)
         for p in range(spec.n + 1):
             for q in range(spec.n + 1):
-                for key in harmonic.CONDITION_WORDS:
-                    harmonic._condition_subspace(key, p, q, spec)
+                for words in [*CONDITION_WORDS.values(), *CONJUGATED_WORDS.values()]:
+                    hermitian.word_kernel(words, p, q, spec)
                 if p + q <= spec.n:
                     primitive_subspace(spec, p, q)
         monkeypatch.undo()
@@ -635,14 +637,39 @@ def test_one_wedge_sign_rule():
     assert offenders == []
 
 
+def _scopes_of(tree, name):
+    """The dotted enclosing class and function names of each definition of
+    `name` and of each Name or Attribute reference to it."""
+    out = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if node.name == name:
+                out.add(scope)
+        elif getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+            out.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
 def test_d_has_one_owner():
     """structure.py owns d: it imports nothing from hermitian, at the top of
     the file or inside a function, and it alone defines the split of d and
-    the d pass over a term map."""
-    owned = {"_split_d", "_d_terms", "_unit_term_images", "_frame"}
-    defined, offenders = set(), []
+    the d pass over a term map, which has no per-symbol image helper left
+    (_unit_term_images is defined nowhere).  Frame derivatives are taken in
+    one place: derive_monomial is referenced only by that pass,
+    Coefficient.derive and its own definition."""
+    owned = {"_split_d", "_d_terms", "_frame"}
+    defined, offenders, derivers = set(), [], set()
     for path in sorted(Path(harmonica.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        derivers |= {f"{path.stem}.{scope}" for scope in _scopes_of(tree, "derive_monomial")}
+        offenders += [f"{path.name}: {scope}" for scope in _scopes_of(tree, "_unit_term_images")]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in owned:
                 if path.name == "structure.py":
                     defined.add(node.name)
@@ -654,6 +681,9 @@ def test_d_has_one_owner():
                     offenders.append(f"structure.py:{node.lineno}: imports hermitian")
     assert offenders == []
     assert defined == owned
+    assert derivers == {
+        "structure._d_terms", "scalars.Coefficient.derive", "scalars.DerivationTable.derive_monomial"
+    }
 
 
 def test_theorems_works_on_subspace_values():
@@ -720,4 +750,4 @@ def test_dense_rows_serve_only_the_laplacian_cross_check():
     spec = load_spec(catalog_document("iwasawa_ak"))
     reduced = harmonic._laplacian_nullspace(harmonic.HarmonicKind.BC, 1, 1, spec)
     assert isinstance(reduced, linalg.Subspace) and reduced.ncols == 9
-    assert linalg.is_kernel(harmonic._condition_subspace("bc", 1, 1, spec), reduced)
+    assert linalg.is_kernel(hermitian.word_kernel(CONDITION_WORDS["bc"], 1, 1, spec), reduced)

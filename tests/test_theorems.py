@@ -109,6 +109,17 @@ class TestRelations:
         with pytest.raises(BidegreeOutOfRange):
             verify_relations(iwasawa, 2, 2)
 
+    def test_requires_almost_kahler(self, cplx):
+        """The relations assume d omega = 0: on iwasawa_cplx every bidegree
+        in range is refused, where (0,2) used to read refuted and (1,1)
+        verified, and the bidegree is checked first."""
+        for p, q in ((0, 2), (1, 1), (0, 0), (2, 1)):
+            with pytest.raises(NotAlmostKahler) as refused:
+                verify_relations(cplx, p, q)
+            assert str(refused.value) == "spec 'iwasawa_cplx' is not almost Kahler (d omega != 0)"
+        with pytest.raises(BidegreeOutOfRange):
+            verify_relations(cplx, 3, 3)
+
     def test_corollary_11_inclusions(self, iwasawa, flat):
         for spec in (iwasawa, flat):
             bc = harmonic_space(HarmonicKind.BC, 1, 1, spec)

@@ -25,21 +25,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from harmonica.errors import DepthExceeded
-from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials, basis_multiindices, parse_form
+from harmonica.forms import (
+    Form, MultiIndex, _combine, _nonzero, _wedge_monomials, basis_multiindices, parse_form,
+)
 from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS
 from harmonica.hermitian import (
     _word_image, apply_word, form_subspace, operator_columns, subspace_forms, word_kernel
 )
 from harmonica.library import catalog_document, load_spec
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
-from harmonica.structure import OperatorKind, _unit_term_images, all_basis_monomials, d_by_shift
+from harmonica.structure import OperatorKind, _d_terms, all_basis_monomials, d_by_shift
 
+from test_harmonic import CONJUGATED_WORDS
 from test_structure import TORUS_SYMBOLS, gauss, random_specs
 
 SINGLE = [("*",), ("L",), ("Lambda",)]
 SINGLE += [(kind.value,) for kind in OperatorKind] + [(kind.value + "*",) for kind in OperatorKind]
 WORDS = [(), *SINGLE]
-for words in itertools.chain(CONDITION_WORDS.values(), LAPLACIAN_WORDS.values()):
+for words in itertools.chain(
+    CONDITION_WORDS.values(), CONJUGATED_WORDS.values(), LAPLACIAN_WORDS.values()
+):
     WORDS += [word for word in words if word not in WORDS]
 
 
@@ -192,13 +197,14 @@ class TestWordArguments:
             assert whole == form_subspace(units, p, q, spec)
 
 
-# The cached images of the symbolic unit terms s phi^idx under d and its
+# The d pass's images of the symbolic unit terms s phi^idx under d and its
 # parts, against their construction from Coefficients: s times each of the
 # kind's parts of d(phi^idx), plus the derivative of s along each frame
 # direction of the kind, a = 1..n and unbarred before barred, times phi^a or
-# phi^abar wedge phi^idx, summed with forms._combine.  Both take the
-# directions in that order, so a DepthExceeded comes from the same first
-# derivative, with the same message.
+# phi^abar wedge phi^idx, summed with forms._combine.  The whole coefficient
+# is x times each image summed, its constant term times the parts.  Both
+# take the directions in that order, so a DepthExceeded comes from the same
+# first derivative, with the same message.
 
 
 def combined_unit_term_images(kind, idx, coeff, spec):
@@ -214,14 +220,26 @@ def combined_unit_term_images(kind, idx, coeff, spec):
             if sign and bar in bars:
                 for s, unit in units.items():
                     columns[s].append((unit.derive(Direction(a, bar), spec.table), {image: sign}))
-    return {s: _combine(column) for s, column in columns.items()}
+    images = {s: _combine(column) for s, column in columns.items()}
+    scaled = [(Coefficient({(): x}), images[s]) for s, x in coeff.items() if s]
+    scaled += [(Coefficient({(): coeff[()]}), part) for part in parts if () in coeff]
+    return images, _combine(scaled)
 
 
-def cached_unit_term_images(kind, idx, coeff, spec):
-    shift = kind.shift
-    parts = [part.terms for b, part in d_by_shift(idx, spec).items() if shift is None or b == shift]
-    images = _unit_term_images(kind, idx, coeff, parts, spec)
-    return {s: {m: Coefficient(c) for m, c in images[s].items()} for s in coeff if s}
+def pass_unit_term_images(kind, idx, coeff, spec):
+    """_d_terms over the whole coefficient first, so that a DepthExceeded is
+    the one the pass raises there, then per symbol monomial s through the
+    one-term map {idx: {s: 1}}.  Words cache these images, so none may hold
+    a monomial with no value (a zero derivative adds nothing)."""
+    whole = coefficient_map(_d_terms(kind, {idx: coeff}, spec))
+    one = GaussianRational(1)
+    images = {s: _d_terms(kind, {idx: {s: one}}, spec) for s in coeff if s}
+    assert all(c for image in images.values() for c in image.values()), "an empty monomial"
+    return {s: coefficient_map(image) for s, image in images.items()}, whole
+
+
+def coefficient_map(terms):
+    return {m: Coefficient(c) for m, c in _nonzero(terms).items()}
 
 
 def images_outcome(build, kind, idx, coeff, spec):
@@ -235,7 +253,7 @@ def assert_unit_term_images_match(coeff, spec):
     for idx in all_basis_monomials(spec.n):
         for kind in OperatorKind:
             want = images_outcome(combined_unit_term_images, kind, idx, coeff, spec)
-            assert images_outcome(cached_unit_term_images, kind, idx, coeff, spec) == want, (kind, idx)
+            assert images_outcome(pass_unit_term_images, kind, idx, coeff, spec) == want, (kind, idx)
 
 
 @st.composite
@@ -279,7 +297,7 @@ class TestUnitTermImages:
         idx = MultiIndex((2,), (3,))
         for kind in OperatorKind:
             want = images_outcome(combined_unit_term_images, kind, idx, coeff, spec)
-            assert images_outcome(cached_unit_term_images, kind, idx, coeff, spec) == want, kind
+            assert images_outcome(pass_unit_term_images, kind, idx, coeff, spec) == want, kind
         for kind, label in ((OperatorKind.D, "V1"), (OperatorKind.DEL, "V1"), (OperatorKind.DELBAR, "Vb1")):
-            error = images_outcome(cached_unit_term_images, kind, idx, coeff, spec)
+            error = images_outcome(pass_unit_term_images, kind, idx, coeff, spec)
             assert error.startswith(f"derivative of 'V1[g3]' along {label} "), kind
