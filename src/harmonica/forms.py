@@ -18,8 +18,10 @@ from .scalars import (
     SYMBOL_NAME,
     Coefficient,
     DerivationTable,
+    GaussianRational,
+    _checked_exponent,
     parse_int,
-    parse_rational,
+    parse_rational_ints,
 )
 
 __all__ = ["MultiIndex", "Form", "ReadOnlyForm", "basis_multiindices", "parse_form", "format_form"]
@@ -104,6 +106,22 @@ def _add_term(out: dict, m: MultiIndex, c, x) -> None:
         target[s] = target[s] + v if s in target else v
 
 
+def _add_monomial(out: dict, n: int, hol, anti, c, x=1) -> None:
+    """Add x c phi^{hol, anti-bar} into the term map out as _add_term does,
+    with hol and anti in any order: sorted, with the sign of the sort.  A
+    repeated index adds nothing, before any range check; an index outside
+    1..n is a ValueError.  The one rule from a term to its monomial."""
+    hol, s1 = _sort_with_sign(hol)
+    anti, s2 = _sort_with_sign(anti)
+    if hol is None or anti is None:
+        return
+    if hol and hol[-1] > n or anti and anti[-1] > n:
+        raise ValueError(f"index out of range for n={n}")
+    if (hol and hol[0] < 1) or (anti and anti[0] < 1):
+        raise ValueError("indices are 1-based")
+    _add_term(out, MultiIndex(hol, anti), c, x if s1 == s2 else -x)
+
+
 def _form(n: int, terms) -> "Form":
     """The Form of a term map, its Coefficients and itself built once."""
     return Form.from_terms(n, {m: Coefficient.from_terms(c) for m, c in _nonzero(terms).items()})
@@ -166,16 +184,9 @@ class Form:
     @classmethod
     def monomial(cls, n: int, hol=(), anti=(), coeff=1) -> "Form":
         """Build coeff * phi^{hol, anti-bar}, normalizing order and sign."""
-        hol_s, s1 = _sort_with_sign(hol)
-        anti_s, s2 = _sort_with_sign(anti)
-        if hol_s is None or anti_s is None:
-            return cls.zero(n)
-        if hol_s and hol_s[-1] > n or anti_s and anti_s[-1] > n:
-            raise ValueError(f"index out of range for n={n}")
-        if (hol_s and hol_s[0] < 1) or (anti_s and anti_s[0] < 1):
-            raise ValueError("indices are 1-based")
-        c = Coefficient.coerce(coeff) * (s1 * s2)
-        return cls(n, {MultiIndex(hol_s, anti_s): c})
+        terms: dict = {}
+        _add_monomial(terms, n, hol, anti, Coefficient.coerce(coeff))
+        return _form(n, terms)
 
     def coefficient(self, idx: MultiIndex) -> Coefficient:
         return self.terms.get(idx, Coefficient.zero())
@@ -320,9 +331,10 @@ class ReadOnlyForm(Form):
 # text syntax: `phi[1,3;2]` is phi^{13,2bar}; coefficients `(re,im)`, rational
 # literals, or symbol factors with optional ^power, joined by `*`; terms are
 # separated by + and -.  parse(format(f)) == f bit-exactly.  parse_form reads
-# the tokens in one pass: a sign after a term, or the end of the text, closes
-# the term, and the normalized monomials of all terms are summed into one
-# term map at the end.
+# the tokens in one pass, each term as plain data: a sign int, a Q(i) value
+# made from the literals' ints, symbol powers and the phi index lists.  A
+# sign after a term, or the end of the text, adds the term into one term map
+# through _add_monomial, and the Form is built from that map once, at the end.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = _re.compile(
@@ -335,50 +347,63 @@ _TOKEN_RE = _re.compile(
     r"|(?P<end>\Z))"
 )
 
+_ONE = GaussianRational.from_ints(1, 0)
+
 
 def parse_form(text: str, n: int) -> Form:
-    """Parse the CLI form syntax into a Form over the 2n-dimensional coframe."""
-    pos, columns, sign, coeff, phi_idx = 0, [], 1, None, None
+    """Parse the CLI form syntax into a Form over the 2n-dimensional coframe.
+    No Coefficient or Form arithmetic runs per token: a term's value is a
+    product of GaussianRationals made from ints, its symbol monomial a dict of
+    checked powers, and only the final term map becomes Coefficients and a
+    Form."""
+    pos, terms = 0, {}
+    sign, value, powers, phi_idx = 1, None, {}, None
     while True:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError(f"bad form syntax at position {pos}: {text[pos:pos+20]!r}")
         pos, kind = m.end(), m.lastgroup
         if kind in ("sign", "end"):
-            if coeff is not None or phi_idx is not None:
+            if value is not None or phi_idx is not None:
                 hol, anti = phi_idx or ((), ())
-                c = Coefficient.one() if coeff is None else coeff
+                term = {tuple(sorted(powers.items())): _ONE if value is None else value}
                 try:
-                    columns.append((c * sign, Form.monomial(n, hol, anti).terms))
+                    _add_monomial(terms, n, hol, anti, term, sign)
                 except ValueError as exc:
                     raise ParseError(str(exc)) from None
-                sign, coeff, phi_idx = 1, None, None
+                sign, value, powers, phi_idx = 1, None, {}, None
             if kind == "end":
-                return Form(n, _combine(columns))
+                return _form(n, terms)
             if m.group("sign") == "-":
                 sign = -sign
         elif kind == "star":
-            if coeff is None and phi_idx is None:
+            if value is None and phi_idx is None:
                 raise ParseError("misplaced '*'")
         elif kind == "phi":
             if phi_idx is not None:
                 raise ParseError("at most one phi[...] factor per term")
             phi_idx = tuple(
-                tuple(parse_int(x) for x in part.strip().split(",")) if part.strip() else ()
+                tuple(map(parse_int, part.strip().split(","))) if part.strip() else ()
                 for part in m.group("phi")[4:-1].split(";")
             )
+        elif kind == "sym":
+            name, _, power = m.group("sym").partition("^")
+            if name == "phi":
+                raise ParseError("phi must be followed by [hol;anti]")
+            k = _checked_exponent(parse_int(power or "1"))
+            if k:
+                powers[name] = powers.get(name, 0) + k
+            if value is None:
+                value = _ONE
         else:
             if kind == "gauss":
                 re_txt, im_txt = m.group("gauss")[1:-1].split(",")
-                factor = Coefficient.gauss(parse_rational(re_txt), parse_rational(im_txt))
-            elif kind == "rat":
-                factor = Coefficient.coerce(parse_rational(m.group("rat")))
+                a, b = parse_rational_ints(re_txt)
+                c, d = parse_rational_ints(im_txt)
             else:
-                name, _, power = m.group("sym").partition("^")
-                if name == "phi":
-                    raise ParseError("phi must be followed by [hol;anti]")
-                factor = Coefficient.symbol(name) ** parse_int(power or "1")
-            coeff = factor if coeff is None else coeff * factor
+                (a, b), c, d = parse_rational_ints(m.group("rat")), 0, 1
+            factor = GaussianRational.from_ints(a * d, c * b, b * d)
+            value = factor if value is None else value * factor
 
 
 def _format_multiindex(idx: MultiIndex) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BidegreeOutOfRange, CrossCheckFailed, ParseError, SymbolicCoefficients
 from .forms import Form
 from .hermitian import (
-    _apply_words, adjoint, apply_word, operator_columns, subspace_forms, word_kernel,
+    _apply_words, adjoint, operator_columns, subspace_forms, word_kernel,
 )
 from .linalg import Subspace, is_kernel, rref, sparse_rows
 from .structure import ManifoldSpec
@@ -191,6 +191,6 @@ def is_harmonic(kind: HarmonicKind, form: Form, spec: ManifoldSpec) -> Membershi
     """Exact membership certificate; works for symbolic coefficients too."""
     label, conditions = kind.value, []
     for word in CONDITION_WORDS[label]:
-        residual = apply_word(word, form, spec)
+        residual = _apply_words((word,), form, spec)
         conditions.append(ConditionResult(" ".join(word) + " a", residual, residual.is_zero()))
     return MembershipCertificate(form, label, conditions)

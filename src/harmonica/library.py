@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import DimensionMismatch, ParseError, SchemaError, UnknownSpec, ValidationError
-from .forms import Form, _combine
+from .forms import _add_monomial, _form
 from .scalars import (
     Coefficient,
     DerivationTable,
@@ -112,10 +112,10 @@ def load_spec(document) -> ManifoldSpec:
         raise ValidationError(f"'d' names unknown generators: {sorted(unknown)}")
     d_gen = {}
     for a, gen in enumerate(generators, start=1):
-        terms = document["d"].get(gen, [])
-        _expect(isinstance(terms, list), f"d[{gen!r}] must be a list of terms")
-        columns = []
-        for term in terms:
+        term_docs = document["d"].get(gen, [])
+        _expect(isinstance(term_docs, list), f"d[{gen!r}] must be a list of terms")
+        terms: dict = {}
+        for term in term_docs:
             _expect(
                 isinstance(term, dict) and {"coeff", "hol", "anti"} <= set(term),
                 f"each d[{gen!r}] term needs coeff/hol/anti",
@@ -136,8 +136,8 @@ def load_spec(document) -> ManifoldSpec:
                     raise ValidationError(
                         f"d[{gen!r}] uses undeclared symbol {used!r}"
                     )
-            columns.append((coeff, Form.monomial(n, hol, anti).terms))
-        d_gen[a] = Form(n, _combine(columns))
+            _add_monomial(terms, n, hol, anti, coeff)
+        d_gen[a] = _form(n, terms)
 
     omega = document["omega"]
     _expect(isinstance(omega, list), "'omega' must be a list of rationals")

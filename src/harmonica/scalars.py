@@ -4,10 +4,11 @@ Every quantity in the engine is either an element of Q(i) or a polynomial in
 declared function symbols with Q(i) coefficients.  An element of Q(i) is a
 `GaussianRational`: three ints (re + im*i)/den in a unique reduced form, so
 arithmetic is integer operations and one gcd per result; `Fraction` is only
-the exchange type at the text boundary.  Symbols carry a conjugation
-pairing and a derivation table mapping (symbol, frame direction) to another
-coefficient, so that the exterior differential can act on non-constant
-structure equations without ever leaving exact arithmetic.
+the exchange type where a rational is read or written as such (form text
+goes straight to ints through parse_rational_ints).  Symbols carry a
+conjugation pairing and a derivation table mapping (symbol, frame direction)
+to another coefficient, so that the exterior differential can act on
+non-constant structure equations without ever leaving exact arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import DepthExceeded, ExponentTooLarge, ParseError, UndeclaredConju
 __all__ = [
     "Fraction",
     "parse_int",
+    "parse_rational_ints",
     "parse_rational",
     "format_rational",
     "GaussianRational",
@@ -61,9 +63,10 @@ def parse_int(text) -> int:
         raise ParseError(str(exc)) from None
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational literal of the form "p" or "p/q"; anything but
-    a string (such as a JSON number) is refused."""
+def parse_rational_ints(text: str) -> tuple[int, int]:
+    """The ints (p, q) of an exact rational literal "p" or "p/q", with q > 0
+    and the fraction not reduced; anything but a string (such as a JSON
+    number) is refused."""
     if not isinstance(text, str):
         raise ParseError(f"expected a rational literal in a string, got {text!r}")
     m = _RATIONAL_RE.match(text.strip())
@@ -73,7 +76,12 @@ def parse_rational(text: str) -> Fraction:
     den = parse_int(m.group(2)) if m.group(2) else 1
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact rational literal as parse_rational_ints, into a Fraction."""
+    return Fraction(*parse_rational_ints(text))
 
 
 def format_rational(x: Fraction) -> str:

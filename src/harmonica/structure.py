@@ -379,7 +379,11 @@ def is_almost_kahler(spec: ManifoldSpec) -> bool:
 
 
 def _d_omega(spec: ManifoldSpec) -> Form:
-    """d omega, computed once per spec; read-only, as it is shared."""
+    """d omega, computed once per spec; read-only, as it is shared.  omega has
+    constant coefficients, so where every d(phi^a) vanishes so does d omega,
+    with no pass."""
+    if not spec._d_active:
+        return ReadOnlyForm(Form.zero(spec.n))
     return spec.cached(("d-omega",), lambda: ReadOnlyForm(exterior_d(fundamental_form(spec), spec)))
 
 

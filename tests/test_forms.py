@@ -330,8 +330,16 @@ _PHI = st.builds(
     _INDEX_LISTS,
     st.sampled_from(["", " "]),
 )
-_RATIONAL = st.sampled_from(["0", "1", "3", "2/3", "-1/2", "0/5", "1/0", "007"])
+_RATIONAL = st.sampled_from(
+    ["0", "1", "3", "2/3", "-1/2", "0/5", "1/0", "007", "2/4", "-6/8", "+3", "-0"]
+)
 _GAUSS = st.builds("({},{})".format, _RATIONAL, _RATIONAL)
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_GAUSS_SPACED = st.builds(
+    "({}{}{}{},{}{}{}{})".format,
+    _SPACE, st.sampled_from(["", "+"]), _RATIONAL, _SPACE,
+    _SPACE, st.sampled_from(["", "+"]), _RATIONAL, _SPACE,
+)
 _SYMBOL = st.builds(
     "{}{}".format,
     st.sampled_from(["g3", "g3c", "x", "_y1", "V1[g3]", "phi", "phi[x]"]),
@@ -340,8 +348,22 @@ _SYMBOL = st.builds(
 _TERM = st.builds(
     "{}{}*{}".format, st.sampled_from([" + ", " - ", "+", ""]), st.one_of(_RATIONAL, _GAUSS, _SYMBOL), _PHI
 )
+# a term, then the same term again with the sign turned: once by a minus,
+# once by an odd reordering of two phi indices
+_CANCELLING = st.one_of(
+    st.builds("{0}*{1} - {0}*{1}".format, st.one_of(_RATIONAL, _GAUSS, _SYMBOL), _PHI),
+    st.builds(
+        "{0}*phi[{1},{2};{3}] + {0}*phi[{2},{1};{3}]".format,
+        st.one_of(_RATIONAL, _GAUSS_SPACED, _SYMBOL),
+        st.sampled_from("1234"),
+        st.sampled_from("1234"),
+        _INDEX_LISTS,
+    ),
+)
 _TOKENS = st.one_of(
     _TERM,
+    _CANCELLING,
+    _GAUSS_SPACED,
     st.sampled_from(["+", "-", "*", " ", "  ", "\t", "\n"]),
     _PHI,
     _RATIONAL,
@@ -401,3 +423,40 @@ class TestParseInOnePass:
         assert calls == []
         assert len(monomials) == 4096
         assert form == Form(6, {idx: Coefficient.one() for idx in monomials})
+
+    def test_no_scalar_or_form_arithmetic_per_token(self, monkeypatch, rng):
+        """A torus6-shaped stream (Q(i) literals, symbol powers, unsorted phi
+        indices, both signs) parses with no Coefficient product, no
+        Form.monomial, no _combine and no Fraction: each term stays plain
+        data until the one term map at the end becomes a Form."""
+        from harmonica import forms
+
+        def term():
+            hol = rng.sample(range(1, 4), rng.randint(0, 3))
+            anti = rng.sample(range(1, 4), rng.randint(0, 3))
+            real, imag = (f"{rng.randint(-4, 4)}/{rng.randint(1, 4)}" for _ in "ri")
+            powers = "".join(
+                f"*{s}^{rng.randint(1, 3)}" for s in rng.sample(["g3", "g3c"], rng.randint(0, 2))
+            )
+            return f"({real},{imag}){powers}*phi[{','.join(map(str, hol))};{','.join(map(str, anti))}]"
+
+        texts = [
+            "".join(f" {rng.choice('+-')} {term()}" for _ in range(rng.randint(1, 5)))
+            for _ in range(200)
+        ]
+        expected = [reference_parse_form(text, 3) for text in texts]
+        calls = []
+
+        def spy(name, original):
+            return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+        monomial, new = Form.monomial, Fraction.__new__
+        monkeypatch.setattr(Coefficient, "__mul__", spy("Coefficient.__mul__", Coefficient.__mul__))
+        monkeypatch.setattr(Form, "monomial", staticmethod(spy("Form.monomial", monomial)))
+        monkeypatch.setattr(forms, "_combine", spy("_combine", forms._combine))
+        monkeypatch.setattr(Fraction, "__new__", spy("Fraction.__new__", new))
+        got = [parse_form(text, 3) for text in texts]
+        monkeypatch.undo()
+        assert calls == []
+        assert got == expected
+        assert sum(not form.is_constant_coefficients() for form in got) > 100

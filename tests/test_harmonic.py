@@ -357,6 +357,17 @@ class TestCachedResults:
 
 
 class TestMembership:
+    def test_every_word_names_a_known_operator(self):
+        """is_harmonic and laplacian_apply apply these words with no check
+        of their names per call, so the check is made here once."""
+        from harmonica.hermitian import _OPERATORS
+
+        for table in (CONDITION_WORDS, LAPLACIAN_WORDS):
+            assert set(table) == {kind.value for kind in HarmonicKind}
+            for words in table.values():
+                assert words and all(type(word) is tuple and word for word in words)
+                assert {op for word in words for op in word} <= _OPERATORS
+
     def test_torus_phi21_delbar_member(self, torus):
         cert = is_harmonic(HarmonicKind.DELBAR, mono(3, (2,), (1,)), torus)
         assert cert.verdict

@@ -197,6 +197,25 @@ class TestChecks:
         assert report.status == REFUTED and not structure.is_almost_kahler(spec)
         assert calls == [fundamental_form(spec)]
 
+    def test_d_omega_of_a_spec_with_d_zero_runs_no_pass(self, monkeypatch):
+        """Where every d(phi^a) vanishes, d omega = 0 with no d pass, and
+        the zero is read-only like any shared d omega."""
+        flat8 = ManifoldSpec(
+            name="flat8", n=4, generators=["a", "b", "c", "e"], d_gen={}, omega_coeffs=(1,) * 4
+        )
+        calls = []
+        d = structure.exterior_d
+        monkeypatch.setattr(structure, "exterior_d", lambda f, spec: calls.append(f) or d(f, spec))
+        for spec in (flat8, load_spec(catalog_document("flat_kahler6"))):
+            assert structure.is_almost_kahler(spec)
+            rep = check_almost_kahler(spec)
+            assert rep.status == VERIFIED and rep.data["almost_kahler"]
+            zero = structure._d_omega(spec)
+            assert zero == Form.zero(spec.n)
+            with pytest.raises(AttributeError):
+                zero.terms = {}
+        assert calls == []
+
     def test_the_residual_refuses_writes(self):
         """The residual is the spec's cached d omega, so it is read-only."""
         spec = catalog("iwasawa_ak").with_omega([1, 2, 3])
