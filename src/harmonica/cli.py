@@ -122,6 +122,7 @@ def cmd_validate(args, spec, out) -> int:
     _render_report(integ, args.ascii, out)
     out(_pretty(f"almost Kahler: {'yes' if ak.data['almost_kahler'] else 'no'}", args.ascii))
     out(_pretty(f"integrable: {'yes' if ak.data['integrable'] else 'no'}", args.ascii))
+    out(f"unimodular: {'yes' if ak.data['unimodular'] else 'no'}")
     return EXIT_OK if integ.ok else EXIT_REFUTED
 
 

@@ -240,16 +240,13 @@ class Form:
         return Form(self.n, terms)
 
     def conjugate(self, table: DerivationTable | None = None) -> "Form":
-        """Complex conjugation; swaps bidegrees (p,q) <-> (q,p)."""
+        """Complex conjugation, one term to one; swaps bidegrees (p,q) <-> (q,p)."""
         table = table or DerivationTable()
         terms: dict = {}
         for (hol, anti), c in self.terms.items():
-            sign = (-1) ** (len(hol) * len(anti))
-            idx = MultiIndex(anti, hol)
-            cc = c.conjugate(table) * sign
-            acc = terms.get(idx)
-            terms[idx] = cc if acc is None else acc + cc
-        return Form(self.n, terms)
+            c = c.conjugate(table)
+            terms[MultiIndex(anti, hol)] = -c if len(hol) * len(anti) % 2 else c
+        return Form.from_terms(self.n, terms)
 
     def bidegree_project(self, p: int, q: int) -> "Form":
         return Form(

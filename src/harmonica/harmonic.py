@@ -9,7 +9,10 @@ kernel K against the nullspace of the assembled Laplacian matrix.  That
 nullspace is not read as a kernel: linalg.rref reduces the Laplacian's
 sparse rows to a value whose dim is rank Delta, and K = ker Delta exactly
 when its canonical rows annihilate K and dim K = m - rank Delta over the m
-monomials of the block (linalg.is_kernel).
+monomials of the block (linalg.is_kernel).  Both sides assume a unimodular
+spec (structure.is_unimodular: d = 0 on (2n-1)-forms); elsewhere -*d* is not
+the adjoint of d on invariant forms, and the cross-check can fail, as on
+aff(1), by a fault of the input rather than of the engine.
 
 Spaces are Subspace values in (p,q) coordinates, built from sparse rows;
 hermitian.subspace_forms gives their Forms.

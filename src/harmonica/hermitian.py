@@ -95,11 +95,11 @@ def hodge_star(form: Form, spec: ManifoldSpec) -> Form:
 
 
 def j_on_forms(form: Form) -> Form:
-    """The almost complex structure on forms: i^(p-q) on the (p,q) part."""
-    out = Form.zero(form.n)
-    for (p, q), part in form.homogeneous_parts().items():
-        out = out + part * GaussianRational.i_power(p - q)
-    return out
+    """The almost complex structure on forms: i^(p-q) on the (p,q) terms."""
+    terms: dict = {}
+    for m, c in form.terms.items():
+        _add_term(terms, m, c, GaussianRational.i_power(m.p - m.q))
+    return _form(form.n, terms)
 
 
 def lefschetz_L(form: Form, spec: ManifoldSpec) -> Form:

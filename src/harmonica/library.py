@@ -227,10 +227,3 @@ def catalog(name: str) -> ManifoldSpec:
     if name not in _catalog_cache:
         _catalog_cache[name] = load_spec(_golden_text(name))
     return _catalog_cache[name]
-
-
-def catalog_document(name: str) -> str:
-    """The golden document bytes for a catalog spec (for round-trip checks)."""
-    if name not in CATALOG_NAMES:
-        raise UnknownSpec(f"no catalog spec named {name!r}")
-    return _golden_text(name)

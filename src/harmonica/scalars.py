@@ -308,10 +308,14 @@ class DerivationTable:
     def declare_symbol(self, name: str, conjugate: str | None = None) -> None:
         """Declare a symbol, and its conjugate partner if given.  A declared
         name is an identifier of form text other than phi: brackets are
-        reserved for derived symbols."""
+        reserved for derived symbols.  A symbol keeps its first partner, so
+        conjugation stays one-to-one."""
         for s in (name,) if conjugate is None else (name, conjugate):
             if not _re.fullmatch(SYMBOL_NAME, s) or s == "phi":
                 raise ValueError(f"symbol name {s!r} is not an identifier other than 'phi'")
+        for s, partner in () if conjugate is None else ((name, conjugate), (conjugate, name)):
+            if self.conjugates.get(s, partner) != partner:
+                raise ValueError(f"symbol {s!r} already has the conjugate {self.conjugates[s]!r}")
         self.symbols.add(name)
         if conjugate is not None:
             self.symbols.add(conjugate)
@@ -498,15 +502,7 @@ class Coefficient:
         return Coefficient({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
-        """A product by a Q(i) constant (a number or a constant Coefficient)
-        scales the term map; any other runs the polynomial product."""
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self._scaled(GaussianRational.coerce(other))
         other = self.coerce(other)
-        if len(other._terms) == 1 and () in other._terms:
-            return self._scaled(other._terms[()])
-        if len(self._terms) == 1 and () in self._terms:
-            return other._scaled(self._terms[()])
         terms: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -515,17 +511,6 @@ class Coefficient:
         return Coefficient(terms)
 
     __rmul__ = __mul__
-
-    def _scaled(self, x: GaussianRational) -> "Coefficient":
-        """x times self; a product of nonzero Q(i) values is nonzero, so only
-        x = 0 can drop terms, and x = 1 or -1 needs no product."""
-        if x.is_zero():
-            return Coefficient()
-        if x.den == 1 and not x.im_num and x.re_num == 1:
-            return Coefficient.from_terms(dict(self._terms))
-        if x.den == 1 and not x.im_num and x.re_num == -1:
-            return Coefficient.from_terms({m: -c for m, c in self._terms.items()})
-        return Coefficient.from_terms({m: c * x for m, c in self._terms.items()})
 
     def __truediv__(self, other):
         """Division by a nonzero Q(i) scalar only; symbols are not inverted."""
@@ -546,20 +531,17 @@ class Coefficient:
         return out
 
     def conjugate(self, table: DerivationTable) -> "Coefficient":
-        terms: dict = {}
-        for m, c in self._terms.items():
-            mc = tuple(sorted((table.conjugate_symbol(s), e) for s, e in m))
-            terms[mc] = terms.get(mc, _ZERO) + c.conjugate()
-        return Coefficient(terms)
+        """Each term conjugated; one term to one, as symbol conjugation is."""
+        return Coefficient.from_terms({
+            tuple(sorted((table.conjugate_symbol(s), e) for s, e in m)): c.conjugate()
+            for m, c in self._terms.items()
+        })
 
     def derive(self, direction: Direction, table: DerivationTable) -> "Coefficient":
         """Frame derivative: the sum of c times the table's derivative of the
         unit monomial m over the terms c m."""
-        terms: dict = {}
-        for m, c in self._terms.items():
-            for m2, x in table.derive_monomial(m, direction)._terms.items():
-                terms[m2] = terms[m2] + c * x if m2 in terms else c * x
-        return Coefficient(terms)
+        terms = self._terms.items()
+        return sum((table.derive_monomial(m, direction) * c for m, c in terms), Coefficient())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

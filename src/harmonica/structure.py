@@ -354,13 +354,9 @@ def check_integrability_relations(spec: ManifoldSpec) -> VerificationReport:
 
 
 def fundamental_form(spec: ManifoldSpec) -> Form:
-    """omega = i * sum_a c_a phi^{a,abar}."""
-    out = Form.zero(spec.n)
-    for a in range(1, spec.n + 1):
-        out = out + Form.monomial(
-            spec.n, (a,), (a,), GaussianRational(0, spec.omega_coeffs[a - 1])
-        )
-    return out
+    """omega = i * sum_a c_a phi^{a,abar}, built as one term map."""
+    weights = enumerate(spec.omega_coeffs, 1)
+    return _form(spec.n, {MultiIndex((a,), (a,)): {(): GaussianRational(0, c)} for a, c in weights})
 
 
 def is_integrable(spec: ManifoldSpec) -> bool:
@@ -371,6 +367,17 @@ def is_integrable(spec: ManifoldSpec) -> bool:
     shifts = (OperatorKind.MU.shift, OperatorKind.MUBAR.shift)
     splits = (d_by_shift(idx, spec) for idx in _unit_and_generators(spec.n))
     return not any(b in shifts for split in splits for b in split)
+
+
+def is_unimodular(spec: ManifoldSpec) -> bool:
+    """True when d vanishes on every (2n-1)-form, that is tr ad = 0: only
+    then can the group have a compact quotient, and only then is -*d* the
+    adjoint of d on invariant forms.  d is 0 on the 2n monomials of degree
+    2n - 1 when no split of d has a part there."""
+    full = tuple(range(1, spec.n + 1))
+    drops = [tuple(b for b in full if b != a) for a in full]
+    monomials = [MultiIndex(h, j) for drop in drops for h, j in ((drop, full), (full, drop))]
+    return not any(d_by_shift(idx, spec) for idx in monomials)
 
 
 def is_almost_kahler(spec: ManifoldSpec) -> bool:
@@ -388,12 +395,15 @@ def _d_omega(spec: ManifoldSpec) -> Form:
 
 
 def check_almost_kahler(spec: ManifoldSpec) -> VerificationReport:
-    """d omega = 0; integrability is reported as a flag, not a requirement.
+    """d omega = 0; integrability and unimodularity are reported as flags,
+    not requirements.
     The metric coefficients need no item: ManifoldSpec refuses any c <= 0.
     A failing item's residual is the spec's read-only d omega."""
     residual = _d_omega(spec)
     closed = residual.is_zero()
     omega = None if closed else fundamental_form(spec)
     item = CheckItem("d omega = 0", closed, omega, None if closed else residual)
-    data = {"integrable": is_integrable(spec), "almost_kahler": closed}
+    data = {
+        "integrable": is_integrable(spec), "almost_kahler": closed, "unimodular": is_unimodular(spec)
+    }
     return VerificationReport.from_items(f"almost-kahler:{spec.name}", [item], data=data)

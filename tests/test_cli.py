@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from harmonica import errors, harmonic
 from harmonica.cli import _pretty, main
 from harmonica.forms import basis_multiindices, format_form, parse_form
-from harmonica.library import catalog_document
+from harmonica.library import _golden_text
 from harmonica.linalg import Subspace
 from harmonica.structure import check_integrability_relations
 
@@ -45,6 +45,13 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "iwasawa_cplx")
         assert code == 0
         assert "integrable: yes" in out
+
+    @pytest.mark.parametrize("name", ["torus6", "iwasawa_ak", "iwasawa_cplx", "flat_kahler6"])
+    def test_catalog_specs_are_unimodular(self, capsys, name):
+        code, out, _ = run_cli(capsys, "validate", name)
+        assert code == 0
+        assert out.splitlines()[-2].startswith("integrable: ")
+        assert out.splitlines()[-1] == "unimodular: yes"
 
     def test_broken_spec(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -118,7 +125,7 @@ class TestCrossCheckFailure:
     def _run(self, capsys, tmp_path):
         # a spec file, so the computation starts from an empty cache
         path = tmp_path / "iwasawa_ak.json"
-        path.write_text(catalog_document("iwasawa_ak"), encoding="utf-8")
+        path.write_text(_golden_text("iwasawa_ak"), encoding="utf-8")
         return run_cli(capsys, "harmonics", str(path), "--laplacian", "bc", "--bidegree", "2,1")
 
     def test_wrong_laplacian_kernel(self, capsys, tmp_path, monkeypatch):
@@ -195,6 +202,12 @@ class TestPrimitive:
         assert "r=0" in out and "r=1" in out
         assert "reassembly identity: ok" in out
 
+    @pytest.mark.parametrize("form", ["0", "phi[1;1] - phi[1;1]"])
+    def test_zero_form_has_no_parts(self, capsys, form):
+        code, out, err = run_cli(capsys, "primitive", "iwasawa_ak", "--form", form)
+        assert (code, err) == (0, "")
+        assert out == "primitive decomposition of a degree-0 form:\n  0\nreassembly identity: ok\n"
+
 
 class TestReport:
     def test_flat_report_json(self, capsys, tmp_path):
@@ -260,7 +273,7 @@ def _flat_document(n):
 def _times_torus_document(name, k):
     """The catalog spec times a flat 2k-torus: k more generators with d = 0
     and omega coefficient 1."""
-    doc = json.loads(catalog_document(name))
+    doc = json.loads(_golden_text(name))
     for a in range(doc["n"] + 1, doc["n"] + k + 1):
         doc["generators"].append(f"phi{a}")
         doc["d"][f"phi{a}"] = []
@@ -515,7 +528,7 @@ class TestUserInputErrors:
     def test_spec_file_errors_are_parse_errors(self, capsys, tmp_path):
         bad_bytes = tmp_path / "bad_bytes.json"
         bad_bytes.write_bytes(b'{"name": "\xff"}')
-        doc = json.loads(catalog_document("torus6"))
+        doc = json.loads(_golden_text("torus6"))
         doc["d"]["phi1"][0]["coeff"]["terms"][0]["syms"][0][1] = "x"
         bad_power = tmp_path / "bad_power.json"
         bad_power.write_text(json.dumps(doc))
@@ -535,7 +548,7 @@ class TestUserInputErrors:
         ],
     )
     def test_malformed_derivation_settings_exit_2(self, capsys, tmp_path, field, value):
-        doc = json.loads(catalog_document("torus6"))
+        doc = json.loads(_golden_text("torus6"))
         doc[field] = value
         path = tmp_path / "bad_setting.json"
         path.write_text(json.dumps(doc))
@@ -715,7 +728,7 @@ class TestPrettyInOnePass:
 
     @pytest.mark.parametrize("name", ["torus6", "iwasawa_ak", "iwasawa_cplx", "flat_kahler6"])
     def test_every_printed_line(self, capsys, name):
-        n = json.loads(catalog_document(name))["n"]
+        n = json.loads(_golden_text(name))["n"]
         commands = [["report"], ["validate"]]
         commands += [
             ["relations", "--bidegree", f"{p},{q}"] for p in range(n + 1) for q in range(n + 1 - p)
@@ -808,7 +821,7 @@ class TestExitPolicy:
 def _torus6_with(tmp_path, replace=None, syms=None):
     """torus6 with the symbol g3 renamed, or with the first symbol list of
     d(phi1) replaced, written to a file."""
-    text = catalog_document("torus6")
+    text = _golden_text("torus6")
     if replace is not None:
         text = text.replace('"g3"', json.dumps(replace))
     doc = json.loads(text)

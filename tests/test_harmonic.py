@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonica import catalog
-from harmonica.cli import main
+from harmonica.cli import _dimension_tables, main
 from harmonica.errors import SymbolicCoefficients
 from harmonica.forms import Form, basis_multiindices, parse_form
 from harmonica.harmonic import (
@@ -31,7 +32,7 @@ from harmonica.hermitian import (
     volume_form,
     word_kernel,
 )
-from harmonica.library import catalog_document, load_spec
+from harmonica.library import _golden_text, load_spec
 from harmonica.linalg import sparse_kernel, sparse_rows
 from harmonica.scalars import Coefficient, GaussianRational
 from harmonica.structure import (
@@ -40,10 +41,12 @@ from harmonica.structure import (
     all_basis_monomials,
     check_integrability_relations,
     differential_component,
+    is_unimodular,
 )
 from harmonica.theorems import all_statements
 
 from conftest import fail_on_swell, inner_square, rand_form_pq
+from test_cli import _times_torus_document
 
 
 def G(re, im=0):
@@ -440,7 +443,7 @@ class TestSymbolicLaplacians:
 def _times_torus2(name):
     """The catalog spec times a flat 2-torus: one more generator with d = 0
     and omega coefficient 1."""
-    doc = json.loads(catalog_document(name))
+    doc = json.loads(_golden_text(name))
     n = doc["n"] + 1
     doc["generators"].append(f"phi{n}")
     doc["d"][f"phi{n}"] = []
@@ -458,7 +461,7 @@ class TestKunneth:
 
     @pytest.mark.parametrize("name", ["iwasawa_ak", "iwasawa_cplx", "flat_kahler6"])
     def test_tables_of_a_product_with_a_torus(self, name):
-        base = load_spec(catalog_document(name))
+        base = load_spec(_golden_text(name))
         product = _times_torus2(name)
         n = base.n
 
@@ -477,7 +480,7 @@ class TestKunneth:
 def _times_torus(name, k):
     """The catalog spec times a flat 2k-torus: k more generators, each with
     d = 0 and omega coefficient 1."""
-    doc = json.loads(catalog_document(name))
+    doc = json.loads(_golden_text(name))
     for a in range(doc["n"] + 1, doc["n"] + k + 1):
         doc["generators"].append(f"phi{a}")
         doc["d"][f"phi{a}"] = []
@@ -498,7 +501,7 @@ def test_tables_of_a_product_with_a_4_torus(name, k):
     parts of the invariant complex of T^2k have dimension C(k,a) C(k,b), so
     every harmonic table of X x T^2k is h^{p,q}(X x T^2k) = sum over a, b in
     {0, ..., k} of C(k,a) C(k,b) h^{p-a,q-b}(X)."""
-    base = load_spec(catalog_document(name))
+    base = load_spec(_golden_text(name))
     product = _times_torus(name, k)
     n = base.n
 
@@ -546,7 +549,7 @@ def _relabelled_terms(terms, relabel):
 def _product(x, y):
     """X x Y for two catalog specs: Y's generators follow X's, its indices
     shifted by X's n, and omega is the concatenation."""
-    dx, dy = json.loads(catalog_document(x)), json.loads(catalog_document(y))
+    dx, dy = json.loads(_golden_text(x)), json.loads(_golden_text(y))
     n = dx["n"] + dy["n"]
     gens = [f"phi{a}" for a in range(1, n + 1)]
     d = {}
@@ -565,7 +568,7 @@ def test_tables_of_a_product_of_two_non_flat_factors():
     for their Laplacians.  The Bott-Chern Laplacian is not such a sum, and on
     iwasawa_cplx x iwasawa_ak the rule fails for it at some bidegree, so the
     comparison can tell a table from its prediction."""
-    x, y = load_spec(catalog_document("iwasawa_cplx")), load_spec(catalog_document("iwasawa_ak"))
+    x, y = load_spec(_golden_text("iwasawa_cplx")), load_spec(_golden_text("iwasawa_ak"))
     product = _product("iwasawa_cplx", "iwasawa_ak")
     assert product.n == 6
 
@@ -590,7 +593,7 @@ def _permuted(name, sigma):
     """The catalog spec with generator a relabelled sigma[a - 1]: each d
     entry and omega coefficient moves with its generator, and every index
     in the structure constants is relabelled to match."""
-    doc = json.loads(catalog_document(name))
+    doc = json.loads(_golden_text(name))
     gens, omega = doc["generators"], list(doc["omega"])
     d = {}
     for a, g in enumerate(gens, start=1):
@@ -606,7 +609,7 @@ def test_tables_do_not_depend_on_the_order_of_the_coframe(name):
     structure, so every harmonic table is unchanged; the relabelled
     operator matrices reach the elimination with their columns, and so
     their rows and pivots, in another order."""
-    base = load_spec(catalog_document(name))
+    base = load_spec(_golden_text(name))
     seeded = random.Random(0).sample(range(1, 4), 3)
     assert seeded not in ([1, 2, 3], [3, 2, 1])
     for sigma in ([3, 2, 1], seeded):
@@ -625,7 +628,7 @@ def _rescaled(name, lambdas):
     d(phi^a) becomes c lambda_a / (prod_{i in I} lambda_i prod_{j in J}
     conj(lambda_j)), and omega_a becomes omega_a / |lambda_a|^2, so J and
     omega, and with them the metric, are unchanged."""
-    doc = json.loads(catalog_document(name))
+    doc = json.loads(_golden_text(name))
     for a, g in enumerate(doc["generators"], start=1):
         for term in doc["d"][g]:
             c = G(term["coeff"]["re"], term["coeff"]["im"]) * lambdas[a - 1]
@@ -645,7 +648,7 @@ def test_an_isometric_rescaling_of_the_coframe_changes_no_result(name):
     """Rescaling the coframe by Gaussian integers rewrites the structure
     constants and omega, but not the almost Hermitian structure: every
     harmonic table and every statement status stays the same."""
-    base = load_spec(catalog_document(name))
+    base = load_spec(_golden_text(name))
     spec = _rescaled(name, [G(1, 1), G(2, -1), G(0, 3)])
     assert dict(spec.d_gen) != dict(base.d_gen) and spec.omega_coeffs != base.omega_coeffs
     for kind in HarmonicKind:
@@ -749,6 +752,15 @@ class TestCrossCheckDecision:
             else:
                 assert (code, err) == (0, "")
 
+    def test_aff1_validates_and_is_not_unimodular(self, capsys, tmp_path):
+        """aff(1) passes validation, and `validate` says why its cross-checks
+        fail: d != 0 on 1-forms, so it is not unimodular."""
+        path = tmp_path / "aff1.json"
+        path.write_text(json.dumps(AFF1), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-3:] == ["almost Kahler: yes", "integrable: yes", "unimodular: no"]
+
     def test_aff1_condition_kernel_is_zero_where_laplacian_vanishes(self):
         spec = load_spec(AFF1)
         for kind in HarmonicKind:
@@ -770,3 +782,112 @@ class TestSymbolicDImages:
     @pytest.mark.parametrize("words", [[("del",)], [("mu",)], [("d", "*")]])
     def test_constant_parts_of_symbolic_d_are_read(self, torus, words):
         assert len(operator_columns(words, 1, 0, torus)) == 3
+
+
+def _unitary_coframe(doc, pair, u, u_inv):
+    """The spec document in the coframe psi = U phi, for a 2x2 unitary U over
+    Q(i) on the generators `pair`, with plain dict arithmetic on the
+    document's terms: d(psi^i) = sum_a U[i][a] d(phi^a), with phi = U^-1 psi
+    and phibar = conj(U^-1) psibar substituted into each monomial of
+    d(phi^a).  The mixed generators have equal omega weights, so omega reads
+    the same in psi."""
+    n = doc["n"]
+    full_u = [[G(int(i == j)) for j in range(n)] for i in range(n)]
+    full_inv = [[G(int(i == j)) for j in range(n)] for i in range(n)]
+    for r, i in enumerate(pair):
+        for s, j in enumerate(pair):
+            full_u[i - 1][j - 1], full_inv[i - 1][j - 1] = u[r][s], u_inv[r][s]
+    assert len({doc["omega"][a - 1] for a in pair}) == 1
+    # phi^b and phibar^b as {(bar, c): value} over the psi^c and psibar^c
+    phi = {
+        (bar, b): {(bar, c): x.conjugate() if bar else x for c, x in enumerate(row, 1) if x}
+        for bar in (False, True)
+        for b, row in enumerate(full_inv, 1)
+    }
+
+    def wedge(factors, value, out):
+        """Add value times the wedge of the factors, each {(bar, c): x}, to
+        out, keyed by (hol, anti) with the sign of sorting hol before anti."""
+        for choice in itertools.product(*(f.items() for f in factors)):
+            keys = [k for k, _ in choice]
+            if len(set(keys)) < len(keys):
+                continue
+            pairs = itertools.combinations(keys, 2)
+            x = value * (-1) ** sum(first > second for first, second in pairs)
+            for _, y in choice:
+                x = x * y
+            ordered = sorted(keys)
+            m = (tuple(c for bar, c in ordered if not bar), tuple(c for bar, c in ordered if bar))
+            out[m] = out.get(m, G(0)) + x
+
+    d_phi = []
+    for g in doc["generators"]:
+        out = {}
+        for term in doc["d"][g]:
+            factors = [phi[False, i] for i in term["hol"]] + [phi[True, j] for j in term["anti"]]
+            wedge(factors, G(term["coeff"]["re"], term["coeff"]["im"]), out)
+        d_phi.append(out)
+    d_psi = {}
+    for g, row in zip(doc["generators"], full_u):
+        out = {}
+        for x, terms in zip(row, d_phi):
+            for m, y in terms.items():
+                out[m] = out.get(m, G(0)) + x * y
+        d_psi[g] = [
+            {"coeff": {"re": str(c.re), "im": str(c.im)}, "hol": list(h), "anti": list(a)}
+            for (h, a), c in sorted(out.items())
+            if not c.is_zero()
+        ]
+    return dict(doc, d=d_psi, name=f"{doc['name']}_unitary")
+
+
+_ROTATION = ((G("3/5"), G("4/5")), (G("-4/5"), G("3/5")))
+_ROTATION_INV = ((G("3/5"), G("-4/5")), (G("4/5"), G("3/5")))
+_COMPLEX = ((G("3/5"), G(0, "4/5")), (G(0, "4/5"), G("3/5")))
+_COMPLEX_INV = ((G("3/5"), G(0, "-4/5")), (G(0, "-4/5"), G("3/5")))
+
+
+class TestUnitaryCoframes:
+    """A unitary change psi = U phi of the (1,0)-coframe keeps J and the
+    metric, so it changes no harmonic dimension; unlike a permutation or a
+    rescaling, it mixes generators and creates new terms of d."""
+
+    @pytest.mark.parametrize(
+        "name, torus, pair, u, u_inv",
+        [
+            ("iwasawa_ak", False, (1, 2), _ROTATION, _ROTATION_INV),
+            ("iwasawa_ak", False, (1, 3), _ROTATION, _ROTATION_INV),
+            ("iwasawa_cplx", False, (1, 2), _ROTATION, _ROTATION_INV),
+            ("iwasawa_ak", False, (1, 3), _COMPLEX, _COMPLEX_INV),
+            ("iwasawa_ak", True, (1, 4), _ROTATION, _ROTATION_INV),
+        ],
+        ids=["ak-rot12", "ak-rot13", "cplx-rot12", "ak-complex13", "ak_x_T2-rot14"],
+    )
+    def test_tables_are_unchanged(self, name, torus, pair, u, u_inv):
+        # U is unitary: U^-1 is its conjugate transpose, and U U^-1 = 1
+        cells = [(i, j) for i in range(2) for j in range(2)]
+        assert all(u_inv[i][j] == u[j][i].conjugate() for i, j in cells)
+        assert all(u[i][0] * u_inv[0][j] + u[i][1] * u_inv[1][j] == int(i == j) for i, j in cells)
+        doc = _times_torus_document(name, 1) if torus else json.loads(_golden_text(name))
+        base = load_spec(doc)
+        spec = load_spec(_unitary_coframe(doc, pair, u, u_inv))
+        # on iwasawa_cplx, d(psi^3) = -psi^{12}, and det U = 1 keeps psi^{12}
+        assert (dict(spec.d_gen) != dict(base.d_gen)) == (name != "iwasawa_cplx")
+        assert check_integrability_relations(spec).ok and is_unimodular(spec)
+        assert _dimension_tables(spec) == _dimension_tables(base)
+
+    def test_a_wrong_inverse_is_caught(self, capsys, tmp_path):
+        """U^T in place of U^-1 for the complex U is no change of coframe:
+        iwasawa_ak then fails validation, and iwasawa_cplx validates but is
+        not unimodular, so its report fails a cross-check."""
+        wrong = tuple(zip(*_COMPLEX))
+        assert wrong != _COMPLEX_INV
+        ak = _unitary_coframe(json.loads(_golden_text("iwasawa_ak")), (1, 3), _COMPLEX, wrong)
+        assert not check_integrability_relations(load_spec(ak)).ok
+        doc = _unitary_coframe(json.loads(_golden_text("iwasawa_cplx")), (1, 3), _COMPLEX, wrong)
+        cplx = load_spec(doc)
+        assert check_integrability_relations(cplx).ok and not is_unimodular(cplx)
+        path = tmp_path / "cplx.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("cross-check failed: ")

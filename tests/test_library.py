@@ -18,7 +18,6 @@ from harmonica.library import (
     MAX_N,
     _golden_text,
     catalog,
-    catalog_document,
     load_spec,
     serialize_spec,
 )
@@ -50,8 +49,8 @@ class TestGoldenSpecs:
 
     def test_round_trip_bytes(self):
         for name in CATALOG_NAMES:
-            spec = load_spec(catalog_document(name))
-            assert serialize_spec(spec) == catalog_document(name)
+            spec = load_spec(_golden_text(name))
+            assert serialize_spec(spec) == _golden_text(name)
 
     def test_iwasawa_structure_equation(self):
         spec = catalog("iwasawa_ak")
@@ -223,9 +222,6 @@ class TestRefusals:
         assert captured.err == f"error: {message}\n"
 
     def test_unknown_catalog_document(self):
-        with pytest.raises(UnknownSpec) as refused:
-            catalog_document("nosuch")
-        assert str(refused.value) == "no catalog spec named 'nosuch'"
         with pytest.raises(UnknownSpec) as refused:
             _golden_text("nosuch")
         assert str(refused.value) == "no catalog spec named 'nosuch'"

@@ -12,7 +12,7 @@ from harmonica.errors import DepthExceeded, ExponentTooLarge, ParseError, Undecl
 from harmonica.forms import basis_multiindices, parse_form
 from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS, HarmonicKind, is_harmonic
 from harmonica.hermitian import is_primitive, operator_columns, primitive_decompose
-from harmonica.library import catalog_document, load_spec
+from harmonica.library import _golden_text, load_spec
 from harmonica.scalars import (
     MAX_EXPONENT,
     Coefficient,
@@ -166,22 +166,6 @@ class TestConstantProducts:
         assert Coefficient.coerce(x) * a == general
         assert (a * x).is_zero() == (a.is_zero() or Coefficient.coerce(x).is_zero())
 
-    def test_no_monomial_products(self, monkeypatch):
-        from harmonica import scalars
-
-        calls = []
-        original = scalars._mono_mul
-        monkeypatch.setattr(
-            scalars, "_mono_mul", lambda a, b: calls.append((a, b)) or original(a, b)
-        )
-        a = Coefficient({(): G(1, 2), (("s", 1),): G(-3), (("s", 1), ("t", 2)): G(0, 1)})
-        for x in (1, -1, 0, 7, Fraction(2, 3), G(0, 1), C(5, -2), Coefficient.one()):
-            a * x
-            Coefficient.coerce(x) * a
-        monkeypatch.undo()
-        assert calls == []
-        assert a * G(0) == Coefficient.zero()
-
 
 class TestDerivationTable:
     def test_declared_zero_directions(self, table):
@@ -249,6 +233,22 @@ def test_declared_names_are_identifiers_other_than_phi(name):
     assert table.conjugates == {"_g3": "g3c", "g3c": "_g3"}
 
 
+def test_a_symbol_keeps_its_first_conjugate():
+    """Conjugation maps distinct symbols to distinct ones, so a Coefficient's
+    conjugate maps each term to one term: a second partner is refused."""
+    table = DerivationTable()
+    table.declare_symbol("a", "b")
+    table.declare_symbol("a", "b")
+    table.declare_symbol("f", "f")
+    for name, partner in (("a", "c"), ("c", "b"), ("b", "b"), ("f", "g")):
+        with pytest.raises(ValueError, match="already has the conjugate"):
+            table.declare_symbol(name, partner)
+    assert table.conjugates == {"a": "b", "b": "a", "f": "f"}
+    assert table.symbols == {"a", "b", "f"}
+    u = Coefficient({(("a", 1),): G(1), (("b", 1),): G(0, 1)})
+    assert u.conjugate(table) == Coefficient({(("b", 1),): G(1), (("a", 1),): G(0, -1)})
+
+
 class TestDirection:
     def test_value_semantics(self):
         d = Direction(3, True)
@@ -312,7 +312,7 @@ class TestDerivativeMemo:
         assert Coefficient.symbol("g").derive(direction, t) == C(2)
 
     def test_repeated_derive_asks_the_table_nothing(self, monkeypatch):
-        spec = load_spec(catalog_document("torus6"))
+        spec = load_spec(_golden_text("torus6"))
         form = parse_form("(1,2)*g3^2*g3c*phi[1;] + 3*phi[2;] + g3c*phi[1,3;2]", 3)
         asked = []
         original = DerivationTable.derive_symbol
@@ -493,8 +493,8 @@ def _symbolic_forms(count):
 def test_no_fraction_on_the_arithmetic_path(monkeypatch):
     """Operator matrices on iwasawa_ak and symbolic certificates on torus6,
     from freshly loaded specs with cold caches, construct no Fraction."""
-    iwasawa = load_spec(catalog_document("iwasawa_ak"))
-    torus = load_spec(catalog_document("torus6"))
+    iwasawa = load_spec(_golden_text("iwasawa_ak"))
+    torus = load_spec(_golden_text("torus6"))
     forms = _symbolic_forms(10)
     words = list(LAPLACIAN_WORDS.values())
     systems = [*CONDITION_WORDS.values(), *CONJUGATED_WORDS.values()]

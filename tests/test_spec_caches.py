@@ -5,7 +5,9 @@ import copy
 import copyreg
 import dataclasses
 import gc
+import random
 import weakref
+from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 
@@ -37,7 +39,7 @@ from harmonica.hermitian import (
     primitive_decompose,
     primitive_subspace,
 )
-from harmonica.library import catalog_document, load_spec
+from harmonica.library import _golden_text, load_spec
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import (
     ManifoldSpec,
@@ -54,7 +56,7 @@ class TestImmutableSpec:
     def test_fields_cannot_be_assigned(self):
         # a private copy of the catalog spec, so a failure here cannot
         # corrupt the spec other tests share
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.n = 4
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -82,7 +84,7 @@ class TestReadOnlyTable:
     change what its d computes."""
 
     def test_writes_through_the_table_are_refused(self):
-        spec = load_spec(catalog_document("torus6"))
+        spec = load_spec(_golden_text("torus6"))
         form = parse_form("g3*phi[1;2]", 3)
         before = exterior_d(form, spec)
         table = spec.table
@@ -123,7 +125,7 @@ class TestReadOnlyStructureEquations:
     results cannot go stale behind it."""
 
     def test_terms_cannot_be_changed(self):
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         for a in (1, 2, 3):
             form = spec.d_gen[a]
             with pytest.raises(AttributeError):
@@ -146,7 +148,7 @@ class TestReadOnlyStructureEquations:
         assert spec.d_gen[1] == Form.monomial(1, (), (1,))
 
     def test_no_stale_dimension(self):
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         assert harmonic_space(HarmonicKind.DELBAR, 1, 0, spec).dim == 1
         for a in (1, 2):
             with pytest.raises(AttributeError):
@@ -196,7 +198,7 @@ class TestImagesOnDemand:
     column first asks for them."""
 
     def test_star_and_L_columns_build_no_form(self, monkeypatch):
-        specs = [load_spec(catalog_document(name)) for name in ("iwasawa_ak", "torus6")]
+        specs = [load_spec(_golden_text(name)) for name in ("iwasawa_ak", "torus6")]
         specs.append(specs[0].with_omega((2, 3, 5)))
         wedges = []
         original = Form.wedge
@@ -231,7 +233,7 @@ class TestImagesOnDemand:
         assert 0 < len(built) < 4**spec.n
 
     def test_barred_structure_equations_are_conjugated_once(self, monkeypatch):
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         conjugated = []
         original = Form.conjugate
 
@@ -256,7 +258,7 @@ class TestSparseKernels:
         dense = ((hermitian, "block_rows"), (harmonic, "block_rows"), (linalg, "_to_int"),
                  (linalg, "span"), (linalg.Subspace, "vectors"))
         assert [name for owner, name in dense if hasattr(owner, name)] == []
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         rows = []
         reduce = linalg.rref
 
@@ -281,7 +283,7 @@ class TestSparseKernels:
         """Once the images of the words' parts are built, composing the
         Laplacian blocks multiplies no Q(i) value by 1: a first operator's
         image is used as it is and the words are added without scaling."""
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         bidegrees = [(p, q) for p in range(4) for q in range(4)]
         blocks = [(words, p, q) for words in LAPLACIAN_WORDS.values() for p, q in bidegrees]
         for block in blocks:
@@ -304,7 +306,7 @@ class TestSparseKernels:
 
     @pytest.mark.parametrize("words", [[("*",)], [("del", "delbar", "*")], LAPLACIAN_WORDS["bc"]])
     def test_returned_columns_do_not_alias_the_cache(self, words):
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         bidegrees = [(p, q) for p in range(4) for q in range(4)]
         before = [operator_columns(words, p, q, spec) for p, q in bidegrees]
         assert any(any(block) for block in before)
@@ -319,7 +321,7 @@ class TestOneSplitOfD:
     monomial; the split is the one cache of d per monomial."""
 
     def test_components_build_no_intermediate_form(self, monkeypatch):
-        spec = load_spec(catalog_document("torus6"))
+        spec = load_spec(_golden_text("torus6"))
         form = parse_form("(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] + g3*g3c*phi[1;1]", 3)
         calls = []
         wedge, add = Form.wedge, Form.__add__
@@ -343,7 +345,7 @@ class TestOneSplitOfD:
         """Constant terms read the split; only a term with a symbol monomial
         adds cached entries of its own: the frame derivatives of that
         monomial."""
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         check_integrability_relations(spec)
         assert any(key[0] == "d_parts" for key in spec._cache)
         assert not [key for key in spec._cache if key[0] == "d"]
@@ -352,7 +354,7 @@ class TestOneSplitOfD:
         for kind in HarmonicKind:
             is_harmonic(kind, form, spec)
         assert not [key for key in spec._cache if key[0] in ("d", "derivative")]
-        torus = load_spec(catalog_document("torus6"))
+        torus = load_spec(_golden_text("torus6"))
         form = parse_form("(1,2)*g33*phi[1,3;2] + g3c*phi[2,3;1] + g3*g3c*phi[1;1] + phi[2;]", 3)
         for kind in HarmonicKind:
             is_harmonic(kind, form, torus)
@@ -375,7 +377,7 @@ class TestReturnedFormsAreNew:
         ],
     )
     def test_clearing_every_returned_form_changes_no_later_result(self, name, text):
-        spec = load_spec(catalog_document(name))
+        spec = load_spec(_golden_text(name))
         form = parse_form(text, 3)
         calls = [lambda f, w=word: apply_word(w, f, spec) for word in self.WORDS]
         calls += [lambda f, k=kind: differential_component(f, k, spec) for kind in OperatorKind]
@@ -407,7 +409,7 @@ class TestReturnedFormsAreNew:
     def test_clearing_the_ladder_parts_changes_no_later_result(self, name, text):
         """The parts of primitive_decompose and the Form of reassemble are new,
         the degree 0 part of a 1-form too."""
-        spec = load_spec(catalog_document(name))
+        spec = load_spec(_golden_text(name))
         form = parse_form(text, 3)
 
         def ladder():
@@ -429,7 +431,7 @@ class TestSharedTermImages:
     the Lambda ladder share them."""
 
     def test_each_image_is_built_once(self, monkeypatch):
-        spec = load_spec(catalog_document("torus6"))
+        spec = load_spec(_golden_text("torus6"))
         text = "(1,2)*g33*phi[1;2] + g3c*phi[1;2] - 3*phi[2;1] + (0,1)*g3*phi[3;3] + phi[1;1]"
         built = []
         build = hermitian._build_term_image
@@ -458,6 +460,46 @@ class TestSharedTermImages:
         assert len(built) > lambdas
         assert len(set(built)) == len(built)
 
+    def test_a_warm_pass_makes_no_coefficient_arithmetic(self, monkeypatch):
+        """Certificates run on term maps: once a spec has built its images,
+        certifying the same forms again makes no Coefficient sum, difference,
+        product or negation; only the cold pass builds derivatives and the
+        conjugate d of the barred generators."""
+        spec = load_spec(_golden_text("torus6"))
+        rng = random.Random(24)
+        symbols, gens = ("g3", "g3c", "g33", "g33c", "g3b3"), (1, 2, 3)
+        forms = []
+        for k in (1, 2, 2, 3) * 6:
+            p = rng.randint(0, k)
+            monomials = [(h, a) for h in combinations(gens, p) for a in combinations(gens, k - p)]
+            terms = []
+            for h, a in rng.sample(monomials, min(len(monomials), rng.randint(1, 3))):
+                c = f"({rng.randint(-6, 6)},{rng.randint(1, 6)})"
+                sym = f"*{rng.choice(symbols)}" if rng.random() < 0.4 else ""
+                terms.append(f"{c}{sym}*phi[{','.join(map(str, h))};{','.join(map(str, a))}]")
+            forms.append(parse_form(" + ".join(terms), 3))
+        assert len(forms) == 24 and any(not f.is_constant_coefficients() for f in forms)
+        calls = []
+        names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__")
+        for name in names:
+            original = getattr(Coefficient, name)
+            monkeypatch.setattr(
+                Coefficient, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+            )
+
+        def certify():
+            for form in forms:
+                for kind in HarmonicKind:
+                    is_harmonic(kind, form, spec)
+                is_primitive(form, spec)
+                assert primitive_decompose(form, spec).reassemble(spec) == form
+
+        certify()
+        assert calls
+        calls.clear()
+        certify()
+        assert calls == []
+
 
 class TestUnderivableTerms:
     """A term that cannot be differentiated raises DepthExceeded, and the
@@ -466,7 +508,7 @@ class TestUnderivableTerms:
     within each.  The expected texts are what the Form-level d raised."""
 
     def test_the_first_underivable_term_names_the_error(self):
-        spec = load_spec(catalog_document("torus6"))
+        spec = load_spec(_golden_text("torus6"))
         shallow_table = DerivationTable(
             set(spec.table.symbols), dict(spec.table.conjugates), dict(spec.table.entries),
             depth_limit=0,
@@ -494,7 +536,7 @@ class TestUnderivableTerms:
         d Lambda of the whole form is 0, as the operator-by-operator pass over
         the whole form gives; d of the form raises for its first underivable
         term.  No failed build leaves an image in the spec cache."""
-        spec = load_spec(catalog_document("torus6"))
+        spec = load_spec(_golden_text("torus6"))
         shallow_table = DerivationTable(
             set(spec.table.symbols), dict(spec.table.conjugates), dict(spec.table.entries),
             depth_limit=0,
@@ -562,7 +604,7 @@ class TestEntriesAreFixed:
             copyreg.dispatch_table, ReadOnlyForm, lambda f: (ReadOnlyForm, (Form(f.n, dict(f.terms)),))
         )
         first, later = self.CASES[name]
-        spec = load_spec(catalog_document(name))
+        spec = load_spec(_golden_text(name))
         self.certify(first, spec)
         before = dict(spec._cache)
         snapshot = copy.deepcopy(before)
@@ -747,7 +789,7 @@ def test_dense_rows_serve_only_the_laplacian_cross_check():
                 continue
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names)]
     assert offenders == []
-    spec = load_spec(catalog_document("iwasawa_ak"))
+    spec = load_spec(_golden_text("iwasawa_ak"))
     reduced = harmonic._laplacian_nullspace(harmonic.HarmonicKind.BC, 1, 1, spec)
     assert isinstance(reduced, linalg.Subspace) and reduced.ncols == 9
     assert linalg.is_kernel(hermitian.word_kernel(CONDITION_WORDS["bc"], 1, 1, spec), reduced)

@@ -14,7 +14,7 @@ from harmonica.errors import HarmonicaError, ValidationError
 from harmonica.forms import Form, MultiIndex, _combine, _wedge_monomials
 from harmonica import structure, theorems
 from harmonica.hermitian import fundamental_form
-from harmonica.library import CATALOG_NAMES, catalog, catalog_document, load_spec
+from harmonica.library import CATALOG_NAMES, _golden_text, catalog, load_spec
 from harmonica.report import REFUTED, VERIFIED, CheckItem, VerificationReport
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import (
@@ -175,7 +175,7 @@ class TestChecks:
         d = structure.exterior_d
         monkeypatch.setattr(structure, "exterior_d", lambda f, spec: calls.append(f) or d(f, spec))
         for name, closed in (("iwasawa_ak", True), ("iwasawa_cplx", False)):
-            spec = load_spec(catalog_document(name))
+            spec = load_spec(_golden_text(name))
             omega = fundamental_form(spec)
             calls.clear()
             reports = [check_almost_kahler(spec) for _ in range(2)]
@@ -206,7 +206,7 @@ class TestChecks:
         calls = []
         d = structure.exterior_d
         monkeypatch.setattr(structure, "exterior_d", lambda f, spec: calls.append(f) or d(f, spec))
-        for spec in (flat8, load_spec(catalog_document("flat_kahler6"))):
+        for spec in (flat8, load_spec(_golden_text("flat_kahler6"))):
             assert structure.is_almost_kahler(spec)
             rep = check_almost_kahler(spec)
             assert rep.status == VERIFIED and rep.data["almost_kahler"]
@@ -496,7 +496,7 @@ class TestLeibnizOracle:
             OperatorKind.MUBAR: set(),
         }
         for kind, directions in expected.items():
-            torus = load_spec(catalog_document("torus6"))
+            torus = load_spec(_golden_text("torus6"))
             seen.clear()
             differential_component(form, kind, torus)
             assert set(seen) == directions, kind
@@ -565,7 +565,7 @@ class TestIntegrabilityGate:
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_only_the_generators_are_evaluated(self, monkeypatch):
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         calls = []
 
         def counted(idx, spec):
@@ -689,7 +689,7 @@ class TestSplitOracle:
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_catalog_specs(self, name):
-        assert_splits_match(load_spec(catalog_document(name)))
+        assert_splits_match(load_spec(_golden_text(name)))
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())

@@ -13,7 +13,7 @@ from harmonica.hermitian import (
     lefschetz_L,
     subspace_forms,
 )
-from harmonica.library import catalog_document, load_spec
+from harmonica.library import _golden_text, load_spec
 from harmonica.linalg import Subspace
 from harmonica.report import NOT_APPLICABLE, REFUTED, VERIFIED
 from harmonica.structure import ManifoldSpec
@@ -179,7 +179,7 @@ class TestBc21Gap:
         """With the primitive part forced to 0 the sum is strict, and the
         witness re-check holds: the witness is harmonic, outside the sum, and
         L(w) is its residual."""
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         monkeypatch.setattr(theorems, "_harmonic_primitive", lambda *args: Subspace())
         report = verify_bc21_gap(spec)
         assert report.data["equality"] is False and report.data["dim_primitive_part"] == 0
@@ -231,7 +231,7 @@ class TestAeppliNonInclusion:
     def test_witness_recheck_catches_a_false_witness(self, monkeypatch):
         """With H^{2,1}_a forced to 0 the first L-image becomes a witness,
         but it is Aeppli harmonic on the flat spec, so the re-check fails."""
-        spec = load_spec(catalog_document("flat_kahler6"))
+        spec = load_spec(_golden_text("flat_kahler6"))
         space = theorems.harmonic_subspace
 
         def zero_a21(kind, p, q, spec):
@@ -290,7 +290,7 @@ class TestSparseStatements:
             omega_coeffs=(1,) * 4,
         )
         assert verify_relations(flat8, 1, 1).status == VERIFIED
-        reports = all_statements(load_spec(catalog_document("iwasawa_ak")))
+        reports = all_statements(load_spec(_golden_text("iwasawa_ak")))
         assert any(r.witnesses for r in reports)
         assert rows and all(isinstance(row, dict) for row in rows)
 
@@ -300,7 +300,7 @@ class TestReuseByValue:
     subspace value, on the spec's cache."""
 
     def test_equal_harmonic_spaces_share_one_intersection(self):
-        spec = load_spec(catalog_document("flat_kahler6"))
+        spec = load_spec(_golden_text("flat_kahler6"))
         for p in range(spec.n + 1):
             for q in range(spec.n + 1 - p):
                 first = _harmonic_primitive(spec, HarmonicKind.D, p, q)
@@ -311,7 +311,7 @@ class TestReuseByValue:
     def test_no_pair_of_values_is_intersected_twice(self, monkeypatch, name):
         """Unequal operands meet once per report; equal operands meet in
         themselves, with no elimination."""
-        spec = load_spec(catalog_document(name))
+        spec = load_spec(_golden_text(name))
         meets = []
         eliminations = []
         meet, of = Subspace.__and__, Subspace._of.__func__
@@ -335,7 +335,7 @@ class TestReuseByValue:
         assert [a for a, b, eliminated in meets if a == b and eliminated] == []
 
     def test_cleared_basis_text_leaves_the_next_call_unchanged(self):
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         space = harmonic_subspace(HarmonicKind.BC, 2, 1, spec)
         expected = [format_form(f) for f in subspace_forms(space, 2, 1, spec)]
         first = _basis_strings(space, spec, 2, 1)
@@ -346,7 +346,7 @@ class TestReuseByValue:
     def test_cleared_report_bases_leave_the_next_report_unchanged(self):
         """On a flat spec all five kinds print one shared value, and each
         entry is still a list of its own."""
-        spec = load_spec(catalog_document("flat_kahler6"))
+        spec = load_spec(_golden_text("flat_kahler6"))
         bases = verify_relations(spec, 1, 1).data["bases"]
         expected = {kind: list(strings) for kind, strings in bases.items()}
         assert len({tuple(strings) for strings in expected.values()}) == 1

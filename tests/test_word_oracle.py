@@ -32,7 +32,7 @@ from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS
 from harmonica.hermitian import (
     _word_image, apply_word, form_subspace, operator_columns, subspace_forms, word_kernel
 )
-from harmonica.library import catalog_document, load_spec
+from harmonica.library import _golden_text, load_spec
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import OperatorKind, _d_terms, all_basis_monomials, d_by_shift
 
@@ -155,7 +155,7 @@ class TestWordArguments:
         for form in (Form.zero(3), parse_form(self.FORM, 3)):
             with pytest.raises(ValueError, match="unknown operator"):
                 apply_word(word, form, torus)
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         for p, q in ((0, 0), (1, 1), (3, 3)):
             for words in ([word], [("L",), word]):
                 for entry in (operator_columns, word_kernel):
@@ -173,7 +173,7 @@ class TestWordArguments:
         """operator_columns and word_kernel take a list word as its tuple: each
         column is apply_word's image of its unit monomial, and the kernel
         is the tuple word's, and apply_word sends each of its forms to 0."""
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         for p, q in ((1, 0), (1, 1)):
             monomials = basis_multiindices(3, p, q)
             units = [Form.monomial(3, m.hol, m.anti) for m in monomials]
@@ -188,7 +188,7 @@ class TestWordArguments:
     def test_no_word_leaves_the_whole_space(self):
         """The kernel of an empty stack of words is the whole (p,q) space,
         with one column per (p,q) monomial."""
-        spec = load_spec(catalog_document("iwasawa_ak"))
+        spec = load_spec(_golden_text("iwasawa_ak"))
         for p, q in ((0, 0), (1, 1), (2, 1), (3, 3)):
             monomials = basis_multiindices(3, p, q)
             whole = word_kernel([], p, q, spec)
