@@ -3,11 +3,13 @@
 Exit codes: 0 ok/verified/member, 1 refuted/failed/non-member.  A command
 that raises a HarmonicaError exits with that error's code and prints one
 stderr line with its label; errors.py sets both, per error class: 1 for a
-failed internal cross-check, 2 for malformed input (spec, form text or
-option value) and 3 for an unsupported request (symbolic coefficients, wrong
-dimension, n above library.MAX_N, an exponent above scalars.MAX_EXPONENT,
-an integrability walk above structure.MAX_WALK, bidegree out of range, and
-similar).
+failed cross-check, 2 for malformed input (spec, form text or option value)
+and 3 for an unsupported request (symbolic coefficients, wrong dimension, n
+above library.MAX_N, an exponent above scalars.MAX_EXPONENT, an
+integrability walk above structure.MAX_WALK, bidegree out of range, and
+similar).  A failed cross-check is internal on a unimodular spec; on a spec
+that is not unimodular (tr ad != 0, as aff(1)) it is a fault of the input,
+since -*d* is then not the adjoint of d on invariant forms.
 Output is deterministic given the spec bytes and the command line; printed
 forms always use the `phi[...]` syntax and re-parse bit-exactly.  The
 argument parser is built by the first `main` call of a process, not at

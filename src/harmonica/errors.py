@@ -3,8 +3,8 @@
 Each class sets the exit code and the stderr label with which `cli.main`
 reports it, once: the defaults on HarmonicaError (exit 3, `unsupported`)
 cover every unsupported request, InputError (exit 2, `error`) every
-malformed input, and CrossCheckFailed (exit 1, `cross-check failed`) the
-internal consistency failure.  A new subclass inherits its category.
+malformed input, and CrossCheckFailed (exit 1, `cross-check failed`) a
+failed cross-check.  A new subclass inherits its category.
 """
 
 
@@ -80,7 +80,8 @@ class UnknownSpec(InputError):
 
 class CrossCheckFailed(HarmonicaError):
     """A condition kernel and its Laplacian nullspace disagree, or a
-    Laplacian image leaves its block; an internal consistency failure."""
+    Laplacian image leaves its block: an internal failure on a unimodular
+    spec, and a fault of the input on one that is not unimodular."""
 
     exit_code = 1
     label = "cross-check failed"

@@ -97,12 +97,14 @@ def _nonzero(terms) -> dict:
 
 def _add_term(out: dict, m: MultiIndex, c, x) -> None:
     """Add x c phi^m into the term map out: c maps symbol monomials to Q(i)
-    values (a Coefficient serves as it is), and x is an int or a Q(i) scale."""
+    values (a Coefficient serves as it is), and x is a Q(i) scale or the
+    int 1 or -1, which adds each value as it is or its negation."""
     target = out.get(m)
     if target is None:
         target = out[m] = {}
+    sign = x if type(x) is int else 0
     for s, y in c.items():
-        v = x * y
+        v = y if sign == 1 else -y if sign else x * y
         target[s] = target[s] + v if s in target else v
 
 
@@ -253,14 +255,6 @@ class Form:
             self.n,
             {idx: c for idx, c in self.terms.items() if (idx.p, idx.q) == (p, q)},
         )
-
-    def homogeneous_parts(self) -> dict:
-        """Split into (p,q) -> homogeneous part; the parts sum back to self."""
-        parts: dict = {}
-        for idx, c in self.terms.items():
-            key = (idx.p, idx.q)
-            parts.setdefault(key, {})[idx] = c
-        return {key: Form(self.n, terms) for key, terms in parts.items()}
 
     def bidegrees(self) -> set:
         return {(idx.p, idx.q) for idx in self.terms}

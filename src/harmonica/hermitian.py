@@ -24,7 +24,7 @@ from .forms import (
     _wedge_monomials, basis_multiindices,
 )
 from .linalg import Subspace, rref, sparse_kernel, sparse_rows
-from .scalars import Coefficient, GaussianRational
+from .scalars import Coefficient, GaussianRational, _from_ints
 from .structure import ManifoldSpec, OperatorKind, _d_terms, d_by_shift, fundamental_form
 
 __all__ = [
@@ -270,7 +270,9 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # and its parts read from the cached split d_by_shift.  _column is the one
 # accumulator of word images: it adds, over the terms c m' of a word's
 # rightmost operator's image, c times the image of word[:-1] at m', so words
-# that share a prefix share its images.  A longer word's image is _column of
+# that share a prefix share its images.  It sums each entry as unreduced
+# Gaussian-integer parts (_accumulate) and reduces it once, at the end; the
+# cached images stay Q(i) values.  A longer word's image is _column of
 # that word alone, and operator_columns builds each column of a sum of words
 # with it.  word_kernel is the one kernel of a stack of word blocks, for the
 # condition systems and for Lambda.  _term_image is the symbolic
@@ -336,24 +338,53 @@ def operator_columns(words, p: int, q: int, spec: ManifoldSpec) -> list[dict]:
 
 
 def _column(words, idx: MultiIndex, spec: ManifoldSpec) -> dict:
-    """The image of one unit monomial under the sum of the words, accumulated
-    in one new dict: a single operator's cached image is added as it is, and
-    a longer word adds c times the cached image of word[:-1] over the terms
-    c m' of its rightmost operator's image.  A block's whole words are not
-    cached: the kernels built from a block are cached, so their images would
-    be kept for nothing but memory; only _compose caches, for a prefix."""
+    """The image of one unit monomial under the sum of the words, in one new
+    dict.  A lone single-operator word gives a copy of its cached image.
+    Otherwise a single operator's cached image is added as it is, and a
+    longer word adds c times the cached image of word[:-1] over the terms
+    c m' of its rightmost operator's image; the entries are summed as
+    unreduced Gaussian-integer parts (_accumulate) and each nonzero one is
+    reduced once, at the end, to the same canonical value.  A block's whole
+    words are not cached: the kernels built from a block are cached, so
+    their images would be kept for nothing but memory; only _compose
+    caches, for a prefix."""
+    if len(words) == 1 and len(words[0]) == 1:
+        return dict(_word_image(words[0], idx, spec))
     out: dict = {}
     for word in words:
         first = _word_image(word[-1:], idx, spec)
         if len(word) < 2:
-            for m, x in first.items():
-                out[m] = out[m] + x if m in out else x
+            _accumulate(out, None, first)
             continue
         head = word[:-1]
         for m1, c in first.items():
-            for m, x in _word_image(head, m1, spec).items():
-                out[m] = out[m] + c * x if m in out else c * x
-    return {m: x for m, x in out.items() if not x.is_zero()}
+            _accumulate(out, c, _word_image(head, m1, spec))
+    return {m: _from_ints(re, im, den) for m, (re, im, den) in out.items() if re or im}
+
+
+def _accumulate(out: dict, c, image: dict) -> None:
+    """Add c times a cached image (the image as it is when c is None) into
+    out, whose entries are unreduced [re, im, den] lists of ints for
+    (re + im i) / den: equal denominators add their numerators, and unequal
+    ones are brought to their lcm with one gcd."""
+    if c is not None:
+        a, b, f = c.re_num, c.im_num, c.den
+    for m, x in image.items():
+        re, im, den = x.re_num, x.im_num, x.den
+        if c is not None:
+            re, im, den = a * re - b * im, a * im + b * re, f * den
+        entry = out.get(m)
+        if entry is None:
+            out[m] = [re, im, den]
+        elif entry[2] == den:
+            entry[0] += re
+            entry[1] += im
+        else:
+            g = math.gcd(entry[2], den)
+            u, v = den // g, entry[2] // g
+            entry[0] = entry[0] * u + re * v
+            entry[1] = entry[1] * u + im * v
+            entry[2] *= u
 
 
 def word_kernel(words, p: int, q: int, spec: ManifoldSpec) -> Subspace:

@@ -74,6 +74,15 @@ def rand_form_any(n, rng, density=0.3):
     return out
 
 
+def homogeneous_parts(form):
+    """The form split into {(p,q): its homogeneous (p,q) part}; the parts
+    sum back to the form."""
+    parts: dict = {}
+    for idx, c in form.terms.items():
+        parts.setdefault((idx.p, idx.q), {})[idx] = c
+    return {key: Form(form.n, terms) for key, terms in parts.items()}
+
+
 def fail_on_swell(monkeypatch, bits):
     """Spy on `linalg._reduce` that fails as soon as a reduced row holds an
     integer part of more than `bits` bits, so that coefficient swell in an

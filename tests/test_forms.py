@@ -17,7 +17,7 @@ from harmonica.scalars import (
     parse_rational,
 )
 
-from conftest import rand_form_any, rand_form_pq, rand_gauss
+from conftest import homogeneous_parts, rand_form_any, rand_form_pq, rand_gauss
 
 
 def G(re, im=0):
@@ -145,7 +145,7 @@ class TestBidegree:
         for _ in range(200):
             f = rand_form_any(3, rng)
             total = Form.zero(3)
-            for part in f.homogeneous_parts().values():
+            for part in homogeneous_parts(f).values():
                 total = total + part
             assert total == f
 

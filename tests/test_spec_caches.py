@@ -281,28 +281,30 @@ class TestSparseKernels:
 
     def test_laplacian_block_multiplies_nothing_by_one(self, monkeypatch):
         """Once the images of the words' parts are built, composing the
-        Laplacian blocks multiplies no Q(i) value by 1: a first operator's
-        image is used as it is and the words are added without scaling."""
+        Laplacian blocks scales no image by 1: every column is summed by
+        hermitian._accumulate, and the words are added without scaling.  The
+        condition blocks hold single-operator words, whose images are added
+        unscaled (scale None), not through a scale of 1."""
         spec = load_spec(_golden_text("iwasawa_ak"))
         bidegrees = [(p, q) for p in range(4) for q in range(4)]
-        blocks = [(words, p, q) for words in LAPLACIAN_WORDS.values() for p, q in bidegrees]
+        stacks = [*LAPLACIAN_WORDS.values(), *CONDITION_WORDS.values()]
+        blocks = [(words, p, q) for words in stacks for p, q in bidegrees]
         for block in blocks:
             operator_columns(*block, spec)
         one = GaussianRational(1)
-        products = []
-        original = GaussianRational.__mul__
+        scales = []
+        original = hermitian._accumulate
 
-        def counting(self, other):
-            products.append((self, other))
-            return original(self, other)
+        def recording(out, c, image):
+            scales.append(c)
+            return original(out, c, image)
 
-        monkeypatch.setattr(GaussianRational, "__mul__", counting)
-        monkeypatch.setattr(GaussianRational, "__rmul__", counting)
+        monkeypatch.setattr(hermitian, "_accumulate", recording)
         for block in blocks:
             operator_columns(*block, spec)
         monkeypatch.undo()
-        assert products
-        assert [pair for pair in products if one in pair] == []
+        assert any(c is None for c in scales) and any(c is not None for c in scales)
+        assert [c for c in scales if c is not None and c == one] == []
 
     @pytest.mark.parametrize("words", [[("*",)], [("del", "delbar", "*")], LAPLACIAN_WORDS["bc"]])
     def test_returned_columns_do_not_alias_the_cache(self, words):

@@ -30,7 +30,7 @@ from harmonica.structure import (
     is_integrable,
 )
 
-from conftest import rand_form_any
+from conftest import homogeneous_parts, rand_form_any
 
 
 def G(re, im=0):
@@ -73,7 +73,7 @@ class TestExteriorD:
         for _ in range(60):
             a = rand_form_any(3, rng, density=0.2)
             b = rand_form_any(3, rng, density=0.2)
-            ah = {k: f for k, f in a.homogeneous_parts().items()}
+            ah = homogeneous_parts(a)
             lhs = exterior_d(a.wedge(b), iwasawa)
             rhs = exterior_d(a, iwasawa).wedge(b)
             for (p, q), part in ah.items():

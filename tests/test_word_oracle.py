@@ -36,7 +36,7 @@ from harmonica.library import _golden_text, load_spec
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
 from harmonica.structure import OperatorKind, _d_terms, all_basis_monomials, d_by_shift
 
-from test_harmonic import CONJUGATED_WORDS
+from test_harmonic import CONJUGATED_WORDS, _rescaled
 from test_structure import TORUS_SYMBOLS, gauss, random_specs
 
 SINGLE = [("*",), ("L",), ("Lambda",)]
@@ -140,6 +140,49 @@ class TestWordsMatchTheFormPath:
         depth = data.draw(st.sampled_from([3, 1]))
         spec = data.draw(random_specs(with_depth(torus.table, depth)))
         assert_words_match(data.draw(word_forms(spec.n)), spec)
+
+
+def oracle_columns(words, p, q, spec):
+    """operator_columns from single-operator images alone: each word maps
+    {m: 1} one operator at a time, rightmost first, summing c times the
+    cached image of each monomial with forms._combine, and the words' images
+    are summed with _combine too."""
+    one = GaussianRational(1)
+    columns = []
+    for idx in basis_multiindices(spec.n, p, q):
+        images = []
+        for word in words:
+            image = {idx: one}
+            for op in reversed(word):
+                image = _combine((c, _word_image((op,), m, spec)) for m, c in image.items())
+            images.append((one, image))
+        columns.append(_combine(images))
+    return columns
+
+
+def test_columns_over_unequal_denominators_match_the_single_operator_oracle():
+    """iwasawa_ak in the coframe rescaled by (1+i, 2-i, 3i), as in the
+    isometric-rescaling test: its single-operator images hold values over
+    several denominators, so summing a column meets unequal ones.  Every
+    Laplacian and condition block, and each of its words alone, gives the
+    oracle's columns at every (p,q)."""
+    lambdas = [GaussianRational(1, 1), GaussianRational(2, -1), GaussianRational(0, 3)]
+    spec = _rescaled("iwasawa_ak", lambdas)
+    stacks = [*LAPLACIAN_WORDS.values(), *CONDITION_WORDS.values(), *CONJUGATED_WORDS.values()]
+    for words in stacks:
+        for p in range(4):
+            for q in range(4):
+                for block in (words, *([word] for word in words)):
+                    want = oracle_columns(block, p, q, spec)
+                    assert operator_columns(block, p, q, spec) == want, (block, p, q)
+    singles = {op for words in stacks for word in words for op in word}
+    denominators = {
+        x.den
+        for op in singles
+        for m in all_basis_monomials(3)
+        for x in _word_image((op,), m, spec).values()
+    }
+    assert len(denominators) > 2
 
 
 class TestWordArguments:
