@@ -64,17 +64,21 @@ def volume_form(spec: ManifoldSpec) -> Form:
     return Form.monomial(spec.n, full, full, _volume_top(spec))
 
 
-def _inner_square(idx: MultiIndex, spec: ManifoldSpec) -> GaussianRational:
-    """The product of 1/c_a over the indices of the monomial, from its first
-    factor on."""
+def _inner_square(idx: MultiIndex, spec: ManifoldSpec) -> list:
+    """The factors 1/c_a, over the indices of the monomial, whose product is
+    <m, m>; _product multiplies them with the other factors of an entry."""
     inverse, _ = _metric_weights(spec)
-    indices = idx.hol + idx.anti
-    if not indices:
-        return _ONE
-    w = inverse[indices[0] - 1]
-    for a in indices[1:]:
-        w = w * inverse[a - 1]
-    return w
+    return [inverse[a - 1] for a in idx.hol + idx.anti]
+
+
+def _product(factors, sign: int) -> GaussianRational:
+    """sign times the product of Q(i) values, formed on their ints and
+    reduced once."""
+    re, im, den = sign, 0, 1
+    for x in factors:
+        a, b = x.re_num, x.im_num
+        re, im, den = re * a - im * b, re * b + im * a, den * x.den
+    return _from_ints(re, im, den)
 
 
 def _metric_weights(spec: ManifoldSpec) -> tuple:
@@ -267,7 +271,10 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # monomial).  A single operator's image comes from _image: star and L in
 # closed form from the metric weights built once per spec, Lambda and the
 # adjoints term by term off the L or paired-d image of the star image, d
-# and its parts read from the cached split d_by_shift.  _column is the one
+# and its parts read from the cached split d_by_shift.  Each image entry
+# costs at most one reduction: a product of several factors (a star entry,
+# a term t c s of * op *) is formed on the ints and reduced once
+# (_product), and a negated weight takes none.  _column is the one
 # accumulator of word images: it adds, over the terms c m' of a word's
 # rightmost operator's image, c times the image of word[:-1] at m', so words
 # that share a prefix share its images.  It sums each entry as unreduced
@@ -514,12 +521,11 @@ def _starred(op: str, idx: MultiIndex, spec: ManifoldSpec, negate: bool) -> dict
     op(m1) to one term c s m3, distinct monomials to distinct ones, so each
     term of op(*m) gives one term t c s m3 of the image, with no sum."""
     ((image, t),) = _word_image(("*",), idx, spec).items()
-    if negate:
-        t = -t
+    sign = -1 if negate else 1
     out = {}
     for m, c in _word_image((op,), image, spec).items():
         ((target, s),) = _word_image(("*",), m, spec).items()
-        out[target] = t * c * s
+        out[target] = _product((t, c, s), sign)
     return out
 
 
@@ -535,17 +541,15 @@ def _star_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:
     _, wedge_sign = _wedge_monomials(MultiIndex(idx.anti, idx.hol), image)
     sign = (-1) ** (idx.p * idx.q) * wedge_sign
     vol_top = spec.cached(("vol_top",), _volume_top, spec)
-    return {image: _inner_square(idx, spec) * vol_top * sign}
+    return {image: _product([*_inner_square(idx, spec), vol_top], sign)}
 
 
 def _volume_top(spec: ManifoldSpec) -> GaussianRational:
     """The coefficient of phi^{1..n,1..nbar} in vol = omega^n / n!: the n!
     orderings of the commuting phi^{a,abar} each give prod_a i c_a, and
     phi^{11bar} wedge ... wedge phi^{nnbar} = (-1)^(n(n-1)/2) phi^{1..n,1..nbar}."""
-    out = GaussianRational.i_power(spec.n) * (-1) ** (spec.n * (spec.n - 1) // 2)
-    for c in spec.omega_coeffs:
-        out = out * GaussianRational(c)
-    return out
+    factors = [GaussianRational.i_power(spec.n), *map(GaussianRational, spec.omega_coeffs)]
+    return _product(factors, (-1) ** (spec.n * (spec.n - 1) // 2))
 
 
 def _lefschetz_image(idx: MultiIndex, spec: ManifoldSpec) -> dict:

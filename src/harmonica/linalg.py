@@ -15,16 +15,18 @@ kernel off it (`sparse_rows` turns sparse columns into rows).
 Every value is built by one constructor, `Subspace._of`, from sparse
 Gaussian-integer rows, or read off its result: `rref`, `+` and `&` go
 through it.  `_of` reduces the rows as they are, sparse, with no dense
-copy: it keeps pivot rows that are zero at every other pivot column,
-reduces each incoming row at the pivot columns it touches, makes what is
-left a pivot row at its smallest column and reduces the older pivot rows
-that hold that column.  A reduction combines two rows only where they
-share a column, so operator matrices, which fall apart into small blocks,
-are reduced block by block without being split.  Membership needs no elimination: v lies in the
-space exactly when v = sum_c (v[c]/p_c) row_c over the pivot columns c that
-v touches, p_c the pivot entries.  Two identities of canonical values need
-no row work at all: a value lies in any value equal to it (`first_outside`
-returns None), and a value meets an equal value in itself (`a & a` is a).
+copy, sparsest row first: it keeps pivot rows that are zero at every
+other pivot column, reduces each incoming row at the pivot columns it
+touches, makes what is left a pivot row at its smallest column and
+reduces the older pivot rows that hold that column.  The canonical form is
+unique, so the order of the rows changes no value.  A reduction combines
+two rows only where they share a column, so operator matrices, which fall
+apart into small blocks, are reduced block by block without being split.
+Membership needs no elimination: v lies in the space exactly when
+v = sum_c (v[c]/p_c) row_c over the pivot columns c that v touches, p_c
+the pivot entries.  Two identities of canonical values need no row work
+at all: a value lies in any value equal to it (`first_outside` returns
+None), and a value meets an equal value in itself (`a & a` is a).
 
 Elimination is fraction-free: a row r with entry f in the pivot column of a
 pivot row with pivot entry p becomes p*r - f*pivot, and is then divided by
@@ -32,7 +34,12 @@ the gcd of all its integer parts, so no rational number is formed.  A row
 is made real and positive at its pivot when it becomes a pivot row (times
 the conjugate of its pivot entry, then divided by its integer content), so
 every p is a positive integer and no Gaussian-integer factor builds up in
-the rows (cf. Bareiss, Math. Comp. 22, 1968).
+the rows (cf. Bareiss, Math. Comp. 22, 1968).  Work whose result is known
+in advance is skipped, with the same rows as the result: a reduction with
+p = 1 copies the row in place of scaling it, a row whose pivot entry is
+already a positive integer is not multiplied by it, the content gcd stops
+at the first entry that brings it to 1, and Q(i) rows whose denominators
+are all 1 are read as they are.
 
 `sparse_kernel` reduces a sparse matrix's rows once with each pivot at its
 row's largest column (the columns mirrored for `rref`); each free column
@@ -56,34 +63,49 @@ from .scalars import GaussianRational
 
 def _sparse_to_int(entries: list) -> list:
     """(column, re, im) Gaussian-integer parts of nonzero (column, Q(i) value)
-    entries over their common denominator."""
+    entries over their common denominator; when that is 1, the parts as
+    they are."""
     den = lcm(*(x.den for _, x in entries))
+    if den == 1:
+        return [(j, x.re_num, x.im_num) for j, x in entries]
     return [(j, x.re_num * (den // x.den), x.im_num * (den // x.den)) for j, x in entries]
 
 
 def _content_free(row: dict) -> dict:
-    """A sparse row {column: (re, im)} divided by the gcd of its integer parts."""
-    g = gcd(*(x for entry in row.values() for x in entry))
+    """A sparse row {column: (re, im)} divided by the gcd of its integer
+    parts.  The gcd is taken entry by entry and stops once it is 1, so a
+    row with content 1 is returned as it is, often after its first
+    entries."""
+    g = 0
+    for a, b in row.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
     return {j: (a // g, b // g) for j, (a, b) in row.items()} if g > 1 else row
 
 
 def _real_at(row: dict, col: int) -> dict:
     """The row times the conjugate of its entry in `col`, divided by its
-    integer content: real and positive in `col`."""
+    integer content: real and positive in `col`.  When that entry is
+    already a positive integer, the product would only scale the row by
+    it, so the content is divided out of the row itself."""
     pr, pi = row[col]
+    if not pi and pr > 0:
+        return _content_free(row)
     return _content_free({j: (a * pr + b * pi, b * pr - a * pi) for j, (a, b) in row.items()})
 
 
 def _reduce(row: dict, pivot: dict, col: int) -> dict:
     """p*row - f*pivot, zero in column `col`, with its integer content divided
     out; p is the pivot's entry in `col`, a positive integer, and f the
-    row's, both first divided by their common integer factor.  Rows are
-    {column: (re, im)} of nonzero Gaussian-integer entries."""
+    row's, both first divided by their common integer factor.  When p is
+    then 1, p*row is a copy of the row.  Rows are {column: (re, im)} of
+    nonzero Gaussian-integer entries."""
     p = pivot[col][0]
     fr, fi = row[col]
     g = gcd(p, fr, fi)
     p, fr, fi = p // g, fr // g, fi // g
-    out = {j: (p * a, p * b) for j, (a, b) in row.items()}
+    out = dict(row) if p == 1 else {j: (p * a, p * b) for j, (a, b) in row.items()}
     for j, (c, d) in pivot.items():
         a, b = out.get(j, (0, 0))
         a, b = a - fr * c + fi * d, b - fr * d - fi * c
@@ -123,10 +145,12 @@ class Subspace:
         positive there, and the older pivot rows that hold that column are
         reduced at it, which keeps their own pivot entries positive
         integers; `holders` maps each non-pivot column to the pivot columns
-        of the rows holding it."""
+        of the rows holding it.  The rows are taken sparsest first, by a
+        stable sort on their nonzero count; the canonical form is unique,
+        so the order changes no value."""
         pivots: dict = {}
         holders = defaultdict(set)
-        for entries in rows:
+        for entries in sorted(rows, key=len):
             row = {j: (a, b) for j, a, b in entries}
             for col in [j for j in row if j in pivots]:
                 row = _reduce(row, pivots[col], col)

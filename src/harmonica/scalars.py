@@ -3,9 +3,10 @@
 Every quantity in the engine is either an element of Q(i) or a polynomial in
 declared function symbols with Q(i) coefficients.  An element of Q(i) is a
 `GaussianRational`: three ints (re + im*i)/den in a unique reduced form, so
-arithmetic is integer operations and one gcd per result; `Fraction` is only
-the exchange type where a rational is read or written as such (form text
-goes straight to ints through parse_rational_ints).  Symbols carry a
+arithmetic is integer operations and at most one gcd per result (negation
+and conjugation take none: they keep a value normal); `Fraction` is only the
+exchange type where a rational is read or written as such (form text goes
+straight to ints through parse_rational_ints).  Symbols carry a
 conjugation pairing and a derivation table mapping (symbol, frame direction)
 to another coefficient, so that the exterior differential can act on
 non-constant structure equations without ever leaving exact arithmetic.
@@ -91,9 +92,21 @@ def format_rational(x: Fraction) -> str:
 _new = object.__new__
 
 
+def _normal(re_num: int, im_num: int, den: int) -> "GaussianRational":
+    """The value of ints already in normal form, with no gcd: the negation
+    and the conjugate of a normal value are normal.  `_from_ints` builds
+    its result inline rather than through this, as it is the hotter one."""
+    x = _new(GaussianRational)
+    x.re_num = re_num
+    x.im_num = im_num
+    x.den = den
+    return x
+
+
 def _from_ints(re_num: int, im_num: int, den: int = 1) -> "GaussianRational":
     """The normal form of (re_num + im_num*i) / den for ints with den > 0;
-    the reduced constructor of every arithmetic result (no `__init__`)."""
+    the reduced constructor of every arithmetic result but a negation or a
+    conjugate, which `_normal` builds (no `__init__`)."""
     if den != 1:
         g = gcd(re_num, im_num, den)
         if g != 1:
@@ -112,10 +125,11 @@ class GaussianRational:
 
     The form is normal: den > 0 and gcd(re_num, im_num, den) == 1, so equal
     values have equal fields and `==` compares them literally.  Arithmetic
-    works on the ints alone, with one gcd per result; `Fraction` appears only
-    at the boundary (the constructor's arguments, `.re`/`.im`, text, and the
-    hash of a real value, that of its Fraction).  Values are shared by caches,
-    so the fields are read-only by convention.
+    works on the ints alone, with at most one gcd per result and none for
+    `-x` and `x.conjugate()`; `Fraction` appears only at the boundary (the
+    constructor's arguments, `.re`/`.im`, text, and the hash of a real
+    value, that of its Fraction).  Values are shared by caches, so the
+    fields are read-only by convention.
     """
 
     __slots__ = ("re_num", "im_num", "den")
@@ -173,7 +187,7 @@ class GaussianRational:
         return self.coerce(other) - self
 
     def __neg__(self):
-        return _from_ints(-self.re_num, -self.im_num, self.den)
+        return _normal(-self.re_num, -self.im_num, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
@@ -197,7 +211,7 @@ class GaussianRational:
         return self.coerce(other) / self
 
     def conjugate(self) -> "GaussianRational":
-        return _from_ints(self.re_num, -self.im_num, self.den)
+        return _normal(self.re_num, -self.im_num, self.den)
 
     def is_zero(self) -> bool:
         return not self.re_num and not self.im_num

@@ -285,8 +285,8 @@ def _times_torus_document(name, k):
 
 class TestGoldenAboveN3:
     """sha256 of the full default stdout of `harmonica report` on two n = 5
-    specs and the flat n = 6 spec, each written to a file first, so the
-    report starts cold."""
+    specs and two n = 6 specs (flat, and `iwasawa_ak` times T^6), each
+    written to a file first, so the report starts cold."""
 
     @pytest.mark.parametrize(
         "document, size, digest",
@@ -306,8 +306,13 @@ class TestGoldenAboveN3:
                 974133,
                 "f32155aa133d7fef13c5a718ca8684ecbbd21ccff1536c12c0b19fcac359b0be",
             ),
+            (
+                _times_torus_document("iwasawa_ak", 3),
+                628940,
+                "119327e0186aaa6f7d0ff84c46f7e3c76db3033934d4c14f1cede46dd5bf130e",
+            ),
         ],
-        ids=["flat10", "iwasawa_ak_x_T4", "flat12"],
+        ids=["flat10", "iwasawa_ak_x_T4", "flat12", "iwasawa_ak_x_T6"],
     )
     def test_report_bytes(self, capsys, monkeypatch, tmp_path, document, size, digest):
         monkeypatch.delenv("HARMONICA_ASCII", raising=False)

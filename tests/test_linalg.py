@@ -601,6 +601,146 @@ def test_a_common_gaussian_factor_leaves_the_value_alone(monkeypatch):
     assert scaled == plain and scaled.dim == 16
 
 
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _mixed_rows(rng, n):
+    """Seeded sparse Q(i) rows over n columns, for the row order of
+    `Subspace._of`: rows led by a unit and by a non-unit Gaussian integer,
+    rows whose integer content shows only at their last entry (the others
+    are multiples of 6c, the last is c times a unit prime to 6), rows with
+    denominators, and copies of earlier rows scaled by a Gaussian rational."""
+    rows = []
+    for k in range(7):
+        cols = sorted(rng.sample(range(n), rng.randint(2, 4)))
+        parts = [(rng.randint(-3, 3) or 1, rng.randint(-3, 3)) for _ in cols]
+        if k % 4 == 0:
+            parts[0] = rng.choice(_UNITS)
+        elif k % 4 == 1:
+            parts[0] = (rng.randint(2, 5), rng.randint(-3, 3))
+        elif k % 4 == 2:
+            c = rng.choice((1, 2, 3))
+            parts = [(6 * c * rng.randint(1, 3), 6 * c * rng.randint(-2, 2)) for _ in cols[1:]]
+            parts.append((c * rng.choice((1, -5, 7)), 0))
+        dens = [1] * len(cols) if k % 4 != 3 else [rng.randint(1, 4) for _ in cols]
+        rows.append({j: GaussianRational(Fraction(a, d), Fraction(b, d))
+                     for j, (a, b), d in zip(cols, parts, dens)})
+    for row in rng.sample(rows, 3):
+        scale = GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+        rows.append({j: scale * x for j, x in row.items()})
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_order_changes_no_value(seed):
+    """`Subspace._of` takes its rows sparsest first, which relies on the
+    canonical form being unique: `rref` and `sparse_kernel` of the rows as
+    given, reversed and shuffled are equal values, and they are sympy's
+    RREF and kernel."""
+    rng = random.Random(seed)
+    n = 10
+    rows = _mixed_rows(rng, n)
+    shuffled = rng.sample(rows, len(rows))
+    span, null = rref(rows, n), sparse_kernel(rows, n)
+    for order in (rows[::-1], shuffled):
+        assert rref(order, n) == span
+        assert sparse_kernel(order, n) == null
+    dense = _dense(rows, n)
+    _assert_view(span, n)
+    _assert_view(null, n)
+    assert _vectors(span) == _oracle_rref(dense, n)
+    assert _vectors(null) == _oracle_kernel(dense, n)
+    assert 0 < null.dim < n
+
+
+def _plain_content_free(row):
+    g = math.gcd(*(x for entry in row.values() for x in entry))
+    return {j: (a // g, b // g) for j, (a, b) in row.items()}
+
+
+def _plain_real_at(row, col):
+    pr, pi = row[col]
+    return _plain_content_free({j: (a * pr + b * pi, b * pr - a * pi) for j, (a, b) in row.items()})
+
+
+def _plain_reduce(row, pivot, col):
+    """p*row - f*pivot with no common factor taken out first, then divided
+    by its integer content."""
+    (p, _), (fr, fi) = pivot[col], row[col]
+    out = {}
+    for j in sorted(row.keys() | pivot.keys()):
+        (a, b), (c, d) = row.get(j, (0, 0)), pivot.get(j, (0, 0))
+        re, im = p * a - fr * c + fi * d, p * b - fr * d - fi * c
+        if re or im:
+            out[j] = (re, im)
+    return _plain_content_free(out) if out else out
+
+
+def _plain_sparse_to_int(entries):
+    den = math.lcm(*(x.den for _, x in entries))
+    return [(j, x.re_num * den // x.den, x.im_num * den // x.den) for j, x in entries]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_paths_match_their_general_formulas(seed):
+    """`_content_free`, `_real_at`, `_reduce` and `_sparse_to_int` against
+    plain versions with no fast path, on seeded Gaussian-integer rows
+    {column: (re, im)} in column order.  The rows reach every fast path and
+    its general case: content 1 early, content > 1 found only at the last
+    entry, pivot entries that are already positive integers and ones that
+    are not, p = 1 after the common factor is taken out and p > 1, and
+    denominators whose lcm is 1 and is not.  No input row is changed."""
+    rng = random.Random(seed)
+    reached = Counter()
+    rows = []
+    for _ in range(40):
+        cols = sorted(rng.sample(range(8), rng.randint(1, 5)))
+        k = rng.choice((1, 1, 2, 3))
+        row = {j: (k * (rng.randint(-9, 9) or 1), k * rng.choice((0, rng.randint(-9, 9))))
+               for j in cols}
+        if len(cols) > 1 and rng.random() < 0.4:
+            row = {j: (6 * k * rng.randint(1, 3), 6 * k * rng.randint(-3, 3)) for j in cols[:-1]}
+            row[cols[-1]] = (k * rng.choice((1, -5, 7)), 0)
+        rows.append(row)
+
+    for row in rows:
+        before = dict(row)
+        parts = [x for entry in row.values() for x in entry]
+        g, head = math.gcd(*parts), math.gcd(*parts[:-2])
+        last = len(row) > 1 and 1 < g != head
+        reached["content at the last entry" if last else f"content {min(g, 2)}"] += 1
+        assert linalg._content_free(row) == _plain_content_free(row)
+        for col, (pr, pi) in row.items():
+            reached["positive integer pivot" if not pi and pr > 0 else "other pivot"] += 1
+            assert linalg._real_at(row, col) == _plain_real_at(row, col)
+        assert row == before
+
+    for row in rows:
+        for other in rows:
+            for col in sorted(row.keys() & other.keys()):
+                pivot = _plain_real_at(other, col)
+                for target in (row, {**row, col: (pivot[col][0] * rng.randint(-3, 3) or 1, 0)}):
+                    before, pivot_before = dict(target), dict(pivot)
+                    fr, fi = target[col]
+                    p = pivot[col][0]
+                    reached[f"p = {min(p // math.gcd(p, fr, fi), 2)}"] += 1
+                    expected = _plain_reduce(target, pivot, col)
+                    assert linalg._reduce(target, pivot, col) == expected
+                    assert target == before and pivot == pivot_before
+
+    for row in rows:
+        for dens in ([1] * len(row), [rng.choice((1, 1, 2, 3)) for _ in row]):
+            entries = [(j, GaussianRational(Fraction(a, d), Fraction(b, d)))
+                       for (j, (a, b)), d in zip(row.items(), dens)]
+            reached[f"lcm {min(math.lcm(*(x.den for _, x in entries)), 2)}"] += 1
+            assert linalg._sparse_to_int(entries) == _plain_sparse_to_int(entries)
+
+    assert set(reached) == {
+        "content 1", "content 2", "content at the last entry", "positive integer pivot",
+        "other pivot", "p = 1", "p = 2", "lcm 1", "lcm 2",
+    }
+
+
 def test_one_elimination_entry():
     """`rref` is the one entry that reduces rows: over src/harmonica, no
     `span`, `sparse_span`, `block_rows`, `_to_int` or `vectors` is defined

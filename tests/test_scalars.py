@@ -19,6 +19,7 @@ from harmonica.scalars import (
     DerivationTable,
     Direction,
     GaussianRational,
+    _from_ints,
     format_rational,
     parse_rational,
 )
@@ -430,6 +431,18 @@ class TestAgainstFractionPairs:
         doc = a.to_json()
         assert doc == {"re": str(x[0]), "im": str(x[1])}
         assert_is(GaussianRational.from_json(doc), x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs)
+    def test_negation_and_conjugate_are_normal_as_built(self, x):
+        """-x and x.conjugate() are built with no gcd: field by field they
+        are `_from_ints` of the same parts, and their content is 1."""
+        a = GaussianRational(*x)
+        for value, re, im in ((-a, -a.re_num, -a.im_num), (a.conjugate(), a.re_num, -a.im_num)):
+            fields = (value.re_num, value.im_num, value.den)
+            reduced = _from_ints(re, im, a.den)
+            assert fields == (reduced.re_num, reduced.im_num, reduced.den)
+            assert gcd(*fields) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9), st.integers(1, 10**9))
