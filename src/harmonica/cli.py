@@ -42,7 +42,9 @@ EXIT_REFUTED = 1
 # One pass over the text, longer alternatives first.  It equals ten passes,
 # one per token in table order: no replacement emits ASCII that another
 # token matches, and a word token's neighbours are non-word characters both
-# before and after its replacement.
+# before and after its replacement.  Every token starts with one of the
+# characters of the leading lookahead, so the scan tries the alternatives
+# only at those characters.
 _PRETTY = {
     "delbar": "∂̄",
     "del": "∂",
@@ -55,7 +57,9 @@ _PRETTY = {
     "<=": "⊆",
     "(+)": "⊕",
 }
-_PRETTY_PATTERN = re.compile(r"\b(?:delbar|del|mubar|mu|omega|cap)\b|\bH\^|not<=|<=|\(\+\)")
+_PRETTY_PATTERN = re.compile(
+    r"(?=[dmocHn<(])(?:\b(?:delbar|del|mubar|mu|omega|cap)\b|\bH\^|not<=|<=|\(\+\))"
+)
 
 
 def _pretty(text: str, ascii_mode: bool) -> str:

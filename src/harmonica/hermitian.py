@@ -130,8 +130,9 @@ def apply_word(word, form: Form, spec: ManifoldSpec) -> Form:
     so ("del", "delbar", "*") is del delbar *; a list serves as its tuple.
     Exact for symbolic coefficients: the result is the sum, over the unit
     terms x s phi^m of the Form (x in Q(i), s a symbol monomial), of x times
-    the word's image of s phi^m, cached on the spec per (word, m, s), so
-    words and Forms that share a unit term share its image.  When an image
+    the word's image of s phi^m, cached on the spec per (word, m, s) and
+    built on the cached image of its tail word[1:], so words that share a
+    tail and Forms that share a unit term share its images.  When an image
     cannot be built (DepthExceeded), the word maps the Form's whole term map
     operator by operator instead, which raises the error for the first
     underivable term met, or gives the result when such terms cancel before
@@ -284,16 +285,20 @@ def lefschetz_image(space: Subspace, p: int, q: int, r: int, spec: ManifoldSpec)
 # with it.  word_kernel is the one kernel of a stack of word blocks, for the
 # condition systems and for Lambda.  _term_image is the symbolic
 # counterpart of _word_image: the image of a unit term s phi^m under a word,
-# cached on the spec per (word, m, s).  _word_pass builds it from the
-# one-term map {m: {s: 1}} operator by operator with the same single-operator
-# images: _metric_terms for star, L and Lambda, and structure's d pass
-# _d_terms for d and its parts.  _image_sum adds x times those images over
-# the unit terms x s phi^m of a term map; apply_word, laplacian_apply and the
-# Lefschetz ladder are sums of it, and only a DepthExceeded sends apply_word
-# to _word_pass over the whole Form.  Each entry point that takes words checks
-# their names first (_check_words).  subspace_forms and form_subspace are the
-# one Subspace <-> Form pair; form_subspace and lefschetz_image reach (p,q)
-# coordinates through _coordinate_span.  Every matrix is sparse rows, and
+# cached on the spec per (word, m, s).  A one-operator word's image is
+# _word_pass over the one-term map {m: {s: 1}}, and a longer word's is the
+# pass of its leftmost operator over the cached image of its tail word[1:],
+# so the condition words, the Laplacian words and the L and Lambda ladders
+# build each tail once.  _word_pass maps a term map operator by operator
+# with the same single-operator images: _metric_terms for star, L and
+# Lambda, and structure's d pass _d_terms for d and its parts.  _image_sum
+# adds x times those images over the unit terms x s phi^m of a term map;
+# apply_word, laplacian_apply and the Lefschetz ladder are sums of it, and
+# only a DepthExceeded sends apply_word to _word_pass over the whole Form.
+# Each entry point that takes words checks their names first
+# (_check_words).  subspace_forms and form_subspace are the one Subspace <->
+# Form pair; form_subspace and lefschetz_image reach (p,q) coordinates
+# through _coordinate_span.  Every matrix is sparse rows, and
 # linalg.rref is its one reduction: _coordinate_span and word_kernel (through
 # sparse_kernel) here, and the Laplacian cross-check in harmonic.
 
@@ -445,16 +450,21 @@ def _image_sum(word: tuple, terms, spec: ManifoldSpec, out: dict, scale=None) ->
 def _term_image(word: tuple, idx: MultiIndex, s, spec: ManifoldSpec) -> dict:
     """The word's image of the unit term s phi^idx as a term map, cached on
     the spec per (word, idx, s) and shared, so read-only; a value that
-    cancelled to 0 may stay in it, and a build that raises caches nothing.
-    The empty word's is built afresh."""
+    cancelled to 0 may stay in it, and a build that raises caches nothing
+    for its word (a tail built before the failure stays).  The empty word's
+    is built afresh."""
     if not word:
         return {idx: {s: _ONE}}
     return spec.cached(("term-image", word, idx, s), _build_term_image, word, idx, s, spec)
 
 
 def _build_term_image(word: tuple, idx: MultiIndex, s, spec: ManifoldSpec) -> dict:
-    """The word's image of s phi^idx, by the operator-by-operator pass."""
-    return _word_pass(word, {idx: {s: _ONE}}, spec)
+    """The word's image of s phi^idx: its leftmost operator's pass over the
+    image of its tail word[1:], which is cached unless the tail is empty
+    ({idx: {s: 1}}).  That is the operator-by-operator pass over the whole
+    word, memoised per tail, so a value that cancelled to 0 in a tail is
+    skipped as the pass skips it, and the same first derivative fails."""
+    return _word_pass(word[:1], _term_image(word[1:], idx, s, spec), spec)
 
 
 def _word_pass(word: tuple, terms, spec: ManifoldSpec) -> dict:

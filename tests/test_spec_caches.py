@@ -429,8 +429,8 @@ class TestReturnedFormsAreNew:
 
 class TestSharedTermImages:
     """apply_word sums cached images of unit terms, one per (word, monomial,
-    symbol monomial) and spec: the words of several kinds, equal Forms and
-    the Lambda ladder share them."""
+    symbol monomial) and spec: the words of several kinds, words with a
+    common tail, equal Forms and the Lambda ladder share them."""
 
     def test_each_image_is_built_once(self, monkeypatch):
         spec = load_spec(_golden_text("torus6"))
@@ -446,10 +446,14 @@ class TestSharedTermImages:
         for kind in HarmonicKind:
             is_harmonic(kind, parse_form(text, 3), spec)
         certified = len(built)
-        # 12 condition words, 8 of them distinct, on 5 unit terms
+        # 12 condition words, 8 of them distinct, and their tails word[1:],
+        # which add the * of d *, del * and delbar *; on 5 unit terms
         words = {word for kind in HarmonicKind for word in CONDITION_WORDS[kind.value]}
         assert len(words) == 8
-        assert len(set(built)) == certified == 8 * 5
+        words |= {word[k:] for word in words for k in range(1, len(word))}
+        assert len(words) == 9
+        assert {word for word, _, _ in built} == words
+        assert len(set(built)) == certified == 9 * 5
         for kind in HarmonicKind:
             is_harmonic(kind, parse_form(text, 3), spec)
         assert len(built) == certified
@@ -537,7 +541,8 @@ class TestUnderivableTerms:
         limit 0, but the Lambda images of the two terms cancel at phi[2;], so
         d Lambda of the whole form is 0, as the operator-by-operator pass over
         the whole form gives; d of the form raises for its first underivable
-        term.  No failed build leaves an image in the spec cache."""
+        term.  No failed build leaves an image in the spec cache; the Lambda
+        tail of each d Lambda build is built and kept."""
         spec = load_spec(_golden_text("torus6"))
         shallow_table = DerivationTable(
             set(spec.table.symbols), dict(spec.table.conjugates), dict(spec.table.entries),
@@ -564,11 +569,16 @@ class TestUnderivableTerms:
             assert str(caught.value) == "derivative of 'V1[g3]' along Vb2 exceeds depth limit 0"
         monkeypatch.undo()
         assert [word for word, _, _ in failed] == [("d", "Lambda"), ("d",), ("d",)]
-        for idx, coeff in form.terms.items():
-            for s, _ in coeff.items():
-                with pytest.raises(DepthExceeded):
-                    hermitian._term_image(("d", "Lambda"), idx, s, shallow)
-        assert not [key for key in shallow._cache if key[0] == "term-image"]
+        units = [(idx, s) for idx, coeff in form.terms.items() for s, _ in coeff.items()]
+        for idx, s in units:
+            with pytest.raises(DepthExceeded):
+                hermitian._term_image(("d", "Lambda"), idx, s, shallow)
+        images = {key[1:]: value for key, value in shallow._cache.items() if key[0] == "term-image"}
+        assert not [key for key in failed if key in images]
+        assert len(units) == 2
+        assert set(images) == {(("Lambda",), idx, s) for idx, s in units}
+        for (word, idx, s), image in images.items():
+            assert image == hermitian._word_pass(word, {idx: {s: hermitian._ONE}}, shallow)
         assert not [key for key in shallow._cache if key[0] == "derivative"]
 
 

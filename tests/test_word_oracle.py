@@ -30,7 +30,8 @@ from harmonica.forms import (
 )
 from harmonica.harmonic import CONDITION_WORDS, LAPLACIAN_WORDS
 from harmonica.hermitian import (
-    _word_image, apply_word, form_subspace, operator_columns, subspace_forms, word_kernel
+    _ONE, _term_image, _word_image, _word_pass, apply_word, form_subspace, operator_columns,
+    subspace_forms, word_kernel,
 )
 from harmonica.library import _golden_text, load_spec
 from harmonica.scalars import Coefficient, DerivationTable, Direction, GaussianRational
@@ -344,3 +345,60 @@ class TestUnitTermImages:
         for kind, label in ((OperatorKind.D, "V1"), (OperatorKind.DEL, "V1"), (OperatorKind.DELBAR, "Vb1")):
             error = images_outcome(pass_unit_term_images, kind, idx, coeff, spec)
             assert error.startswith(f"derivative of 'V1[g3]' along {label} "), kind
+
+
+# A word's image of a unit term s phi^m is built on the cached image of its
+# tail word[1:], which words of several kinds, the condition and Laplacian
+# systems and the L and Lambda ladders share.  It must be the image the
+# operator-by-operator pass over the whole word gives from {m: {s: 1}}, or
+# the same DepthExceeded: the bc Laplacian words run past depth 3 on some
+# symbolic unit terms of torus6, and many more words at depth 0.  A value
+# that cancelled to 0 may stay in either, so both are compared by their
+# nonzero values.
+
+TAIL_WORDS = []
+for words in (*CONDITION_WORDS.values(), *LAPLACIAN_WORDS.values()):
+    TAIL_WORDS += [word for word in words if word not in TAIL_WORDS]
+TAIL_WORDS += [(op,) * r for op in ("L", "Lambda") for r in (1, 2, 3)]
+
+
+def term_image_outcome(build, word, idx, s, spec):
+    try:
+        return _nonzero(build(word, idx, s, spec))
+    except DepthExceeded as exc:
+        return str(exc)
+
+
+def whole_word_pass(word, idx, s, spec):
+    return _word_pass(word, {idx: {s: _ONE}}, spec)
+
+
+def assert_tail_images_match(units, spec):
+    """Check every word of TAIL_WORDS on the unit terms (idx, s); returns how
+    many of the outcomes are errors."""
+    errors = 0
+    for word in TAIL_WORDS:
+        for idx, s in units:
+            want = term_image_outcome(whole_word_pass, word, idx, s, spec)
+            assert term_image_outcome(_term_image, word, idx, s, spec) == want, (word, idx, s)
+            errors += isinstance(want, str)
+    return errors
+
+
+class TestImagesBuiltFromTails:
+    SYMBOLS = [(), *(s for name in ("g3", "g33c") for s, _ in Coefficient.symbol(name).items())]
+
+    def torus_units(self):
+        monomials = [m for m in all_basis_monomials(3) if m.degree <= 3]
+        return [(idx, s) for idx in monomials for s in self.SYMBOLS]
+
+    @pytest.mark.parametrize("depth", [3, 0])
+    def test_torus6(self, depth):
+        spec = load_spec(_golden_text("torus6"))
+        spec = dataclasses.replace(spec, table=with_depth(spec.table, depth))
+        assert assert_tail_images_match(self.torus_units(), spec) > 0
+
+    def test_iwasawa_ak(self):
+        spec = load_spec(_golden_text("iwasawa_ak"))
+        units = [(idx, ()) for idx in all_basis_monomials(3)]
+        assert assert_tail_images_match(units, spec) == 0
