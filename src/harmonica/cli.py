@@ -11,20 +11,22 @@ similar).  A failed cross-check is internal on a unimodular spec; on a spec
 that is not unimodular (tr ad != 0, as aff(1)) it is a fault of the input,
 since -*d* is then not the adjoint of d on invariant forms.
 Output is deterministic given the spec bytes and the command line; printed
-forms always use the `phi[...]` syntax and re-parse bit-exactly.  The
-argument parser is built by the first `main` call of a process, not at
-import, and reused by later calls.
+forms always use the `phi[...]` syntax and re-parse bit-exactly.
+`main` reads a well-formed command line straight from the option table
+`_GRAMMAR` (`_read_argv`); any other argv goes to the argparse parser built
+from the same table.  argparse is imported and that parser built by the
+first `main` call that needs it, never at import, and reused by later calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import HarmonicaError, InputError, ParseError, SymbolicCoefficients, UnknownSpec
 from .forms import format_form, parse_form
@@ -240,74 +242,125 @@ def cmd_report(args, spec, out) -> int:
     return EXIT_REFUTED if refuted else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command-line grammar, read by both _read_argv and build_parser:
+# command -> (handler, help, options), each option (name, takes a value,
+# required, help).  Every command takes the spec positional and the _COMMON
+# flags before its own options.
+_COMMON = (
+    ("--ascii", False, False, "ASCII-only output"),
+    ("--force", False, False, "compute even if validation fails"),
+)
+_GRAMMAR = {
+    "validate": (cmd_validate, "check d^2 identities and the metric", ()),
+    "harmonics": (
+        cmd_harmonics,
+        "echelon basis of a harmonic space",
+        (
+            ("--laplacian", True, True, "one of d, del, delbar, bc, a"),
+            ("--bidegree", True, True, "p,q"),
+        ),
+    ),
+    "primitive": (
+        cmd_primitive,
+        "primitive (Lefschetz) decomposition of a form",
+        (("--form", True, True, "form expression, e.g. 'phi[1,3;2]'"),),
+    ),
+    "relations": (
+        cmd_relations,
+        "primitive harmonic-space relations at p,q",
+        (("--bidegree", True, True, "p,q"),),
+    ),
+    "check-form": (
+        cmd_check_form,
+        "harmonicity certificate for one form",
+        (("--form", True, True, None), ("--laplacian", True, True, None)),
+    ),
+    "report": (
+        cmd_report,
+        "all dimension tables and statements",
+        (("--json", True, False, "also write the machine-readable report here"),),
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of the grammar: the authority on every argv that
+    _read_argv leaves to it, and the source of all help and usage text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="harmonica",
         description="Exact invariant harmonic-form computations on almost "
         "Hermitian Lie group specs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, command_help, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("spec", help="catalog name or path to a spec JSON file")
-        p.add_argument("--ascii", action="store_true", help="ASCII-only output")
-        p.add_argument(
-            "--force", action="store_true", help="compute even if validation fails"
-        )
-
-    p = sub.add_parser("validate", help="check d^2 identities and the metric")
-    common(p)
-
-    p = sub.add_parser("harmonics", help="echelon basis of a harmonic space")
-    common(p)
-    p.add_argument("--laplacian", required=True, help="one of d, del, delbar, bc, a")
-    p.add_argument("--bidegree", required=True, help="p,q")
-
-    p = sub.add_parser("primitive", help="primitive (Lefschetz) decomposition of a form")
-    common(p)
-    p.add_argument("--form", required=True, help="form expression, e.g. 'phi[1,3;2]'")
-
-    p = sub.add_parser("relations", help="primitive harmonic-space relations at p,q")
-    common(p)
-    p.add_argument("--bidegree", required=True, help="p,q")
-
-    p = sub.add_parser("check-form", help="harmonicity certificate for one form")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.add_argument("--laplacian", required=True)
-
-    p = sub.add_parser("report", help="all dimension tables and statements")
-    common(p)
-    p.add_argument("--json", help="also write the machine-readable report here")
-
+        for name, takes_value, required, help_text in _COMMON + options:
+            if takes_value:
+                p.add_argument(name, required=required, help=help_text)
+            else:
+                p.add_argument(name, action="store_true", help=help_text)
     return parser
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "harmonics": cmd_harmonics,
-    "primitive": cmd_primitive,
-    "relations": cmd_relations,
-    "check-form": cmd_check_form,
-    "report": cmd_report,
-}
+def _read_argv(argv):
+    """The namespace argparse gives for a well-formed argv, else None.
+
+    Well-formed: a command first, then in any order one spec that does not
+    start with '-' and that command's exact option names, each at most once,
+    every value option followed by a value that does not start with '-', and
+    every required option present.  Anything else (help, usage errors,
+    abbreviations, --opt=value, --, dash-led values) is left to argparse."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    options = {
+        name: (takes_value, required)
+        for name, takes_value, required, _ in _COMMON + _GRAMMAR[argv[0]][2]
+    }
+    fields = {"command": argv[0], "spec": None}
+    for name, (takes_value, _) in options.items():
+        fields[name[2:]] = None if takes_value else False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if fields["spec"] is not None:
+                return None
+            fields["spec"] = token
+        elif token not in options:  # unknown, abbreviated, --opt=value, -- or repeated
+            return None
+        elif options.pop(token)[0]:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            fields[token[2:]] = value
+        else:
+            fields[token[2:]] = True
+    if fields["spec"] is None or any(required for _, required in options.values()):
+        return None
+    return SimpleNamespace(**fields)
 
 
-_parser = None  # built by the first main call, then reused
+_parser = None  # built by the first main call that needs it, then reused
 
 
 def main(argv=None) -> int:
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
     args.ascii = args.ascii or os.environ.get("HARMONICA_ASCII") == "1"
     out = print
     try:
         spec = _resolve_spec(args.spec)
         if args.command != "validate" and not _gate_validation(spec, args, out):
             return EXIT_REFUTED
-        return _COMMANDS[args.command](args, spec, out)
+        return _GRAMMAR[args.command][0](args, spec, out)
     except HarmonicaError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

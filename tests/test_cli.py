@@ -1,6 +1,8 @@
 import ast
 import builtins
+import functools
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonica import errors, harmonic
-from harmonica.cli import _pretty, main
+from harmonica.cli import _pretty, _read_argv, build_parser, main
 from harmonica.forms import basis_multiindices, format_form, parse_form
 from harmonica.library import _golden_text
 from harmonica.linalg import Subspace
@@ -447,6 +449,322 @@ class TestOneParserPerProcess:
             text=True,
         )
         assert (proc.returncode, proc.stdout) == (0, "None\n")
+
+
+# Help and usage errors as argparse printed them before the option table
+# existed, with COLUMNS=80 (argparse wraps to the terminal width).  "--a" on
+# harmonics abbreviates --ascii; "--f" on check-form is ambiguous.
+USAGE_GOLDENS = {
+    ("--help",): (
+        0,
+        (
+            "usage: harmonica [-h]\n"
+            "                 {validate,harmonics,primitive,relations,check-form,report}\n"
+            "                 ...\n"
+            "\n"
+            "Exact invariant harmonic-form computations on almost Hermitian Lie group\n"
+            "specs.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {validate,harmonics,primitive,relations,check-form,report}\n"
+            "    validate            check d^2 identities and the metric\n"
+            "    harmonics           echelon basis of a harmonic space\n"
+            "    primitive           primitive (Lefschetz) decomposition of a form\n"
+            "    relations           primitive harmonic-space relations at p,q\n"
+            "    check-form          harmonicity certificate for one form\n"
+            "    report              all dimension tables and statements\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    ("validate", "--help"): (
+        0,
+        (
+            "usage: harmonica validate [-h] [--ascii] [--force] spec\n"
+            "\n"
+            "positional arguments:\n"
+            "  spec        catalog name or path to a spec JSON file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --ascii     ASCII-only output\n"
+            "  --force     compute even if validation fails\n"
+        ),
+        "",
+    ),
+    ("harmonics", "--help"): (
+        0,
+        (
+            "usage: harmonica harmonics [-h] [--ascii] [--force] --laplacian LAPLACIAN\n"
+            "                           --bidegree BIDEGREE\n"
+            "                           spec\n"
+            "\n"
+            "positional arguments:\n"
+            "  spec                  catalog name or path to a spec JSON file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --ascii               ASCII-only output\n"
+            "  --force               compute even if validation fails\n"
+            "  --laplacian LAPLACIAN\n"
+            "                        one of d, del, delbar, bc, a\n"
+            "  --bidegree BIDEGREE   p,q\n"
+        ),
+        "",
+    ),
+    ("primitive", "--help"): (
+        0,
+        (
+            "usage: harmonica primitive [-h] [--ascii] [--force] --form FORM spec\n"
+            "\n"
+            "positional arguments:\n"
+            "  spec         catalog name or path to a spec JSON file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help   show this help message and exit\n"
+            "  --ascii      ASCII-only output\n"
+            "  --force      compute even if validation fails\n"
+            "  --form FORM  form expression, e.g. 'phi[1,3;2]'\n"
+        ),
+        "",
+    ),
+    ("relations", "--help"): (
+        0,
+        (
+            "usage: harmonica relations [-h] [--ascii] [--force] --bidegree BIDEGREE spec\n"
+            "\n"
+            "positional arguments:\n"
+            "  spec                 catalog name or path to a spec JSON file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --ascii              ASCII-only output\n"
+            "  --force              compute even if validation fails\n"
+            "  --bidegree BIDEGREE  p,q\n"
+        ),
+        "",
+    ),
+    ("check-form", "--help"): (
+        0,
+        (
+            "usage: harmonica check-form [-h] [--ascii] [--force] --form FORM --laplacian\n"
+            "                            LAPLACIAN\n"
+            "                            spec\n"
+            "\n"
+            "positional arguments:\n"
+            "  spec                  catalog name or path to a spec JSON file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --ascii               ASCII-only output\n"
+            "  --force               compute even if validation fails\n"
+            "  --form FORM\n"
+            "  --laplacian LAPLACIAN\n"
+        ),
+        "",
+    ),
+    ("report", "--help"): (
+        0,
+        (
+            "usage: harmonica report [-h] [--ascii] [--force] [--json JSON] spec\n"
+            "\n"
+            "positional arguments:\n"
+            "  spec         catalog name or path to a spec JSON file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help   show this help message and exit\n"
+            "  --ascii      ASCII-only output\n"
+            "  --force      compute even if validation fails\n"
+            "  --json JSON  also write the machine-readable report here\n"
+        ),
+        "",
+    ),
+    (): (
+        2,
+        "",
+        (
+            "usage: harmonica [-h]\n"
+            "                 {validate,harmonics,primitive,relations,check-form,report}\n"
+            "                 ...\n"
+            "harmonica: error: the following arguments are required: command\n"
+        ),
+    ),
+    ("frobnicate", "iwasawa_ak"): (
+        2,
+        "",
+        (
+            "usage: harmonica [-h]\n"
+            "                 {validate,harmonics,primitive,relations,check-form,report}\n"
+            "                 ...\n"
+            "harmonica: error: argument command: invalid choice: 'frobnicate' (choose from 'validate', 'harmonics', 'primitive', 'relations', 'check-form', 'report')\n"
+        ),
+    ),
+    ("harmonics", "iwasawa_ak", "--laplacian", "bc"): (
+        2,
+        "",
+        (
+            "usage: harmonica harmonics [-h] [--ascii] [--force] --laplacian LAPLACIAN\n"
+            "                           --bidegree BIDEGREE\n"
+            "                           spec\n"
+            "harmonica harmonics: error: the following arguments are required: --bidegree\n"
+        ),
+    ),
+    ("validate", "iwasawa_ak", "--bogus"): (
+        2,
+        "",
+        (
+            "usage: harmonica [-h]\n"
+            "                 {validate,harmonics,primitive,relations,check-form,report}\n"
+            "                 ...\n"
+            "harmonica: error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    ("harmonics", "iwasawa_ak", "--laplacian"): (
+        2,
+        "",
+        (
+            "usage: harmonica harmonics [-h] [--ascii] [--force] --laplacian LAPLACIAN\n"
+            "                           --bidegree BIDEGREE\n"
+            "                           spec\n"
+            "harmonica harmonics: error: argument --laplacian: expected one argument\n"
+        ),
+    ),
+    ("harmonics", "iwasawa_ak", "--a"): (
+        2,
+        "",
+        (
+            "usage: harmonica harmonics [-h] [--ascii] [--force] --laplacian LAPLACIAN\n"
+            "                           --bidegree BIDEGREE\n"
+            "                           spec\n"
+            "harmonica harmonics: error: the following arguments are required: --laplacian, --bidegree\n"
+        ),
+    ),
+    ("check-form", "iwasawa_ak", "--f", "x"): (
+        2,
+        "",
+        (
+            "usage: harmonica check-form [-h] [--ascii] [--force] --form FORM --laplacian\n"
+            "                            LAPLACIAN\n"
+            "                            spec\n"
+            "harmonica check-form: error: ambiguous option: --f could match --force, --form\n"
+        ),
+    ),
+}
+
+class TestUsageGoldens:
+    """Help text and usage errors stay byte for byte what argparse printed,
+    with their exit codes."""
+
+    @pytest.mark.parametrize("argv", list(USAGE_GOLDENS), ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_stdout_stderr_and_exit_code(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == USAGE_GOLDENS[argv]
+
+
+# Well-formed argvs per command: its required value options, then the
+# optional ones; every command also takes the flags --ascii and --force.
+COMMAND_OPTIONS = {
+    "validate": ([], []),
+    "harmonics": ([["--laplacian", "bc"], ["--bidegree", "2,1"]], []),
+    "primitive": ([["--form", "phi[1;2]"]], []),
+    "relations": ([["--bidegree", "1,1"]], []),
+    "check-form": ([["--form", "phi[1;2]"], ["--laplacian", "d"]], []),
+    "report": ([], [["--json", "out.json"]]),
+}
+FLAGS = [["--ascii"], ["--force"]]
+ARGV_VALUES = ["phi[1;2]", "", "-1", "--ascii", "x y", "report", "2,1"]
+ARGV_TOKENS = [
+    *COMMAND_OPTIONS, "frobnicate", "iwasawa_ak", "phi[1;2]", "", "-1", "-", "x y",
+    "--ascii", "--force", "--laplacian", "--bidegree", "--form", "--json",
+    "--a", "--lap", "--bi", "--f", "--fo", "--j",
+    "--ascii=1", "--force=", "--laplacian=bc", "--json=out.json", "--form=phi[1;2]",
+    "-h", "--help", "--",
+]
+
+
+def _every_option_order():
+    """Each command with the spec, its required options and each subset of
+    its optional ones, in every order."""
+    for command, (required, optional) in COMMAND_OPTIONS.items():
+        optional = FLAGS + optional
+        for k in range(len(optional) + 1):
+            for chosen in itertools.combinations(optional, k):
+                for order in itertools.permutations([["iwasawa_ak"], *required, *chosen]):
+                    yield [command, *itertools.chain.from_iterable(order)]
+
+
+@st.composite
+def _near_well_formed_argvs(draw):
+    """A well-formed argv with drawn values, then up to three tokens
+    inserted or replaced."""
+    command = draw(st.sampled_from(list(COMMAND_OPTIONS)))
+    required, optional = COMMAND_OPTIONS[command]
+    items = required + draw(st.lists(st.sampled_from(FLAGS + optional), unique_by=lambda item: item[0]))
+    items = [[item[0], draw(st.sampled_from(ARGV_VALUES))] if len(item) == 2 else item for item in items]
+    order = draw(st.permutations([["iwasawa_ak"], *items]))
+    argv = [command, *itertools.chain.from_iterable(order)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv) - 1))
+        token = draw(st.sampled_from(ARGV_TOKENS))
+        if draw(st.booleans()):
+            argv.insert(i, token)
+        else:
+            argv[i] = token
+    return argv
+
+
+_argparse_parser = functools.cache(build_parser)
+
+
+def _argparse_fields(argv):
+    try:
+        return vars(_argparse_parser().parse_args(argv))
+    except SystemExit as exc:
+        raise AssertionError(f"argparse refuses {argv}") from exc
+
+
+class TestArgvReader:
+    """main reads a well-formed argv without argparse.  Whenever that reader
+    returns a namespace, argparse accepts the argv with the same fields."""
+
+    def test_every_option_order_is_read_as_argparse_reads_it(self):
+        argvs = list(_every_option_order())
+        assert len(argvs) == 484
+        for argv in argvs:
+            args = _read_argv(argv)
+            assert args is not None, argv
+            assert vars(args) == _argparse_fields(argv), argv
+
+    def test_one_token_more_or_changed_is_refused_or_read_as_argparse_reads_it(self):
+        for command, (required, _) in COMMAND_OPTIONS.items():
+            argv = [command, "iwasawa_ak", *itertools.chain.from_iterable(required)]
+            for i in range(len(argv) + 1):
+                for token in ARGV_TOKENS:
+                    for edited in ([*argv[:i], token, *argv[i:]], [*argv[:i], token, *argv[i + 1 :]]):
+                        args = _read_argv(edited)
+                        if args is not None:
+                            assert vars(args) == _argparse_fields(edited), edited
+
+    @settings(max_examples=400, deadline=None)
+    @given(_near_well_formed_argvs())
+    def test_a_namespace_is_what_argparse_gives(self, argv):
+        args = _read_argv(argv)
+        if args is not None:
+            assert vars(args) == _argparse_fields(argv)
+
+    def test_a_well_formed_call_loads_no_argparse(self):
+        code = (
+            "import sys; from harmonica import cli; code = cli.main(['validate', 'iwasawa_ak']); "
+            "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules, cli._parser)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "0 False False None"
 
 
 class TestValidationGate:
